@@ -8,12 +8,13 @@ the residual norm, which is available for any problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Breakdown, Diverged, StagnationDetected
+from .errors import Breakdown, Diverged, NonFinite, StagnationDetected
 from .linalg import anderson_coefficients
 from .problems import AffineSpec, FixedPointProblem, make_affine
 
@@ -97,6 +98,18 @@ def _record(tr: IterationTrace, problem: FixedPointProblem, x: np.ndarray, r_nor
             tr.error_ratios.append(float("nan"))
 
 
+def _record_finite(tr: IterationTrace, problem: FixedPointProblem, x: np.ndarray,
+                   r: np.ndarray) -> None:
+    """_record, then raise NonFinite with the trace if ||r|| is NaN or Inf.
+
+    The divergence guard cannot catch a NaN iterate, because NaN > bound is False.
+    """
+    r_norm = float(np.linalg.norm(r))
+    _record(tr, problem, x, r_norm)
+    if not math.isfinite(r_norm):
+        raise NonFinite(f"residual norm is {r_norm} at k = {len(tr) - 1}", trace=tr)
+
+
 def _aa_next(q_hist: Sequence[np.ndarray], r_hist: Sequence[np.ndarray],
              rank_tol_scale: float) -> tuple[np.ndarray, BetaSolution]:
     """One AA update from cached q/r values, oldest first, newest last."""
@@ -153,7 +166,7 @@ def _run_windowed(
 
     qx = problem.q(x)
     r = x - qx
-    _record(tr, problem, x, float(np.linalg.norm(r)))
+    _record_finite(tr, problem, x, r)
 
     q_hist = [qx]
     r_hist = [r]
@@ -169,7 +182,7 @@ def _run_windowed(
         tr.betas.append(beta)
         qx = problem.q(x_next)
         r = x_next - qx
-        _record(tr, problem, x_next, float(np.linalg.norm(r)))
+        _record_finite(tr, problem, x_next, r)
 
         if beta.beta.size:
             windowed_since_restart += 1

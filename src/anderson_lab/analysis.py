@@ -8,12 +8,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accelerators import AccelConfig, IterationTrace, run_scheme
-from .augmented import Direction, directional_derivative
+from .augmented import directional_derivative
 from .errors import AndersonLabError, InsufficientData
 from .linalg import spectral_radius
 from .problems import FixedPointProblem
 
 ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
+# direction entries per chunk of derivative_norm_samples: the chunk's
+# temporaries stay at tens of MB whatever n and m are
+DERIV_CHUNK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -153,16 +156,21 @@ def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) ->
     polar grid per block.  Normalizing the whole stacked vector instead caps
     the observed norms at 1 for the 2x2 benchmark and misses the spike of
     values above it.
+
+    Directions are drawn and differentiated in chunks of at most
+    DERIV_CHUNK_FLOATS direction entries.  The draws come from one generator
+    in sample order, so sample i is the same for every n_samples.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
     rng = np.random.default_rng(seed)
+    chunk = max(1, DERIV_CHUNK_FLOATS // ((m + 1) * n))
     norms = np.empty(n_samples)
-    for i in range(n_samples):
-        blocks = rng.standard_normal((m + 1, n))
-        blocks /= np.linalg.norm(blocks, axis=1, keepdims=True)
-        d = Direction(stacked=blocks.ravel(), block_dim=n)
-        norms[i] = np.linalg.norm(directional_derivative(M, d).value)
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
+        blocks = rng.standard_normal((stop - start, m + 1, n))
+        blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
+        norms[start:stop] = np.linalg.norm(directional_derivative(M, blocks).value, axis=1)
     return norms
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingJacobian, SingularA
-from .linalg import anderson_coefficients, operator_norm_2
+from .linalg import anderson_coefficients, operator_norm_2, stacked_anderson_coefficients
 from .problems import FixedPointProblem
 
 _EPS = np.finfo(float).eps
@@ -77,15 +77,32 @@ class Direction(AugmentedState):
 
 @dataclass(frozen=True)
 class DirectionalDerivativeResult:
+    """One derivative, or a stack of them with a leading sample axis."""
+
     value: np.ndarray
     beta_hat: np.ndarray
-    formula_rank_ok: bool
+    formula_rank_ok: bool | np.ndarray
 
 
 def build_D(state: AugmentedState) -> np.ndarray:
     """n x m difference matrix with columns z_{m+1} - z_j, j = m, ..., 1."""
-    blocks = state.blocks()
-    return (blocks[0][:, None] - blocks[1:].T)
+    return _stacked_D(state.blocks()[None])[0]
+
+
+def _stacked_D(blocks: np.ndarray) -> np.ndarray:
+    """(S, n, m) difference matrices of an (S, m+1, n) block stack."""
+    return blocks[:, 0, :, None] - blocks[:, 1:].transpose(0, 2, 1)
+
+
+def _direction_stack(d) -> tuple[np.ndarray, bool]:
+    """(S, m+1, n) block stack of d, and whether d is a single Direction."""
+    if isinstance(d, AugmentedState):
+        return d.blocks()[None], True
+    blocks = np.asarray(d, dtype=float)
+    if blocks.ndim != 3 or blocks.shape[1] < 2 or blocks.shape[2] < 1:
+        raise ValueError(f"a direction stack has shape (S, m+1, n) with m >= 1, "
+                         f"got {blocks.shape}")
+    return blocks, False
 
 
 def beta_of_z(problem: FixedPointProblem, z: AugmentedState,
@@ -119,38 +136,48 @@ def _check_nonsingular(A: np.ndarray) -> None:
         raise SingularA("A = I - M is numerically singular")
 
 
-def beta_hat(A: np.ndarray, d: Direction, rank_tol_scale: float = 1.0) -> np.ndarray:
-    """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}."""
+def beta_hat(A: np.ndarray, d, rank_tol_scale: float = 1.0) -> np.ndarray:
+    """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}.
+
+    d is one Direction, giving an (m,) array, or an (S, m+1, n) stack of
+    direction blocks, giving (S, m); A is checked once either way.
+    """
     A = np.asarray(A, dtype=float)
     _check_nonsingular(A)
-    D = build_D(d)
-    d_new = d.blocks()[0]
-    coeffs, _ = anderson_coefficients(A @ D, A @ d_new, rank_tol_scale=rank_tol_scale)
-    return coeffs
+    blocks, single = _direction_stack(d)
+    coeffs, _ = stacked_anderson_coefficients(
+        A @ _stacked_D(blocks), blocks[:, 0] @ A.T, rank_tol_scale=rank_tol_scale)
+    return coeffs[0] if single else coeffs
 
 
-def directional_derivative(M: np.ndarray, d: Direction) -> DirectionalDerivativeResult:
+def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     """Closed-form directional derivative of the lifted map at its fixed point.
 
     The first block is M (d_{m+1} + D(d) beta_hat) and the remaining blocks
     shift down.  formula_rank_ok records whether D(d) has full numerical rank;
     for affine maps the formula is valid regardless, for nonlinear maps it is
     only guaranteed in the full-rank case.
+
+    d is one Direction or an (S, m+1, n) stack of direction blocks; for a
+    stack, value is (S, n(m+1)), beta_hat (S, m) and formula_rank_ok (S,).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
-    if d.block_dim != n:
+    blocks, single = _direction_stack(d)
+    S, m = blocks.shape[0], blocks.shape[1] - 1
+    if blocks.shape[2] != n:
         raise ValueError("direction block size does not match M")
-    A = np.eye(n) - M
-    bh = beta_hat(A, d)
-    blocks = d.blocks()
-    D = build_D(d)
-    first = M @ (blocks[0] + D @ bh)
-    value = np.concatenate([first, blocks[:-1].ravel()])
+    bh = beta_hat(np.eye(n) - M, blocks)
+    D = _stacked_D(blocks)
+    first = (blocks[:, 0] + (D @ bh[:, :, None])[:, :, 0]) @ M.T
+    value = np.concatenate([first, blocks[:, :-1].reshape(S, m * n)], axis=1)
 
     sv = np.linalg.svd(D, compute_uv=False)
-    tol = max(D.shape) * _EPS * (sv[0] if sv.size else 0.0)
-    rank_ok = bool(np.count_nonzero(sv > tol) == d.m)
+    tol = max(n, m) * _EPS * sv[:, 0]
+    rank_ok = np.count_nonzero(sv > tol[:, None], axis=1) == m
+    if single:
+        return DirectionalDerivativeResult(value=value[0], beta_hat=bh[0],
+                                           formula_rank_ok=bool(rank_ok[0]))
     return DirectionalDerivativeResult(value=value, beta_hat=bh, formula_rank_ok=rank_ok)
 
 

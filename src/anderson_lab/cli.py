@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -236,7 +237,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         m = 0 if label == "fp" else int(label.split("(")[1].rstrip(")"))
         for i, est in enumerate(per_init):
             x0 = report.inits[i]
-            coords = list(x0) if n <= 4 else [hash(x0.tobytes()) & 0xFFFFFFFF]
+            coords = list(x0) if n <= 4 else [zlib.crc32(x0.tobytes())]
             if est is None:
                 rows.append([i, *coords, label, m, None, None, False])
             else:

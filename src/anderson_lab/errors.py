@@ -6,7 +6,14 @@ class AndersonLabError(Exception):
 
 
 class NonFinite(AndersonLabError):
-    """An input contains NaN or Inf entries."""
+    """An input, or a residual of an iteration, contains NaN or Inf entries.
+
+    Carries the partial trace recorded up to the failure, when available.
+    """
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class NonConvergence(AndersonLabError):

@@ -108,3 +108,38 @@ def anderson_coefficients(
         )
         return np.zeros(m), info
     return min_norm_lstsq(R, r, rank_tol_scale=rank_tol_scale)
+
+
+def stacked_anderson_coefficients(
+    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """anderson_coefficients for each slice of a stack, with one stacked SVD.
+
+    R has shape (S, n, m) and r shape (S, n).  Returns the (S, m) coefficients
+    and the (S,) numerical ranks.  Every slice follows the rules of the 2-D
+    function exactly: the relative degenerate-step rule (beta = 0, rank 0),
+    the rank cut-off rank_tol_scale * max(n, m) * eps * sigma_max with its
+    fallback when sigma_max = 0, and the minimum-norm solution beyond it.
+    """
+    R = np.asarray(R, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if R.ndim != 3 or r.shape != R.shape[:2]:
+        raise ValueError(f"need R of shape (S, n, m) and r of shape (S, n), "
+                         f"got {R.shape} and {r.shape}")
+    _check_finite("R", R)
+    _check_finite("r", r)
+    S, n, m = R.shape
+    if m == 0:
+        return np.zeros((S, 0)), np.zeros(S, dtype=int)
+    scale = rank_tol_scale * max(n, m) * _EPS
+    col_max = np.max(np.linalg.norm(R, axis=1), axis=1)
+    informative = col_max > scale * np.linalg.norm(r, axis=1)
+
+    U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    tol = scale * s[:, 0]
+    tol[tol == 0.0] = scale
+    kept = (s > tol[:, None]) & informative[:, None]
+    Ur = np.einsum("sij,si->sj", U, r)
+    w = np.divide(Ur, s, out=np.zeros_like(Ur), where=kept)
+    coeffs = -np.einsum("sji,sj->si", Vt, w)
+    return coeffs, np.count_nonzero(kept, axis=1)

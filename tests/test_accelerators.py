@@ -11,9 +11,10 @@ from anderson_lab.accelerators import (
     gmres_run,
     run_scheme,
 )
-from anderson_lab.errors import Diverged, StagnationDetected
+from anderson_lab.errors import Diverged, NonFinite, StagnationDetected
 from anderson_lab.problems import (
     AffineSpec,
+    FixedPointProblem,
     make_affine,
     problem_linear_2x2,
     problem_linear_200,
@@ -67,6 +68,35 @@ class TestFpRun:
             fp_run(p, np.array([1.0]), AccelConfig(max_iters=200, stop_tol=0.0))
         assert exc_info.value.trace is not None
         assert len(exc_info.value.trace) >= 1
+
+
+class TestNonFiniteResidual:
+    @staticmethod
+    def _nan_below(threshold):
+        # q(x) = x / 2, but NaN once x drops below threshold
+        return FixedPointProblem(
+            dim=1, q=lambda x: 0.5 * x + (np.nan if x[0] < threshold else 0.0),
+            known_fixed_point=np.zeros(1))
+
+    @pytest.mark.parametrize("cfg", [
+        AccelConfig(window_m=0, max_iters=50, stop_tol=0.0),
+        AccelConfig(window_m=1, max_iters=50, stop_tol=0.0),
+        AccelConfig(window_m=1, restart=True, max_iters=50, stop_tol=0.0),
+    ])
+    def test_raises_with_partial_trace(self, cfg):
+        # FP reaches 0.25 and AA(1) takes the exact secant step to 0 at k = 2
+        with pytest.raises(NonFinite) as exc_info:
+            run_scheme(self._nan_below(0.3), np.array([1.0]), cfg)
+        tr = exc_info.value.trace
+        assert len(tr) == 3
+        assert np.all(np.isfinite(tr.residual_norms[:2]))
+        assert np.isnan(tr.residual_norms[2])
+        assert len(tr.betas) == 2
+
+    def test_nan_at_start(self):
+        with pytest.raises(NonFinite) as exc_info:
+            fp_run(self._nan_below(2.0), np.array([1.0]), AccelConfig(max_iters=5))
+        assert len(exc_info.value.trace) == 1
 
 
 class TestAaStep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anderson_lab import analysis
 from anderson_lab.accelerators import AccelConfig, IterationTrace, fp_run
 from anderson_lab.analysis import (
     derivative_norm_histogram,
@@ -12,8 +13,9 @@ from anderson_lab.analysis import (
     scheme_label,
     worst_case_rho,
 )
+from anderson_lab.augmented import Direction, directional_derivative
 from anderson_lab.errors import InsufficientData
-from anderson_lab.problems import problem_linear_2x2, problem_nonlinear_2x2
+from anderson_lab.problems import problem_linear_2x2, problem_linear_200, problem_nonlinear_2x2
 
 
 def _synthetic_trace(error_norms):
@@ -160,6 +162,39 @@ class TestDerivativeNorms:
         M = problem_linear_2x2().affine.M
         norms = derivative_norm_samples(M, m=1, n_samples=2000, seed=9)
         assert norms.max() > 1.0
+
+    @staticmethod
+    def _one_direction_at_a_time(M, m, n_samples, seed):
+        n = M.shape[0]
+        rng = np.random.default_rng(seed)
+        norms = np.empty(n_samples)
+        for i in range(n_samples):
+            blocks = rng.standard_normal((m + 1, n))
+            blocks /= np.linalg.norm(blocks, axis=1, keepdims=True)
+            d = Direction(stacked=blocks.ravel(), block_dim=n)
+            norms[i] = np.linalg.norm(directional_derivative(M, d).value)
+        return norms
+
+    @pytest.mark.parametrize("M,m,n_samples", [
+        (problem_linear_2x2().affine.M, 1, 400),
+        (problem_linear_2x2().affine.M, 2, 400),
+        (problem_linear_2x2().affine.M, 3, 400),
+        (problem_linear_200(-0.9, 0.7, -0.7).affine.M, 1, 5),
+        (problem_linear_200(-0.9, 0.7, -0.7).affine.M, 3, 5),
+    ])
+    def test_matches_one_direction_at_a_time(self, M, m, n_samples):
+        batched = derivative_norm_samples(M, m, n_samples, seed=21)
+        looped = self._one_direction_at_a_time(M, m, n_samples, seed=21)
+        np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (200, 2)])
+    def test_prefix_bitwise_across_chunk_boundary(self, n, m):
+        rng = np.random.default_rng(5)
+        M = 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+        chunk = analysis.DERIV_CHUNK_FLOATS // ((m + 1) * n)
+        full = derivative_norm_samples(M, m, chunk + 3, seed=4)
+        for k in (1, 2, chunk - 1, chunk, chunk + 1):
+            assert np.array_equal(full[:k], derivative_norm_samples(M, m, k, seed=4))
 
 
 class TestMSweep:

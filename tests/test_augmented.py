@@ -210,6 +210,36 @@ class TestDirectionalDerivative:
             r2 = directional_derivative(M, cd)
             np.testing.assert_allclose(r2.value, 3.5 * r1.value, atol=1e-12)
 
+    def test_stack_matches_single_directions(self):
+        M = problem_nonlinear_2x2().jacobian(np.zeros(2))
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3):
+            blocks = rng.standard_normal((9, m + 1, 2))
+            blocks[1, 1] = blocks[1, 0]                    # D(d) loses rank
+            blocks[2] = 0.0                                # zero direction
+            blocks[3, 1:] = blocks[3, 0]                   # diagonal direction
+            stacked = directional_derivative(M, blocks)
+            assert stacked.value.shape == (9, 2 * (m + 1))
+            assert stacked.formula_rank_ok.shape == (9,)
+            A = np.eye(2) - M
+            np.testing.assert_allclose(beta_hat(A, blocks), stacked.beta_hat, rtol=0, atol=0)
+            for i in range(9):
+                single = directional_derivative(M, Direction.from_blocks(blocks[i]))
+                np.testing.assert_allclose(stacked.value[i], single.value, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(stacked.beta_hat[i], single.beta_hat,
+                                           rtol=0, atol=1e-14)
+                assert stacked.formula_rank_ok[i] == single.formula_rank_ok
+            assert not stacked.formula_rank_ok[1:4].any()
+
+    def test_stack_shape_checked(self):
+        M = problem_linear_2x2().affine.M
+        with pytest.raises(ValueError):
+            directional_derivative(M, np.zeros((4, 2)))       # no sample axis
+        with pytest.raises(ValueError):
+            directional_derivative(M, np.zeros((4, 1, 2)))    # m = 0
+        with pytest.raises(ValueError):
+            directional_derivative(M, np.zeros((4, 2, 3)))    # block size != n
+
     def test_non_differentiability_certificate(self):
         # no single matrix J reproduces the derivative on all three directions
         M = np.array([[0.5]])

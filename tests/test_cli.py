@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anderson_lab
 from anderson_lab.cli import main
 
 
@@ -72,6 +77,19 @@ class TestRun:
         _, _, rows = _read_csv(out / "trace.csv")
         assert len(rows) >= 1
 
+    def test_non_finite_exit_3_with_partial_trace(self, tmp_path):
+        # q returns NaN everywhere; the iterates never leave the divergence guard
+        aff = tmp_path / "nan.json"
+        aff.write_text(json.dumps({"M": [[0.5]], "b": [float("nan")]}))
+        for scheme in ("fp", "aa"):
+            out = tmp_path / scheme
+            rc = main(["run", "--problem", f"affine:{aff}", "--scheme", scheme,
+                       "--x0", "1.0", "--out", str(out)])
+            assert rc == 3
+            _, header, rows = _read_csv(out / "trace.csv")
+            assert len(rows) == 1
+            assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
+
 
 class TestConfigHandling:
     def test_unknown_problem(self, tmp_path):
@@ -135,6 +153,21 @@ class TestSweep:
         assert rc == 0
         _, header, _ = _read_csv(out / "sweep.csv")
         assert header[1] == "init_hash"
+
+    def test_init_hash_independent_of_hash_seed(self, tmp_path):
+        src = str(Path(anderson_lab.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+            subprocess.run(
+                [sys.executable, "-m", "anderson_lab.cli", "sweep", "--problem", "linear200",
+                 "--scheme", "aa", "--m", "1", "--inits", "3", "--box=-1,1",
+                 "--iters", "40", "--seed", "7", "--out", str(out)],
+                env=env, check=True, timeout=120)
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDerivHist:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anderson_lab.errors import NonFinite
 from anderson_lab.linalg import (
@@ -7,6 +9,7 @@ from anderson_lab.linalg import (
     min_norm_lstsq,
     operator_norm_2,
     spectral_radius,
+    stacked_anderson_coefficients,
 )
 
 
@@ -131,3 +134,61 @@ class TestAndersonCoefficients:
         beta, info = anderson_coefficients(np.zeros((3, 0)), np.ones(3))
         assert beta.shape == (0,)
         assert info.numerical_rank == 0
+
+
+def _mixed_stack(seed, S, n, m):
+    """S slices of (R, r) cycling through random, repeated-column and zero-column R."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8, 8, S)
+    R = rng.standard_normal((S, n, m)) * scales[:, None, None]
+    r = rng.standard_normal((S, n)) * scales[:, None]
+    kind = np.arange(S) % 3
+    R[kind == 1] = R[kind == 1][:, :, :1]  # every column equal: rank 1
+    R[kind == 2] = 0.0                     # degenerate step: beta = 0
+    return R, r
+
+
+class TestStackedAndersonCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 12),
+           n=st.integers(1, 7), m=st.integers(1, 5),
+           rank_tol_scale=st.sampled_from([1.0, 10.0]))
+    def test_matches_2d_solve_per_slice(self, seed, S, n, m, rank_tol_scale):
+        R, r = _mixed_stack(seed, S, n, m)
+        coeffs, ranks = stacked_anderson_coefficients(R, r, rank_tol_scale=rank_tol_scale)
+        assert coeffs.shape == (S, m) and ranks.shape == (S,)
+        for i in range(S):
+            expected, info = anderson_coefficients(R[i], r[i], rank_tol_scale=rank_tol_scale)
+            assert ranks[i] == info.numerical_rank
+            tol = 1e-14 * max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+            np.testing.assert_allclose(coeffs[i], expected, rtol=0, atol=tol)
+
+    def test_kinds_give_expected_ranks(self):
+        R, r = _mixed_stack(0, 6, 5, 3)
+        _, ranks = stacked_anderson_coefficients(R, r)
+        np.testing.assert_array_equal(ranks, [3, 1, 0, 3, 1, 0])
+
+    def test_degeneracy_is_relative_to_residual(self):
+        # tiny columns are used when r is as tiny, and dropped when r is not
+        R = np.array([[[1e-18], [0.0]], [[1e-18], [0.0]]])
+        r = np.array([[1e-18, 1e-18], [1.0, 1.0]])
+        coeffs, ranks = stacked_anderson_coefficients(R, r)
+        assert abs(coeffs[0, 0] + 1.0) < 1e-12 and ranks[0] == 1
+        assert coeffs[1, 0] == 0.0 and ranks[1] == 0
+
+    def test_empty_window(self):
+        coeffs, ranks = stacked_anderson_coefficients(np.zeros((4, 3, 0)), np.ones((4, 3)))
+        assert coeffs.shape == (4, 0)
+        np.testing.assert_array_equal(ranks, 0)
+
+    def test_rejects_non_finite_and_bad_shapes(self):
+        R, r = _mixed_stack(1, 3, 2, 1)
+        R[2, 0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            stacked_anderson_coefficients(R, r)
+        with pytest.raises(NonFinite):
+            stacked_anderson_coefficients(np.zeros((1, 2, 1)), np.array([[np.inf, 0.0]]))
+        with pytest.raises(ValueError):
+            stacked_anderson_coefficients(np.zeros((2, 1)), np.zeros(2))
+        with pytest.raises(ValueError):
+            stacked_anderson_coefficients(np.zeros((2, 3, 1)), np.zeros((2, 2)))
