@@ -7,6 +7,7 @@ baseline, and Monte-Carlo convergence-factor experiments.
 
 from .accelerators import (
     AccelConfig,
+    BatchRun,
     BetaSolution,
     IterationTrace,
     aa_full_window_vs_gmres_check,
@@ -15,6 +16,7 @@ from .accelerators import (
     aa_step,
     fp_run,
     gmres_run,
+    run_batch,
     run_scheme,
 )
 from .analysis import (

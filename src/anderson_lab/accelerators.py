@@ -3,19 +3,20 @@
 All runs record an IterationTrace whose sequences are aligned by iteration
 index k.  Error-based quantities (error norms, sigma_k, error ratios) are only
 recorded when the problem knows its fixed point; the stopping test always uses
-the residual norm, which is available for any problem.
+the residual norm, which is available for any problem.  FP and AA(m) share one
+loop, which runs a batch of initial conditions in lockstep (run_batch); a
+single run is its batch of one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Breakdown, Diverged, NonFinite, StagnationDetected
-from .linalg import anderson_coefficients
+from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, StagnationDetected
+from .linalg import anderson_coefficients, stacked_anderson_coefficients
 from .problems import AffineSpec, FixedPointProblem, make_affine
 
 DIVERGENCE_GUARD = 1e12
@@ -36,7 +37,7 @@ class AccelConfig:
             raise ValueError("window_m must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stop_tol <= 0 and self.stop_tol != 0.0:
+        if not self.stop_tol >= 0:  # NaN included
             raise ValueError("stop_tol must be positive (or exactly 0 to disable)")
         if self.rank_tol_scale <= 0:
             raise ValueError("rank_tol_scale must be positive")
@@ -58,7 +59,8 @@ class IterationTrace:
 
     betas[k] is the coefficient solution used to produce iterates[k + 1]; the
     list is one shorter than the iterate list.  sigma_k[0] and error_ratios[0]
-    are NaN by convention.
+    are NaN by convention.  Traces of a batch run (BatchRun.trace) hold the
+    norms only, with empty iterates and betas.
     """
 
     iterates: list = field(default_factory=list)
@@ -71,7 +73,7 @@ class IterationTrace:
     converged: bool = False
 
     def __len__(self) -> int:
-        return len(self.iterates)
+        return len(self.residual_norms)
 
 
 def _trace_for(problem: FixedPointProblem) -> IterationTrace:
@@ -96,18 +98,6 @@ def _record(tr: IterationTrace, problem: FixedPointProblem, x: np.ndarray, r_nor
             tr.error_ratios.append(err / tr.error_norms[k - 1])
         else:
             tr.error_ratios.append(float("nan"))
-
-
-def _record_finite(tr: IterationTrace, problem: FixedPointProblem, x: np.ndarray,
-                   r: np.ndarray) -> None:
-    """_record, then raise NonFinite with the trace if ||r|| is NaN or Inf.
-
-    The divergence guard cannot catch a NaN iterate, because NaN > bound is False.
-    """
-    r_norm = float(np.linalg.norm(r))
-    _record(tr, problem, x, r_norm)
-    if not math.isfinite(r_norm):
-        raise NonFinite(f"residual norm is {r_norm} at k = {len(tr) - 1}", trace=tr)
 
 
 def _aa_next(q_hist: Sequence[np.ndarray], r_hist: Sequence[np.ndarray],
@@ -152,67 +142,215 @@ def aa_step(
     return _aa_next(q_hist, r_hist, rank_tol_scale)
 
 
-def _run_windowed(
-    problem: FixedPointProblem,
-    x0: np.ndarray,
-    cfg: AccelConfig,
-    restart: bool,
-) -> IterationTrace:
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 must have shape ({problem.dim},)")
+@dataclass
+class BatchRun:
+    """Norms of a batch of runs, one entry per initial condition.
+
+    residual_norms[i] (and error_norms[i], when the fixed point is known) is
+    the array of norms of iterations 0, 1, ... of init i.  failures[i] is the
+    error that stopped init i, or None; a Diverged or NonFinite row keeps the
+    norms recorded before the error, like the trace those errors carry.
+    """
+
+    residual_norms: list      # of 1-D arrays
+    error_norms: Optional[list]
+    converged: list           # of bool
+    failures: list            # of AndersonLabError or None
+    x_star_norm: Optional[float]
+
+    def __len__(self) -> int:
+        return len(self.failures)
+
+    def trace(self, i: int) -> IterationTrace:
+        """IterationTrace of init i with its norms, sigma_k and error ratios."""
+        tr = IterationTrace(residual_norms=self.residual_norms[i].tolist(),
+                            x_star_norm=self.x_star_norm, converged=self.converged[i])
+        if self.error_norms is not None:
+            errs = tr.error_norms = self.error_norms[i].tolist()
+            nan = float("nan")
+            tr.sigma_k = [e ** (1.0 / k) if k else nan for k, e in enumerate(errs)]
+            tr.error_ratios = [e / p if p > 0.0 else nan for p, e in zip([nan] + errs, errs)]
+        return tr
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, each bitwise equal to np.linalg.norm of its row."""
+    return np.sqrt(np.vecdot(V, V))
+
+
+def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
+    x_star = problem.known_fixed_point
+    return None if x_star is None else float(np.linalg.norm(x_star))
+
+
+def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
+             steps: Optional[list] = None) -> BatchRun:
+    """FP, windowed or restarted AA(m) from every row of X, in lockstep.
+
+    Each step evaluates q once on the running rows and solves all their
+    least-squares problems with one stacked SVD.  The history length depends
+    on the step count alone, so the running rows share it.  A row stops when
+    its residual norm is at most stop_tol (converged) or NaN/Inf (NonFinite,
+    the row recorded), or when its next iterate leaves the divergence guard
+    ball (Diverged, not recorded); the other rows go on.  A problem without
+    affine data evaluates q on one point, so X must then have a single row.
+
+    When steps is a list, it receives (x_{k+1}, BetaSolution) for each step of
+    a single-row X.
+    """
+    B = X.shape[0]
     m = cfg.window_m
-    tr = _trace_for(problem)
+    x_star = problem.known_fixed_point
+    q = problem.q if problem.affine is not None else lambda X: problem.q(X[0])[None]
+    converged = np.zeros(B, dtype=bool)
+    failures = [None] * B
+    rows = np.arange(B)  # batch index of each running row
+    step_rows, step_res, step_err = [], [], []
 
-    qx = problem.q(x)
-    r = x - qx
-    _record_finite(tr, problem, x, r)
+    def record(X):
+        Qx = q(X)
+        Rx = X - Qx
+        step_rows.append(rows)
+        step_res.append(_norms(Rx))
+        if x_star is not None:
+            step_err.append(_norms(x_star - X))
+        return Qx, Rx, step_res[-1]
 
-    q_hist = [qx]
-    r_hist = [r]
+    Qx, Rx, rn = record(X)
+    q_hist, r_hist = [Qx], [Rx]
     windowed_since_restart = 0
-
-    for _ in range(cfg.max_iters):
-        if tr.residual_norms[-1] <= cfg.stop_tol:
-            tr.converged = True
+    for k in range(cfg.max_iters + 1):
+        # stop converged and non-finite rows (NaN fails both tests); the
+        # divergence guard below cannot see NaN
+        if not (rn.min() > cfg.stop_tol and rn.max() < np.inf):
+            bad = ~(rn < np.inf)
+            done = rn <= cfg.stop_tol
+            for j in np.flatnonzero(bad):
+                failures[rows[j]] = NonFinite(f"residual norm is {rn[j]} at k = {k}")
+            converged[rows[done & ~bad]] = True
+            keep = ~(bad | done)
+            rows = rows[keep]
+            q_hist = [a[keep] for a in q_hist]
+            r_hist = [a[keep] for a in r_hist]
+        if k == cfg.max_iters or not rows.size:
             break
-        x_next, beta = _aa_next(q_hist, r_hist, cfg.rank_tol_scale)
-        if np.linalg.norm(x_next) > DIVERGENCE_GUARD:
-            raise Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}", trace=tr)
-        tr.betas.append(beta)
-        qx = problem.q(x_next)
-        r = x_next - qx
-        _record_finite(tr, problem, x_next, r)
 
-        if beta.beta.size:
+        qk, rk = q_hist[-1], r_hist[-1]
+        mk = len(q_hist) - 1
+        if mk:
+            # column j (0-based) pairs with lag j+1.  Every residual in the
+            # history has a finite norm, so R and rk are finite.
+            R = np.empty(rk.shape + (mk,))
+            Q = np.empty(R.shape)
+            for j in range(mk):
+                np.subtract(rk, r_hist[-2 - j], out=R[..., j])
+                np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
+            coeffs, ranks = stacked_anderson_coefficients(
+                R, rk, cfg.rank_tol_scale, check_finite=False)
+            X = qk + (Q @ coeffs[..., None])[..., 0]
+        else:
+            X = qk.copy()
+        out = _norms(X) > DIVERGENCE_GUARD
+        if out.any():
+            for row in rows[out]:
+                failures[row] = Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}")
+            keep = ~out
+            rows, X = rows[keep], X[keep]
+            q_hist = [a[keep] for a in q_hist]
+            r_hist = [a[keep] for a in r_hist]
+            if not rows.size:
+                break
+        if steps is not None:
+            r_norm = float(step_res[-1][0])
+            if mk:
+                beta = BetaSolution(
+                    beta=coeffs[0], residual_norm_before=r_norm,
+                    ls_objective=float(_norms(rk[0] + R[0] @ coeffs[0])), rank=int(ranks[0]))
+            else:
+                beta = BetaSolution(beta=np.zeros(0), residual_norm_before=r_norm,
+                                    ls_objective=r_norm, rank=0)
+            steps.append((X[0], beta))
+        Qx, Rx, rn = record(X)
+
+        if mk:
             windowed_since_restart += 1
-        if restart and windowed_since_restart >= m:
+        if cfg.restart and windowed_since_restart >= m:
             # restart the entire AA(m) iteration every m (accelerated) steps
-            q_hist = [qx]
-            r_hist = [r]
+            q_hist, r_hist = [Qx], [Rx]
             windowed_since_restart = 0
         else:
-            q_hist.append(qx)
-            r_hist.append(r)
+            q_hist.append(Qx)
+            r_hist.append(Rx)
             if len(q_hist) > m + 1:
                 q_hist.pop(0)
                 r_hist.pop(0)
-    else:
-        tr.converged = tr.residual_norms[-1] <= cfg.stop_tol
 
+    # a row leaves the batch for good, so its steps are a prefix of all steps:
+    # sorting the step-major records by row (stably) lines up each row's norms
+    ids = np.concatenate(step_rows)
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
+
+    def per_row(values):
+        return np.split(np.concatenate(values)[order], ends)
+
+    return BatchRun(
+        residual_norms=per_row(step_res),
+        error_norms=per_row(step_err) if x_star is not None else None,
+        converged=converged.tolist(), failures=failures, x_star_norm=_x_star_norm(problem))
+
+
+def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig) -> BatchRun:
+    """run_scheme from every row of X0 (B, n), without iterates or coefficients.
+
+    An affine problem runs as one batch.  Any other problem runs each init as
+    a batch of one, so q sees one point and an error in q (EvalError) fails
+    only its own init.  Every row equals its single-init run bit for bit.
+    """
+    X = np.asarray(X0, dtype=float)
+    if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
+        raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
+    if problem.affine is not None:
+        return _iterate(problem, X, cfg)
+    runs = []
+    for x in X:
+        try:
+            runs.append(_iterate(problem, x[None], cfg))
+        except AndersonLabError as exc:  # raised by q: the init records nothing
+            runs.append(BatchRun([np.empty(0)], [np.empty(0)], [False], [exc], None))
+    return BatchRun(
+        residual_norms=[run.residual_norms[0] for run in runs],
+        error_norms=(None if problem.known_fixed_point is None
+                     else [run.error_norms[0] for run in runs]),
+        converged=[run.converged[0] for run in runs],
+        failures=[run.failures[0] for run in runs],
+        x_star_norm=_x_star_norm(problem))
+
+
+def _run_windowed(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
+    """One trajectory as a batch of one, traced with iterates and coefficients."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"x0 must have shape ({problem.dim},)")
+    steps = []
+    run = _iterate(problem, x[None], cfg, steps)
+    tr = run.trace(0)
+    tr.iterates = [x] + [x_next for x_next, _ in steps]
+    tr.betas = [beta for _, beta in steps]
+    if run.failures[0] is not None:
+        run.failures[0].trace = tr
+        raise run.failures[0]
     return tr
 
 
 def fp_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
     """Plain fixed-point iteration x_{k+1} = q(x_k)."""
-    return _run_windowed(problem, x0, AccelConfig(
-        window_m=0, restart=False, max_iters=cfg.max_iters,
-        stop_tol=cfg.stop_tol, rank_tol_scale=cfg.rank_tol_scale), restart=False)
+    return _run_windowed(problem, x0, replace(cfg, window_m=0, restart=False))
 
 
 def aa_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
     """Windowed AA(m) with growing-then-sliding window of size min(k, m)."""
-    return _run_windowed(problem, x0, cfg, restart=False)
+    return _run_windowed(problem, x0, replace(cfg, restart=False))
 
 
 def aa_restarted_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -223,7 +361,7 @@ def aa_restarted_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfi
     """
     if cfg.window_m < 1:
         raise ValueError("restarted AA needs window_m >= 1")
-    return _run_windowed(problem, x0, cfg, restart=True)
+    return _run_windowed(problem, x0, replace(cfg, restart=True))
 
 
 def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:

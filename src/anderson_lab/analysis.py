@@ -7,7 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accelerators import AccelConfig, IterationTrace, run_scheme
+# run_scheme is unused here but stays bound: perfbench/tracer.py patches
+# analysis.run_scheme by name
+from .accelerators import AccelConfig, IterationTrace, run_batch, run_scheme  # noqa: F401
 from .augmented import directional_derivative
 from .errors import AndersonLabError, InsufficientData
 from .linalg import spectral_radius
@@ -109,8 +111,9 @@ def monte_carlo_sweep(
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
-    Per-run failures (divergence, evaluation errors, too few usable
-    iterations) are recorded as None entries rather than aborting the sweep.
+    Each scheme runs all inits as one batch (run_batch).  Per-run failures
+    (divergence, evaluation errors, too few usable iterations) are recorded
+    as None entries rather than aborting the sweep.
     """
     if n_inits < 1:
         raise ValueError("n_inits must be >= 1")
@@ -119,15 +122,17 @@ def monte_carlo_sweep(
 
     estimates: dict[str, list] = {}
     for cfg in schemes:
-        label = scheme_label(cfg)
+        run = run_batch(problem, inits, cfg)
         per_init = []
-        for x0 in inits:
-            try:
-                tr = run_scheme(problem, x0, cfg)
-                per_init.append(estimate_r_factor(tr, tail_window=tail_window))
-            except AndersonLabError:
-                per_init.append(None)
-        estimates[label] = per_init
+        for i, failure in enumerate(run.failures):
+            est = None
+            if failure is None:
+                try:
+                    est = estimate_r_factor(run.trace(i), tail_window=tail_window)
+                except AndersonLabError:
+                    pass
+            per_init.append(est)
+        estimates[scheme_label(cfg)] = per_init
 
     histograms = {}
     s_fraction = {}

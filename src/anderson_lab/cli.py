@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import zlib
 from dataclasses import dataclass, replace
@@ -60,7 +59,7 @@ class ExperimentConfig:
             raise ConfigError("m must be >= 0")
         if self.max_iters < 1:
             raise ConfigError("iters must be >= 1")
-        if self.stop_tol <= 0:
+        if not self.stop_tol > 0:  # NaN included
             raise ConfigError("tol must be positive")
         if self.n_inits < 1:
             raise ConfigError("inits must be >= 1")
@@ -82,9 +81,8 @@ class ExperimentConfig:
 
     def accel(self) -> AccelConfig:
         restart = self.scheme == "aa_restarted"
-        m = 0 if self.scheme == "fp" else max(self.window_m, 1 if restart else 0)
-        return AccelConfig(window_m=m if self.scheme != "fp" else 0,
-                           restart=restart, max_iters=self.max_iters,
+        m = 0 if self.scheme == "fp" else max(self.window_m, int(restart))
+        return AccelConfig(window_m=m, restart=restart, max_iters=self.max_iters,
                            stop_tol=self.stop_tol)
 
 
@@ -126,17 +124,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "m_values", None) is not None:
         overrides["m_values"] = [int(v) for v in args.m_values.split(",")]
     return replace(cfg, **overrides)
-
-
-def _threads_limit() -> int:
-    raw = os.environ.get("ANDERSON_LAB_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"ANDERSON_LAB_THREADS must be an integer, got {raw!r}")
-    if val < 0:
-        raise ConfigError("ANDERSON_LAB_THREADS must be >= 0")
-    return val
 
 
 def _fmt(v) -> str:
@@ -365,7 +352,6 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "deriv-hist": cmd_deriv_hist,
                 "msweep": cmd_msweep, "gmres-compare": cmd_gmres_compare}
     try:
-        _threads_limit()
         cfg = _load_config(args)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -111,7 +111,7 @@ def anderson_coefficients(
 
 
 def stacked_anderson_coefficients(
-    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0
+    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0, check_finite: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """anderson_coefficients for each slice of a stack, with one stacked SVD.
 
@@ -120,26 +120,38 @@ def stacked_anderson_coefficients(
     function exactly: the relative degenerate-step rule (beta = 0, rank 0),
     the rank cut-off rank_tol_scale * max(n, m) * eps * sigma_max with its
     fallback when sigma_max = 0, and the minimum-norm solution beyond it.
+
+    Each slice comes out bit for bit equal to the 2-D function: the products
+    are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
+    function runs on one slice, and a rank-deficient slice (rare) is solved
+    again by min_norm_lstsq, which sums over the kept singular directions
+    only.  check_finite=False skips the NaN/Inf check of callers that know
+    their inputs are finite.
     """
     R = np.asarray(R, dtype=float)
     r = np.asarray(r, dtype=float)
     if R.ndim != 3 or r.shape != R.shape[:2]:
         raise ValueError(f"need R of shape (S, n, m) and r of shape (S, n), "
                          f"got {R.shape} and {r.shape}")
-    _check_finite("R", R)
-    _check_finite("r", r)
+    if check_finite:
+        _check_finite("R", R)
+        _check_finite("r", r)
     S, n, m = R.shape
     if m == 0:
         return np.zeros((S, 0)), np.zeros(S, dtype=int)
     scale = rank_tol_scale * max(n, m) * _EPS
-    col_max = np.max(np.linalg.norm(R, axis=1), axis=1)
-    informative = col_max > scale * np.linalg.norm(r, axis=1)
+    # column norms as np.linalg.norm(R, axis=1) computes them
+    col_max = np.sqrt(np.add.reduce(R * R, axis=1)).max(axis=1)
+    informative = col_max > scale * np.sqrt(np.vecdot(r, r))
 
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
     tol = scale * s[:, 0]
     tol[tol == 0.0] = scale
     kept = (s > tol[:, None]) & informative[:, None]
-    Ur = np.einsum("sij,si->sj", U, r)
+    Ur = np.matmul(U.transpose(0, 2, 1), r[..., None])[..., 0]
     w = np.divide(Ur, s, out=np.zeros_like(Ur), where=kept)
-    coeffs = -np.einsum("sji,sj->si", Vt, w)
-    return coeffs, np.count_nonzero(kept, axis=1)
+    coeffs = np.matmul(-Vt.transpose(0, 2, 1), w[..., None])[..., 0]
+    ranks = kept.sum(axis=1)
+    for i in np.flatnonzero((ranks > 0) & (ranks < s.shape[1])):
+        coeffs[i] = min_norm_lstsq(R[i], r[i], rank_tol_scale=rank_tol_scale)[0]
+    return coeffs, ranks

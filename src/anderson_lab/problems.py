@@ -43,7 +43,8 @@ class FixedPointProblem:
 
     q must be pure; jacobian, when present, returns the n x n Jacobian of q.
     affine carries the (M, b) data for problems that are exactly affine, which
-    unlocks the GMRES comparison path.
+    unlocks the GMRES comparison path; q of such a problem must also map a
+    batch (B, n) of points row by row, as make_affine's q does.
     """
 
     dim: int
@@ -68,9 +69,13 @@ def make_affine(spec: AffineSpec, label: str = "affine") -> FixedPointProblem:
     x_star = np.linalg.solve(A, spec.b)
     M, b = spec.M, spec.b
 
+    def q(x):
+        # one point (n,) or a batch (B, n); each row equals M @ x + b bitwise
+        return (M @ np.asarray(x, dtype=float)[..., None])[..., 0] + b
+
     return FixedPointProblem(
         dim=n,
-        q=lambda x: M @ np.asarray(x, dtype=float) + b,
+        q=q,
         jacobian=lambda x: M.copy(),
         known_fixed_point=x_star,
         label=label,
@@ -161,6 +166,9 @@ def load_affine_json(path: str) -> FixedPointProblem:
         b = np.asarray(doc["b"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad affine JSON file {path!r}: {exc}") from exc
+    # json parses NaN and Infinity; they would give x* = NaN
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
+        raise ValueError(f"bad affine JSON file {path!r}: M and b must be finite")
     return make_affine(AffineSpec(M=M, b=b), label=f"affine:{path}")
 
 

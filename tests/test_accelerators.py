@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anderson_lab.accelerators import (
     AccelConfig,
@@ -9,9 +11,10 @@ from anderson_lab.accelerators import (
     aa_step,
     fp_run,
     gmres_run,
+    run_batch,
     run_scheme,
 )
-from anderson_lab.errors import Diverged, NonFinite, StagnationDetected
+from anderson_lab.errors import Diverged, EvalError, NonFinite, StagnationDetected
 from anderson_lab.problems import (
     AffineSpec,
     FixedPointProblem,
@@ -32,6 +35,8 @@ class TestAccelConfig:
             AccelConfig(stop_tol=-1.0)
         with pytest.raises(ValueError):
             AccelConfig(rank_tol_scale=0.0)
+        with pytest.raises(ValueError):
+            AccelConfig(stop_tol=float("nan"))
         AccelConfig(stop_tol=0.0)  # 0 disables the residual stop
 
 
@@ -305,3 +310,95 @@ class TestGmresCorrespondence:
         spec = AffineSpec(M=M, b=np.zeros(2))
         with pytest.raises(StagnationDetected):
             aa_full_window_vs_gmres_check(spec, np.array([1.0, 0.0]), k_max=2)
+
+
+def _assert_row_matches_single_run(batch, i, problem, x0, cfg):
+    """Row i of a run_batch result equals run_scheme from x0 bit for bit."""
+    try:
+        tr = run_scheme(problem, x0, cfg)
+        failure = None
+    except (Diverged, NonFinite) as exc:
+        tr, failure = exc.trace, exc
+    assert type(batch.failures[i]) is type(failure)
+    row = batch.trace(i)
+    assert len(row) == len(tr)
+    # assert_array_equal compares floats exactly and NaN equal to NaN
+    np.testing.assert_array_equal(row.residual_norms, tr.residual_norms)
+    np.testing.assert_array_equal(row.error_norms, tr.error_norms)
+    np.testing.assert_array_equal(row.sigma_k, tr.sigma_k)
+    if failure is None:
+        assert row.converged == tr.converged
+
+
+def _random_contraction(seed, n):
+    """Affine spec with a random M scaled to rho(M) < 1 and a random b."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    M *= rng.uniform(0.1, 0.95) / np.max(np.abs(np.linalg.eigvals(M)))
+    return AffineSpec(M=M, b=rng.standard_normal(n)), rng
+
+
+class TestRunBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
+           m=st.integers(0, 4), restart=st.booleans(), B=st.integers(1, 8),
+           stop_tol=st.sampled_from([0.0, 1e-10]))
+    def test_matches_single_runs_bitwise(self, seed, n, m, restart, B, stop_tol):
+        spec, rng = _random_contraction(seed, n)
+        problem = make_affine(spec)
+        X0 = rng.uniform(-1.0, 1.0, (B, n))
+        cfg = AccelConfig(window_m=m, restart=restart, max_iters=40, stop_tol=stop_tol)
+        batch = run_batch(problem, X0, cfg)
+        assert len(batch) == B
+        for i in range(B):
+            _assert_row_matches_single_run(batch, i, problem, X0[i], cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        AccelConfig(window_m=0, max_iters=100),
+        # a huge rank tolerance makes every AA step the FP step, which diverges
+        AccelConfig(window_m=2, max_iters=100, rank_tol_scale=1e30),
+    ])
+    def test_diverging_rows_fail_alone(self, cfg):
+        problem = make_affine(AffineSpec(M=np.diag([2.0, 0.5]), b=np.zeros(2)))
+        X0 = np.array([[0.0, 1.0], [1e-3, 0.5], [0.0, -0.3], [2.0, 2.0], [0.0, 0.7]])
+        batch = run_batch(problem, X0, cfg)
+        for i, x0 in enumerate(X0):
+            if x0[0] != 0.0:
+                assert isinstance(batch.failures[i], Diverged)
+            else:
+                assert batch.failures[i] is None and batch.converged[i]
+            _assert_row_matches_single_run(batch, i, problem, x0, cfg)
+
+    def test_non_affine_failures_stay_per_init(self):
+        # q(x) = x / 2, NaN below 0.3: 0.2 is NaN at once, 0.5 after one step
+        # and 1.0 after the secant step to 0; the scalar map fails at x = 0
+        nan_below = TestNonFiniteResidual._nan_below(0.3)
+        X0 = np.array([[1.0], [0.2], [0.5]])
+        cfg = AccelConfig(window_m=1, max_iters=50, stop_tol=0.0)
+        batch = run_batch(nan_below, X0, cfg)
+        assert [type(f) for f in batch.failures] == [NonFinite] * 3
+        for i, x0 in enumerate(X0):
+            _assert_row_matches_single_run(batch, i, nan_below, x0, cfg)
+        scalar = run_batch(problem_scalar(), np.array([[1.0], [0.0], [2.0]]),
+                           AccelConfig(window_m=1, max_iters=20))
+        assert scalar.failures[0] is None and scalar.converged[0]
+        assert isinstance(scalar.failures[1], EvalError)
+        assert scalar.failures[2] is None and scalar.converged[2]
+
+    def test_rows_independent_of_batch_size(self):
+        problem = problem_linear_2x2()
+        X0 = np.random.default_rng(3).uniform(-0.25, 0.25, (1000, 2))
+        for cfg in (AccelConfig(window_m=0), AccelConfig(window_m=1),
+                    AccelConfig(window_m=2, restart=True)):
+            batch = run_batch(problem, X0, cfg)
+            for i in range(0, 1000, 97):
+                alone = run_batch(problem, X0[i:i + 1], cfg)
+                np.testing.assert_array_equal(alone.residual_norms[0], batch.residual_norms[i])
+                np.testing.assert_array_equal(alone.error_norms[0], batch.error_norms[i])
+                assert alone.converged[0] == batch.converged[i]
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            run_batch(problem_linear_2x2(), np.zeros(2), AccelConfig())
+        with pytest.raises(ValueError):
+            run_batch(problem_linear_2x2(), np.zeros((3, 1)), AccelConfig())

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anderson_lab
-from anderson_lab.cli import main
+from anderson_lab import cli
+from anderson_lab.cli import ExperimentConfig, main
+from anderson_lab.problems import FixedPointProblem
 
 
 def _read_csv(path):
@@ -77,18 +80,32 @@ class TestRun:
         _, _, rows = _read_csv(out / "trace.csv")
         assert len(rows) >= 1
 
-    def test_non_finite_exit_3_with_partial_trace(self, tmp_path):
+    def test_non_finite_exit_3_with_partial_trace(self, tmp_path, monkeypatch):
         # q returns NaN everywhere; the iterates never leave the divergence guard
-        aff = tmp_path / "nan.json"
-        aff.write_text(json.dumps({"M": [[0.5]], "b": [float("nan")]}))
+        nan_problem = FixedPointProblem(dim=1, q=lambda x: np.full_like(x, np.nan))
+        monkeypatch.setattr(cli, "problem_from_id", lambda problem_id: nan_problem)
         for scheme in ("fp", "aa"):
             out = tmp_path / scheme
-            rc = main(["run", "--problem", f"affine:{aff}", "--scheme", scheme,
+            rc = main(["run", "--problem", "nan", "--scheme", scheme,
                        "--x0", "1.0", "--out", str(out)])
             assert rc == 3
             _, header, rows = _read_csv(out / "trace.csv")
             assert len(rows) == 1
             assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
+
+
+    def test_non_finite_affine_file_is_config_error(self, tmp_path):
+        for doc in ({"M": [[0.5]], "b": [float("nan")]},
+                    {"M": [[float("inf")]], "b": [0.0]}):
+            aff = tmp_path / "bad.json"
+            aff.write_text(json.dumps(doc))  # json writes NaN and Infinity
+            assert main(["run", "--problem", f"affine:{aff}", "--scheme", "fp",
+                         "--x0", "1.0", "--out", str(tmp_path / "o")]) == 2
+
+    def test_nan_tolerance_is_config_error(self, tmp_path):
+        for tol in ("nan", "0", "-1e-12"):
+            assert main(["run", "--problem", "linear2x2", "--x0", "0.2,0.1",
+                         f"--tol={tol}", "--out", str(tmp_path / "o")]) == 2
 
 
 class TestConfigHandling:
@@ -125,10 +142,16 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANDERSON_LAB_THREADS", "many")
-        assert main(["run", "--problem", "linear2x2", "--x0", "0,0",
-                     "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("scheme, m, window_m", [
+        ("fp", 0, 0), ("fp", 3, 0),
+        ("aa", 0, 0), ("aa", 1, 1), ("aa", 3, 3),
+        ("aa_restarted", 0, 1), ("aa_restarted", 1, 1), ("aa_restarted", 3, 3),
+        ("gmres", 0, 0), ("gmres", 3, 3),
+    ])
+    def test_accel_window(self, scheme, m, window_m):
+        accel = ExperimentConfig(scheme=scheme, window_m=m).accel()
+        assert type(accel.window_m) is int and accel.window_m == window_m
+        assert accel.restart == (scheme == "aa_restarted")
 
 
 class TestSweep:

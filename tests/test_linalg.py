@@ -151,7 +151,7 @@ def _mixed_stack(seed, S, n, m):
 class TestStackedAndersonCoefficients:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 12),
-           n=st.integers(1, 7), m=st.integers(1, 5),
+           n=st.integers(1, 7), m=st.integers(1, 6),
            rank_tol_scale=st.sampled_from([1.0, 10.0]))
     def test_matches_2d_solve_per_slice(self, seed, S, n, m, rank_tol_scale):
         R, r = _mixed_stack(seed, S, n, m)
@@ -160,8 +160,15 @@ class TestStackedAndersonCoefficients:
         for i in range(S):
             expected, info = anderson_coefficients(R[i], r[i], rank_tol_scale=rank_tol_scale)
             assert ranks[i] == info.numerical_rank
-            tol = 1e-14 * max(1.0, float(np.max(np.abs(expected), initial=0.0)))
-            np.testing.assert_allclose(coeffs[i], expected, rtol=0, atol=tol)
+            # bit for bit, signed zeros included
+            np.testing.assert_array_equal(coeffs[i], expected)
+            np.testing.assert_array_equal(np.signbit(coeffs[i]), np.signbit(expected))
+
+    def test_check_finite_off_skips_only_the_check(self):
+        R, r = _mixed_stack(2, 9, 4, 3)
+        for a, b in zip(stacked_anderson_coefficients(R, r),
+                        stacked_anderson_coefficients(R, r, check_finite=False)):
+            np.testing.assert_array_equal(a, b)
 
     def test_kinds_give_expected_ranks(self):
         R, r = _mixed_stack(0, 6, 5, 3)
