@@ -201,6 +201,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     B = X.shape[0]
     m = cfg.window_m
     x_star = problem.known_fixed_point
+    if x_star is not None:
+        x_star = x_star[None]  # a (1, n) row subtracts from X faster than (n,)
     q = problem.q if problem.affine is not None else lambda X: problem.q(X[0])[None]
     converged = np.zeros(B, dtype=bool)
     failures = [None] * B
@@ -221,8 +223,9 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     windowed_since_restart = 0
     for k in range(cfg.max_iters + 1):
         # stop converged and non-finite rows (NaN fails both tests); the
-        # divergence guard below cannot see NaN
-        if not (rn.min() > cfg.stop_tol and rn.max() < np.inf):
+        # divergence guard below cannot see NaN.  The ufunc reductions are
+        # the cheapest whole-batch tests, which matters at B = 1.
+        if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf):
             bad = ~(rn < np.inf)
             done = rn <= cfg.stop_tol
             for j in np.flatnonzero(bad):
@@ -245,13 +248,13 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             for j in range(mk):
                 np.subtract(rk, r_hist[-2 - j], out=R[..., j])
                 np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
-            coeffs, ranks = stacked_anderson_coefficients(
-                R, rk, cfg.rank_tol_scale, check_finite=False)
+            coeffs, ranks = stacked_anderson_coefficients(R, rk, cfg.rank_tol_scale)
             X = qk + (Q @ coeffs[..., None])[..., 0]
         else:
             X = qk.copy()
-        out = _norms(X) > DIVERGENCE_GUARD
-        if out.any():
+        x_norms = _norms(X)
+        if np.fmax.reduce(x_norms) > DIVERGENCE_GUARD:  # fmax skips NaN rows
+            out = x_norms > DIVERGENCE_GUARD
             for row in rows[out]:
                 failures[row] = Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}")
             keep = ~out

@@ -111,7 +111,7 @@ def anderson_coefficients(
 
 
 def stacked_anderson_coefficients(
-    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0, check_finite: bool = True
+    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """anderson_coefficients for each slice of a stack, with one stacked SVD.
 
@@ -123,19 +123,16 @@ def stacked_anderson_coefficients(
 
     Each slice comes out bit for bit equal to the 2-D function: the products
     are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
-    function runs on one slice, and a rank-deficient slice (rare) is solved
-    again by min_norm_lstsq, which sums over the kept singular directions
-    only.  check_finite=False skips the NaN/Inf check of callers that know
-    their inputs are finite.
+    function runs on one slice, and a rank-deficient slice is solved again by
+    min_norm_lstsq, which sums over the kept singular directions only.
     """
     R = np.asarray(R, dtype=float)
     r = np.asarray(r, dtype=float)
     if R.ndim != 3 or r.shape != R.shape[:2]:
         raise ValueError(f"need R of shape (S, n, m) and r of shape (S, n), "
                          f"got {R.shape} and {r.shape}")
-    if check_finite:
-        _check_finite("R", R)
-        _check_finite("r", r)
+    _check_finite("R", R)
+    _check_finite("r", r)
     S, n, m = R.shape
     if m == 0:
         return np.zeros((S, 0)), np.zeros(S, dtype=int)

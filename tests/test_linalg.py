@@ -164,12 +164,6 @@ class TestStackedAndersonCoefficients:
             np.testing.assert_array_equal(coeffs[i], expected)
             np.testing.assert_array_equal(np.signbit(coeffs[i]), np.signbit(expected))
 
-    def test_check_finite_off_skips_only_the_check(self):
-        R, r = _mixed_stack(2, 9, 4, 3)
-        for a, b in zip(stacked_anderson_coefficients(R, r),
-                        stacked_anderson_coefficients(R, r, check_finite=False)):
-            np.testing.assert_array_equal(a, b)
-
     def test_kinds_give_expected_ranks(self):
         R, r = _mixed_stack(0, 6, 5, 3)
         _, ranks = stacked_anderson_coefficients(R, r)
