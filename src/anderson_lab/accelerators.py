@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, StagnationDetected
 from .linalg import anderson_coefficients, stacked_anderson_coefficients
-from .problems import AffineSpec, FixedPointProblem, make_affine
+# make_affine is unused here but stays bound: perfbench/tracer.py patches
+# accelerators.make_affine by name
+from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
 
@@ -376,23 +378,30 @@ def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> 
     return aa_run(problem, x0, cfg)
 
 
-def gmres_run(spec: AffineSpec, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """Full-memory dense GMRES on (I - M) x = b, tracing the iterates.
+def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
+    """Full-memory dense GMRES on (I - M) x = b of an affine problem, tracing the iterates.
 
     Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
     least-squares problem; the iterate is reconstructed every step so the
-    trace lines up with the other schemes.
+    trace lines up with the other schemes.  Raises NonFinite, with the trace
+    up to and including the offending row, when a residual norm is NaN or Inf.
     """
-    A = spec.A
-    b = spec.b
+    if problem.affine is None:
+        raise ValueError("gmres requires an affine problem")
+    A = problem.affine.A
+    b = problem.affine.b
     n = A.shape[0]
     x0 = np.asarray(x0, dtype=float)
-    problem = make_affine(spec)
     tr = _trace_for(problem)
+
+    def record(x, r_norm):
+        _record(tr, problem, x, r_norm)
+        if not r_norm < np.inf:  # NaN included
+            raise NonFinite(f"residual norm is {r_norm} at k = {len(tr) - 1}", trace=tr)
 
     r0 = b - A @ x0
     beta0 = float(np.linalg.norm(r0))
-    _record(tr, problem, x0, beta0)
+    record(x0, beta0)
     if beta0 <= cfg.stop_tol:
         tr.converged = True
         return tr
@@ -432,7 +441,7 @@ def gmres_run(spec: AffineSpec, x0: np.ndarray, cfg: AccelConfig) -> IterationTr
 
         y = np.linalg.solve(np.triu(H[: k + 1, : k + 1]), g[: k + 1])
         xk = x0 + V[:, : k + 1] @ y
-        _record(tr, problem, xk, float(np.linalg.norm(b - A @ xk)))
+        record(xk, float(np.linalg.norm(b - A @ xk)))
 
         if tr.residual_norms[-1] <= cfg.stop_tol:
             tr.converged = True
@@ -449,14 +458,15 @@ def gmres_run(spec: AffineSpec, x0: np.ndarray, cfg: AccelConfig) -> IterationTr
     return tr
 
 
-def aa_full_window_vs_gmres_check(spec: AffineSpec, x0: np.ndarray, k_max: int) -> float:
+def aa_full_window_vs_gmres_check(problem: FixedPointProblem, x0: np.ndarray,
+                                  k_max: int) -> float:
     """max_k || x^AA_{k+1} - q(x^GMRES_k) || for unbounded-window AA, k < k_max.
 
-    Raises StagnationDetected when the GMRES residuals do not strictly
-    decrease over the compared range (the correspondence is undefined there).
+    The problem must be affine (ValueError otherwise).  Raises
+    StagnationDetected when the GMRES residuals do not strictly decrease over
+    the compared range (the correspondence is undefined there).
     """
-    problem = make_affine(spec)
-    gmres_tr = gmres_run(spec, x0, AccelConfig(window_m=1, max_iters=k_max, stop_tol=0.0))
+    gmres_tr = gmres_run(problem, x0, AccelConfig(window_m=1, max_iters=k_max, stop_tol=0.0))
     k_used = min(k_max, len(gmres_tr) - 1)
     res = gmres_tr.residual_norms
     for k in range(k_used):

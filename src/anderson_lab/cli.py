@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, plots
-from .accelerators import AccelConfig, gmres_run, run_scheme, aa_full_window_vs_gmres_check, aa_run
+from .accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run, gmres_run,
+                           run_batch, run_scheme)
 from .errors import AndersonLabError, StagnationDetected
 from .problems import FixedPointProblem, problem_from_id
 
@@ -174,9 +175,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
               *[f"beta_{i + 1}" for i in range(m)]]
     try:
         if cfg.scheme == "gmres":
-            if problem.affine is None:
-                raise ConfigError("gmres requires an affine problem")
-            trace = gmres_run(problem.affine, x0, accel)
+            trace = gmres_run(problem, x0, accel)  # ValueError (exit 2) if not affine
         else:
             trace = run_scheme(problem, x0, accel)
     except AndersonLabError as exc:
@@ -291,17 +290,22 @@ def cmd_gmres_compare(cfg: ExperimentConfig, out: Path) -> int:
                               stop_tol=cfg.stop_tol)
     windowed = cfg.accel() if cfg.scheme in ("aa", "aa_restarted") else AccelConfig(
         window_m=max(cfg.window_m, 1), max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
+    # the AA(m) runs go as one batch; init i's failure is raised where its
+    # single run would have raised it, so the first failing init is reported
+    batch = run_batch(problem, inits, windowed)
     for i, x0 in enumerate(inits):
+        if batch.failures[i] is not None:
+            raise batch.failures[i]
         for label, tr in (
-            (f"aa({windowed.window_m})", run_scheme(problem, x0, windowed)),
+            (f"aa({windowed.window_m})", batch.trace(i)),
             ("aa_inf", aa_run(problem, x0, full_window)),
-            ("gmres", gmres_run(problem.affine, x0, full_window)),
+            ("gmres", gmres_run(problem, x0, full_window)),
         ):
             for k in range(len(tr)):
                 sig = tr.sigma_k[k] if tr.sigma_k is not None else None
                 trace_rows.append([i, label, k, sig, tr.residual_norms[k]])
         try:
-            dev = aa_full_window_vs_gmres_check(problem.affine, x0, cfg.k_max)
+            dev = aa_full_window_vs_gmres_check(problem, x0, cfg.k_max)
             dev_rows.append([i, dev, False])
         except StagnationDetected:
             dev_rows.append([i, None, True])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anderson_lab import accelerators
 from anderson_lab.accelerators import (
     AccelConfig,
     aa_full_window_vs_gmres_check,
@@ -261,28 +262,43 @@ def _gmres_min_residual_bruteforce(A, b, x0, k):
 class TestGmres:
     def test_start_at_solution(self):
         p = problem_linear_2x2()
-        tr = gmres_run(p.affine, np.zeros(2), AccelConfig(max_iters=10))
+        tr = gmres_run(p, np.zeros(2), AccelConfig(max_iters=10))
         assert len(tr) == 1
         assert tr.converged
 
     def test_finite_termination(self):
         p = problem_linear_2x2()
-        tr = gmres_run(p.affine, np.array([0.2, 0.1]), AccelConfig(max_iters=10, stop_tol=0.0))
+        tr = gmres_run(p, np.array([0.2, 0.1]), AccelConfig(max_iters=10, stop_tol=0.0))
         assert tr.residual_norms[min(2, len(tr) - 1)] <= 1e-10
 
     def test_residuals_nonincreasing(self):
         p = problem_linear_200(-0.3, 0.3, -0.3)
         rng = np.random.default_rng(6)
         x0 = rng.uniform(-1, 1, 200)
-        tr = gmres_run(p.affine, x0, AccelConfig(max_iters=30, stop_tol=0.0))
+        tr = gmres_run(p, x0, AccelConfig(max_iters=30, stop_tol=0.0))
         res = tr.residual_norms
         for k in range(1, len(res)):
             assert res[k] <= res[k - 1] * (1 + 1e-12) + 1e-14 * res[0]
 
+    @pytest.mark.parametrize("x0", [[np.nan, 0.1], [1e200, 1e200]])
+    def test_non_finite_residual_raises_with_partial_trace(self, x0):
+        # the second start overflows the residual norm to Inf
+        with pytest.raises(NonFinite) as exc_info, np.errstate(over="ignore"):
+            gmres_run(problem_linear_2x2(), np.array(x0), AccelConfig(max_iters=10))
+        tr = exc_info.value.trace
+        assert len(tr) == 1
+        assert not np.isfinite(tr.residual_norms[0])
+
+    def test_requires_affine_problem(self):
+        with pytest.raises(ValueError):
+            gmres_run(problem_scalar(), np.array([0.5]), AccelConfig(max_iters=5))
+        with pytest.raises(ValueError):
+            aa_full_window_vs_gmres_check(problem_scalar(), np.array([0.5]), k_max=2)
+
     def test_matches_bruteforce_polynomial_minimization(self):
         p = problem_linear_2x2()
         x0 = np.array([0.2, 0.1])
-        tr = gmres_run(p.affine, x0, AccelConfig(max_iters=2, stop_tol=0.0))
+        tr = gmres_run(p, x0, AccelConfig(max_iters=2, stop_tol=0.0))
         A, b = p.affine.A, p.affine.b
         for k in (1, 2):
             if k < len(tr):
@@ -293,15 +309,28 @@ class TestGmres:
 class TestGmresCorrespondence:
     def test_linear_2x2_small_kmax(self):
         p = problem_linear_2x2()
-        dev = aa_full_window_vs_gmres_check(p.affine, np.array([0.2, 0.1]), k_max=2)
+        dev = aa_full_window_vs_gmres_check(p, np.array([0.2, 0.1]), k_max=2)
         assert dev <= 1e-8
 
     def test_linear_200_instance(self):
         p = problem_linear_200(-0.3, 0.3, -0.3)
         rng = np.random.default_rng(7)
         x0 = rng.uniform(-1, 1, 200)
-        dev = aa_full_window_vs_gmres_check(p.affine, x0, k_max=10)
+        dev = aa_full_window_vs_gmres_check(p, x0, k_max=10)
         assert dev <= 1e-6
+
+    def test_does_not_rebuild_the_problem(self, monkeypatch):
+        # M, b and x* come from the problem, so make_affine is never called
+        p = problem_linear_200(-0.3, 0.3, -0.3)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("make_affine called")
+
+        monkeypatch.setattr(accelerators, "make_affine", rebuild)
+        x0 = np.random.default_rng(7).uniform(-1, 1, 200)
+        tr = gmres_run(p, x0, AccelConfig(max_iters=30, stop_tol=0.0))
+        assert tr.error_norms is not None and len(tr) == 31
+        assert aa_full_window_vs_gmres_check(p, x0, k_max=10) <= 1e-6
 
     def test_stagnation_detected(self):
         # A = I - M is a rotation by 90 degrees: r0 is orthogonal to A r0 and
@@ -309,7 +338,7 @@ class TestGmresCorrespondence:
         M = np.array([[1.0, -1.0], [1.0, 1.0]])
         spec = AffineSpec(M=M, b=np.zeros(2))
         with pytest.raises(StagnationDetected):
-            aa_full_window_vs_gmres_check(spec, np.array([1.0, 0.0]), k_max=2)
+            aa_full_window_vs_gmres_check(make_affine(spec), np.array([1.0, 0.0]), k_max=2)
 
 
 def _assert_row_matches_single_run(batch, i, problem, x0, cfg):

@@ -274,7 +274,7 @@ def test_criterion_10_gmres_correspondence():
     stagnated = 0
     for x0 in inits:
         try:
-            deviations.append(aa_full_window_vs_gmres_check(p.affine, x0, 10))
+            deviations.append(aa_full_window_vs_gmres_check(p, x0, 10))
         except StagnationDetected:
             stagnated += 1
     dev_ok = len(deviations) >= 1 and max(deviations) <= 1e-6

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,12 @@ import pytest
 
 import anderson_lab
 from anderson_lab import cli
+from anderson_lab.accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,
+                                       gmres_run, run_scheme)
+from anderson_lab.analysis import sample_inits
 from anderson_lab.cli import ExperimentConfig, main
-from anderson_lab.problems import FixedPointProblem
+from anderson_lab.errors import NonFinite, StagnationDetected
+from anderson_lab.problems import FixedPointProblem, problem_from_id
 
 
 def _read_csv(path):
@@ -65,6 +70,10 @@ class TestRun:
         assert "beta_1" not in header
         assert float(rows[-1][header.index("resid_norm")]) <= 1e-10
 
+    def test_gmres_on_non_affine_problem_is_config_error(self, tmp_path):
+        assert main(["run", "--problem", "scalar", "--scheme", "gmres", "--x0", "0.5",
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_missing_x0_is_config_error(self, tmp_path):
         rc = main(["run", "--problem", "linear2x2", "--scheme", "fp",
                    "--out", str(tmp_path / "o")])
@@ -93,6 +102,14 @@ class TestRun:
             assert len(rows) == 1
             assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
 
+    def test_gmres_non_finite_exit_3_with_partial_trace(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", "linear2x2", "--scheme", "gmres",
+                   "--x0=nan,0.1", "--out", str(out)])
+        assert rc == 3
+        _, header, rows = _read_csv(out / "trace.csv")
+        assert len(rows) == 1
+        assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
 
     def test_non_finite_affine_file_is_config_error(self, tmp_path):
         for doc in ({"M": [[0.5]], "b": [float("nan")]},
@@ -243,3 +260,51 @@ class TestGmresCompare:
         _, theader, trows = _read_csv(out / "gmres_compare_traces.csv")
         assert theader == ["init_id", "scheme", "k", "sigma_k", "resid_norm"]
         assert {r[1] for r in trows} == {"aa(1)", "aa_inf", "gmres"}
+
+    def test_rows_equal_per_init_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["gmres-compare", "--problem", "linear200", "--m", "1", "--inits", "5",
+                     "--seed", "3", "--k-max", "10", "--iters", "60",
+                     "--out", str(out)]) == 0
+        problem = problem_from_id("linear200")
+        inits = sample_inits(np.tile([-0.25, 0.25], (200, 1)), 5, 3)
+        windowed = AccelConfig(window_m=1, max_iters=60)
+        full_window = AccelConfig(window_m=60, max_iters=60)
+        expected, expected_dev = [], []
+        for i, x0 in enumerate(inits):
+            for label, tr in (("aa(1)", run_scheme(problem, x0, windowed)),
+                              ("aa_inf", aa_run(problem, x0, full_window)),
+                              ("gmres", gmres_run(problem, x0, full_window))):
+                expected += [[str(i), label, str(k), cli._fmt(tr.sigma_k[k]),
+                              cli._fmt(tr.residual_norms[k])] for k in range(len(tr))]
+            dev = aa_full_window_vs_gmres_check(problem, x0, 10)
+            expected_dev.append([str(i), cli._fmt(dev), "False"])
+        # .17g round-trips a float, so equal cells are equal bits
+        assert _read_csv(out / "gmres_compare_traces.csv")[2] == expected
+        assert _read_csv(out / "gmres_compare_deviation.csv")[2] == expected_dev
+
+    def test_first_failing_init_is_reported(self, tmp_path, monkeypatch, capsys):
+        # q is NaN below x_1 = -0.0075: of these 6 inits, init 4 fails in AA(1)
+        # at k = 3 (not in AA(inf)) and init 5 fails at k = 0 in both
+        base = problem_from_id("linear2x2")
+        nan_below = replace(base, q=lambda x: np.where(
+            np.asarray(x)[..., 1:] < -0.0075, np.nan, base.q(x)))
+        monkeypatch.setattr(cli, "problem_from_id", lambda problem_id: nan_below)
+        inits = sample_inits(np.tile([-0.25, 0.25], (2, 1)), 6, 53)
+        full_window = AccelConfig(window_m=20, max_iters=20)
+        with pytest.raises(NonFinite) as first:
+            for x0 in inits:  # the runs of the command, one init at a time
+                run_scheme(nan_below, x0, AccelConfig(window_m=1, max_iters=20))
+                aa_run(nan_below, x0, full_window)
+                gmres_run(nan_below, x0, full_window)
+                try:
+                    aa_full_window_vs_gmres_check(nan_below, x0, 2)
+                except StagnationDetected:
+                    pass
+        assert str(first.value) == "residual norm is nan at k = 3"
+        out = tmp_path / "o"
+        rc = main(["gmres-compare", "--problem", "nan", "--m", "1", "--inits", "6",
+                   "--seed", "53", "--k-max", "2", "--iters", "20", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"numerical failure: {first.value}\n"
+        assert not (out / "gmres_compare_traces.csv").exists()
