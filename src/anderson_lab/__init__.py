@@ -11,10 +11,8 @@ from .accelerators import (
     BetaSolution,
     IterationTrace,
     aa_full_window_vs_gmres_check,
-    aa_restarted_run,
     aa_run,
     aa_step,
-    fp_run,
     gmres_run,
     run_batch,
     run_scheme,

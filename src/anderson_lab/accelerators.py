@@ -16,9 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, StagnationDetected
-from .linalg import anderson_coefficients, stacked_anderson_coefficients
-# make_affine is unused here but stays bound: perfbench/tracer.py patches
+# anderson_coefficients and make_affine are unused here but stay bound:
+# perfbench/tracer.py patches accelerators.anderson_coefficients and
 # accelerators.make_affine by name
+from .linalg import anderson_coefficients, stacked_anderson_coefficients  # noqa: F401
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
@@ -37,6 +38,8 @@ class AccelConfig:
     def __post_init__(self):
         if self.window_m < 0:
             raise ValueError("window_m must be >= 0")
+        if self.restart and self.window_m < 1:
+            raise ValueError("restarted AA needs window_m >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.stop_tol >= 0:  # NaN included
@@ -102,32 +105,48 @@ def _record(tr: IterationTrace, problem: FixedPointProblem, x: np.ndarray, r_nor
             tr.error_ratios.append(float("nan"))
 
 
-def _aa_next(q_hist: Sequence[np.ndarray], r_hist: Sequence[np.ndarray],
-             rank_tol_scale: float) -> tuple[np.ndarray, BetaSolution]:
-    """One AA update from cached q/r values, oldest first, newest last."""
-    qk = q_hist[-1]
-    rk = r_hist[-1]
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, each bitwise equal to np.linalg.norm of its row."""
+    return np.sqrt(np.vecdot(V, V))
+
+
+def _q_rows(problem: FixedPointProblem, X: np.ndarray) -> np.ndarray:
+    """q on every row of X (B, n): one call on an affine problem, else one per point."""
+    if problem.affine is not None:
+        return problem.q(X)
+    return np.stack([problem.q(x) for x in X])
+
+
+def _aa_update(q_hist: list, r_hist: list, rank_tol_scale: float) -> tuple:
+    """One AA update for a batch, from cached q and r histories, oldest first.
+
+    Each history entry is a (B, n) array; with mk + 1 entries the update
+    solves B least-squares problems of mk columns with one stacked SVD.
+    Returns the next iterates (B, n), the coefficients (B, mk), the numerical
+    ranks (B,) and the residual differences R (B, n, mk), whose column j pairs
+    the newest residual with the one j + 1 steps older.  mk = 0 is the plain
+    fixed-point step, which solves nothing: coefficients, ranks and R are None.
+    """
+    qk, rk = q_hist[-1], r_hist[-1]
     mk = len(q_hist) - 1
-    if mk == 0:
-        beta = BetaSolution(
-            beta=np.zeros(0),
-            residual_norm_before=float(np.linalg.norm(rk)),
-            ls_objective=float(np.linalg.norm(rk)),
-            rank=0,
-        )
-        return qk.copy(), beta
-    # column i (0-based) pairs with lag i+1
-    R = np.stack([rk - r_hist[-2 - i] for i in range(mk)], axis=1)
-    Q = np.stack([qk - q_hist[-2 - i] for i in range(mk)], axis=1)
-    coeffs, info = anderson_coefficients(R, rk, rank_tol_scale=rank_tol_scale)
-    x_next = qk + Q @ coeffs
-    beta = BetaSolution(
-        beta=coeffs,
-        residual_norm_before=float(np.linalg.norm(rk)),
-        ls_objective=float(np.linalg.norm(rk + R @ coeffs)),
-        rank=info.numerical_rank,
-    )
-    return x_next, beta
+    if not mk:
+        return qk.copy(), None, None, None
+    R = np.empty(rk.shape + (mk,))
+    Q = np.empty(R.shape)
+    for j in range(mk):
+        np.subtract(rk, r_hist[-2 - j], out=R[..., j])
+        np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
+    coeffs, ranks = stacked_anderson_coefficients(R, rk, rank_tol_scale)
+    return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks, R
+
+
+def _beta_solution(r_norm: float, r: np.ndarray, R, coeffs, ranks) -> BetaSolution:
+    """BetaSolution of an AA update of a batch of one, whose residual r (n,) has norm r_norm."""
+    if R is None:
+        return BetaSolution(beta=np.zeros(0), residual_norm_before=r_norm,
+                            ls_objective=r_norm, rank=0)
+    return BetaSolution(beta=coeffs[0], residual_norm_before=r_norm,
+                        ls_objective=float(_norms(r + R[0] @ coeffs[0])), rank=int(ranks[0]))
 
 
 def aa_step(
@@ -138,10 +157,11 @@ def aa_step(
     """One AA update from the last min(k, m) + 1 iterates (newest last)."""
     if not len(history):
         raise ValueError("history must contain at least the current iterate")
-    xs = [np.asarray(x, dtype=float) for x in history]
-    q_hist = [problem.q(x) for x in xs]
-    r_hist = [x - qx for x, qx in zip(xs, q_hist)]
-    return _aa_next(q_hist, r_hist, rank_tol_scale)
+    X = np.asarray(history, dtype=float)
+    Qx = _q_rows(problem, X)
+    Rx = X - Qx
+    x_next, coeffs, ranks, R = _aa_update(list(Qx[:, None]), list(Rx[:, None]), rank_tol_scale)
+    return x_next[0], _beta_solution(float(_norms(Rx[-1])), Rx[-1], R, coeffs, ranks)
 
 
 @dataclass
@@ -175,11 +195,6 @@ class BatchRun:
         return tr
 
 
-def _norms(V: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, each bitwise equal to np.linalg.norm of its row."""
-    return np.sqrt(np.vecdot(V, V))
-
-
 def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
     x_star = problem.known_fixed_point
     return None if x_star is None else float(np.linalg.norm(x_star))
@@ -194,8 +209,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     on the step count alone, so the running rows share it.  A row stops when
     its residual norm is at most stop_tol (converged) or NaN/Inf (NonFinite,
     the row recorded), or when its next iterate leaves the divergence guard
-    ball (Diverged, not recorded); the other rows go on.  A problem without
-    affine data evaluates q on one point, so X must then have a single row.
+    ball (Diverged, not recorded); the other rows go on.
 
     When steps is a list, it receives (x_{k+1}, BetaSolution) for each step of
     a single-row X.
@@ -205,14 +219,13 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     x_star = problem.known_fixed_point
     if x_star is not None:
         x_star = x_star[None]  # a (1, n) row subtracts from X faster than (n,)
-    q = problem.q if problem.affine is not None else lambda X: problem.q(X[0])[None]
     converged = np.zeros(B, dtype=bool)
     failures = [None] * B
     rows = np.arange(B)  # batch index of each running row
     step_rows, step_res, step_err = [], [], []
 
     def record(X):
-        Qx = q(X)
+        Qx = _q_rows(problem, X)
         Rx = X - Qx
         step_rows.append(rows)
         step_res.append(_norms(Rx))
@@ -240,20 +253,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
         if k == cfg.max_iters or not rows.size:
             break
 
-        qk, rk = q_hist[-1], r_hist[-1]
-        mk = len(q_hist) - 1
-        if mk:
-            # column j (0-based) pairs with lag j+1.  Every residual in the
-            # history has a finite norm, so R and rk are finite.
-            R = np.empty(rk.shape + (mk,))
-            Q = np.empty(R.shape)
-            for j in range(mk):
-                np.subtract(rk, r_hist[-2 - j], out=R[..., j])
-                np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
-            coeffs, ranks = stacked_anderson_coefficients(R, rk, cfg.rank_tol_scale)
-            X = qk + (Q @ coeffs[..., None])[..., 0]
-        else:
-            X = qk.copy()
+        # every residual in the history has a finite norm, so R is finite
+        X, coeffs, ranks, R = _aa_update(q_hist, r_hist, cfg.rank_tol_scale)
         x_norms = _norms(X)
         if np.fmax.reduce(x_norms) > DIVERGENCE_GUARD:  # fmax skips NaN rows
             out = x_norms > DIVERGENCE_GUARD
@@ -266,18 +267,10 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             if not rows.size:
                 break
         if steps is not None:
-            r_norm = float(step_res[-1][0])
-            if mk:
-                beta = BetaSolution(
-                    beta=coeffs[0], residual_norm_before=r_norm,
-                    ls_objective=float(_norms(rk[0] + R[0] @ coeffs[0])), rank=int(ranks[0]))
-            else:
-                beta = BetaSolution(beta=np.zeros(0), residual_norm_before=r_norm,
-                                    ls_objective=r_norm, rank=0)
-            steps.append((X[0], beta))
+            steps.append((X[0], _beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks)))
         Qx, Rx, rn = record(X)
 
-        if mk:
+        if R is not None:  # a windowed step
             windowed_since_restart += 1
         if cfg.restart and windowed_since_restart >= m:
             # restart the entire AA(m) iteration every m (accelerated) steps
@@ -332,8 +325,16 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig) -> B
         x_star_norm=_x_star_norm(problem))
 
 
-def _run_windowed(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """One trajectory as a batch of one, traced with iterates and coefficients."""
+def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
+    """One trajectory from x0, traced with its iterates and coefficients.
+
+    window_m = 0 gives the plain fixed-point iteration x_{k+1} = q(x_k);
+    window_m = m >= 1 gives AA(m) with a growing-then-sliding window of size
+    min(k, m).  With restart, the history is cleared after every m-th
+    windowed step, so each cycle is one plain-FP-like step followed by m
+    steps whose windows grow from 1 to m, mirroring restarted GMRES(m) in the
+    linear case.  Diverged and NonFinite carry the partial trace.
+    """
     x = np.asarray(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
@@ -348,34 +349,9 @@ def _run_windowed(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) 
     return tr
 
 
-def fp_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """Plain fixed-point iteration x_{k+1} = q(x_k)."""
-    return _run_windowed(problem, x0, replace(cfg, window_m=0, restart=False))
-
-
 def aa_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """Windowed AA(m) with growing-then-sliding window of size min(k, m)."""
-    return _run_windowed(problem, x0, replace(cfg, restart=False))
-
-
-def aa_restarted_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """Restarted AA(m): the history is cleared after every m-th windowed step.
-
-    Each cycle is one plain-FP-like step followed by m steps whose windows grow
-    from 1 to m, mirroring restarted GMRES(m) in the linear case.
-    """
-    if cfg.window_m < 1:
-        raise ValueError("restarted AA needs window_m >= 1")
-    return _run_windowed(problem, x0, replace(cfg, restart=True))
-
-
-def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """Dispatch on (window_m, restart): FP, windowed AA, or restarted AA."""
-    if cfg.window_m == 0:
-        return fp_run(problem, x0, cfg)
-    if cfg.restart:
-        return aa_restarted_run(problem, x0, cfg)
-    return aa_run(problem, x0, cfg)
+    """Windowed AA(m): run_scheme without restart."""
+    return run_scheme(problem, x0, replace(cfg, restart=False))
 
 
 def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:

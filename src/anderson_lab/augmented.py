@@ -14,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accelerators import _aa_update, _q_rows
 from .errors import MissingJacobian, SingularA
-from .linalg import anderson_coefficients, operator_norm_2, stacked_anderson_coefficients
+from .linalg import operator_norm_2, stacked_anderson_coefficients
+# anderson_coefficients is unused here but stays bound: perfbench/tracer.py
+# patches augmented.anderson_coefficients by name
+from .linalg import anderson_coefficients  # noqa: F401
 from .problems import FixedPointProblem
 
 _EPS = np.finfo(float).eps
@@ -94,40 +98,56 @@ def _stacked_D(blocks: np.ndarray) -> np.ndarray:
     return blocks[:, 0, :, None] - blocks[:, 1:].transpose(0, 2, 1)
 
 
-def _direction_stack(d) -> tuple[np.ndarray, bool]:
-    """(S, m+1, n) block stack of d, and whether d is a single Direction."""
-    if isinstance(d, AugmentedState):
-        return d.blocks()[None], True
-    blocks = np.asarray(d, dtype=float)
+def _block_stack(z) -> tuple[np.ndarray, bool]:
+    """(S, m+1, n) block stack of z, and whether z is a single AugmentedState."""
+    if isinstance(z, AugmentedState):
+        return z.blocks()[None], True
+    blocks = np.asarray(z, dtype=float)
     if blocks.ndim != 3 or blocks.shape[1] < 2 or blocks.shape[2] < 1:
-        raise ValueError(f"a direction stack has shape (S, m+1, n) with m >= 1, "
+        raise ValueError(f"a block stack has shape (S, m+1, n) with m >= 1, "
                          f"got {blocks.shape}")
     return blocks, False
 
 
-def beta_of_z(problem: FixedPointProblem, z: AugmentedState,
-              rank_tol_scale: float = 1.0) -> np.ndarray:
-    """Coefficient map beta(z) = -pinv(R(z)) r(z_{m+1}), minimum-norm."""
-    blocks = z.blocks()
-    if blocks.shape[1] != problem.dim:
+def _lifted_update(problem: FixedPointProblem, blocks: np.ndarray,
+                   rank_tol_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The AA update of every state of a block stack: new newest blocks (S, n), beta (S, m).
+
+    Block 0 of a state is its newest iterate, so the history the update reads
+    (oldest first) is the blocks reversed.
+    """
+    n = blocks.shape[2]
+    if n != problem.dim:
         raise ValueError("state block size does not match problem dimension")
-    r = np.stack([problem.residual(blk) for blk in blocks])
-    R = r[0][:, None] - r[1:].T
-    coeffs, _ = anderson_coefficients(R, r[0], rank_tol_scale=rank_tol_scale)
-    return coeffs
+    # (m+1, S, n), oldest block first; contiguous so that every product in
+    # the update runs as in the batched run loop
+    X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
+    Qx = _q_rows(problem, X.reshape(-1, n)).reshape(X.shape)
+    x_next, coeffs, _, _ = _aa_update(list(Qx), list(X - Qx), rank_tol_scale)
+    return x_next, coeffs
 
 
-def psi_apply(problem: FixedPointProblem, z: AugmentedState,
-              rank_tol_scale: float = 1.0) -> AugmentedState:
-    """One application of the lifted AA(m) map."""
-    blocks = z.blocks()
-    q_vals = np.stack([problem.q(blk) for blk in blocks])
-    r_vals = blocks - q_vals
-    R = r_vals[0][:, None] - r_vals[1:].T
-    Q = q_vals[0][:, None] - q_vals[1:].T
-    coeffs, _ = anderson_coefficients(R, r_vals[0], rank_tol_scale=rank_tol_scale)
-    new_first = q_vals[0] + Q @ coeffs
-    return AugmentedState.from_blocks(np.vstack([new_first, blocks[:-1]]))
+def beta_of_z(problem: FixedPointProblem, z, rank_tol_scale: float = 1.0) -> np.ndarray:
+    """Coefficient map beta(z) = -pinv(R(z)) r(z_{m+1}), minimum-norm.
+
+    z is one AugmentedState, giving an (m,) array, or an (S, m+1, n) stack of
+    state blocks (block 0 newest), giving (S, m).
+    """
+    blocks, single = _block_stack(z)
+    coeffs = _lifted_update(problem, blocks, rank_tol_scale)[1]
+    return coeffs[0] if single else coeffs
+
+
+def psi_apply(problem: FixedPointProblem, z, rank_tol_scale: float = 1.0):
+    """One application of the lifted AA(m) map.
+
+    z is one AugmentedState, giving an AugmentedState, or an (S, m+1, n) stack
+    of state blocks (block 0 newest), giving the (S, m+1, n) stack of images.
+    """
+    blocks, single = _block_stack(z)
+    x_next = _lifted_update(problem, blocks, rank_tol_scale)[0]
+    out = np.concatenate([x_next[:, None], blocks[:, :-1]], axis=1)
+    return AugmentedState.from_blocks(out[0]) if single else out
 
 
 def _check_nonsingular(A: np.ndarray) -> None:
@@ -144,7 +164,7 @@ def beta_hat(A: np.ndarray, d, rank_tol_scale: float = 1.0) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     _check_nonsingular(A)
-    blocks, single = _direction_stack(d)
+    blocks, single = _block_stack(d)
     coeffs, _ = stacked_anderson_coefficients(
         A @ _stacked_D(blocks), blocks[:, 0] @ A.T, rank_tol_scale=rank_tol_scale)
     return coeffs[0] if single else coeffs
@@ -163,7 +183,7 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
-    blocks, single = _direction_stack(d)
+    blocks, single = _block_stack(d)
     S, m = blocks.shape[0], blocks.shape[1] - 1
     if blocks.shape[2] != n:
         raise ValueError("direction block size does not match M")
@@ -183,17 +203,15 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
 
 def directional_derivative_fd(problem: FixedPointProblem, d: Direction,
                               h_sequence) -> list[np.ndarray]:
-    """One-sided finite-difference estimates (Psi(z* + h d) - z*) / h."""
+    """One-sided finite-difference estimates (Psi(z* + h d) - z*) / h, one per h."""
     if problem.known_fixed_point is None:
         raise ValueError("finite differencing at the fixed point needs a known x*")
-    z_star = AugmentedState.at_point(problem.known_fixed_point, d.m)
-    out = []
-    for h in h_sequence:
-        if h <= 0:
-            raise ValueError("h must be positive (one-sided limit)")
-        z = AugmentedState(stacked=z_star.stacked + h * d.stacked, block_dim=d.block_dim)
-        out.append((psi_apply(problem, z).stacked - z_star.stacked) / h)
-    return out
+    h = np.asarray(h_sequence, dtype=float)[:, None, None]
+    if np.any(h <= 0):
+        raise ValueError("h must be positive (one-sided limit)")
+    z_star = AugmentedState.at_point(problem.known_fixed_point, d.m).blocks()
+    est = (psi_apply(problem, z_star + h * d.blocks()) - z_star) / h
+    return list(est.reshape(len(h), -1))
 
 
 def lipschitz_bound_linear_m1(A: np.ndarray) -> float:
@@ -232,12 +250,7 @@ def discontinuity_probe_beta(problem: FixedPointProblem, z0: AugmentedState,
     Returns raw tables only; limit claims belong to the caller, asserted
     against explicit eps sequences.
     """
-    table = []
-    for d in directions:
-        row = []
-        for eps in eps_sequence:
-            z = AugmentedState(stacked=z0.stacked + eps * d.stacked,
-                               block_dim=z0.block_dim)
-            row.append(beta_of_z(problem, z))
-        table.append(row)
-    return table
+    eps = np.asarray(eps_sequence, dtype=float)[:, None, None]
+    z = np.stack([z0.blocks() + eps * d.blocks() for d in directions])
+    betas = beta_of_z(problem, z.reshape((-1,) + z.shape[2:]))
+    return [list(row) for row in betas.reshape(len(z), len(eps), -1)]

@@ -290,30 +290,36 @@ def cmd_gmres_compare(cfg: ExperimentConfig, out: Path) -> int:
                               stop_tol=cfg.stop_tol)
     windowed = cfg.accel() if cfg.scheme in ("aa", "aa_restarted") else AccelConfig(
         window_m=max(cfg.window_m, 1), max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
-    # the AA(m) runs go as one batch; init i's failure is raised where its
-    # single run would have raised it, so the first failing init is reported
+    # the AA(m) runs go as one batch.  An init whose runs do not all finish
+    # writes no rows; the first such init's error is raised after the writes.
     batch = run_batch(problem, inits, windowed)
+    first_failure = None
     for i, x0 in enumerate(inits):
-        if batch.failures[i] is not None:
-            raise batch.failures[i]
-        for label, tr in (
-            (f"aa({windowed.window_m})", batch.trace(i)),
-            ("aa_inf", aa_run(problem, x0, full_window)),
-            ("gmres", gmres_run(problem, x0, full_window)),
-        ):
+        try:
+            if batch.failures[i] is not None:
+                raise batch.failures[i]
+            traces = ((f"aa({windowed.window_m})", batch.trace(i)),
+                      ("aa_inf", aa_run(problem, x0, full_window)),
+                      ("gmres", gmres_run(problem, x0, full_window)))
+            try:
+                dev_row = [i, aa_full_window_vs_gmres_check(problem, x0, cfg.k_max), False]
+            except StagnationDetected:
+                dev_row = [i, None, True]
+        except AndersonLabError as exc:
+            first_failure = first_failure or exc
+            continue
+        for label, tr in traces:
             for k in range(len(tr)):
                 sig = tr.sigma_k[k] if tr.sigma_k is not None else None
                 trace_rows.append([i, label, k, sig, tr.residual_norms[k]])
-        try:
-            dev = aa_full_window_vs_gmres_check(problem, x0, cfg.k_max)
-            dev_rows.append([i, dev, False])
-        except StagnationDetected:
-            dev_rows.append([i, None, True])
+        dev_rows.append(dev_row)
 
     _write_csv(out / "gmres_compare_traces.csv", "gmres_compare_traces",
                ["init_id", "scheme", "k", "sigma_k", "resid_norm"], trace_rows)
     _write_csv(out / "gmres_compare_deviation.csv", "gmres_compare_deviation",
                ["init_id", "deviation", "stagnated"], dev_rows)
+    if first_failure is not None:
+        raise first_failure
     return EXIT_OK
 
 

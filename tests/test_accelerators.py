@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,8 @@ from anderson_lab import accelerators
 from anderson_lab.accelerators import (
     AccelConfig,
     aa_full_window_vs_gmres_check,
-    aa_restarted_run,
     aa_run,
     aa_step,
-    fp_run,
     gmres_run,
     run_batch,
     run_scheme,
@@ -44,25 +44,28 @@ class TestAccelConfig:
 class TestFpRun:
     def test_first_step_hand_value(self):
         p = problem_linear_2x2()
-        tr = fp_run(p, np.array([0.2, 0.1]), AccelConfig(max_iters=1, stop_tol=0.0))
+        tr = run_scheme(p, np.array([0.2, 0.1]),
+                        AccelConfig(window_m=0, max_iters=1, stop_tol=0.0))
         np.testing.assert_allclose(
             tr.iterates[1], [2.0 / 3.0 * 0.2 + 0.25 * 0.1, 0.1 / 3.0], atol=1e-15)
 
     def test_start_at_fixed_point(self):
         p = problem_linear_2x2()
-        tr = fp_run(p, np.zeros(2), AccelConfig(max_iters=50))
+        tr = run_scheme(p, np.zeros(2), AccelConfig(window_m=0, max_iters=50))
         assert len(tr) == 1
         assert tr.converged
 
     def test_sigma_approaches_spectral_radius(self):
         p = problem_linear_2x2()
-        tr = fp_run(p, np.array([0.2, 0.1]), AccelConfig(max_iters=100, stop_tol=0.0))
+        tr = run_scheme(p, np.array([0.2, 0.1]),
+                        AccelConfig(window_m=0, max_iters=100, stop_tol=0.0))
         assert abs(tr.sigma_k[100] - 2.0 / 3.0) < 0.01
 
     def test_linear_error_propagation(self):
         p = problem_linear_2x2()
         M = p.affine.M
-        tr = fp_run(p, np.array([0.2, 0.1]), AccelConfig(max_iters=10, stop_tol=0.0))
+        tr = run_scheme(p, np.array([0.2, 0.1]),
+                        AccelConfig(window_m=0, max_iters=10, stop_tol=0.0))
         for k in range(10):
             e_k = tr.iterates[k] - p.known_fixed_point
             e_next = tr.iterates[k + 1] - p.known_fixed_point
@@ -71,7 +74,7 @@ class TestFpRun:
     def test_divergence_guard(self):
         p = make_affine(AffineSpec(M=[[2.0]], b=[0.0]))
         with pytest.raises(Diverged) as exc_info:
-            fp_run(p, np.array([1.0]), AccelConfig(max_iters=200, stop_tol=0.0))
+            run_scheme(p, np.array([1.0]), AccelConfig(window_m=0, max_iters=200, stop_tol=0.0))
         assert exc_info.value.trace is not None
         assert len(exc_info.value.trace) >= 1
 
@@ -101,7 +104,7 @@ class TestNonFiniteResidual:
 
     def test_nan_at_start(self):
         with pytest.raises(NonFinite) as exc_info:
-            fp_run(self._nan_below(2.0), np.array([1.0]), AccelConfig(max_iters=5))
+            run_scheme(self._nan_below(2.0), np.array([1.0]), AccelConfig(window_m=0, max_iters=5))
         assert len(exc_info.value.trace) == 1
 
 
@@ -156,10 +159,30 @@ class TestAaRun:
         x0 = np.array([0.21, -0.13])
         cfg = AccelConfig(window_m=2, max_iters=40, stop_tol=0.0, rank_tol_scale=1e30)
         tr_aa = aa_run(p, x0, cfg)
-        tr_fp = fp_run(p, x0, AccelConfig(max_iters=40, stop_tol=0.0))
+        tr_fp = run_scheme(p, x0, AccelConfig(window_m=0, max_iters=40, stop_tol=0.0))
         assert len(tr_aa) == len(tr_fp)
         for a, b in zip(tr_aa.iterates, tr_fp.iterates):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
+           m=st.integers(1, 4), restart=st.booleans())
+    def test_zero_coefficients_reproduce_fp_bitwise(self, seed, n, m, restart):
+        spec, rng = _random_contraction(seed, n)
+        p = make_affine(spec)
+        x0 = rng.uniform(-1.0, 1.0, n)
+        cfg = AccelConfig(window_m=m, restart=restart, max_iters=30, stop_tol=0.0)
+        tr_fp = run_scheme(p, x0, replace(cfg, window_m=0, restart=False))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(accelerators, "stacked_anderson_coefficients",
+                       lambda R, r, rank_tol_scale: (np.zeros(R.shape[::2]),
+                                                     np.zeros(len(R), dtype=int)))
+            tr_aa = run_scheme(p, x0, cfg)
+        assert any(b.beta.size for b in tr_aa.betas)
+        assert len(tr_aa) == len(tr_fp)
+        for a, b in zip(tr_aa.iterates, tr_fp.iterates):
+            assert np.array_equal(a, b)
+        np.testing.assert_array_equal(tr_aa.residual_norms, tr_fp.residual_norms)
 
     def test_diagonal_affine_converges(self):
         p = make_affine(AffineSpec(M=np.diag([0.5, 0.5]), b=np.array([1.0, -1.0])))
@@ -212,15 +235,15 @@ class TestSecantEquivalence:
 class TestRestartedRun:
     def test_requires_window(self):
         with pytest.raises(ValueError):
-            aa_restarted_run(problem_linear_2x2(), np.zeros(2),
-                             AccelConfig(window_m=0, restart=True))
+            run_scheme(problem_linear_2x2(), np.zeros(2),
+                       AccelConfig(window_m=0, restart=True))
 
     def test_no_restart_boundary_equals_windowed(self):
         p = problem_linear_2x2()
         x0 = np.array([0.2, 0.1])
         n = 20
-        tr_r = aa_restarted_run(p, x0, AccelConfig(window_m=n + 1, restart=True,
-                                                   max_iters=n, stop_tol=0.0))
+        tr_r = run_scheme(p, x0, AccelConfig(window_m=n + 1, restart=True,
+                                             max_iters=n, stop_tol=0.0))
         tr_w = aa_run(p, x0, AccelConfig(window_m=n + 1, max_iters=n, stop_tol=0.0))
         for a, b in zip(tr_r.iterates, tr_w.iterates):
             assert np.array_equal(a, b)
@@ -228,8 +251,8 @@ class TestRestartedRun:
     def test_restart_cycle_structure(self):
         # m=2 cycles: FP-like step (empty beta), then windows 1 and 2
         p = problem_linear_2x2()
-        tr = aa_restarted_run(p, np.array([0.2, 0.1]),
-                              AccelConfig(window_m=2, restart=True, max_iters=9, stop_tol=0.0))
+        tr = run_scheme(p, np.array([0.2, 0.1]),
+                        AccelConfig(window_m=2, restart=True, max_iters=9, stop_tol=0.0))
         sizes = [b.beta.shape[0] for b in tr.betas]
         assert sizes == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
@@ -376,7 +399,9 @@ class TestRunBatch:
         spec, rng = _random_contraction(seed, n)
         problem = make_affine(spec)
         X0 = rng.uniform(-1.0, 1.0, (B, n))
-        cfg = AccelConfig(window_m=m, restart=restart, max_iters=40, stop_tol=stop_tol)
+        # restart needs a window: m = 0 runs plain FP
+        cfg = AccelConfig(window_m=m, restart=restart and m >= 1, max_iters=40,
+                          stop_tol=stop_tol)
         batch = run_batch(problem, X0, cfg)
         assert len(batch) == B
         for i in range(B):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anderson_lab import analysis
-from anderson_lab.accelerators import AccelConfig, IterationTrace, fp_run
+from anderson_lab.accelerators import AccelConfig, IterationTrace, run_scheme
 from anderson_lab.analysis import (
     derivative_norm_histogram,
     derivative_norm_samples,
@@ -52,7 +52,8 @@ class TestEstimateRFactor:
 
     def test_fp_baseline_near_spectral_radius(self):
         p = problem_linear_2x2()
-        tr = fp_run(p, np.array([0.2, 0.1]), AccelConfig(max_iters=100, stop_tol=0.0))
+        tr = run_scheme(p, np.array([0.2, 0.1]),
+                        AccelConfig(window_m=0, max_iters=100, stop_tol=0.0))
         est = estimate_r_factor(tr)
         # the rounding floor truncates usable iterations near k = 76, so the
         # finite-k estimate sits slightly below the spectral radius

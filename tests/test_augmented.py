@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anderson_lab.accelerators import AccelConfig, aa_run, aa_step
 from anderson_lab.augmented import (
@@ -17,6 +19,8 @@ from anderson_lab.augmented import (
 )
 from anderson_lab.errors import MissingJacobian, SingularA
 from anderson_lab.problems import (
+    AffineSpec,
+    make_affine,
     problem_linear_2x2,
     problem_nonlinear_2x2,
     problem_scalar,
@@ -123,7 +127,8 @@ class TestPsiApply:
         x_next, _ = aa_step(p, history)
         z = AugmentedState.from_blocks(list(reversed(history)))
         out = psi_apply(p, z)
-        assert np.linalg.norm(out.blocks()[0] - x_next) <= 1e-12
+        # Psi and aa_step share one update: equal bit for bit
+        assert out.blocks()[0].tobytes() == x_next.tobytes()
 
     def test_iterating_psi_reproduces_aa_run(self):
         p = problem_nonlinear_2x2()
@@ -133,7 +138,56 @@ class TestPsiApply:
         z = AugmentedState.from_blocks(list(reversed(tr.iterates[: m + 1])))
         for k in range(m, 12):
             z = psi_apply(p, z)
-            assert np.linalg.norm(z.blocks()[0] - tr.iterates[k + 1]) <= 1e-10
+            assert z.blocks()[0].tobytes() == tr.iterates[k + 1].tobytes()
+
+    def test_stack_shape_checked(self):
+        p = problem_linear_2x2()
+        with pytest.raises(ValueError):
+            psi_apply(p, np.zeros((3, 1, 2)))       # m = 0
+        with pytest.raises(ValueError):
+            beta_of_z(p, np.zeros((3, 2, 3)))       # block size != n
+
+
+def _lifted_map_problem(seed, n, affine):
+    """A random affine problem with rho(M) < 1, or nonlinear2x2 (n = 2)."""
+    if not affine:
+        return problem_nonlinear_2x2()
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    M *= rng.uniform(0.1, 0.95) / np.max(np.abs(np.linalg.eigvals(M)))
+    return make_affine(AffineSpec(M=M, b=rng.standard_normal(n)))
+
+
+class TestLiftedMapProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
+           m=st.integers(1, 4), S=st.integers(1, 6), affine=st.booleans())
+    def test_stack_rows_equal_single_states(self, seed, n, m, S, affine):
+        p = _lifted_map_problem(seed, n, affine)
+        rng = np.random.default_rng(seed + 1)
+        scale = 10.0 ** rng.uniform(-8, 0, (S, 1, 1))
+        Z = p.known_fixed_point + scale * rng.standard_normal((S, m + 1, p.dim))
+        Z[0, 1:] = Z[0, 0]            # a diagonal state: beta = 0
+        Z[-1, -1] = Z[-1, -2]         # a repeated old block: R loses rank
+        psi, beta = psi_apply(p, Z), beta_of_z(p, Z)
+        assert psi.shape == Z.shape and beta.shape == (S, m)
+        for i in range(S):
+            z = AugmentedState.from_blocks(Z[i])
+            assert psi[i].tobytes() == psi_apply(p, z).blocks().tobytes()
+            assert beta[i].tobytes() == beta_of_z(p, z).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 4))
+    def test_fixes_exact_fixed_point(self, seed, n, m):
+        # dyadic M and an integer x* make q(x*) = x* exact in floating point
+        rng = np.random.default_rng(seed)
+        M = rng.integers(-7, 8, (n, n)) / 8.0
+        assume(np.linalg.svd(np.eye(n) - M, compute_uv=False)[-1] > 1e-6)
+        x_star = rng.integers(-8, 9, n).astype(float)
+        p = make_affine(AffineSpec(M=M, b=x_star - M @ x_star))
+        z_star = AugmentedState.at_point(x_star, m)
+        assert np.array_equal(psi_apply(p, z_star).stacked, z_star.stacked)
+        assert np.array_equal(beta_of_z(p, z_star), np.zeros(m))
 
 
 class TestBetaHat:

@@ -244,6 +244,12 @@ class TestMsweep:
         assert main(["msweep", "--problem", "nonlinear2x2",
                      "--out", str(tmp_path)]) == 2
 
+    def test_zero_window_is_config_error(self, tmp_path, capsys):
+        # restarted AA needs a window, so m = 0 has no restarted variant
+        assert main(["msweep", "--problem", "linear2x2", "--m-values", "0,1",
+                     "--inits", "3", "--out", str(tmp_path)]) == 2
+        assert "restarted AA needs window_m >= 1" in capsys.readouterr().err
+
 
 class TestGmresCompare:
     def test_outputs(self, tmp_path):
@@ -307,4 +313,6 @@ class TestGmresCompare:
                    "--seed", "53", "--k-max", "2", "--iters", "20", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == f"numerical failure: {first.value}\n"
-        assert not (out / "gmres_compare_traces.csv").exists()
+        # the rows of the four inits whose runs all finished are written
+        for name in ("gmres_compare_traces.csv", "gmres_compare_deviation.csv"):
+            assert {row[0] for row in _read_csv(out / name)[2]} == {"0", "1", "2", "3"}
