@@ -81,30 +81,6 @@ class IterationTrace:
         return len(self.residual_norms)
 
 
-def _trace_for(problem: FixedPointProblem) -> IterationTrace:
-    tr = IterationTrace()
-    if problem.known_fixed_point is not None:
-        tr.error_norms = []
-        tr.sigma_k = []
-        tr.error_ratios = []
-        tr.x_star_norm = float(np.linalg.norm(problem.known_fixed_point))
-    return tr
-
-
-def _record(tr: IterationTrace, problem: FixedPointProblem, x: np.ndarray, r_norm: float) -> None:
-    k = len(tr.iterates)
-    tr.iterates.append(x)
-    tr.residual_norms.append(r_norm)
-    if tr.error_norms is not None:
-        err = float(np.linalg.norm(problem.known_fixed_point - x))
-        tr.error_norms.append(err)
-        tr.sigma_k.append(err ** (1.0 / k) if k >= 1 else float("nan"))
-        if k >= 1 and tr.error_norms[k - 1] > 0.0:
-            tr.error_ratios.append(err / tr.error_norms[k - 1])
-        else:
-            tr.error_ratios.append(float("nan"))
-
-
 def _norms(V: np.ndarray) -> np.ndarray:
     """Norms along the last axis, each bitwise equal to np.linalg.norm of its row."""
     return np.sqrt(np.vecdot(V, V))
@@ -368,19 +344,29 @@ def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> I
     b = problem.affine.b
     n = A.shape[0]
     x0 = np.asarray(x0, dtype=float)
-    tr = _trace_for(problem)
+    x_star = problem.known_fixed_point
+    iterates, res = [], []
+
+    def trace(converged: bool) -> IterationTrace:
+        # the run is a batch of one, so its sigma_k and error ratios are BatchRun's
+        errs = (None if x_star is None
+                else [np.array([np.linalg.norm(x_star - x) for x in iterates])])
+        tr = BatchRun([np.array(res)], errs, [converged], [None], _x_star_norm(problem)).trace(0)
+        tr.iterates = iterates
+        return tr
 
     def record(x, r_norm):
-        _record(tr, problem, x, r_norm)
+        iterates.append(x)
+        res.append(r_norm)
         if not r_norm < np.inf:  # NaN included
-            raise NonFinite(f"residual norm is {r_norm} at k = {len(tr) - 1}", trace=tr)
+            raise NonFinite(f"residual norm is {r_norm} at k = {len(res) - 1}",
+                            trace=trace(False))
 
     r0 = b - A @ x0
     beta0 = float(np.linalg.norm(r0))
     record(x0, beta0)
     if beta0 <= cfg.stop_tol:
-        tr.converged = True
-        return tr
+        return trace(True)
 
     max_k = min(cfg.max_iters, n)
     V = np.zeros((n, max_k + 1))
@@ -419,19 +405,16 @@ def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> I
         xk = x0 + V[:, : k + 1] @ y
         record(xk, float(np.linalg.norm(b - A @ xk)))
 
-        if tr.residual_norms[-1] <= cfg.stop_tol:
-            tr.converged = True
-            return tr
+        if res[-1] <= cfg.stop_tol:
+            return trace(True)
         if happy:
             # happy breakdown means the Krylov space became invariant; if the
             # residual is not already at rounding level something is wrong
-            if tr.residual_norms[-1] <= 1e-10 * max(1.0, beta0):
-                tr.converged = True
-                return tr
+            if res[-1] <= 1e-10 * max(1.0, beta0):
+                return trace(True)
             raise Breakdown("Arnoldi produced a zero vector before convergence")
 
-    tr.converged = tr.residual_norms[-1] <= cfg.stop_tol
-    return tr
+    return trace(res[-1] <= cfg.stop_tol)
 
 
 def aa_full_window_vs_gmres_check(problem: FixedPointProblem, x0: np.ndarray,

@@ -46,6 +46,8 @@ def estimate_r_factor(trace: IterationTrace, tail_window: int = 20) -> RFactorEs
     the oscillation of sigma_k.  Iterations whose error is below the rounding
     floor 1e-14 * (1 + ||x*||) are excluded.
     """
+    if tail_window < 1:
+        raise ValueError("tail_window must be >= 1")
     if trace.error_norms is None:
         raise InsufficientData("trace has no error norms (fixed point unknown)")
     floor = ERROR_FLOOR_SCALE * (1.0 + (trace.x_star_norm or 0.0))
@@ -205,18 +207,19 @@ def m_sweep(
     stop_tol: float = 1e-12,
     tail_window: int = 20,
 ) -> list[MSweepRow]:
-    """Worst-case sigma_final per (m, windowed/restarted) over random inits."""
+    """Worst-case sigma_final per (m, windowed/restarted) over random inits.
+
+    One sweep runs every distinct scheme; there is a row per requested pair, in order.
+    """
     if box is None:
         box = np.tile([-1.0, 1.0], (problem.dim, 1))
+    cfgs = [AccelConfig(window_m=m, restart=restart, max_iters=max_iters, stop_tol=stop_tol)
+            for m in m_values for restart in (False, True)]
+    report = monte_carlo_sweep(problem, list(dict.fromkeys(cfgs)), box, n_inits, seed,
+                               tail_window=tail_window)
     rows = []
-    for m in m_values:
-        for scheme, restart in (("windowed", False), ("restarted", True)):
-            cfg = AccelConfig(window_m=m, restart=restart,
-                              max_iters=max_iters, stop_tol=stop_tol)
-            report = monte_carlo_sweep(problem, [cfg], box, n_inits, seed,
-                                       tail_window=tail_window)
-            finals = [e.sigma_final for e in report.estimates[scheme_label(cfg)]
-                      if e is not None]
-            rows.append(MSweepRow(m=m, scheme=scheme,
-                                  worst_sigma=max(finals) if finals else float("nan")))
+    for cfg in cfgs:
+        finals = [e.sigma_final for e in report.estimates[scheme_label(cfg)] if e is not None]
+        rows.append(MSweepRow(m=cfg.window_m, scheme="restarted" if cfg.restart else "windowed",
+                              worst_sigma=max(finals) if finals else float("nan")))
     return rows

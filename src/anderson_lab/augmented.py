@@ -150,10 +150,12 @@ def psi_apply(problem: FixedPointProblem, z, rank_tol_scale: float = 1.0):
     return AugmentedState.from_blocks(out[0]) if single else out
 
 
-def _check_nonsingular(A: np.ndarray) -> None:
+def _check_nonsingular(A: np.ndarray) -> np.ndarray:
+    """The singular values of A, largest first; SingularA if A is numerically singular."""
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise SingularA("A = I - M is numerically singular")
+    return s
 
 
 def beta_hat(A: np.ndarray, d, rank_tol_scale: float = 1.0) -> np.ndarray:
@@ -217,11 +219,10 @@ def directional_derivative_fd(problem: FixedPointProblem, d: Direction,
 def lipschitz_bound_linear_m1(A: np.ndarray) -> float:
     """Global bound (||A^-1|| ||A|| + 1) ||I - A|| + 1 for the affine lifted map."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    _check_nonsingular(A)
-    n = A.shape[0]
-    norm_A = operator_norm_2(A)
-    norm_Ainv = operator_norm_2(np.linalg.inv(A))
-    norm_M = operator_norm_2(np.eye(n) - A)
+    s = _check_nonsingular(A)
+    norm_A = float(s[0])
+    norm_Ainv = float(1.0 / s[-1])
+    norm_M = operator_norm_2(np.eye(A.shape[0]) - A)
     return (norm_Ainv * norm_A + 1.0) * norm_M + 1.0
 
 

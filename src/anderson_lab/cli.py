@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("tol must be positive")
         if self.n_inits < 1:
             raise ConfigError("inits must be >= 1")
+        if self.tail_window < 1:
+            raise ConfigError("tail-window must be >= 1")
         if self.x0 is not None and len(self.x0) != problem.dim:
             raise ConfigError(f"x0 must have {problem.dim} components")
         box = self.box_array(problem.dim)
@@ -98,32 +100,26 @@ def _parse_box(text: str) -> list:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file's fields, then every given flag; a flag's dest is the field it sets."""
     cfg = ExperimentConfig()
+    known = set(ExperimentConfig.__dataclass_fields__)
     if args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-        known = set(ExperimentConfig.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = replace(cfg, **doc)
-    overrides = {}
-    for flag, key in (("problem", "problem_id"), ("scheme", "scheme"), ("m", "window_m"),
-                      ("iters", "max_iters"), ("tol", "stop_tol"), ("seed", "seed"),
-                      ("inits", "n_inits"), ("out", "output_dir"), ("samples", "n_samples"),
-                      ("bins", "bins"), ("tail_window", "tail_window"), ("k_max", "k_max")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "box", None) is not None:
-        overrides["init_box"] = _parse_box(args.box)
-    if getattr(args, "x0", None) is not None:
-        overrides["x0"] = [float(v) for v in args.x0.split(",")]
-    if getattr(args, "m_values", None) is not None:
-        overrides["m_values"] = [int(v) for v in args.m_values.split(",")]
+    overrides = {key: val for key, val in vars(args).items() if key in known and val is not None}
+    # list-valued flags arrive as strings; a bad one is a ConfigError or ValueError (exit 2)
+    for key, parse in (("init_box", _parse_box),
+                       ("x0", lambda text: [float(v) for v in text.split(",")]),
+                       ("m_values", lambda text: [int(v) for v in text.split(",")])):
+        if key in overrides:
+            overrides[key] = parse(overrides[key])
     return replace(cfg, **overrides)
 
 
@@ -158,9 +154,7 @@ def _trace_rows(trace, m: int):
         yield [k, err, trace.residual_norms[k], sig, rat, *betas]
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
-    problem = problem_from_id(cfg.problem_id)
-    cfg.validate(problem)
+def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
     box = cfg.box_array(problem.dim)
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
@@ -182,8 +176,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
         trace = getattr(exc, "trace", None)
         if trace is not None:
             _write_csv(out / "trace.csv", "trace", header, _trace_rows(trace, m))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
 
     _write_csv(out / "trace.csv", "trace", header, _trace_rows(trace, m))
     series = {}
@@ -195,33 +188,25 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
         ]
     (out / "trace.svg").write_text(
         plots.line_chart(series, title=f"{cfg.problem_id} {cfg.scheme}"))
-    return EXIT_OK
 
 
-def _sweep_schemes(cfg: ExperimentConfig) -> list[AccelConfig]:
-    base = cfg.accel()
-    if cfg.scheme == "fp":
-        return [base]
-    # sweeps pair the accelerated scheme with the FP baseline
-    fp = AccelConfig(window_m=0, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
-    return [fp, base]
-
-
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
-    problem = problem_from_id(cfg.problem_id)
-    cfg.validate(problem)
+def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
     if cfg.scheme == "gmres":
         raise ConfigError("sweep supports fp/aa/aa_restarted schemes")
+    base = cfg.accel()
+    # sweeps pair the accelerated scheme with the FP baseline
+    schemes = [base] if base.window_m == 0 else [replace(base, window_m=0, restart=False), base]
     report = analysis.monte_carlo_sweep(
-        problem, _sweep_schemes(cfg), cfg.box_array(problem.dim),
+        problem, schemes, cfg.box_array(problem.dim),
         cfg.n_inits, cfg.seed, tail_window=cfg.tail_window)
 
     n = problem.dim
     coord_cols = [f"x0_{i}" for i in range(n)] if n <= 4 else ["init_hash"]
     rows = []
-    for label, per_init in report.estimates.items():
-        m = 0 if label == "fp" else int(label.split("(")[1].rstrip(")"))
-        for i, est in enumerate(per_init):
+    for accel in schemes:
+        label = analysis.scheme_label(accel)
+        m = accel.window_m
+        for i, est in enumerate(report.estimates[label]):
             x0 = report.inits[i]
             coords = list(x0) if n <= 4 else [zlib.crc32(x0.tobytes())]
             if est is None:
@@ -242,12 +227,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     label, (edges, counts) = next(iter(report.histograms.items()))
     (out / "histogram.svg").write_text(
         plots.bar_chart(edges, counts, title=f"sigma_final histogram ({label})"))
-    return EXIT_OK
 
 
-def cmd_deriv_hist(cfg: ExperimentConfig, out: Path) -> int:
-    problem = problem_from_id(cfg.problem_id)
-    cfg.validate(problem)
+def cmd_deriv_hist(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
     if problem.known_fixed_point is None or problem.jacobian is None:
         raise ConfigError("deriv-hist needs a problem with known x* and jacobian")
     M = problem.jacobian(problem.known_fixed_point)
@@ -258,12 +240,9 @@ def cmd_deriv_hist(cfg: ExperimentConfig, out: Path) -> int:
                ([i, float(v)] for i, v in enumerate(norms)))
     (out / "derivnorms.svg").write_text(
         plots.bar_chart(edges, counts, title="directional derivative norms"))
-    return EXIT_OK
 
 
-def cmd_msweep(cfg: ExperimentConfig, out: Path) -> int:
-    problem = problem_from_id(cfg.problem_id)
-    cfg.validate(problem)
+def cmd_msweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
     if problem.affine is None:
         raise ConfigError("msweep requires an affine problem")
     m_values = cfg.m_values or [1, 2, 3, 4, 5, 6]
@@ -273,12 +252,9 @@ def cmd_msweep(cfg: ExperimentConfig, out: Path) -> int:
                             tail_window=cfg.tail_window)
     _write_csv(out / "msweep.csv", "msweep", ["m", "scheme", "worst_sigma"],
                ([r.m, r.scheme, r.worst_sigma] for r in rows))
-    return EXIT_OK
 
 
-def cmd_gmres_compare(cfg: ExperimentConfig, out: Path) -> int:
-    problem = problem_from_id(cfg.problem_id)
-    cfg.validate(problem)
+def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
     if problem.affine is None:
         raise ConfigError("gmres-compare requires an affine problem")
     box = cfg.box_array(problem.dim)
@@ -320,23 +296,24 @@ def cmd_gmres_compare(cfg: ExperimentConfig, out: Path) -> int:
                ["init_id", "deviation", "stagnated"], dev_rows)
     if first_failure is not None:
         raise first_failure
-    return EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", help="problem id (linear2x2, nonlinear2x2, linear200[:l2,l3,l4], scalar, affine:<file>)")
+    # every dest but --config's is an ExperimentConfig field, shown as the metavar
+    p.add_argument("--problem", dest="problem_id",
+                   help="problem id (linear2x2, nonlinear2x2, linear200[:l2,l3,l4], scalar, affine:<file>)")
     p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--m", type=int, help="AA window size")
-    p.add_argument("--iters", type=int, help="max iterations")
-    p.add_argument("--tol", type=float, help="residual stopping tolerance")
+    p.add_argument("--m", dest="window_m", type=int, help="AA window size")
+    p.add_argument("--iters", dest="max_iters", type=int, help="max iterations")
+    p.add_argument("--tol", dest="stop_tol", type=float, help="residual stopping tolerance")
     p.add_argument("--seed", type=int)
-    p.add_argument("--inits", type=int, help="number of random initial conditions")
-    p.add_argument("--box", help="init box 'lo,hi' or 'lo,hi;lo,hi;...'")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--inits", dest="n_inits", type=int, help="number of random initial conditions")
+    p.add_argument("--box", dest="init_box", help="init box 'lo,hi' or 'lo,hi;lo,hi;...'")
+    p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override it")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anderson-lab",
         description="Anderson-acceleration convergence experiments")
@@ -347,7 +324,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over random inits")
     p_sweep.add_argument("--tail-window", dest="tail_window", type=int)
     p_dh = sub.add_parser("deriv-hist", help="directional-derivative norm histogram")
-    p_dh.add_argument("--samples", type=int, help="number of unit directions")
+    p_dh.add_argument("--samples", dest="n_samples", type=int, help="number of unit directions")
     p_dh.add_argument("--bins", type=int)
     p_ms = sub.add_parser("msweep", help="worst-case sigma vs window size")
     p_ms.add_argument("--m-values", dest="m_values", help="comma-separated window sizes")
@@ -357,15 +334,22 @@ def main(argv=None) -> int:
 
     for p in (p_run, p_sweep, p_dh, p_ms, p_gc):
         _add_common(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "deriv-hist": cmd_deriv_hist,
                 "msweep": cmd_msweep, "gmres-compare": cmd_gmres_compare}
+    # every command is loaded, resolved, validated and failed here, and only here
     try:
         cfg = _load_config(args)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return handlers[args.command](cfg, out)
+        problem = problem_from_id(cfg.problem_id)
+        cfg.validate(problem)
+        handlers[args.command](cfg, problem, out)
+        return EXIT_OK
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

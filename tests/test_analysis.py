@@ -74,6 +74,13 @@ class TestEstimateRFactor:
         with pytest.raises(InsufficientData):
             estimate_r_factor(tr)
 
+    @pytest.mark.parametrize("tail_window", [0, -3])
+    def test_tail_window_below_one_rejected(self, tail_window):
+        # usable[-0:] would be every iteration and usable[3:] would drop the first 3
+        tr = _synthetic_trace([0.5 ** k for k in range(30)])
+        with pytest.raises(ValueError, match="tail_window must be >= 1"):
+            estimate_r_factor(tr, tail_window=tail_window)
+
 
 class TestSampleInits:
     def test_inside_box_and_deterministic(self):
@@ -201,12 +208,14 @@ class TestDerivativeNorms:
 class TestMSweep:
     def test_row_structure(self):
         p = problem_linear_2x2()
-        rows = m_sweep(p, [1], n_inits=5, seed=2, max_iters=60)
-        assert len(rows) == 2
-        assert {r.scheme for r in rows} == {"windowed", "restarted"}
-        for r in rows:
-            assert r.m == 1
-            assert np.isfinite(r.worst_sigma)
+        for m_values in ([1], [1, 1]):
+            rows = m_sweep(p, m_values, n_inits=5, seed=2, max_iters=60)
+            # one row per requested (m, scheme), in request order
+            assert [(r.m, r.scheme) for r in rows] == [
+                (m, s) for m in m_values for s in ("windowed", "restarted")]
+            for r in rows:
+                assert np.isfinite(r.worst_sigma)
+            assert rows[2:] == rows[:2] * (len(m_values) - 1)
 
     def test_scheme_label(self):
         assert scheme_label(AccelConfig(window_m=0)) == "fp"

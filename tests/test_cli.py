@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -89,7 +91,7 @@ class TestRun:
         _, _, rows = _read_csv(out / "trace.csv")
         assert len(rows) >= 1
 
-    def test_non_finite_exit_3_with_partial_trace(self, tmp_path, monkeypatch):
+    def test_non_finite_exit_3_with_partial_trace(self, tmp_path, monkeypatch, capsys):
         # q returns NaN everywhere; the iterates never leave the divergence guard
         nan_problem = FixedPointProblem(dim=1, q=lambda x: np.full_like(x, np.nan))
         monkeypatch.setattr(cli, "problem_from_id", lambda problem_id: nan_problem)
@@ -98,6 +100,8 @@ class TestRun:
             rc = main(["run", "--problem", "nan", "--scheme", scheme,
                        "--x0", "1.0", "--out", str(out)])
             assert rc == 3
+            err = capsys.readouterr().err
+            assert err == "numerical failure: residual norm is nan at k = 0\n"
             _, header, rows = _read_csv(out / "trace.csv")
             assert len(rows) == 1
             assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
@@ -154,6 +158,26 @@ class TestConfigHandling:
         b = (tmp_path / "b" / "sweep.csv").read_text()
         assert a != b  # the seed flag overrode the config value
 
+    def test_every_flag_sets_the_config_field_it_names(self):
+        # _load_config copies args by field name, so a flag whose dest is not
+        # a field would be dropped without an error
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if action.option_strings in (["-h", "--help"], ["--config"]):
+                    continue
+                assert action.dest in fields, (name, action.option_strings)
+
+    @pytest.mark.parametrize("tail_window", ["0", "-3"])
+    def test_tail_window_below_one_is_config_error(self, tmp_path, capsys, tail_window):
+        out = tmp_path / "o"
+        assert main(["sweep", "--problem", "linear2x2", "--inits", "3",
+                     f"--tail-window={tail_window}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: tail-window must be >= 1\n"
+        assert not (out / "sweep.csv").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
@@ -185,6 +209,15 @@ class TestSweep:
         assert {r[3] for r in rows} == {"fp", "aa(1)"}
         assert (out / "histogram.csv").exists()
         assert (out / "histogram.svg").exists()
+
+    @pytest.mark.parametrize("scheme, m", [("fp", 3), ("aa", 0)])
+    def test_window_zero_writes_fp_rows_once(self, tmp_path, scheme, m):
+        # the accelerated scheme is the FP baseline itself: no second copy of its rows
+        out = tmp_path / "o"
+        assert main(["sweep", "--problem", "linear2x2", "--scheme", scheme, "--m", str(m),
+                     "--inits", "4", "--out", str(out)]) == 0
+        rows = _read_csv(out / "sweep.csv")[2]
+        assert [(r[0], r[3], r[4]) for r in rows] == [(str(i), "fp", "0") for i in range(4)]
 
     def test_init_hash_for_large_dimension(self, tmp_path):
         out = tmp_path / "o"
