@@ -86,11 +86,24 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _q_rows(problem: FixedPointProblem, X: np.ndarray) -> np.ndarray:
-    """q on every row of X (B, n): one call on an affine problem, else one per point."""
+def _q_rows(problem: FixedPointProblem, X: np.ndarray,
+            errors: Optional[dict] = None) -> np.ndarray:
+    """q on every row of X (B, n): one call on an affine problem, else one per point.
+
+    With an errors dict, a point where q raises AndersonLabError gets a NaN
+    row and its error under its row index; without one, the error propagates.
+    """
     if problem.affine is not None:
         return problem.q(X)
-    return np.stack([problem.q(x) for x in X])
+    Qx = np.empty(X.shape)
+    for j, x in enumerate(X):
+        try:
+            Qx[j] = problem.q(x)
+        except AndersonLabError as exc:
+            if errors is None:
+                raise
+            Qx[j], errors[j] = np.nan, exc
+    return Qx
 
 
 def _aa_update(q_hist: list, r_hist: list, rank_tol_scale: float) -> tuple:
@@ -146,8 +159,8 @@ class BatchRun:
 
     residual_norms[i] (and error_norms[i], when the fixed point is known) is
     the array of norms of iterations 0, 1, ... of init i.  failures[i] is the
-    error that stopped init i, or None; a Diverged or NonFinite row keeps the
-    norms recorded before the error, like the trace those errors carry.
+    error that stopped init i, or None; a failed row keeps the norms up to and
+    including the iterate that stopped it, like the trace its error carries.
     """
 
     residual_norms: list      # of 1-D arrays
@@ -182,10 +195,11 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
 
     Each step evaluates q once on the running rows and solves all their
     least-squares problems with one stacked SVD.  The history length depends
-    on the step count alone, so the running rows share it.  A row stops when
-    its residual norm is at most stop_tol (converged) or NaN/Inf (NonFinite,
-    the row recorded), or when its next iterate leaves the divergence guard
-    ball (Diverged, not recorded); the other rows go on.
+    on the step count alone, so the running rows share it.  Every iterate is
+    recorded, then tested once; a row stops, in this order of priority, when
+    it is outside the divergence guard ball (Diverged), when q raised on it
+    (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
+    residual norm is at most stop_tol (converged).  The other rows go on.
 
     When steps is a list, it receives (x_{k+1}, BetaSolution) for each step of
     a single-row X.
@@ -201,28 +215,33 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     step_rows, step_res, step_err = [], [], []
 
     def record(X):
-        Qx = _q_rows(problem, X)
+        q_errors = {}  # running-row index -> the error q raised there
+        Qx = _q_rows(problem, X, q_errors)
         Rx = X - Qx
         step_rows.append(rows)
         step_res.append(_norms(Rx))
         if x_star is not None:
             step_err.append(_norms(x_star - X))
-        return Qx, Rx, step_res[-1]
+        return Qx, Rx, step_res[-1], _norms(X), q_errors
 
-    Qx, Rx, rn = record(X)
+    Qx, Rx, rn, xn, q_errors = record(X)
     q_hist, r_hist = [Qx], [Rx]
     windowed_since_restart = 0
     for k in range(cfg.max_iters + 1):
-        # stop converged and non-finite rows (NaN fails both tests); the
-        # divergence guard below cannot see NaN.  The ufunc reductions are
+        # the one stop test: a row of q's error has a NaN residual, so it
+        # fails the residual tests as NaN/Inf does.  The ufunc reductions are
         # the cheapest whole-batch tests, which matters at B = 1.
-        if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf):
-            bad = ~(rn < np.inf)
+        if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf
+                and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
+            out = xn > DIVERGENCE_GUARD
+            failed = out | ~(rn < np.inf)
+            for j in np.flatnonzero(failed):
+                failures[rows[j]] = (
+                    Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}") if out[j]
+                    else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
             done = rn <= cfg.stop_tol
-            for j in np.flatnonzero(bad):
-                failures[rows[j]] = NonFinite(f"residual norm is {rn[j]} at k = {k}")
-            converged[rows[done & ~bad]] = True
-            keep = ~(bad | done)
+            converged[rows[done & ~failed]] = True
+            keep = ~(failed | done)
             rows = rows[keep]
             q_hist = [a[keep] for a in q_hist]
             r_hist = [a[keep] for a in r_hist]
@@ -231,20 +250,9 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
 
         # every residual in the history has a finite norm, so R is finite
         X, coeffs, ranks, R = _aa_update(q_hist, r_hist, cfg.rank_tol_scale)
-        x_norms = _norms(X)
-        if np.fmax.reduce(x_norms) > DIVERGENCE_GUARD:  # fmax skips NaN rows
-            out = x_norms > DIVERGENCE_GUARD
-            for row in rows[out]:
-                failures[row] = Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}")
-            keep = ~out
-            rows, X = rows[keep], X[keep]
-            q_hist = [a[keep] for a in q_hist]
-            r_hist = [a[keep] for a in r_hist]
-            if not rows.size:
-                break
         if steps is not None:
             steps.append((X[0], _beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks)))
-        Qx, Rx, rn = record(X)
+        Qx, Rx, rn, xn, q_errors = record(X)
 
         if R is not None:  # a windowed step
             windowed_since_restart += 1
@@ -277,28 +285,13 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
 def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig) -> BatchRun:
     """run_scheme from every row of X0 (B, n), without iterates or coefficients.
 
-    An affine problem runs as one batch.  Any other problem runs each init as
-    a batch of one, so q sees one point and an error in q (EvalError) fails
-    only its own init.  Every row equals its single-init run bit for bit.
+    Every problem runs as one batch; an error in q (EvalError) fails only the
+    row it was raised on.  Every row equals its single-init run bit for bit.
     """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
         raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
-    if problem.affine is not None:
-        return _iterate(problem, X, cfg)
-    runs = []
-    for x in X:
-        try:
-            runs.append(_iterate(problem, x[None], cfg))
-        except AndersonLabError as exc:  # raised by q: the init records nothing
-            runs.append(BatchRun([np.empty(0)], [np.empty(0)], [False], [exc], None))
-    return BatchRun(
-        residual_norms=[run.residual_norms[0] for run in runs],
-        error_norms=(None if problem.known_fixed_point is None
-                     else [run.error_norms[0] for run in runs]),
-        converged=[run.converged[0] for run in runs],
-        failures=[run.failures[0] for run in runs],
-        x_star_norm=_x_star_norm(problem))
+    return _iterate(problem, X, cfg)
 
 
 def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -309,7 +302,8 @@ def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> 
     min(k, m).  With restart, the history is cleared after every m-th
     windowed step, so each cycle is one plain-FP-like step followed by m
     steps whose windows grow from 1 to m, mirroring restarted GMRES(m) in the
-    linear case.  Diverged and NonFinite carry the partial trace.
+    linear case.  A failure (Diverged, NonFinite or q's error) carries the
+    partial trace, up to and including the iterate that stopped the run.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (problem.dim,):

@@ -49,10 +49,11 @@ class AugmentedState:
         """(m+1, n) array; row 0 is the newest block z_{m+1}."""
         return self.stacked.reshape(self.m + 1, self.block_dim)
 
-    @staticmethod
-    def from_blocks(blocks) -> "AugmentedState":
+    @classmethod
+    def from_blocks(cls, blocks, **fields):
+        """A cls from an (m+1, n) block array, newest first; fields go to cls (unit_norm)."""
         blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-        return AugmentedState(stacked=blocks.ravel(), block_dim=blocks.shape[1])
+        return cls(stacked=blocks.ravel(), block_dim=blocks.shape[1], **fields)
 
     @staticmethod
     def at_point(x: np.ndarray, m: int) -> "AugmentedState":
@@ -71,12 +72,6 @@ class Direction(AugmentedState):
         super().__post_init__()
         if self.unit_norm and abs(np.linalg.norm(self.stacked) - 1.0) > 1e-12:
             raise ValueError("unit_norm direction must have norm 1 within 1e-12")
-
-    @staticmethod
-    def from_blocks(blocks, unit_norm: bool = False) -> "Direction":
-        blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-        return Direction(stacked=blocks.ravel(), block_dim=blocks.shape[1],
-                         unit_norm=unit_norm)
 
 
 @dataclass(frozen=True)

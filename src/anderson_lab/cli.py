@@ -99,6 +99,12 @@ def _parse_box(text: str) -> list:
     return pairs
 
 
+# the types a --config value may take, by the type of its field's default
+# (bool is rejected everywhere, though Python counts it as an int)
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string"), type(None): ((list, type(None)), "a list or null")}
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The --config file's fields, then every given flag; a flag's dest is the field it sets."""
     cfg = ExperimentConfig()
@@ -109,9 +115,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config!r} must hold a JSON object")
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in doc.items():
+            kinds, name = _CONFIG_TYPES[type(getattr(cfg, key))]
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                raise ConfigError(f"config key {key!r} must be {name}, got {val!r}")
         cfg = replace(cfg, **doc)
     overrides = {key: val for key, val in vars(args).items() if key in known and val is not None}
     # list-valued flags arrive as strings; a bad one is a ConfigError or ValueError (exit 2)
@@ -167,15 +179,12 @@ def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> Non
     m = 0 if cfg.scheme == "gmres" else accel.window_m
     header = ["k", "err_norm", "resid_norm", "sigma_k", "err_ratio",
               *[f"beta_{i + 1}" for i in range(m)]]
+    solve = gmres_run if cfg.scheme == "gmres" else run_scheme
     try:
-        if cfg.scheme == "gmres":
-            trace = gmres_run(problem, x0, accel)  # ValueError (exit 2) if not affine
-        else:
-            trace = run_scheme(problem, x0, accel)
+        trace = solve(problem, x0, accel)  # gmres_run: ValueError (exit 2) if not affine
     except AndersonLabError as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
-            _write_csv(out / "trace.csv", "trace", header, _trace_rows(trace, m))
+        if exc.trace is not None:
+            _write_csv(out / "trace.csv", "trace", header, _trace_rows(exc.trace, m))
         raise
 
     _write_csv(out / "trace.csv", "trace", header, _trace_rows(trace, m))
@@ -274,7 +283,7 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
         try:
             if batch.failures[i] is not None:
                 raise batch.failures[i]
-            traces = ((f"aa({windowed.window_m})", batch.trace(i)),
+            traces = ((analysis.scheme_label(windowed), batch.trace(i)),
                       ("aa_inf", aa_run(problem, x0, full_window)),
                       ("gmres", gmres_run(problem, x0, full_window)))
             try:

@@ -2,11 +2,7 @@
 
 
 class AndersonLabError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class NonFinite(AndersonLabError):
-    """An input, or a residual of an iteration, contains NaN or Inf entries.
+    """Base class for all package-specific errors.
 
     Carries the partial trace recorded up to the failure, when available.
     """
@@ -14,6 +10,10 @@ class NonFinite(AndersonLabError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class NonFinite(AndersonLabError):
+    """An input, or a residual of an iteration, contains NaN or Inf entries."""
 
 
 class NonConvergence(AndersonLabError):
@@ -29,14 +29,7 @@ class EvalError(AndersonLabError):
 
 
 class Diverged(AndersonLabError):
-    """An iteration left the divergence guard ball (||x_k|| > 1e12).
-
-    Carries the partial trace recorded up to the failure, when available.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """An iteration left the divergence guard ball (||x_k|| > 1e12)."""
 
 
 class MissingJacobian(AndersonLabError):

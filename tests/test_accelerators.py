@@ -15,13 +15,16 @@ from anderson_lab.accelerators import (
     run_batch,
     run_scheme,
 )
-from anderson_lab.errors import Diverged, EvalError, NonFinite, StagnationDetected
+from anderson_lab.errors import (AndersonLabError, Diverged, EvalError, NonFinite,
+                                 StagnationDetected)
+from anderson_lab.linalg import stacked_anderson_coefficients
 from anderson_lab.problems import (
     AffineSpec,
     FixedPointProblem,
     make_affine,
     problem_linear_2x2,
     problem_linear_200,
+    problem_nonlinear_2x2,
     problem_scalar,
 )
 
@@ -75,8 +78,15 @@ class TestFpRun:
         p = make_affine(AffineSpec(M=[[2.0]], b=[0.0]))
         with pytest.raises(Diverged) as exc_info:
             run_scheme(p, np.array([1.0]), AccelConfig(window_m=0, max_iters=200, stop_tol=0.0))
-        assert exc_info.value.trace is not None
-        assert len(exc_info.value.trace) >= 1
+        tr = exc_info.value.trace
+        # the trace ends with the iterate that left the guard ball
+        assert tr.error_norms[-1] > 1e12 and len(tr.iterates) == len(tr)
+
+    def test_start_outside_guard_ball_diverges_at_k0(self):
+        p = make_affine(AffineSpec(M=[[0.5]], b=[0.0]))
+        with pytest.raises(Diverged) as exc_info:
+            run_scheme(p, np.array([2e12]), AccelConfig(window_m=1))
+        assert len(exc_info.value.trace) == 1
 
 
 class TestNonFiniteResidual:
@@ -369,7 +379,7 @@ def _assert_row_matches_single_run(batch, i, problem, x0, cfg):
     try:
         tr = run_scheme(problem, x0, cfg)
         failure = None
-    except (Diverged, NonFinite) as exc:
+    except AndersonLabError as exc:
         tr, failure = exc.trace, exc
     assert type(batch.failures[i]) is type(failure)
     row = batch.trace(i)
@@ -433,11 +443,31 @@ class TestRunBatch:
         assert [type(f) for f in batch.failures] == [NonFinite] * 3
         for i, x0 in enumerate(X0):
             _assert_row_matches_single_run(batch, i, nan_below, x0, cfg)
-        scalar = run_batch(problem_scalar(), np.array([[1.0], [0.0], [2.0]]),
-                           AccelConfig(window_m=1, max_iters=20))
+        # -1.0 fails after one step (q(-1) = 0), 0.0 at once
+        X0 = np.array([[1.0], [0.0], [2.0], [-1.0]])
+        cfg = AccelConfig(window_m=1, max_iters=20)
+        scalar = run_batch(problem_scalar(), X0, cfg)
         assert scalar.failures[0] is None and scalar.converged[0]
         assert isinstance(scalar.failures[1], EvalError)
         assert scalar.failures[2] is None and scalar.converged[2]
+        assert isinstance(scalar.failures[3], EvalError)
+        assert [len(scalar.residual_norms[i]) for i in (1, 3)] == [1, 2]
+        for i, x0 in enumerate(X0):
+            _assert_row_matches_single_run(scalar, i, problem_scalar(), x0, cfg)
+
+    def test_non_affine_batch_makes_one_solve_per_step(self, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return stacked_anderson_coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(accelerators, "stacked_anderson_coefficients", counted)
+        X0 = np.random.default_rng(5).uniform(-0.25, 0.25, (50, 2))
+        cfg = AccelConfig(window_m=3, max_iters=100)
+        batch = run_batch(problem_nonlinear_2x2(), X0, cfg)
+        assert all(batch.converged)
+        assert 0 < len(solves) <= cfg.max_iters
 
     def test_rows_independent_of_batch_size(self):
         problem = problem_linear_2x2()

@@ -54,6 +54,13 @@ class TestAugmentedState:
             Direction(stacked=np.array([1.0, 1.0]), block_dim=1, unit_norm=True)
         Direction(stacked=np.array([1.0, 0.0]), block_dim=1, unit_norm=True)
 
+    def test_from_blocks_builds_its_own_class(self):
+        d = Direction.from_blocks([[0.6], [0.8]], unit_norm=True)
+        assert type(d) is Direction and d.unit_norm and d.block_dim == 1
+        with pytest.raises(ValueError):
+            Direction.from_blocks([[1.0], [1.0]], unit_norm=True)
+        assert type(AugmentedState.from_blocks([[1.0], [0.0]])) is AugmentedState
+
 
 class TestBuildD:
     def test_equal_blocks_zero(self):

@@ -106,6 +106,18 @@ class TestRun:
             assert len(rows) == 1
             assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
 
+    def test_q_error_exit_3_with_partial_trace(self, tmp_path, capsys):
+        # q(-1) = 0, where the scalar map is undefined: one step, then q raises
+        out = tmp_path / "o"
+        rc = main(["run", "--problem", "scalar", "--scheme", "aa", "--m", "1",
+                   "--x0=-1.0", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: q(x) = 1 + 1/x is undefined at x = 0\n")
+        _, header, rows = _read_csv(out / "trace.csv")
+        assert [row[header.index("k")] for row in rows] == ["0", "1"]
+        assert rows[1][header.index("resid_norm")] == ""  # NaN is written blank
+
     def test_gmres_non_finite_exit_3_with_partial_trace(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["run", "--problem", "linear2x2", "--scheme", "gmres",
@@ -182,6 +194,33 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("sweep", {"window_m": "2"}, "config key 'window_m' must be an integer, got '2'"),
+        ("run", {"x0": 0.5}, "config key 'x0' must be a list or null, got 0.5"),
+        ("sweep", {"output_dir": None}, "config key 'output_dir' must be a string, got None"),
+        ("sweep", {"seed": True}, "config key 'seed' must be an integer, got True"),
+        ("sweep", {"stop_tol": "1e-9"}, "config key 'stop_tol' must be a number, got '1e-9'"),
+    ])
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, command, doc,
+                                                   message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith("must hold a JSON object\n")
+
+    def test_config_value_types_that_pass(self, tmp_path):
+        # an int is a valid float, and null a valid list field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stop_tol": 1, "init_box": None, "n_inits": 2,
+                                   "max_iters": 5, "problem_id": "linear2x2"}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("scheme, m, window_m", [
         ("fp", 0, 0), ("fp", 3, 0),
@@ -299,6 +338,17 @@ class TestGmresCompare:
         _, theader, trows = _read_csv(out / "gmres_compare_traces.csv")
         assert theader == ["init_id", "scheme", "k", "sigma_k", "resid_norm"]
         assert {r[1] for r in trows} == {"aa(1)", "aa_inf", "gmres"}
+
+    @pytest.mark.parametrize("flags, label", [
+        (["--scheme", "aa_restarted", "--m", "2"], "aa_restarted(2)"),
+        (["--scheme", "aa", "--m", "0"], "fp"),
+    ])
+    def test_windowed_rows_carry_the_scheme_label(self, tmp_path, flags, label):
+        out = tmp_path / "o"
+        assert main(["gmres-compare", "--problem", "linear2x2", *flags, "--inits", "2",
+                     "--k-max", "2", "--iters", "20", "--out", str(out)]) == 0
+        labels = {row[1] for row in _read_csv(out / "gmres_compare_traces.csv")[2]}
+        assert labels == {label, "aa_inf", "gmres"}
 
     def test_rows_equal_per_init_runs(self, tmp_path):
         out = tmp_path / "o"
