@@ -411,26 +411,25 @@ def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> I
     return trace(res[-1] <= cfg.stop_tol)
 
 
-def aa_full_window_vs_gmres_check(problem: FixedPointProblem, x0: np.ndarray,
-                                  k_max: int) -> float:
-    """max_k || x^AA_{k+1} - q(x^GMRES_k) || for unbounded-window AA, k < k_max.
+def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: IterationTrace,
+                                  gmres_trace: IterationTrace, k_max: int) -> float:
+    """max_k || x^AA_{k+1} - q(x^GMRES_k) || for k < min(k_max, steps of either trace).
 
-    The problem must be affine (ValueError otherwise).  Raises
-    StagnationDetected when the GMRES residuals do not strictly decrease over
-    the compared range (the correspondence is undefined there).
+    aa_trace (unbounded-window AA) and gmres_trace start from the same x0 and
+    carry their iterates (ValueError otherwise; a BatchRun.trace has none).
+    Raises StagnationDetected when the GMRES residuals do not strictly
+    decrease over the compared range (the correspondence is undefined there).
     """
-    gmres_tr = gmres_run(problem, x0, AccelConfig(window_m=1, max_iters=k_max, stop_tol=0.0))
-    k_used = min(k_max, len(gmres_tr) - 1)
-    res = gmres_tr.residual_norms
-    for k in range(k_used):
+    if not (aa_trace.iterates and gmres_trace.iterates):
+        raise ValueError("the AA-vs-GMRES check needs traces with their iterates")
+    res = gmres_trace.residual_norms
+    dev = 0.0
+    for k in range(min(k_max, len(gmres_trace) - 1, len(aa_trace) - 1)):
         if res[k + 1] >= res[k]:
             raise StagnationDetected(
                 f"GMRES residual did not strictly decrease at step {k} "
                 f"({res[k]:.3e} -> {res[k + 1]:.3e})"
             )
-    aa_tr = aa_run(problem, x0, AccelConfig(window_m=k_max, max_iters=k_used, stop_tol=0.0))
-    dev = 0.0
-    for k in range(k_used):
         dev = max(dev, float(np.linalg.norm(
-            aa_tr.iterates[k + 1] - problem.q(gmres_tr.iterates[k]))))
+            aa_trace.iterates[k + 1] - problem.q(gmres_trace.iterates[k]))))
     return dev

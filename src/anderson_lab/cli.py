@@ -66,6 +66,14 @@ class ExperimentConfig:
             raise ConfigError("inits must be >= 1")
         if self.tail_window < 1:
             raise ConfigError("tail-window must be >= 1")
+        if self.k_max < 1:
+            raise ConfigError("k-max must be >= 1")
+        if self.n_samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if self.m_values is not None and (  # bool is not an int here
+                not self.m_values or any(type(m) is not int for m in self.m_values)):
+            raise ConfigError(
+                f"m-values must be a non-empty list of integers, got {self.m_values!r}")
         if self.x0 is not None and len(self.x0) != problem.dim:
             raise ConfigError(f"x0 must have {problem.dim} components")
         box = self.box_array(problem.dim)
@@ -273,31 +281,31 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
     dev_rows = []
     full_window = AccelConfig(window_m=cfg.max_iters, max_iters=cfg.max_iters,
                               stop_tol=cfg.stop_tol)
-    windowed = cfg.accel() if cfg.scheme in ("aa", "aa_restarted") else AccelConfig(
-        window_m=max(cfg.window_m, 1), max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
-    # the AA(m) runs go as one batch.  An init whose runs do not all finish
-    # writes no rows; the first such init's error is raised after the writes.
+    windowed = cfg.accel()
+    windowed_label = analysis.scheme_label(windowed)
+    # the windowed runs go as one batch; AA(inf) and GMRES run once per init, for
+    # its traces and its deviation.  An init whose runs do not all finish writes
+    # no rows; the first such init's error is raised after the writes.
     batch = run_batch(problem, inits, windowed)
     first_failure = None
     for i, x0 in enumerate(inits):
         try:
             if batch.failures[i] is not None:
                 raise batch.failures[i]
-            traces = ((analysis.scheme_label(windowed), batch.trace(i)),
-                      ("aa_inf", aa_run(problem, x0, full_window)),
-                      ("gmres", gmres_run(problem, x0, full_window)))
+            aa_inf = aa_run(problem, x0, full_window)
+            gmres = gmres_run(problem, x0, full_window)
             try:
-                dev_row = [i, aa_full_window_vs_gmres_check(problem, x0, cfg.k_max), False]
+                dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)
             except StagnationDetected:
-                dev_row = [i, None, True]
+                dev = None
         except AndersonLabError as exc:
             first_failure = first_failure or exc
             continue
-        for label, tr in traces:
+        for label, tr in ((windowed_label, batch.trace(i)), ("aa_inf", aa_inf), ("gmres", gmres)):
             for k in range(len(tr)):
                 sig = tr.sigma_k[k] if tr.sigma_k is not None else None
                 trace_rows.append([i, label, k, sig, tr.residual_norms[k]])
-        dev_rows.append(dev_row)
+        dev_rows.append([i, dev, dev is None])  # no deviation when GMRES stagnated
 
     _write_csv(out / "gmres_compare_traces.csv", "gmres_compare_traces",
                ["init_id", "scheme", "k", "sigma_k", "resid_norm"], trace_rows)

@@ -325,8 +325,6 @@ class TestGmres:
     def test_requires_affine_problem(self):
         with pytest.raises(ValueError):
             gmres_run(problem_scalar(), np.array([0.5]), AccelConfig(max_iters=5))
-        with pytest.raises(ValueError):
-            aa_full_window_vs_gmres_check(problem_scalar(), np.array([0.5]), k_max=2)
 
     def test_matches_bruteforce_polynomial_minimization(self):
         p = problem_linear_2x2()
@@ -339,18 +337,44 @@ class TestGmres:
                 assert abs(tr.residual_norms[k] - expected) < 1e-10
 
 
+def _check_traces(problem, x0, k_max):
+    """AA(k_max) and GMRES traces from x0 over k_max steps, with no stopping test."""
+    cfg = AccelConfig(window_m=k_max, max_iters=k_max, stop_tol=0.0)
+    return aa_run(problem, x0, cfg), gmres_run(problem, x0, cfg)
+
+
 class TestGmresCorrespondence:
     def test_linear_2x2_small_kmax(self):
         p = problem_linear_2x2()
-        dev = aa_full_window_vs_gmres_check(p, np.array([0.2, 0.1]), k_max=2)
+        x0 = np.array([0.2, 0.1])
+        dev = aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, 2), k_max=2)
         assert dev <= 1e-8
 
     def test_linear_200_instance(self):
         p = problem_linear_200(-0.3, 0.3, -0.3)
         rng = np.random.default_rng(7)
         x0 = rng.uniform(-1, 1, 200)
-        dev = aa_full_window_vs_gmres_check(p, x0, k_max=10)
+        dev = aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, 10), k_max=10)
         assert dev <= 1e-6
+
+    @pytest.mark.parametrize("max_iters, stop_tol", [(60, 1e-3), (5, 0.0)])
+    def test_traces_shorter_than_k_max_compare_the_steps_run(self, max_iters, stop_tol):
+        p = problem_linear_200(-0.3, 0.3, -0.3)
+        x0 = np.random.default_rng(7).uniform(-1, 1, 200)
+        cfg = AccelConfig(window_m=60, max_iters=max_iters, stop_tol=stop_tol)
+        aa_tr, gmres_tr = aa_run(p, x0, cfg), gmres_run(p, x0, cfg)
+        steps = min(len(aa_tr), len(gmres_tr)) - 1
+        assert 0 < steps < 10
+        assert aa_full_window_vs_gmres_check(p, aa_tr, gmres_tr, k_max=10) == \
+            aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, steps), k_max=steps)
+
+    def test_trace_without_iterates_is_rejected(self):
+        p = problem_linear_2x2()
+        x0 = np.array([0.2, 0.1])
+        cfg = AccelConfig(window_m=2, max_iters=2, stop_tol=0.0)
+        with pytest.raises(ValueError, match="iterates"):
+            aa_full_window_vs_gmres_check(p, run_batch(p, x0[None], cfg).trace(0),
+                                          gmres_run(p, x0, cfg), k_max=2)
 
     def test_does_not_rebuild_the_problem(self, monkeypatch):
         # M, b and x* come from the problem, so make_affine is never called
@@ -363,15 +387,16 @@ class TestGmresCorrespondence:
         x0 = np.random.default_rng(7).uniform(-1, 1, 200)
         tr = gmres_run(p, x0, AccelConfig(max_iters=30, stop_tol=0.0))
         assert tr.error_norms is not None and len(tr) == 31
-        assert aa_full_window_vs_gmres_check(p, x0, k_max=10) <= 1e-6
+        assert aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, 10), k_max=10) <= 1e-6
 
     def test_stagnation_detected(self):
         # A = I - M is a rotation by 90 degrees: r0 is orthogonal to A r0 and
         # the first GMRES step makes no progress
         M = np.array([[1.0, -1.0], [1.0, 1.0]])
         spec = AffineSpec(M=M, b=np.zeros(2))
+        p, x0 = make_affine(spec), np.array([1.0, 0.0])
         with pytest.raises(StagnationDetected):
-            aa_full_window_vs_gmres_check(make_affine(spec), np.array([1.0, 0.0]), k_max=2)
+            aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, 2), k_max=2)
 
 
 def _assert_row_matches_single_run(batch, i, problem, x0, cfg):

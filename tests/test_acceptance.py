@@ -15,6 +15,7 @@ from anderson_lab.accelerators import (
     aa_full_window_vs_gmres_check,
     aa_run,
     aa_step,
+    gmres_run,
     run_scheme,
 )
 from anderson_lab.analysis import (
@@ -277,9 +278,11 @@ def test_criterion_10_gmres_correspondence():
 
     deviations = []
     stagnated = 0
+    check = AccelConfig(window_m=10, max_iters=10, stop_tol=0.0)
     for x0 in inits:
         try:
-            deviations.append(aa_full_window_vs_gmres_check(p, x0, 10))
+            deviations.append(aa_full_window_vs_gmres_check(
+                p, aa_run(p, x0, check), gmres_run(p, x0, check), 10))
         except StagnationDetected:
             stagnated += 1
     dev_ok = len(deviations) >= 1 and max(deviations) <= 1e-6

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import anderson_lab
-from anderson_lab import cli
+from anderson_lab import accelerators, cli
 from anderson_lab.accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,
                                        gmres_run, run_scheme)
 from anderson_lab.analysis import sample_inits
@@ -190,6 +190,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "configuration error: tail-window must be >= 1\n"
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gmres-compare", "--k-max", "0"], "k-max must be >= 1"),
+        (["gmres-compare", "--k-max=-3"], "k-max must be >= 1"),
+        (["deriv-hist", "--samples", "0"], "samples must be >= 1"),
+        (["deriv-hist", "--samples=-4"], "samples must be >= 1"),
+    ])
+    def test_count_below_one_is_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--problem", "linear2x2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not list(out.iterdir())  # rejected before any run
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
@@ -201,6 +213,9 @@ class TestConfigHandling:
         ("sweep", {"output_dir": None}, "config key 'output_dir' must be a string, got None"),
         ("sweep", {"seed": True}, "config key 'seed' must be an integer, got True"),
         ("sweep", {"stop_tol": "1e-9"}, "config key 'stop_tol' must be a number, got '1e-9'"),
+        *(("msweep", {"m_values": m_values},
+           f"m-values must be a non-empty list of integers, got {m_values!r}")
+          for m_values in ([], [1.5], [1, True], [2, "3"])),
     ])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, command, doc,
                                                    message):
@@ -342,6 +357,9 @@ class TestGmresCompare:
     @pytest.mark.parametrize("flags, label", [
         (["--scheme", "aa_restarted", "--m", "2"], "aa_restarted(2)"),
         (["--scheme", "aa", "--m", "0"], "fp"),
+        (["--scheme", "fp"], "fp"),
+        (["--scheme", "gmres", "--m", "2"], "aa(2)"),
+        (["--scheme", "gmres", "--m", "0"], "fp"),
     ])
     def test_windowed_rows_carry_the_scheme_label(self, tmp_path, flags, label):
         out = tmp_path / "o"
@@ -359,6 +377,7 @@ class TestGmresCompare:
         inits = sample_inits(np.tile([-0.25, 0.25], (200, 1)), 5, 3)
         windowed = AccelConfig(window_m=1, max_iters=60)
         full_window = AccelConfig(window_m=60, max_iters=60)
+        check = AccelConfig(window_m=10, max_iters=10, stop_tol=0.0)
         expected, expected_dev = [], []
         for i, x0 in enumerate(inits):
             for label, tr in (("aa(1)", run_scheme(problem, x0, windowed)),
@@ -366,11 +385,27 @@ class TestGmresCompare:
                               ("gmres", gmres_run(problem, x0, full_window))):
                 expected += [[str(i), label, str(k), cli._fmt(tr.sigma_k[k]),
                               cli._fmt(tr.residual_norms[k])] for k in range(len(tr))]
-            dev = aa_full_window_vs_gmres_check(problem, x0, 10)
+            # the check on its own traces, which run the k_max steps without a stopping test
+            dev = aa_full_window_vs_gmres_check(
+                problem, aa_run(problem, x0, check), gmres_run(problem, x0, check), 10)
             expected_dev.append([str(i), cli._fmt(dev), "False"])
         # .17g round-trips a float, so equal cells are equal bits
         assert _read_csv(out / "gmres_compare_traces.csv")[2] == expected
         assert _read_csv(out / "gmres_compare_deviation.csv")[2] == expected_dev
+
+    def test_one_gmres_and_one_aa_run_per_init(self, tmp_path, monkeypatch):
+        # every name the command or the check could reach the solvers by is counted
+        calls = {"aa_run": 0, "gmres_run": 0}
+        for name in calls:
+            def counted(*args, _name=name, _run=getattr(accelerators, name)):
+                calls[_name] += 1
+                return _run(*args)
+            for module in (cli, accelerators):
+                monkeypatch.setattr(module, name, counted)
+        assert main(["gmres-compare", "--problem", "linear200", "--m", "1", "--inits", "5",
+                     "--seed", "3", "--k-max", "10", "--iters", "60",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"aa_run": 5, "gmres_run": 5}
 
     def test_first_failing_init_is_reported(self, tmp_path, monkeypatch, capsys):
         # q is NaN below x_1 = -0.0075: of these 6 inits, init 4 fails in AA(1)
@@ -381,13 +416,15 @@ class TestGmresCompare:
         monkeypatch.setattr(cli, "problem_from_id", lambda problem_id: nan_below)
         inits = sample_inits(np.tile([-0.25, 0.25], (2, 1)), 6, 53)
         full_window = AccelConfig(window_m=20, max_iters=20)
+        check = AccelConfig(window_m=2, max_iters=2, stop_tol=0.0)
         with pytest.raises(NonFinite) as first:
-            for x0 in inits:  # the runs of the command, one init at a time
+            for x0 in inits:  # the runs of the command and of the check, one init at a time
                 run_scheme(nan_below, x0, AccelConfig(window_m=1, max_iters=20))
                 aa_run(nan_below, x0, full_window)
                 gmres_run(nan_below, x0, full_window)
                 try:
-                    aa_full_window_vs_gmres_check(nan_below, x0, 2)
+                    aa_full_window_vs_gmres_check(nan_below, aa_run(nan_below, x0, check),
+                                                  gmres_run(nan_below, x0, check), 2)
                 except StagnationDetected:
                     pass
         assert str(first.value) == "residual norm is nan at k = 3"
