@@ -33,7 +33,6 @@ class AccelConfig:
     restart: bool = False
     max_iters: int = 100
     stop_tol: float = 1e-12
-    rank_tol_scale: float = 1.0
 
     def __post_init__(self):
         if self.window_m < 0:
@@ -44,8 +43,6 @@ class AccelConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.stop_tol >= 0:  # NaN included
             raise ValueError("stop_tol must be positive (or exactly 0 to disable)")
-        if self.rank_tol_scale <= 0:
-            raise ValueError("rank_tol_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ def _q_rows(problem: FixedPointProblem, X: np.ndarray,
     return Qx
 
 
-def _aa_update(q_hist: list, r_hist: list, rank_tol_scale: float) -> tuple:
+def _aa_update(q_hist: list, r_hist: list) -> tuple:
     """One AA update for a batch, from cached q and r histories, oldest first.
 
     Each history entry is a (B, n) array; with mk + 1 entries the update
@@ -125,7 +122,7 @@ def _aa_update(q_hist: list, r_hist: list, rank_tol_scale: float) -> tuple:
     for j in range(mk):
         np.subtract(rk, r_hist[-2 - j], out=R[..., j])
         np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
-    coeffs, ranks = stacked_anderson_coefficients(R, rk, rank_tol_scale)
+    coeffs, ranks = stacked_anderson_coefficients(R, rk)
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks, R
 
 
@@ -138,18 +135,15 @@ def _beta_solution(r_norm: float, r: np.ndarray, R, coeffs, ranks) -> BetaSoluti
                         ls_objective=float(_norms(r + R[0] @ coeffs[0])), rank=int(ranks[0]))
 
 
-def aa_step(
-    problem: FixedPointProblem,
-    history: Sequence[np.ndarray],
-    rank_tol_scale: float = 1.0,
-) -> tuple[np.ndarray, BetaSolution]:
+def aa_step(problem: FixedPointProblem,
+            history: Sequence[np.ndarray]) -> tuple[np.ndarray, BetaSolution]:
     """One AA update from the last min(k, m) + 1 iterates (newest last)."""
     if not len(history):
         raise ValueError("history must contain at least the current iterate")
     X = np.asarray(history, dtype=float)
     Qx = _q_rows(problem, X)
     Rx = X - Qx
-    x_next, coeffs, ranks, R = _aa_update(list(Qx[:, None]), list(Rx[:, None]), rank_tol_scale)
+    x_next, coeffs, ranks, R = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
     return x_next[0], _beta_solution(float(_norms(Rx[-1])), Rx[-1], R, coeffs, ranks)
 
 
@@ -249,7 +243,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             break
 
         # every residual in the history has a finite norm, so R is finite
-        X, coeffs, ranks, R = _aa_update(q_hist, r_hist, cfg.rank_tol_scale)
+        X, coeffs, ranks, R = _aa_update(q_hist, r_hist)
         if steps is not None:
             steps.append((X[0], _beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks)))
         Qx, Rx, rn, xn, q_errors = record(X)

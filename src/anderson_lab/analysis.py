@@ -16,6 +16,8 @@ from .linalg import spectral_radius
 from .problems import FixedPointProblem
 
 ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
+S_FRACTION_MARGIN = 0.05  # a sweep's s_fraction counts factors below rho_{q,x*} minus this
+SWEEP_BINS = 40  # bins of a sweep's sigma_final histograms
 # direction entries per chunk of derivative_norm_samples: the chunk's
 # temporaries stay at tens of MB whatever n and m are
 DERIV_CHUNK_FLOATS = 1 << 18
@@ -77,9 +79,8 @@ class SweepReport:
     inits: np.ndarray  # (n_inits, n)
     estimates: dict    # scheme label -> list[RFactorEstimate | None] per init
     histograms: dict   # scheme label -> (bin_edges, counts)
-    s_fraction: dict   # scheme label -> fraction below rho_{q,x*} - margin
+    s_fraction: dict   # scheme label -> fraction below rho_{q,x*} - S_FRACTION_MARGIN
     rho_fp: Optional[float]
-    margin: float
 
     @property
     def n_inits(self) -> int:
@@ -101,6 +102,19 @@ def sample_inits(box: np.ndarray, n_inits: int, seed: int) -> np.ndarray:
     return box[:, 0] + u * (box[:, 1] - box[:, 0])
 
 
+def bin_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bin_edges, counts): np.histogram(values, bins) for finite values of any spread.
+
+    A spread too narrow for bins + 1 distinct edges is widened by 0.5 on each
+    side, as np.histogram widens zero spread.
+    """
+    lo, hi = (values.min(), values.max()) if values.size else (0.0, 1.0)
+    if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0.0):
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    return edges, counts
+
+
 def monte_carlo_sweep(
     problem: FixedPointProblem,
     schemes: Sequence[AccelConfig],
@@ -108,8 +122,6 @@ def monte_carlo_sweep(
     n_inits: int,
     seed: int,
     tail_window: int = 20,
-    margin: float = 0.05,
-    n_bins: int = 40,
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
@@ -140,18 +152,14 @@ def monte_carlo_sweep(
     s_fraction = {}
     for label, per_init in estimates.items():
         finals = np.array([e.sigma_final for e in per_init if e is not None])
-        if finals.size:
-            counts, edges = np.histogram(finals, bins=n_bins)
-        else:
-            counts, edges = np.zeros(n_bins, dtype=int), np.linspace(0.0, 1.0, n_bins + 1)
-        histograms[label] = (edges, counts)
+        histograms[label] = bin_counts(finals, SWEEP_BINS)
         if rho_fp is not None and finals.size:
-            s_fraction[label] = float(np.mean(finals < rho_fp - margin))
+            s_fraction[label] = float(np.mean(finals < rho_fp - S_FRACTION_MARGIN))
         else:
             s_fraction[label] = float("nan")
     return SweepReport(
         seed=seed, inits=inits, estimates=estimates, histograms=histograms,
-        s_fraction=s_fraction, rho_fp=rho_fp, margin=margin,
+        s_fraction=s_fraction, rho_fp=rho_fp,
     )
 
 
@@ -186,8 +194,7 @@ def derivative_norm_histogram(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(norms, bin_edges, counts) for the derivative-norm histogram."""
     norms = derivative_norm_samples(M, m, n_samples, seed)
-    counts, edges = np.histogram(norms, bins=bins)
-    return norms, edges, counts
+    return (norms, *bin_counts(norms, bins))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,11 @@ import numpy as np
 
 from .accelerators import _aa_update, _q_rows
 from .errors import MissingJacobian, SingularA
-from .linalg import operator_norm_2, stacked_anderson_coefficients
+from .linalg import operator_norm_2, rank_tolerance, stacked_anderson_coefficients
 # anderson_coefficients is unused here but stays bound: perfbench/tracer.py
 # patches augmented.anderson_coefficients by name
 from .linalg import anderson_coefficients  # noqa: F401
 from .problems import FixedPointProblem
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,10 @@ class AugmentedState:
         return self.stacked.reshape(self.m + 1, self.block_dim)
 
     @classmethod
-    def from_blocks(cls, blocks, **fields):
-        """A cls from an (m+1, n) block array, newest first; fields go to cls (unit_norm)."""
+    def from_blocks(cls, blocks):
+        """A cls from an (m+1, n) block array, newest first."""
         blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-        return cls(stacked=blocks.ravel(), block_dim=blocks.shape[1], **fields)
+        return cls(stacked=blocks.ravel(), block_dim=blocks.shape[1])
 
     @staticmethod
     def at_point(x: np.ndarray, m: int) -> "AugmentedState":
@@ -62,16 +60,8 @@ class AugmentedState:
         return AugmentedState.from_blocks(np.tile(x, (m + 1, 1)))
 
 
-@dataclass(frozen=True)
 class Direction(AugmentedState):
     """A perturbation direction in the augmented space."""
-
-    unit_norm: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.unit_norm and abs(np.linalg.norm(self.stacked) - 1.0) > 1e-12:
-            raise ValueError("unit_norm direction must have norm 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -104,8 +94,8 @@ def _block_stack(z) -> tuple[np.ndarray, bool]:
     return blocks, False
 
 
-def _lifted_update(problem: FixedPointProblem, blocks: np.ndarray,
-                   rank_tol_scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _lifted_update(problem: FixedPointProblem,
+                   blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The AA update of every state of a block stack: new newest blocks (S, n), beta (S, m).
 
     Block 0 of a state is its newest iterate, so the history the update reads
@@ -118,29 +108,29 @@ def _lifted_update(problem: FixedPointProblem, blocks: np.ndarray,
     # the update runs as in the batched run loop
     X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
     Qx = _q_rows(problem, X.reshape(-1, n)).reshape(X.shape)
-    x_next, coeffs, _, _ = _aa_update(list(Qx), list(X - Qx), rank_tol_scale)
+    x_next, coeffs, _, _ = _aa_update(list(Qx), list(X - Qx))
     return x_next, coeffs
 
 
-def beta_of_z(problem: FixedPointProblem, z, rank_tol_scale: float = 1.0) -> np.ndarray:
+def beta_of_z(problem: FixedPointProblem, z) -> np.ndarray:
     """Coefficient map beta(z) = -pinv(R(z)) r(z_{m+1}), minimum-norm.
 
     z is one AugmentedState, giving an (m,) array, or an (S, m+1, n) stack of
     state blocks (block 0 newest), giving (S, m).
     """
     blocks, single = _block_stack(z)
-    coeffs = _lifted_update(problem, blocks, rank_tol_scale)[1]
+    coeffs = _lifted_update(problem, blocks)[1]
     return coeffs[0] if single else coeffs
 
 
-def psi_apply(problem: FixedPointProblem, z, rank_tol_scale: float = 1.0):
+def psi_apply(problem: FixedPointProblem, z):
     """One application of the lifted AA(m) map.
 
     z is one AugmentedState, giving an AugmentedState, or an (S, m+1, n) stack
     of state blocks (block 0 newest), giving the (S, m+1, n) stack of images.
     """
     blocks, single = _block_stack(z)
-    x_next = _lifted_update(problem, blocks, rank_tol_scale)[0]
+    x_next = _lifted_update(problem, blocks)[0]
     out = np.concatenate([x_next[:, None], blocks[:, :-1]], axis=1)
     return AugmentedState.from_blocks(out[0]) if single else out
 
@@ -153,7 +143,7 @@ def _check_nonsingular(A: np.ndarray) -> np.ndarray:
     return s
 
 
-def beta_hat(A: np.ndarray, d, rank_tol_scale: float = 1.0) -> np.ndarray:
+def beta_hat(A: np.ndarray, d) -> np.ndarray:
     """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}.
 
     d is one Direction, giving an (m,) array, or an (S, m+1, n) stack of
@@ -162,8 +152,7 @@ def beta_hat(A: np.ndarray, d, rank_tol_scale: float = 1.0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     _check_nonsingular(A)
     blocks, single = _block_stack(d)
-    coeffs, _ = stacked_anderson_coefficients(
-        A @ _stacked_D(blocks), blocks[:, 0] @ A.T, rank_tol_scale=rank_tol_scale)
+    coeffs, _ = stacked_anderson_coefficients(A @ _stacked_D(blocks), blocks[:, 0] @ A.T)
     return coeffs[0] if single else coeffs
 
 
@@ -190,7 +179,7 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     value = np.concatenate([first, blocks[:, :-1].reshape(S, m * n)], axis=1)
 
     sv = np.linalg.svd(D, compute_uv=False)
-    tol = max(n, m) * _EPS * sv[:, 0]
+    tol = rank_tolerance(n, m, sv[:, 0])
     rank_ok = np.count_nonzero(sv > tol[:, None], axis=1) == m
     if single:
         return DirectionalDerivativeResult(value=value[0], beta_hat=bh[0],

@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError("k-max must be >= 1")
         if self.n_samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.bins < 1:
+            raise ConfigError("bins must be >= 1")
         if self.m_values is not None and (  # bool is not an int here
                 not self.m_values or any(type(m) is not int for m in self.m_values)):
             raise ConfigError(
@@ -367,7 +369,7 @@ def main(argv=None) -> int:
         cfg.validate(problem)
         handlers[args.command](cfg, problem, out)
         return EXIT_OK
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: a missing file, a bad --out
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AndersonLabError as exc:

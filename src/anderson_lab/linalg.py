@@ -31,14 +31,25 @@ def _check_finite(name: str, a: np.ndarray) -> None:
         raise NonFinite(f"{name} contains non-finite entries")
 
 
-def min_norm_lstsq(
-    R: np.ndarray, rhs: np.ndarray, rank_tol_scale: float = 1.0
-) -> tuple[np.ndarray, RankInfo]:
+def rank_tolerance(n: int, m: int, sigma_max):
+    """The rank cut-off of an n x m matrix: max(n, m) * eps * sigma_max.
+
+    Singular values at or below it count as zero; when sigma_max = 0 the
+    cut-off is max(n, m) * eps.  sigma_max may be an array (one cut-off per
+    matrix of a stack); a scalar gives a 0-d array.
+    """
+    scale = max(n, m) * _EPS
+    tol = np.asarray(scale * sigma_max)
+    tol[tol == 0.0] = scale
+    return tol
+
+
+def min_norm_lstsq(R: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, RankInfo]:
     """Minimum-norm minimizer of ||R x + rhs||_2.
 
-    Singular values sigma_i <= rank_tol_scale * max(n, m) * eps * sigma_max are
-    treated as zero, so the result is the pseudo-inverse solution -pinv(R) rhs
-    also in the rank-deficient case.
+    Singular values at or below rank_tolerance are treated as zero, so the
+    result is the pseudo-inverse solution -pinv(R) rhs also in the
+    rank-deficient case.
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     rhs = np.asarray(rhs, dtype=float).ravel()
@@ -48,10 +59,7 @@ def min_norm_lstsq(
         raise ValueError(f"shape mismatch: R is {R.shape}, rhs has length {rhs.shape[0]}")
 
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    tol = rank_tol_scale * max(R.shape) * _EPS * smax
-    if tol == 0.0:
-        tol = rank_tol_scale * max(R.shape) * _EPS
+    tol = float(rank_tolerance(*R.shape, s[0] if s.size else 0.0))
     rank = int(np.count_nonzero(s > tol))
     if rank == 0:
         coeffs = np.zeros(R.shape[1])
@@ -81,9 +89,7 @@ def operator_norm_2(M: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def anderson_coefficients(
-    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0
-) -> tuple[np.ndarray, RankInfo]:
+def anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, RankInfo]:
     """Acceleration coefficients beta = -pinv(R) r with the degenerate-step rule.
 
     When every column of R is numerically zero relative to ||r|| the
@@ -99,7 +105,7 @@ def anderson_coefficients(
     m = R.shape[1]
     r_norm = float(np.linalg.norm(r))
     col_max = float(np.max(np.linalg.norm(R, axis=0))) if m else 0.0
-    tol = rank_tol_scale * max(R.shape) * _EPS * r_norm
+    tol = max(R.shape) * _EPS * r_norm
     if m == 0 or col_max <= tol:
         info = RankInfo(
             numerical_rank=0,
@@ -107,19 +113,16 @@ def anderson_coefficients(
             tolerance_used=max(tol, _EPS),
         )
         return np.zeros(m), info
-    return min_norm_lstsq(R, r, rank_tol_scale=rank_tol_scale)
+    return min_norm_lstsq(R, r)
 
 
-def stacked_anderson_coefficients(
-    R: np.ndarray, r: np.ndarray, rank_tol_scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """anderson_coefficients for each slice of a stack, with one stacked SVD.
 
     R has shape (S, n, m) and r shape (S, n).  Returns the (S, m) coefficients
     and the (S,) numerical ranks.  Every slice follows the rules of the 2-D
     function exactly: the relative degenerate-step rule (beta = 0, rank 0),
-    the rank cut-off rank_tol_scale * max(n, m) * eps * sigma_max with its
-    fallback when sigma_max = 0, and the minimum-norm solution beyond it.
+    the rank cut-off of rank_tolerance, and the minimum-norm solution beyond it.
 
     Each slice comes out bit for bit equal to the 2-D function: the products
     are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
@@ -136,19 +139,17 @@ def stacked_anderson_coefficients(
     S, n, m = R.shape
     if m == 0:
         return np.zeros((S, 0)), np.zeros(S, dtype=int)
-    scale = rank_tol_scale * max(n, m) * _EPS
     # column norms as np.linalg.norm(R, axis=1) computes them
     col_max = np.sqrt(np.add.reduce(R * R, axis=1)).max(axis=1)
-    informative = col_max > scale * np.sqrt(np.vecdot(r, r))
+    informative = col_max > max(n, m) * _EPS * np.sqrt(np.vecdot(r, r))
 
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
-    tol = scale * s[:, 0]
-    tol[tol == 0.0] = scale
+    tol = rank_tolerance(n, m, s[:, 0])
     kept = (s > tol[:, None]) & informative[:, None]
     Ur = np.matmul(U.transpose(0, 2, 1), r[..., None])[..., 0]
     w = np.divide(Ur, s, out=np.zeros_like(Ur), where=kept)
     coeffs = np.matmul(-Vt.transpose(0, 2, 1), w[..., None])[..., 0]
     ranks = kept.sum(axis=1)
     for i in np.flatnonzero((ranks > 0) & (ranks < s.shape[1])):
-        coeffs[i] = min_norm_lstsq(R[i], r[i], rank_tol_scale=rank_tol_scale)[0]
+        coeffs[i] = min_norm_lstsq(R[i], r[i])[0]
     return coeffs, ranks

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anderson_lab import accelerators
+from anderson_lab import accelerators, linalg
 from anderson_lab.accelerators import (
     AccelConfig,
     aa_full_window_vs_gmres_check,
@@ -37,8 +37,6 @@ class TestAccelConfig:
             AccelConfig(max_iters=0)
         with pytest.raises(ValueError):
             AccelConfig(stop_tol=-1.0)
-        with pytest.raises(ValueError):
-            AccelConfig(rank_tol_scale=0.0)
         with pytest.raises(ValueError):
             AccelConfig(stop_tol=float("nan"))
         AccelConfig(stop_tol=0.0)  # 0 disables the residual stop
@@ -164,11 +162,15 @@ class TestAaRun:
         for k, beta in enumerate(tr.betas):
             assert beta.beta.shape == (min(k, m),)
 
-    def test_forced_beta_zero_reproduces_fp_bitwise(self):
+    def test_forced_beta_zero_reproduces_fp_bitwise(self, monkeypatch):
+        # a huge eps makes every column of R negligible next to ||r||, so the
+        # degenerate-step rule gives beta = 0 on every step
+        monkeypatch.setattr(linalg, "_EPS", 1e30 * linalg._EPS)
         p = problem_linear_2x2()
         x0 = np.array([0.21, -0.13])
-        cfg = AccelConfig(window_m=2, max_iters=40, stop_tol=0.0, rank_tol_scale=1e30)
+        cfg = AccelConfig(window_m=2, max_iters=40, stop_tol=0.0)
         tr_aa = aa_run(p, x0, cfg)
+        assert all(b.rank == 0 and not np.any(b.beta) for b in tr_aa.betas)
         tr_fp = run_scheme(p, x0, AccelConfig(window_m=0, max_iters=40, stop_tol=0.0))
         assert len(tr_aa) == len(tr_fp)
         for a, b in zip(tr_aa.iterates, tr_fp.iterates):
@@ -185,8 +187,7 @@ class TestAaRun:
         tr_fp = run_scheme(p, x0, replace(cfg, window_m=0, restart=False))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(accelerators, "stacked_anderson_coefficients",
-                       lambda R, r, rank_tol_scale: (np.zeros(R.shape[::2]),
-                                                     np.zeros(len(R), dtype=int)))
+                       lambda R, r: (np.zeros(R.shape[::2]), np.zeros(len(R), dtype=int)))
             tr_aa = run_scheme(p, x0, cfg)
         assert any(b.beta.size for b in tr_aa.betas)
         assert len(tr_aa) == len(tr_fp)
@@ -444,10 +445,11 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("cfg", [
         AccelConfig(window_m=0, max_iters=100),
-        # a huge rank tolerance makes every AA step the FP step, which diverges
-        AccelConfig(window_m=2, max_iters=100, rank_tol_scale=1e30),
+        # under the huge eps below every AA step is the FP step, which diverges
+        AccelConfig(window_m=2, max_iters=100),
     ])
-    def test_diverging_rows_fail_alone(self, cfg):
+    def test_diverging_rows_fail_alone(self, cfg, monkeypatch):
+        monkeypatch.setattr(linalg, "_EPS", 1e30 * linalg._EPS)
         problem = make_affine(AffineSpec(M=np.diag([2.0, 0.5]), b=np.zeros(2)))
         X0 = np.array([[0.0, 1.0], [1e-3, 0.5], [0.0, -0.3], [2.0, 2.0], [0.0, 0.7]])
         batch = run_batch(problem, X0, cfg)

@@ -166,6 +166,24 @@ class TestDerivativeNorms:
         counts2, _ = np.histogram(shuffled, bins=edges)
         assert np.array_equal(counts, counts2)
 
+    @pytest.mark.parametrize("values", [
+        np.array([0.3, 0.9, 0.5, 0.31]),
+        np.full(7, 2.5),
+        np.array([]),
+    ])
+    def test_bin_counts_is_np_histogram_where_that_works(self, values):
+        edges, counts = analysis.bin_counts(values, 10)
+        counts2, edges2 = np.histogram(values, bins=10)
+        assert np.array_equal(edges, edges2) and np.array_equal(counts, counts2)
+
+    def test_bin_counts_takes_a_spread_below_the_bin_resolution(self):
+        values = np.sqrt(2.0) + np.array([0.0, 2.0 ** -52, 2.0 ** -51])
+        with pytest.raises(ValueError):
+            np.histogram(values, bins=60)
+        edges, counts = analysis.bin_counts(values, 60)
+        assert np.all(np.diff(edges) > 0) and counts.sum() == values.size
+        assert edges[0] == values.min() - 0.5 and edges[-1] == values.max() + 0.5
+
     def test_some_norms_exceed_one(self):
         M = problem_linear_2x2().affine.M
         norms = derivative_norm_samples(M, m=1, n_samples=2000, seed=9)

@@ -49,16 +49,11 @@ class TestAugmentedState:
         with pytest.raises(ValueError):
             AugmentedState(stacked=np.arange(2.0), block_dim=2)  # m = 0
 
-    def test_unit_norm_check(self):
-        with pytest.raises(ValueError):
-            Direction(stacked=np.array([1.0, 1.0]), block_dim=1, unit_norm=True)
-        Direction(stacked=np.array([1.0, 0.0]), block_dim=1, unit_norm=True)
-
     def test_from_blocks_builds_its_own_class(self):
-        d = Direction.from_blocks([[0.6], [0.8]], unit_norm=True)
-        assert type(d) is Direction and d.unit_norm and d.block_dim == 1
+        d = Direction.from_blocks([[0.6], [0.8]])
+        assert type(d) is Direction and d.block_dim == 1
         with pytest.raises(ValueError):
-            Direction.from_blocks([[1.0], [1.0]], unit_norm=True)
+            Direction.from_blocks([[1.0]])  # m = 0
         assert type(AugmentedState.from_blocks([[1.0], [0.0]])) is AugmentedState
 
 

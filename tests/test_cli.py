@@ -146,6 +146,20 @@ class TestConfigHandling:
         assert main(["run", "--problem", "nosuch", "--x0", "0",
                      "--out", str(tmp_path)]) == 2
 
+    def test_missing_affine_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--problem", f"affine:{missing}", "--x0", "0,0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["run", "--problem", "linear2x2", "--x0", "0.2,0.1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert out.read_text() == ""
+
     def test_zero_inits(self, tmp_path):
         assert main(["sweep", "--problem", "linear2x2", "--inits", "0",
                      "--out", str(tmp_path)]) == 2
@@ -195,6 +209,8 @@ class TestConfigHandling:
         (["gmres-compare", "--k-max=-3"], "k-max must be >= 1"),
         (["deriv-hist", "--samples", "0"], "samples must be >= 1"),
         (["deriv-hist", "--samples=-4"], "samples must be >= 1"),
+        (["deriv-hist", "--bins", "0"], "bins must be >= 1"),
+        (["deriv-hist", "--bins=-2"], "bins must be >= 1"),
     ])
     def test_count_below_one_is_config_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -314,6 +330,17 @@ class TestDerivHist:
         _, header, rows = _read_csv(out / "derivnorms.csv")
         assert header == ["sample_id", "norm"]
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_window_at_least_dim(self, tmp_path, m):
+        # for m >= n every norm is sqrt(m) up to rounding: a spike, not a spread
+        out = tmp_path / "o"
+        assert main(["deriv-hist", "--problem", "linear2x2", "--m", m, "--samples", "1000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out / "derivnorms.csv")
+        assert len(rows) == 1000
+        np.testing.assert_allclose([float(r[1]) for r in rows], np.sqrt(int(m)), rtol=1e-14)
+        assert (out / "derivnorms.svg").exists()
 
 
 class TestMsweep:

@@ -8,9 +8,28 @@ from anderson_lab.linalg import (
     anderson_coefficients,
     min_norm_lstsq,
     operator_norm_2,
+    rank_tolerance,
     spectral_radius,
     stacked_anderson_coefficients,
 )
+
+EPS = np.finfo(float).eps
+
+
+class TestRankTolerance:
+    def test_scales_with_the_larger_dimension_and_sigma_max(self):
+        assert rank_tolerance(3, 5, 2.0) == (5 * EPS) * 2.0
+        np.testing.assert_array_equal(rank_tolerance(200, 3, np.array([1.0, 0.5, 0.0])),
+                                      [200 * EPS, 100 * EPS, 200 * EPS])
+
+    def test_zero_sigma_max_falls_back_to_the_scale(self):
+        assert rank_tolerance(4, 2, 0.0) == 4 * EPS
+
+    def test_min_norm_lstsq_cuts_at_it(self):
+        s = np.array([1.0, 2.0 * EPS, 3.0 * EPS])  # 2 x 3: the cut-off is 3 eps
+        coeffs, info = min_norm_lstsq(np.diag(s)[:2], np.ones(2))
+        assert info.numerical_rank == 1 and info.tolerance_used == 3 * EPS
+        np.testing.assert_array_equal(coeffs, [-1.0, 0.0, 0.0])
 
 
 class TestMinNormLstsq:
@@ -151,14 +170,13 @@ def _mixed_stack(seed, S, n, m):
 class TestStackedAndersonCoefficients:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 12),
-           n=st.integers(1, 7), m=st.integers(1, 6),
-           rank_tol_scale=st.sampled_from([1.0, 10.0]))
-    def test_matches_2d_solve_per_slice(self, seed, S, n, m, rank_tol_scale):
+           n=st.integers(1, 7), m=st.integers(1, 6))
+    def test_matches_2d_solve_per_slice(self, seed, S, n, m):
         R, r = _mixed_stack(seed, S, n, m)
-        coeffs, ranks = stacked_anderson_coefficients(R, r, rank_tol_scale=rank_tol_scale)
+        coeffs, ranks = stacked_anderson_coefficients(R, r)
         assert coeffs.shape == (S, m) and ranks.shape == (S,)
         for i in range(S):
-            expected, info = anderson_coefficients(R[i], r[i], rank_tol_scale=rank_tol_scale)
+            expected, info = anderson_coefficients(R[i], r[i])
             assert ranks[i] == info.numerical_rank
             # bit for bit, signed zeros included
             np.testing.assert_array_equal(coeffs[i], expected)
