@@ -83,26 +83,6 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _q_rows(problem: FixedPointProblem, X: np.ndarray,
-            errors: Optional[dict] = None) -> np.ndarray:
-    """q on every row of X (B, n): one call on an affine problem, else one per point.
-
-    With an errors dict, a point where q raises AndersonLabError gets a NaN
-    row and its error under its row index; without one, the error propagates.
-    """
-    if problem.affine is not None:
-        return problem.q(X)
-    Qx = np.empty(X.shape)
-    for j, x in enumerate(X):
-        try:
-            Qx[j] = problem.q(x)
-        except AndersonLabError as exc:
-            if errors is None:
-                raise
-            Qx[j], errors[j] = np.nan, exc
-    return Qx
-
-
 def _aa_update(q_hist: list, r_hist: list) -> tuple:
     """One AA update for a batch, from cached q and r histories, oldest first.
 
@@ -141,7 +121,7 @@ def aa_step(problem: FixedPointProblem,
     if not len(history):
         raise ValueError("history must contain at least the current iterate")
     X = np.asarray(history, dtype=float)
-    Qx = _q_rows(problem, X)
+    Qx = problem.q(X)
     Rx = X - Qx
     x_next, coeffs, ranks, R = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
     return x_next[0], _beta_solution(float(_norms(Rx[-1])), Rx[-1], R, coeffs, ranks)
@@ -183,14 +163,16 @@ def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
     return None if x_star is None else float(np.linalg.norm(x_star))
 
 
+@np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
 def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
              steps: Optional[list] = None) -> BatchRun:
     """FP, windowed or restarted AA(m) from every row of X, in lockstep.
 
-    Each step evaluates q once on the running rows and solves all their
-    least-squares problems with one stacked SVD.  The history length depends
-    on the step count alone, so the running rows share it.  Every iterate is
-    recorded, then tested once; a row stops, in this order of priority, when
+    Each step evaluates q once on the running rows (once more on the others
+    when q raised for some of them) and solves all their least-squares
+    problems with one stacked SVD.  The history length depends on the step
+    count alone, so the running rows share it.  Every iterate is recorded,
+    then tested once; a row stops, in this order of priority, when
     it is outside the divergence guard ball (Diverged), when q raised on it
     (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
     residual norm is at most stop_tol (converged).  The other rows go on.
@@ -210,7 +192,16 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
 
     def record(X):
         q_errors = {}  # running-row index -> the error q raised there
-        Qx = _q_rows(problem, X, q_errors)
+        try:
+            Qx = problem.q(X)
+        except AndersonLabError as exc:
+            # the rows of q's mask (every row without one) fail with NaN, and
+            # q runs once more on the others
+            bad = np.full(len(X), True) if exc.rows is None else np.asarray(exc.rows, bool)
+            q_errors = dict.fromkeys(np.flatnonzero(bad).tolist(), exc)
+            Qx = np.full(X.shape, np.nan)
+            if not bad.all():
+                Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
         step_rows.append(rows)
         step_res.append(_norms(Rx))
@@ -417,13 +408,13 @@ def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: Iteratio
     if not (aa_trace.iterates and gmres_trace.iterates):
         raise ValueError("the AA-vs-GMRES check needs traces with their iterates")
     res = gmres_trace.residual_norms
-    dev = 0.0
-    for k in range(min(k_max, len(gmres_trace) - 1, len(aa_trace) - 1)):
+    K = max(0, min(k_max, len(gmres_trace) - 1, len(aa_trace) - 1))
+    for k in range(K):
         if res[k + 1] >= res[k]:
             raise StagnationDetected(
                 f"GMRES residual did not strictly decrease at step {k} "
                 f"({res[k]:.3e} -> {res[k + 1]:.3e})"
             )
-        dev = max(dev, float(np.linalg.norm(
-            aa_trace.iterates[k + 1] - problem.q(gmres_trace.iterates[k]))))
-    return dev
+    dev = _norms(np.asarray(aa_trace.iterates)[1:K + 1]
+                 - problem.q(np.asarray(gmres_trace.iterates)[:K]))
+    return float(dev.max(initial=0.0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accelerators import _aa_update, _q_rows
+from .accelerators import _aa_update
 from .errors import MissingJacobian, SingularA
 from .linalg import operator_norm_2, rank_tolerance, stacked_anderson_coefficients
 # anderson_coefficients is unused here but stays bound: perfbench/tracer.py
@@ -107,7 +107,7 @@ def _lifted_update(problem: FixedPointProblem,
     # (m+1, S, n), oldest block first; contiguous so that every product in
     # the update runs as in the batched run loop
     X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
-    Qx = _q_rows(problem, X.reshape(-1, n)).reshape(X.shape)
+    Qx = problem.q(X)
     x_next, coeffs, _, _ = _aa_update(list(Qx), list(X - Qx))
     return x_next, coeffs
 

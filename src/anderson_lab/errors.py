@@ -5,11 +5,14 @@ class AndersonLabError(Exception):
     """Base class for all package-specific errors.
 
     Carries the partial trace recorded up to the failure, when available.
+    An error raised by q may carry rows, a boolean mask over the leading axes
+    of q's batch marking the points q failed on; without one, every point fails.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, rows=None):
         super().__init__(message)
         self.trace = trace
+        self.rows = rows
 
 
 class NonFinite(AndersonLabError):

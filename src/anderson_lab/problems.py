@@ -41,10 +41,12 @@ class AffineSpec:
 class FixedPointProblem:
     """Evaluator bundle for one fixed-point iteration.
 
-    q must be pure; jacobian, when present, returns the n x n Jacobian of q.
-    affine carries the (M, b) data for problems that are exactly affine, which
-    unlocks the GMRES comparison path; q of such a problem must also map a
-    batch (B, n) of points row by row, as make_affine's q does.
+    q must be pure and map a batch (..., n) of points to (..., n) row by row,
+    each row bitwise equal to q of its point alone; where q is undefined it
+    raises EvalError with rows, the mask of the points it cannot evaluate.
+    jacobian, when present, returns the n x n Jacobian of q at one point.
+    affine carries the (M, b) data for problems that are exactly affine,
+    which unlocks the GMRES comparison path.
     """
 
     dim: int
@@ -70,7 +72,7 @@ def make_affine(spec: AffineSpec, label: str = "affine") -> FixedPointProblem:
     M, b = spec.M, spec.b
 
     def q(x):
-        # one point (n,) or a batch (B, n); each row equals M @ x + b bitwise
+        # a batch (..., n); each row equals M @ x + b bitwise
         return (M @ np.asarray(x, dtype=float)[..., None])[..., 0] + b
 
     return FixedPointProblem(
@@ -94,9 +96,8 @@ def problem_nonlinear_2x2() -> FixedPointProblem:
 
     def q(x):
         x = np.asarray(x, dtype=float)
-        return np.array(
-            [0.5 * (x[0] + x[0] ** 2 + x[1] ** 2), 0.5 * (x[1] + x[0] ** 2)]
-        )
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([0.5 * (x0 + x0 ** 2 + x1 ** 2), 0.5 * (x1 + x0 ** 2)], axis=-1)
 
     def jac(x):
         x = np.asarray(x, dtype=float)
@@ -119,7 +120,7 @@ def problem_linear_200(l2: float, l3: float, l4: float) -> FixedPointProblem:
     ordering is fixed for reproducibility; it does not affect the spectrum.
     """
     for name, lam in (("l2", l2), ("l3", l3), ("l4", l4)):
-        if abs(lam) >= 1.0:
+        if not abs(lam) < 1.0:  # NaN included
             raise ValueError(f"|{name}| must be < 1, got {lam}")
     diag = np.concatenate(
         [[0.9, l2, l3, l4], np.linspace(0.29325, 0.03, 196)]
@@ -137,9 +138,10 @@ def problem_scalar() -> FixedPointProblem:
 
     def q(x):
         x = np.asarray(x, dtype=float)
-        if x[0] == 0.0:
-            raise EvalError("q(x) = 1 + 1/x is undefined at x = 0")
-        return np.array([1.0 + 1.0 / x[0]])
+        zero = x[..., 0] == 0.0
+        if zero.any():
+            raise EvalError("q(x) = 1 + 1/x is undefined at x = 0", rows=zero)
+        return 1.0 + 1.0 / x
 
     def jac(x):
         x = np.asarray(x, dtype=float)

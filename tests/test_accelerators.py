@@ -82,9 +82,10 @@ class TestFpRun:
 
     def test_start_outside_guard_ball_diverges_at_k0(self):
         p = make_affine(AffineSpec(M=[[0.5]], b=[0.0]))
-        with pytest.raises(Diverged) as exc_info:
-            run_scheme(p, np.array([2e12]), AccelConfig(window_m=1))
-        assert len(exc_info.value.trace) == 1
+        for x0 in (2e12, 1e200):  # beyond ~1e154 the squared norm overflows, with no warning
+            with pytest.raises(Diverged) as exc_info:
+                run_scheme(p, np.array([x0]), AccelConfig(window_m=1))
+            assert len(exc_info.value.trace) == 1
 
 
 class TestNonFiniteResidual:
@@ -92,7 +93,7 @@ class TestNonFiniteResidual:
     def _nan_below(threshold):
         # q(x) = x / 2, but NaN once x drops below threshold
         return FixedPointProblem(
-            dim=1, q=lambda x: 0.5 * x + (np.nan if x[0] < threshold else 0.0),
+            dim=1, q=lambda x: 0.5 * x + np.where(x[..., :1] < threshold, np.nan, 0.0),
             known_fixed_point=np.zeros(1))
 
     @pytest.mark.parametrize("cfg", [
@@ -481,6 +482,19 @@ class TestRunBatch:
         assert [len(scalar.residual_norms[i]) for i in (1, 3)] == [1, 2]
         for i, x0 in enumerate(X0):
             _assert_row_matches_single_run(scalar, i, problem_scalar(), x0, cfg)
+
+    def test_error_without_rows_fails_every_running_row(self):
+        # q(x) = x / 2, but an EvalError without a row mask once any x < 0.3
+        def q(x):
+            if np.any(x < 0.3):
+                raise EvalError("below 0.3")
+            return 0.5 * x
+
+        p = FixedPointProblem(dim=1, q=q, known_fixed_point=np.zeros(1))
+        # FP from 0.5 reaches 0.25 at k = 1, which fails the other rows too
+        batch = run_batch(p, np.array([[1.0], [0.5], [100.0]]), AccelConfig(window_m=0))
+        assert [str(f) for f in batch.failures] == ["below 0.3"] * 3
+        assert all(len(r) == 2 and np.isnan(r[-1]) for r in batch.residual_norms)
 
     def test_non_affine_batch_makes_one_solve_per_step(self, monkeypatch):
         solves = []

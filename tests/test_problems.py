@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anderson_lab.augmented import psi_apply
 from anderson_lab.errors import EvalError, SingularA
 from anderson_lab.linalg import spectral_radius
 from anderson_lab.problems import (
@@ -183,8 +186,58 @@ class TestProblemIds:
         p2 = problem_from_id(f"affine:{path}")
         np.testing.assert_allclose(p2.known_fixed_point, [2.0, 4.0], atol=1e-14)
 
+    def test_linear200_rejects_nan_lambda(self):
+        with pytest.raises(ValueError, match=r"^\|l2\| must be < 1, got nan$"):
+            problem_from_id("linear200:nan,0.1,0.1")
+
     def test_affine_json_bad_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"M": [[0.5]]}))
         with pytest.raises(ValueError):
             load_affine_json(str(path))
+
+
+@pytest.fixture(scope="module")
+def affine_id(tmp_path_factory):
+    path = tmp_path_factory.mktemp("affine") / "aff.json"
+    path.write_text(json.dumps({"M": [[0.5, 0.25, 0.0], [0.0, -0.3, 0.1], [0.2, 0.0, 0.4]],
+                                "b": [1.0, -2.0, 0.5]}))
+    return f"affine:{path}"
+
+
+class TestBatchContract:
+    """q maps (..., n) to (..., n) row by row, each row bitwise q of its point."""
+
+    @pytest.mark.parametrize("pid", ["linear2x2", "nonlinear2x2", "scalar", "linear200",
+                                     "linear200:-0.9,0.7,-0.7", "affine"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 6), m=st.integers(0, 3),
+           S=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_batch_equals_each_point(self, pid, affine_id, seed, B, m, S, scale):
+        p = problem_from_id(affine_id if pid == "affine" else pid)
+        rng = np.random.default_rng(seed)
+        for shape in ((B, p.dim), (m + 1, S, p.dim)):
+            X = scale * rng.uniform(-1.0, 1.0, shape)
+            Q = p.q(X)
+            assert Q.shape == X.shape
+            for idx in np.ndindex(shape[:-1]):
+                assert Q[idx].tobytes() == p.q(X[idx]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1,), (5,), (3, 4)]))
+    def test_scalar_error_rows_are_the_zero_rows(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        zero = rng.random(shape) < 0.3
+        zero.flat[0] = True
+        X = np.where(zero, 0.0, rng.uniform(0.5, 2.0, shape))[..., None]
+        message = r"^q\(x\) = 1 \+ 1/x is undefined at x = 0$"
+        with pytest.raises(EvalError, match=message) as exc:
+            problem_scalar().q(X)
+        assert exc.value.rows.shape == shape
+        np.testing.assert_array_equal(exc.value.rows, zero)
+
+    def test_psi_apply_on_scalar_stack_with_zero_block_raises(self):
+        Z = np.full((4, 3, 1), 1.5)
+        Z[2, 1, 0] = 0.0
+        with pytest.raises(EvalError):
+            psi_apply(problem_scalar(), Z)
