@@ -135,6 +135,8 @@ class BatchRun:
     the array of norms of iterations 0, 1, ... of init i.  failures[i] is the
     error that stopped init i, or None; a failed row keeps the norms up to and
     including the iterate that stopped it, like the trace its error carries.
+    iterates[i], when the run kept K iterates, is the (min(K, len), n) array
+    of the first iterates of init i; otherwise iterates is None.
     """
 
     residual_norms: list      # of 1-D arrays
@@ -142,14 +144,17 @@ class BatchRun:
     converged: list           # of bool
     failures: list            # of AndersonLabError or None
     x_star_norm: Optional[float]
+    iterates: Optional[list] = None  # of 2-D arrays
 
     def __len__(self) -> int:
         return len(self.failures)
 
     def trace(self, i: int) -> IterationTrace:
-        """IterationTrace of init i with its norms, sigma_k and error ratios."""
+        """IterationTrace of init i with its norms, sigma_k, error ratios and kept iterates."""
         tr = IterationTrace(residual_norms=self.residual_norms[i].tolist(),
                             x_star_norm=self.x_star_norm, converged=self.converged[i])
+        if self.iterates is not None:
+            tr.iterates = list(self.iterates[i])
         if self.error_norms is not None:
             errs = tr.error_norms = self.error_norms[i].tolist()
             nan = float("nan")
@@ -165,7 +170,7 @@ def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
 def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
-             steps: Optional[list] = None) -> BatchRun:
+             keep: int = 0, betas: Optional[list] = None) -> BatchRun:
     """FP, windowed or restarted AA(m) from every row of X, in lockstep.
 
     Each step evaluates q once on the running rows (once more on the others
@@ -177,8 +182,9 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
     residual norm is at most stop_tol (converged).  The other rows go on.
 
-    When steps is a list, it receives (x_{k+1}, BetaSolution) for each step of
-    a single-row X.
+    The first keep iterates of each row are kept (BatchRun.iterates).  When
+    betas is a list, it receives the BetaSolution of each step of a
+    single-row X.
     """
     B = X.shape[0]
     m = cfg.window_m
@@ -188,7 +194,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     converged = np.zeros(B, dtype=bool)
     failures = [None] * B
     rows = np.arange(B)  # batch index of each running row
-    step_rows, step_res, step_err = [], [], []
+    step_rows, step_res, step_err, step_x = [], [], [], []
 
     def record(X):
         q_errors = {}  # running-row index -> the error q raised there
@@ -204,6 +210,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
         step_rows.append(rows)
+        if len(step_x) < keep:
+            step_x.append(X)
         step_res.append(_norms(Rx))
         if x_star is not None:
             step_err.append(_norms(x_star - X))
@@ -226,17 +234,17 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                     else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
             done = rn <= cfg.stop_tol
             converged[rows[done & ~failed]] = True
-            keep = ~(failed | done)
-            rows = rows[keep]
-            q_hist = [a[keep] for a in q_hist]
-            r_hist = [a[keep] for a in r_hist]
+            going = ~(failed | done)
+            rows = rows[going]
+            q_hist = [a[going] for a in q_hist]
+            r_hist = [a[going] for a in r_hist]
         if k == cfg.max_iters or not rows.size:
             break
 
         # every residual in the history has a finite norm, so R is finite
         X, coeffs, ranks, R = _aa_update(q_hist, r_hist)
-        if steps is not None:
-            steps.append((X[0], _beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks)))
+        if betas is not None:
+            betas.append(_beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks))
         Qx, Rx, rn, xn, q_errors = record(X)
 
         if R is not None:  # a windowed step
@@ -253,30 +261,37 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 r_hist.pop(0)
 
     # a row leaves the batch for good, so its steps are a prefix of all steps:
-    # sorting the step-major records by row (stably) lines up each row's norms
-    ids = np.concatenate(step_rows)
-    order = np.argsort(ids, kind="stable")
-    ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
+    # sorting the step-major records of the first n_steps steps by row (stably)
+    # lines up each row's records
+    def by_row(n_steps):
+        ids = np.concatenate(step_rows[:n_steps])
+        order = np.argsort(ids, kind="stable")
+        ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
+        return lambda values: np.split(np.concatenate(values)[order], ends)
 
-    def per_row(values):
-        return np.split(np.concatenate(values)[order], ends)
-
+    per_row = by_row(len(step_rows))
     return BatchRun(
         residual_norms=per_row(step_res),
         error_norms=per_row(step_err) if x_star is not None else None,
-        converged=converged.tolist(), failures=failures, x_star_norm=_x_star_norm(problem))
+        converged=converged.tolist(), failures=failures, x_star_norm=_x_star_norm(problem),
+        iterates=by_row(len(step_x))(step_x) if keep else None)
 
 
-def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig) -> BatchRun:
-    """run_scheme from every row of X0 (B, n), without iterates or coefficients.
+def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
+              keep: int = 0) -> BatchRun:
+    """run_scheme from every row of X0 (B, n), without coefficients.
 
     Every problem runs as one batch; an error in q (EvalError) fails only the
     row it was raised on.  Every row equals its single-init run bit for bit.
+    Each row keeps its first keep iterates (BatchRun.iterates); keep = 0
+    keeps none.
     """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
         raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
-    return _iterate(problem, X, cfg)
+    if keep < 0:
+        raise ValueError("keep must be >= 0")
+    return _iterate(problem, X, cfg, keep)
 
 
 def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -293,11 +308,10 @@ def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> 
     x = np.asarray(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
-    steps = []
-    run = _iterate(problem, x[None], cfg, steps)
+    betas = []
+    run = _iterate(problem, x[None], cfg, cfg.max_iters + 1, betas)
     tr = run.trace(0)
-    tr.iterates = [x] + [x_next for x_next, _ in steps]
-    tr.betas = [beta for _, beta in steps]
+    tr.betas = betas
     if run.failures[0] is not None:
         run.failures[0].trace = tr
         raise run.failures[0]
@@ -309,13 +323,16 @@ def aa_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> Iter
     return run_scheme(problem, x0, replace(cfg, restart=False))
 
 
+@np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the guard or stop test fails
 def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
     """Full-memory dense GMRES on (I - M) x = b of an affine problem, tracing the iterates.
 
     Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
     least-squares problem; the iterate is reconstructed every step so the
-    trace lines up with the other schemes.  Raises NonFinite, with the trace
-    up to and including the offending row, when a residual norm is NaN or Inf.
+    trace lines up with the other schemes.  Each recorded iterate is tested
+    as in the run loop: Diverged when it is outside the divergence guard
+    ball, else NonFinite when its residual norm is NaN or Inf.  Either error
+    carries the trace up to and including the offending row.
     """
     if problem.affine is None:
         raise ValueError("gmres requires an affine problem")
@@ -337,6 +354,8 @@ def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> I
     def record(x, r_norm):
         iterates.append(x)
         res.append(r_norm)
+        if _norms(x) > DIVERGENCE_GUARD:
+            raise Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}", trace=trace(False))
         if not r_norm < np.inf:  # NaN included
             raise NonFinite(f"residual norm is {r_norm} at k = {len(res) - 1}",
                             trace=trace(False))

@@ -12,15 +12,12 @@ import numpy as np
 from .accelerators import AccelConfig, IterationTrace, run_batch, run_scheme  # noqa: F401
 from .augmented import directional_derivative
 from .errors import AndersonLabError, InsufficientData
-from .linalg import spectral_radius
+from .linalg import chunk_rows, spectral_radius
 from .problems import FixedPointProblem
 
 ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
 S_FRACTION_MARGIN = 0.05  # a sweep's s_fraction counts factors below rho_{q,x*} minus this
 SWEEP_BINS = 40  # bins of a sweep's sigma_final histograms
-# direction entries per chunk of derivative_norm_samples: the chunk's
-# temporaries stay at tens of MB whatever n and m are
-DERIV_CHUNK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -173,13 +170,13 @@ def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) ->
     values above it.
 
     Directions are drawn and differentiated in chunks of at most
-    DERIV_CHUNK_FLOATS direction entries.  The draws come from one generator
+    linalg.CHUNK_FLOATS direction entries.  The draws come from one generator
     in sample order, so sample i is the same for every n_samples.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
     rng = np.random.default_rng(seed)
-    chunk = max(1, DERIV_CHUNK_FLOATS // ((m + 1) * n))
+    chunk = chunk_rows((m + 1) * n)
     norms = np.empty(n_samples)
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)

@@ -19,9 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, plots
-from .accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run, gmres_run,
-                           run_batch, run_scheme)
+# aa_run is unused here but stays bound: perfbench/tracer.py patches cli.aa_run by name
+from .accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,  # noqa: F401
+                           gmres_run, run_batch, run_scheme)
 from .errors import AndersonLabError, StagnationDetected
+from .linalg import chunk_rows
 from .problems import FixedPointProblem, problem_from_id
 
 EXIT_OK = 0
@@ -285,16 +287,23 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
                               stop_tol=cfg.stop_tol)
     windowed = cfg.accel()
     windowed_label = analysis.scheme_label(windowed)
-    # the windowed runs go as one batch; AA(inf) and GMRES run once per init, for
-    # its traces and its deviation.  An init whose runs do not all finish writes
-    # no rows; the first such init's error is raised after the writes.
+    # the windowed runs go as one batch; AA(inf) runs in chunks of inits, each
+    # row keeping the k_max + 1 iterates the check reads, and GMRES once per
+    # init.  An init whose runs do not all finish writes no rows; the first
+    # such init's error is raised after the writes.
     batch = run_batch(problem, inits, windowed)
+    # an AA(inf) row holds its q and r histories, R, Q and the SVD's U
+    chunk = chunk_rows(5 * problem.dim * (cfg.max_iters + 1))
     first_failure = None
     for i, x0 in enumerate(inits):
+        j = i % chunk
+        if not j:  # the next chunk's AA(inf) runs replace the last chunk's
+            aa_batch = run_batch(problem, inits[i:i + chunk], full_window, keep=cfg.k_max + 1)
         try:
-            if batch.failures[i] is not None:
-                raise batch.failures[i]
-            aa_inf = aa_run(problem, x0, full_window)
+            failure = batch.failures[i] or aa_batch.failures[j]
+            if failure is not None:
+                raise failure
+            aa_inf = aa_batch.trace(j)
             gmres = gmres_run(problem, x0, full_window)
             try:
                 dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)

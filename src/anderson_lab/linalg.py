@@ -15,6 +15,14 @@ import numpy as np
 from .errors import NonConvergence, NonFinite
 
 _EPS = np.finfo(float).eps
+# floats per chunk of a stacked computation (derivative samples, lifted-map
+# states, AA(inf) runs): a chunk's temporaries stay at tens of MB whatever n and m are
+CHUNK_FLOATS = 1 << 18
+
+
+def chunk_rows(floats_per_row: int) -> int:
+    """Rows per chunk of a stack whose rows each hold floats_per_row floats; at least 1."""
+    return max(1, CHUNK_FLOATS // floats_per_row)
 
 
 @dataclass(frozen=True)

@@ -315,14 +315,24 @@ class TestGmres:
         for k in range(1, len(res)):
             assert res[k] <= res[k - 1] * (1 + 1e-12) + 1e-14 * res[0]
 
-    @pytest.mark.parametrize("x0", [[np.nan, 0.1], [1e200, 1e200]])
-    def test_non_finite_residual_raises_with_partial_trace(self, x0):
-        # the second start overflows the residual norm to Inf
-        with pytest.raises(NonFinite) as exc_info, np.errstate(over="ignore"):
+    @pytest.mark.parametrize("x0, error", [([np.nan, 0.1], NonFinite),
+                                           ([1e200, 1e200], Diverged)])
+    def test_failure_at_start_raises_with_partial_trace(self, x0, error):
+        # the second start is outside the divergence guard ball, as FP and AA
+        # report it, and its residual norm overflows to Inf without a warning
+        with pytest.raises(error) as exc_info:
             gmres_run(problem_linear_2x2(), np.array(x0), AccelConfig(max_iters=10))
         tr = exc_info.value.trace
-        assert len(tr) == 1
+        assert len(tr) == 1 and len(tr.iterates) == 1
         assert not np.isfinite(tr.residual_norms[0])
+
+    def test_divergence_guard_is_tested_on_every_iterate(self):
+        # at n = 1 the first GMRES step jumps from x0 = 0 to x* = 2e13
+        p = make_affine(AffineSpec(M=[[0.5]], b=[1e13]))
+        with pytest.raises(Diverged, match="exceeded 1e\\+12") as exc_info:
+            gmres_run(p, np.zeros(1), AccelConfig(max_iters=10))
+        tr = exc_info.value.trace
+        assert len(tr) == 2 and abs(tr.iterates[-1][0]) > 1e12
 
     def test_requires_affine_problem(self):
         with pytest.raises(ValueError):
@@ -443,6 +453,37 @@ class TestRunBatch:
         assert len(batch) == B
         for i in range(B):
             _assert_row_matches_single_run(batch, i, problem, X0[i], cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
+           m=st.integers(0, 4), restart=st.booleans(), B=st.integers(1, 8),
+           keep=st.integers(1, 45), nan_below=st.sampled_from([None, -0.5]))
+    def test_kept_iterates_equal_single_runs_bitwise(self, seed, n, m, restart, B, keep,
+                                                     nan_below):
+        spec, rng = _random_contraction(seed, n)
+        problem = make_affine(spec)
+        if nan_below is not None:  # rows that reach x_1 < nan_below fail with NonFinite
+            affine = problem
+            problem = replace(affine, q=lambda x: np.where(
+                np.asarray(x)[..., :1] < nan_below, np.nan, affine.q(x)))
+        X0 = rng.uniform(-1.0, 1.0, (B, n))
+        X0[rng.random(B) < 0.25] *= 1e13  # rows that start outside the guard: Diverged
+        cfg = AccelConfig(window_m=m, restart=restart and m >= 1, max_iters=40)
+        batch = run_batch(problem, X0, cfg, keep=keep)
+        assert run_batch(problem, X0, cfg).iterates is None
+        for i in range(B):
+            try:
+                tr = run_scheme(problem, X0[i], cfg)
+            except AndersonLabError as exc:
+                tr = exc.trace
+            expected = np.array(tr.iterates[:keep])
+            assert batch.iterates[i].shape == expected.shape
+            assert batch.iterates[i].tobytes() == expected.tobytes()
+            assert np.array_equal(batch.trace(i).iterates, expected)
+
+    def test_keep_must_not_be_negative(self):
+        with pytest.raises(ValueError):
+            run_batch(problem_linear_2x2(), np.zeros((1, 2)), AccelConfig(), keep=-1)
 
     @pytest.mark.parametrize("cfg", [
         AccelConfig(window_m=0, max_iters=100),

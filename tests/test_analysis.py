@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anderson_lab import analysis
+from anderson_lab import analysis, linalg
 from anderson_lab.accelerators import AccelConfig, IterationTrace, run_scheme
 from anderson_lab.analysis import (
     derivative_norm_histogram,
@@ -217,7 +217,7 @@ class TestDerivativeNorms:
     def test_prefix_bitwise_across_chunk_boundary(self, n, m):
         rng = np.random.default_rng(5)
         M = 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
-        chunk = analysis.DERIV_CHUNK_FLOATS // ((m + 1) * n)
+        chunk = linalg.CHUNK_FLOATS // ((m + 1) * n)
         full = derivative_norm_samples(M, m, chunk + 3, seed=4)
         for k in (1, 2, chunk - 1, chunk, chunk + 1):
             assert np.array_equal(full[:k], derivative_norm_samples(M, m, k, seed=4))

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from anderson_lab import linalg
 from anderson_lab.accelerators import AccelConfig, aa_run, aa_step
 from anderson_lab.augmented import (
     AugmentedState,
@@ -174,6 +177,21 @@ class TestLiftedMapProperties:
         psi, beta = psi_apply(p, Z), beta_of_z(p, Z)
         assert psi.shape == Z.shape and beta.shape == (S, m)
         for i in range(S):
+            z = AugmentedState.from_blocks(Z[i])
+            assert psi[i].tobytes() == psi_apply(p, z).blocks().tobytes()
+            assert beta[i].tobytes() == beta_of_z(p, z).tobytes()
+
+    @pytest.mark.parametrize("n, m, affine", [(2, 1, True), (2, 3, False), (200, 2, True)])
+    def test_stack_beyond_one_chunk_equals_single_states(self, monkeypatch, n, m, affine):
+        # a budget of 3 states per chunk splits 10 states into 3 + 3 + 3 + 1
+        p = _lifted_map_problem(5, n, affine)
+        Z = p.known_fixed_point + 0.1 * np.random.default_rng(6).standard_normal((10, m + 1, n))
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * (m + 1) * n * 3)
+        chunks = []
+        counted = replace(p, q=lambda x: chunks.append(x.shape[1]) or p.q(x))
+        psi, beta = psi_apply(counted, Z), beta_of_z(p, Z)
+        assert chunks == [3, 3, 3, 1]
+        for i in range(len(Z)):
             z = AugmentedState.from_blocks(Z[i])
             assert psi[i].tobytes() == psi_apply(p, z).blocks().tobytes()
             assert beta[i].tobytes() == beta_of_z(p, z).tobytes()

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import anderson_lab
-from anderson_lab import accelerators, cli
+from anderson_lab import accelerators, cli, linalg
 from anderson_lab.accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,
-                                       gmres_run, run_scheme)
+                                       gmres_run, run_batch, run_scheme)
 from anderson_lab.analysis import sample_inits
 from anderson_lab.cli import ExperimentConfig, main
 from anderson_lab.errors import NonFinite, StagnationDetected
@@ -126,6 +126,18 @@ class TestRun:
         _, header, rows = _read_csv(out / "trace.csv")
         assert len(rows) == 1
         assert rows[0][header.index("resid_norm")] == ""  # NaN is written blank
+
+    def test_far_start_diverges_alike_in_every_scheme(self, tmp_path, capsys):
+        # a start beyond ~1e154 overflows the norms; a warning would fail the test
+        for scheme in ("fp", "aa", "gmres"):
+            out = tmp_path / scheme
+            rc = main(["run", "--problem", "linear2x2", "--scheme", scheme,
+                       "--x0=1e300,1e300", "--out", str(out)])
+            assert rc == 3
+            assert capsys.readouterr().err == "numerical failure: ||x_k|| exceeded 1e+12\n"
+            _, header, rows = _read_csv(out / "trace.csv")
+            assert len(rows) == 1
+            assert rows[0][header.index("resid_norm")] == "inf"
 
     def test_non_finite_affine_file_is_config_error(self, tmp_path):
         for doc in ({"M": [[0.5]], "b": [float("nan")]},
@@ -421,7 +433,8 @@ class TestGmresCompare:
         assert _read_csv(out / "gmres_compare_deviation.csv")[2] == expected_dev
 
     def test_one_gmres_and_one_aa_run_per_init(self, tmp_path, monkeypatch):
-        # every name the command or the check could reach the solvers by is counted
+        # every name the command or the check could reach the solvers by is
+        # counted; the AA(inf) runs are the rows of full-window batches
         calls = {"aa_run": 0, "gmres_run": 0}
         for name in calls:
             def counted(*args, _name=name, _run=getattr(accelerators, name)):
@@ -429,10 +442,37 @@ class TestGmresCompare:
                 return _run(*args)
             for module in (cli, accelerators):
                 monkeypatch.setattr(module, name, counted)
+        full_window_rows = []
+
+        def batched(problem, X0, cfg, **kwargs):
+            if cfg.window_m == 60:
+                full_window_rows.extend(map(tuple, X0))
+            return run_batch(problem, X0, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", batched)
         assert main(["gmres-compare", "--problem", "linear200", "--m", "1", "--inits", "5",
                      "--seed", "3", "--k-max", "10", "--iters", "60",
                      "--out", str(tmp_path / "o")]) == 0
-        assert calls == {"aa_run": 5, "gmres_run": 5}
+        assert calls == {"aa_run": 0, "gmres_run": 5}
+        inits = sample_inits(np.tile([-0.25, 0.25], (200, 1)), 5, 3)
+        assert sorted(full_window_rows) == sorted(map(tuple, inits))
+
+    @pytest.mark.parametrize("problem_id, iters, n_inits", [("linear200", 60, 7),
+                                                          ("linear2x2", 20, 7)])
+    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch,
+                                                    problem_id, iters, n_inits):
+        # AA(inf) chunks of 1 row, of 3 rows (a ragged last chunk) and of all rows
+        n = problem_from_id(problem_id).dim
+        outputs = []
+        for rows in (1, 3, n_inits):
+            monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * n * (iters + 1) * rows)
+            out = tmp_path / str(rows)
+            assert main(["gmres-compare", "--problem", problem_id, "--m", "1",
+                         "--inits", str(n_inits), "--seed", "11", "--k-max", "10",
+                         "--iters", str(iters), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("gmres_compare_traces.csv", "gmres_compare_deviation.csv")])
+        assert outputs[1:] == outputs[:1] * 2
 
     def test_first_failing_init_is_reported(self, tmp_path, monkeypatch, capsys):
         # q is NaN below x_1 = -0.0075: of these 6 inits, init 4 fails in AA(1)
