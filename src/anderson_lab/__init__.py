@@ -21,7 +21,6 @@ from .analysis import (
     MSweepRow,
     RFactorEstimate,
     SweepReport,
-    derivative_norm_histogram,
     derivative_norm_samples,
     estimate_r_factor,
     m_sweep,

@@ -11,6 +11,7 @@ single run is its batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,22 +61,38 @@ class IterationTrace:
     """Per-iteration record of one run.
 
     betas[k] is the coefficient solution used to produce iterates[k + 1]; the
-    list is one shorter than the iterate list.  sigma_k[0] and error_ratios[0]
-    are NaN by convention.  Traces of a batch run (BatchRun.trace) hold the
-    norms only, with empty iterates and betas.
+    list is one shorter than the iterate list.  sigma_k and error_ratios are
+    derived from error_norms on first read (None without them), NaN at k = 0
+    by convention.  Traces of a batch run (BatchRun.trace) have no betas, and
+    iterates only when the run kept them.
     """
 
     iterates: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     error_norms: Optional[list] = None
-    sigma_k: Optional[list] = None
-    error_ratios: Optional[list] = None
     betas: list = field(default_factory=list)
     x_star_norm: Optional[float] = None
     converged: bool = False
 
     def __len__(self) -> int:
         return len(self.residual_norms)
+
+    @cached_property
+    def sigma_k(self) -> Optional[list]:
+        """sigma_k = ||x_k - x*||^(1/k), the root-averaged error."""
+        if self.error_norms is None:
+            return None
+        errs = np.asarray(self.error_norms, dtype=float).tolist()
+        return [e ** (1.0 / k) if k else float("nan") for k, e in enumerate(errs)]
+
+    @cached_property
+    def error_ratios(self) -> Optional[list]:
+        """||x_k - x*|| / ||x_{k-1} - x*||, NaN where the previous error is 0."""
+        if self.error_norms is None:
+            return None
+        errs = np.asarray(self.error_norms, dtype=float).tolist()
+        nan = float("nan")
+        return [e / p if p > 0.0 else nan for p, e in zip([nan, *errs], errs)]
 
 
 def _norms(V: np.ndarray) -> np.ndarray:
@@ -150,17 +167,12 @@ class BatchRun:
         return len(self.failures)
 
     def trace(self, i: int) -> IterationTrace:
-        """IterationTrace of init i with its norms, sigma_k, error ratios and kept iterates."""
-        tr = IterationTrace(residual_norms=self.residual_norms[i].tolist(),
-                            x_star_norm=self.x_star_norm, converged=self.converged[i])
-        if self.iterates is not None:
-            tr.iterates = list(self.iterates[i])
-        if self.error_norms is not None:
-            errs = tr.error_norms = self.error_norms[i].tolist()
-            nan = float("nan")
-            tr.sigma_k = [e ** (1.0 / k) if k else nan for k, e in enumerate(errs)]
-            tr.error_ratios = [e / p if p > 0.0 else nan for p, e in zip([nan] + errs, errs)]
-        return tr
+        """IterationTrace of init i with its norms and kept iterates."""
+        return IterationTrace(
+            iterates=[] if self.iterates is None else list(self.iterates[i]),
+            residual_norms=self.residual_norms[i].tolist(),
+            error_norms=None if self.error_norms is None else self.error_norms[i].tolist(),
+            x_star_norm=self.x_star_norm, converged=self.converged[i])
 
 
 def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
@@ -344,12 +356,9 @@ def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> I
     iterates, res = [], []
 
     def trace(converged: bool) -> IterationTrace:
-        # the run is a batch of one, so its sigma_k and error ratios are BatchRun's
-        errs = (None if x_star is None
-                else [np.array([np.linalg.norm(x_star - x) for x in iterates])])
-        tr = BatchRun([np.array(res)], errs, [converged], [None], _x_star_norm(problem)).trace(0)
-        tr.iterates = iterates
-        return tr
+        errs = None if x_star is None else [float(np.linalg.norm(x_star - x)) for x in iterates]
+        return IterationTrace(iterates=iterates, residual_norms=res, error_norms=errs,
+                              x_star_norm=_x_star_norm(problem), converged=converged)
 
     def record(x, r_norm):
         iterates.append(x)

@@ -18,6 +18,8 @@ from .problems import FixedPointProblem
 ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
 S_FRACTION_MARGIN = 0.05  # a sweep's s_fraction counts factors below rho_{q,x*} minus this
 SWEEP_BINS = 40  # bins of a sweep's sigma_final histograms
+TAIL_WINDOW = 20  # usable iterations over which sigma_tail_max is taken
+DERIV_BINS = 60  # bins of the derivative-norm histogram
 
 
 @dataclass(frozen=True)
@@ -37,16 +39,14 @@ def scheme_label(cfg: AccelConfig) -> str:
     return f"{kind}({cfg.window_m})"
 
 
-def estimate_r_factor(trace: IterationTrace, tail_window: int = 20) -> RFactorEstimate:
-    """Estimate the r-linear factor from the recorded sigma_k sequence.
+def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
+    """Estimate the r-linear factor from the trace's sigma_k sequence.
 
     sigma_final is sigma at the last usable iteration; sigma_tail_max is the
-    max over the final tail_window usable iterations, a limsup proxy robust to
+    max over the final TAIL_WINDOW usable iterations, a limsup proxy robust to
     the oscillation of sigma_k.  Iterations whose error is below the rounding
     floor 1e-14 * (1 + ||x*||) are excluded.
     """
-    if tail_window < 1:
-        raise ValueError("tail_window must be >= 1")
     if trace.error_norms is None:
         raise InsufficientData("trace has no error norms (fixed point unknown)")
     floor = ERROR_FLOOR_SCALE * (1.0 + (trace.x_star_norm or 0.0))
@@ -54,12 +54,11 @@ def estimate_r_factor(trace: IterationTrace, tail_window: int = 20) -> RFactorEs
               if trace.error_norms[k] > floor]
     if not usable:
         raise InsufficientData("no usable iterations above the rounding floor")
+    sigma = trace.sigma_k
     k_last = usable[-1]
-    sigma_final = trace.sigma_k[k_last]
-    tail = usable[-tail_window:]
-    sigma_tail_max = max(trace.sigma_k[k] for k in tail)
-    cauchy = len(usable) >= 2 and abs(
-        trace.sigma_k[usable[-1]] - trace.sigma_k[usable[-2]]) <= 1e-3
+    sigma_final = sigma[k_last]
+    sigma_tail_max = max(sigma[k] for k in usable[-TAIL_WINDOW:])
+    cauchy = len(usable) >= 2 and abs(sigma[usable[-1]] - sigma[usable[-2]]) <= 1e-3
     return RFactorEstimate(
         sigma_final=float(sigma_final),
         sigma_tail_max=float(sigma_tail_max),
@@ -118,7 +117,6 @@ def monte_carlo_sweep(
     box: np.ndarray,
     n_inits: int,
     seed: int,
-    tail_window: int = 20,
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
@@ -139,7 +137,7 @@ def monte_carlo_sweep(
             est = None
             if failure is None:
                 try:
-                    est = estimate_r_factor(run.trace(i), tail_window=tail_window)
+                    est = estimate_r_factor(run.trace(i))
                 except AndersonLabError:
                     pass
             per_init.append(est)
@@ -186,14 +184,6 @@ def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) ->
     return norms
 
 
-def derivative_norm_histogram(
-    M: np.ndarray, m: int, n_samples: int, seed: int, bins: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, bin_edges, counts) for the derivative-norm histogram."""
-    norms = derivative_norm_samples(M, m, n_samples, seed)
-    return (norms, *bin_counts(norms, bins))
-
-
 @dataclass(frozen=True)
 class MSweepRow:
     m: int
@@ -209,7 +199,6 @@ def m_sweep(
     box: np.ndarray | None = None,
     max_iters: int = 100,
     stop_tol: float = 1e-12,
-    tail_window: int = 20,
 ) -> list[MSweepRow]:
     """Worst-case sigma_final per (m, windowed/restarted) over random inits.
 
@@ -219,8 +208,7 @@ def m_sweep(
         box = np.tile([-1.0, 1.0], (problem.dim, 1))
     cfgs = [AccelConfig(window_m=m, restart=restart, max_iters=max_iters, stop_tol=stop_tol)
             for m in m_values for restart in (False, True)]
-    report = monte_carlo_sweep(problem, list(dict.fromkeys(cfgs)), box, n_inits, seed,
-                               tail_window=tail_window)
+    report = monte_carlo_sweep(problem, list(dict.fromkeys(cfgs)), box, n_inits, seed)
     rows = []
     for cfg in cfgs:
         finals = [e.sigma_final for e in report.estimates[scheme_label(cfg)] if e is not None]

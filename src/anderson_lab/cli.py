@@ -51,8 +51,6 @@ class ExperimentConfig:
     x0: list | None = None
     n_samples: int = 100000
     m_values: list | None = None
-    bins: int = 60
-    tail_window: int = 20
     k_max: int = 10
 
     def validate(self, problem: FixedPointProblem) -> None:
@@ -66,21 +64,21 @@ class ExperimentConfig:
             raise ConfigError("tol must be positive")
         if self.n_inits < 1:
             raise ConfigError("inits must be >= 1")
-        if self.tail_window < 1:
-            raise ConfigError("tail-window must be >= 1")
         if self.k_max < 1:
             raise ConfigError("k-max must be >= 1")
         if self.n_samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.bins < 1:
-            raise ConfigError("bins must be >= 1")
         if self.m_values is not None and (  # bool is not an int here
                 not self.m_values or any(type(m) is not int for m in self.m_values)):
             raise ConfigError(
                 f"m-values must be a non-empty list of integers, got {self.m_values!r}")
+        if min(self.m_values or [1]) < 1:
+            raise ConfigError("m-values must be >= 1")
         if self.x0 is not None and len(self.x0) != problem.dim:
             raise ConfigError(f"x0 must have {problem.dim} components")
         box = self.box_array(problem.dim)
+        if not np.all(np.isfinite(box)):
+            raise ConfigError("box bounds must be finite")
         if np.any(box[:, 1] < box[:, 0]):
             raise ConfigError("box upper bounds must be >= lower bounds")
 
@@ -218,8 +216,7 @@ def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> N
     # sweeps pair the accelerated scheme with the FP baseline
     schemes = [base] if base.window_m == 0 else [replace(base, window_m=0, restart=False), base]
     report = analysis.monte_carlo_sweep(
-        problem, schemes, cfg.box_array(problem.dim),
-        cfg.n_inits, cfg.seed, tail_window=cfg.tail_window)
+        problem, schemes, cfg.box_array(problem.dim), cfg.n_inits, cfg.seed)
 
     n = problem.dim
     coord_cols = [f"x0_{i}" for i in range(n)] if n <= 4 else ["init_hash"]
@@ -253,10 +250,11 @@ def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> N
 def cmd_deriv_hist(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
     if problem.known_fixed_point is None or problem.jacobian is None:
         raise ConfigError("deriv-hist needs a problem with known x* and jacobian")
+    if cfg.window_m < 1:
+        raise ConfigError("deriv-hist needs m >= 1")
     M = problem.jacobian(problem.known_fixed_point)
-    m = max(cfg.window_m, 1)
-    norms, edges, counts = analysis.derivative_norm_histogram(
-        M, m, cfg.n_samples, cfg.seed, bins=cfg.bins)
+    norms = analysis.derivative_norm_samples(M, cfg.window_m, cfg.n_samples, cfg.seed)
+    edges, counts = analysis.bin_counts(norms, analysis.DERIV_BINS)
     _write_csv(out / "derivnorms.csv", "derivnorms", ["sample_id", "norm"],
                ([i, float(v)] for i, v in enumerate(norms)))
     (out / "derivnorms.svg").write_text(
@@ -269,8 +267,7 @@ def cmd_msweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> 
     m_values = cfg.m_values or [1, 2, 3, 4, 5, 6]
     box = cfg.box_array(problem.dim) if cfg.init_box is not None else None
     rows = analysis.m_sweep(problem, m_values, cfg.n_inits, cfg.seed, box=box,
-                            max_iters=cfg.max_iters, stop_tol=cfg.stop_tol,
-                            tail_window=cfg.tail_window)
+                            max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
     _write_csv(out / "msweep.csv", "msweep", ["m", "scheme", "worst_sigma"],
                ([r.m, r.scheme, r.worst_sigma] for r in rows))
 
@@ -350,13 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single-trajectory trace")
     p_run.add_argument("--x0", help="comma-separated initial point")
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over random inits")
-    p_sweep.add_argument("--tail-window", dest="tail_window", type=int)
     p_dh = sub.add_parser("deriv-hist", help="directional-derivative norm histogram")
     p_dh.add_argument("--samples", dest="n_samples", type=int, help="number of unit directions")
-    p_dh.add_argument("--bins", type=int)
     p_ms = sub.add_parser("msweep", help="worst-case sigma vs window size")
     p_ms.add_argument("--m-values", dest="m_values", help="comma-separated window sizes")
-    p_ms.add_argument("--tail-window", dest="tail_window", type=int)
     p_gc = sub.add_parser("gmres-compare", help="AA vs GMRES comparison")
     p_gc.add_argument("--k-max", dest="k_max", type=int)
 

@@ -27,8 +27,8 @@ class AffineSpec:
     def __post_init__(self):
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         b = np.asarray(self.b, dtype=float).ravel()
-        if M.shape[0] != M.shape[1] or M.shape[0] != b.shape[0]:
-            raise ValueError("M must be square and match the length of b")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != b.shape[0]:
+            raise ValueError("M must be a square matrix matching the length of b")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "b", b)
 

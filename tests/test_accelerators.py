@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anderson_lab import accelerators, linalg
 from anderson_lab.accelerators import (
     AccelConfig,
+    IterationTrace,
     aa_full_window_vs_gmres_check,
     aa_run,
     aa_step,
@@ -217,6 +218,37 @@ class TestAaRun:
             assert abs(tr.sigma_k[k] - tr.error_norms[k] ** (1.0 / k)) < 1e-15
 
 
+def _old_sigma_k(errs):
+    """The formulas the traces used to store, on the error norms as a list of floats."""
+    errs = [float(e) for e in errs]
+    nan = float("nan")
+    sigma = [e ** (1.0 / k) if k else nan for k, e in enumerate(errs)]
+    ratios = [e / p if p > 0.0 else nan for p, e in zip([nan] + errs, errs)]
+    return sigma, ratios
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestIterationTrace:
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=30),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_derived_sequences_equal_the_old_formulas_bitwise(self, errs, as_array):
+        norms = np.array(errs, dtype=float) if as_array else errs
+        tr = IterationTrace(residual_norms=list(errs), error_norms=norms)
+        sigma, ratios = _old_sigma_k(errs)
+        assert _bits(tr.sigma_k) == _bits(sigma)
+        assert _bits(tr.error_ratios) == _bits(ratios)
+        assert tr.sigma_k is tr.sigma_k and tr.error_ratios is tr.error_ratios  # cached
+
+    def test_no_error_norms_gives_none(self):
+        tr = IterationTrace(residual_norms=[1.0, 0.5])
+        assert tr.sigma_k is None and tr.error_ratios is None
+
+
+
 def _secant_iterates(problem, x0, n_steps):
     """Secant method on f(x) = x - q(x), seeded like AA(1).
 
@@ -300,6 +332,16 @@ class TestGmres:
         tr = gmres_run(p, np.zeros(2), AccelConfig(max_iters=10))
         assert len(tr) == 1
         assert tr.converged
+
+    def test_sigma_k_is_derived_from_the_error_norms(self):
+        p = problem_linear_200(-0.3, 0.3, -0.3)
+        x0 = np.random.default_rng(3).uniform(-1.0, 1.0, 200)
+        tr = gmres_run(p, x0, AccelConfig(max_iters=30, stop_tol=0.0))
+        errs = [float(np.linalg.norm(p.known_fixed_point - x)) for x in tr.iterates]
+        assert tr.error_norms == errs
+        assert np.isnan(tr.sigma_k[0])
+        assert tr.sigma_k[1:] == [e ** (1.0 / k) for k, e in enumerate(errs) if k]
+        assert _bits(tr.error_ratios) == _bits(_old_sigma_k(errs)[1])
 
     def test_finite_termination(self):
         p = problem_linear_2x2()

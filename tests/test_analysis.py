@@ -4,7 +4,6 @@ import pytest
 from anderson_lab import analysis, linalg
 from anderson_lab.accelerators import AccelConfig, IterationTrace, run_scheme
 from anderson_lab.analysis import (
-    derivative_norm_histogram,
     derivative_norm_samples,
     estimate_r_factor,
     m_sweep,
@@ -25,8 +24,6 @@ def _synthetic_trace(error_norms):
         iterates=[np.zeros(1)] * n,
         residual_norms=errs,
         error_norms=errs,
-        sigma_k=[float("nan")] + [errs[k] ** (1.0 / k) for k in range(1, n)],
-        error_ratios=[float("nan")] * n,
         betas=[],
         x_star_norm=0.0,
         converged=False,
@@ -45,10 +42,19 @@ class TestEstimateRFactor:
         c = 0.5
         errs = [c ** k * (2 + (-1) ** k) for k in range(150)]
         tr = _synthetic_trace(errs)
-        est = estimate_r_factor(tr, tail_window=20)
+        est = estimate_r_factor(tr)
         # sigma_k = c * (2 + (-1)^k)^(1/k) approaches c from above
         assert c <= est.sigma_tail_max <= c * 1.05
         assert est.sigma_tail_max >= est.sigma_final - 1e-15
+
+    def test_tail_is_the_last_twenty_usable_iterations(self):
+        # sigma_k peaks at k = 10; the tail k = 11..30 leaves it out, k = 10..29 takes it
+        assert analysis.TAIL_WINDOW == 20
+        for n, peak_in_tail in ((31, False), (30, True)):
+            errs = [0.5 ** k for k in range(n)]
+            errs[10] = 0.9 ** 10
+            est = estimate_r_factor(_synthetic_trace(errs))
+            assert (est.sigma_tail_max == 0.9) == peak_in_tail
 
     def test_fp_baseline_near_spectral_radius(self):
         p = problem_linear_2x2()
@@ -73,13 +79,6 @@ class TestEstimateRFactor:
         tr = IterationTrace(iterates=[np.zeros(1)], residual_norms=[1.0])
         with pytest.raises(InsufficientData):
             estimate_r_factor(tr)
-
-    @pytest.mark.parametrize("tail_window", [0, -3])
-    def test_tail_window_below_one_rejected(self, tail_window):
-        # usable[-0:] would be every iteration and usable[3:] would drop the first 3
-        tr = _synthetic_trace([0.5 ** k for k in range(30)])
-        with pytest.raises(ValueError, match="tail_window must be >= 1"):
-            estimate_r_factor(tr, tail_window=tail_window)
 
 
 class TestSampleInits:
@@ -160,7 +159,8 @@ class TestDerivativeNorms:
 
     def test_histogram_counts_permutation_invariant(self):
         M = problem_linear_2x2().affine.M
-        norms, edges, counts = derivative_norm_histogram(M, 1, 500, seed=8, bins=30)
+        norms = derivative_norm_samples(M, 1, 500, seed=8)
+        edges, counts = analysis.bin_counts(norms, 30)
         rng = np.random.default_rng(0)
         shuffled = rng.permutation(norms)
         counts2, _ = np.histogram(shuffled, bins=edges)

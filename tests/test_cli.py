@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -147,6 +149,14 @@ class TestRun:
             assert main(["run", "--problem", f"affine:{aff}", "--scheme", "fp",
                          "--x0", "1.0", "--out", str(tmp_path / "o")]) == 2
 
+    def test_affine_file_with_non_matrix_m_is_config_error(self, tmp_path, capsys):
+        aff = tmp_path / "bad.json"
+        aff.write_text(json.dumps({"M": [[[0.5]]], "b": [0.0]}))
+        assert main(["run", "--problem", f"affine:{aff}", "--x0", "0.3",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: M must be a square matrix matching the length of b\n")
+
     def test_nan_tolerance_is_config_error(self, tmp_path):
         for tol in ("nan", "0", "-1e-12"):
             assert main(["run", "--problem", "linear2x2", "--x0", "0.2,0.1",
@@ -175,6 +185,14 @@ class TestConfigHandling:
     def test_zero_inits(self, tmp_path):
         assert main(["sweep", "--problem", "linear2x2", "--inits", "0",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("box", ["nan,1", "-inf,inf", "0,1;0,nan"])
+    def test_box_that_is_not_finite_is_config_error(self, tmp_path, capsys, box):
+        out = tmp_path / "o"
+        assert main(["sweep", "--problem", "linear2x2", "--inits", "3",
+                     f"--box={box}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: box bounds must be finite\n"
+        assert not list(out.iterdir())
 
     def test_bad_box(self, tmp_path):
         assert main(["sweep", "--problem", "linear2x2", "--inits", "2",
@@ -208,21 +226,14 @@ class TestConfigHandling:
                     continue
                 assert action.dest in fields, (name, action.option_strings)
 
-    @pytest.mark.parametrize("tail_window", ["0", "-3"])
-    def test_tail_window_below_one_is_config_error(self, tmp_path, capsys, tail_window):
-        out = tmp_path / "o"
-        assert main(["sweep", "--problem", "linear2x2", "--inits", "3",
-                     f"--tail-window={tail_window}", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "configuration error: tail-window must be >= 1\n"
-        assert not (out / "sweep.csv").exists()
-
     @pytest.mark.parametrize("argv, message", [
         (["gmres-compare", "--k-max", "0"], "k-max must be >= 1"),
         (["gmres-compare", "--k-max=-3"], "k-max must be >= 1"),
         (["deriv-hist", "--samples", "0"], "samples must be >= 1"),
         (["deriv-hist", "--samples=-4"], "samples must be >= 1"),
-        (["deriv-hist", "--bins", "0"], "bins must be >= 1"),
-        (["deriv-hist", "--bins=-2"], "bins must be >= 1"),
+        (["deriv-hist", "--m", "0"], "deriv-hist needs m >= 1"),
+        (["msweep", "--m-values", "0,1"], "m-values must be >= 1"),
+        (["msweep", "--m-values=2,-1"], "m-values must be >= 1"),
     ])
     def test_count_below_one_is_config_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -234,6 +245,14 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["tail_window", "bins"])
+    def test_fixed_constants_are_unknown_config_keys(self, tmp_path, capsys, key):
+        # the tail window (20) and the deriv-hist bins (60) are not configurable
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 20}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: unknown config keys: ['{key}']\n"
 
     @pytest.mark.parametrize("command, doc, message", [
         ("sweep", {"window_m": "2"}, "config key 'window_m' must be an integer, got '2'"),
@@ -328,7 +347,7 @@ class TestSweep:
 class TestDerivHist:
     def test_determinism_bytewise(self, tmp_path):
         args = ["deriv-hist", "--problem", "linear2x2", "--m", "1",
-                "--samples", "500", "--seed", "7", "--bins", "20"]
+                "--samples", "500", "--seed", "7"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("derivnorms.csv", "derivnorms.svg"):
@@ -374,7 +393,7 @@ class TestMsweep:
         # restarted AA needs a window, so m = 0 has no restarted variant
         assert main(["msweep", "--problem", "linear2x2", "--m-values", "0,1",
                      "--inits", "3", "--out", str(tmp_path)]) == 2
-        assert "restarted AA needs window_m >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "configuration error: m-values must be >= 1\n"
 
 
 class TestGmresCompare:
@@ -503,3 +522,15 @@ class TestGmresCompare:
         # the rows of the four inits whose runs all finished are written
         for name in ("gmres_compare_traces.csv", "gmres_compare_deviation.csv"):
             assert {row[0] for row in _read_csv(out / name)[2]} == {"0", "1", "2", "3"}
+
+
+def test_readme_commands_parse():
+    """Every anderson-lab command in README's bash blocks uses flags the CLI has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("anderson-lab ")]
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])  # a bad flag exits with SystemExit

@@ -81,6 +81,11 @@ class TestMakeAffine:
         with pytest.raises(ValueError):
             AffineSpec(M=np.eye(2), b=np.zeros(3))
 
+    @pytest.mark.parametrize("M", [[[[0.5]]], np.zeros((2, 2, 2))])
+    def test_m_that_is_not_a_matrix_is_rejected(self, M):
+        with pytest.raises(ValueError, match="square matrix"):
+            AffineSpec(M=M, b=np.zeros(len(M)))
+
 
 class TestLinear2x2:
     def test_q_hand_value(self):
