@@ -20,7 +20,7 @@ from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, Stagnation
 # anderson_coefficients and make_affine are unused here but stay bound:
 # perfbench/tracer.py patches accelerators.anderson_coefficients and
 # accelerators.make_affine by name
-from .linalg import anderson_coefficients, stacked_anderson_coefficients  # noqa: F401
+from .linalg import anderson_coefficients, chunk_rows, stacked_anderson_coefficients  # noqa: F401
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
@@ -63,8 +63,9 @@ class IterationTrace:
     betas[k] is the coefficient solution used to produce iterates[k + 1]; the
     list is one shorter than the iterate list.  sigma_k and error_ratios are
     derived from error_norms on first read (None without them), NaN at k = 0
-    by convention.  Traces of a batch run (BatchRun.trace) have no betas, and
-    iterates only when the run kept them.
+    by convention.  failure is the error that stopped the run, or None; the
+    trace then ends with the iterate that stopped it.  Traces of a batch run
+    (run_batch) have no betas, and iterates only when the run kept them.
     """
 
     iterates: list = field(default_factory=list)
@@ -73,6 +74,7 @@ class IterationTrace:
     betas: list = field(default_factory=list)
     x_star_norm: Optional[float] = None
     converged: bool = False
+    failure: Optional[AndersonLabError] = None
 
     def __len__(self) -> int:
         return len(self.residual_norms)
@@ -123,6 +125,15 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks, R
 
 
+def rows_per_chunk(n: int, window: int) -> int:
+    """Rows per chunk of a batch that _aa_update steps at dimension n with windows up to window.
+
+    A row holds its window + 1 q and r history entries, R, Q and the SVD's U:
+    5 n (window + 1) floats of the shared budget linalg.CHUNK_FLOATS.
+    """
+    return chunk_rows(5 * n * (window + 1))
+
+
 def _beta_solution(r_norm: float, r: np.ndarray, R, coeffs, ranks) -> BetaSolution:
     """BetaSolution of an AA update of a batch of one, whose residual r (n,) has norm r_norm."""
     if R is None:
@@ -144,37 +155,6 @@ def aa_step(problem: FixedPointProblem,
     return x_next[0], _beta_solution(float(_norms(Rx[-1])), Rx[-1], R, coeffs, ranks)
 
 
-@dataclass
-class BatchRun:
-    """Norms of a batch of runs, one entry per initial condition.
-
-    residual_norms[i] (and error_norms[i], when the fixed point is known) is
-    the array of norms of iterations 0, 1, ... of init i.  failures[i] is the
-    error that stopped init i, or None; a failed row keeps the norms up to and
-    including the iterate that stopped it, like the trace its error carries.
-    iterates[i], when the run kept K iterates, is the (min(K, len), n) array
-    of the first iterates of init i; otherwise iterates is None.
-    """
-
-    residual_norms: list      # of 1-D arrays
-    error_norms: Optional[list]
-    converged: list           # of bool
-    failures: list            # of AndersonLabError or None
-    x_star_norm: Optional[float]
-    iterates: Optional[list] = None  # of 2-D arrays
-
-    def __len__(self) -> int:
-        return len(self.failures)
-
-    def trace(self, i: int) -> IterationTrace:
-        """IterationTrace of init i with its norms and kept iterates."""
-        return IterationTrace(
-            iterates=[] if self.iterates is None else list(self.iterates[i]),
-            residual_norms=self.residual_norms[i].tolist(),
-            error_norms=None if self.error_norms is None else self.error_norms[i].tolist(),
-            x_star_norm=self.x_star_norm, converged=self.converged[i])
-
-
 def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
     x_star = problem.known_fixed_point
     return None if x_star is None else float(np.linalg.norm(x_star))
@@ -182,7 +162,7 @@ def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
 def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
-             keep: int = 0, betas: Optional[list] = None) -> BatchRun:
+             keep: int = 0, betas: Optional[list] = None) -> list[IterationTrace]:
     """FP, windowed or restarted AA(m) from every row of X, in lockstep.
 
     Each step evaluates q once on the running rows (once more on the others
@@ -194,8 +174,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
     residual norm is at most stop_tol (converged).  The other rows go on.
 
-    The first keep iterates of each row are kept (BatchRun.iterates).  When
-    betas is a list, it receives the BetaSolution of each step of a
+    Returns the IterationTrace of each row, with its first keep iterates.
+    When betas is a list, it receives the BetaSolution of each step of a
     single-row X.
     """
     B = X.shape[0]
@@ -231,7 +211,6 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
 
     Qx, Rx, rn, xn, q_errors = record(X)
     q_hist, r_hist = [Qx], [Rx]
-    windowed_since_restart = 0
     for k in range(cfg.max_iters + 1):
         # the one stop test: a row of q's error has a NaN residual, so it
         # fails the residual tests as NaN/Inf does.  The ufunc reductions are
@@ -259,12 +238,10 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             betas.append(_beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks))
         Qx, Rx, rn, xn, q_errors = record(X)
 
-        if R is not None:  # a windowed step
-            windowed_since_restart += 1
-        if cfg.restart and windowed_since_restart >= m:
-            # restart the entire AA(m) iteration every m (accelerated) steps
+        if cfg.restart and len(q_hist) == m + 1:
+            # the step just taken had a full window: restart the entire AA(m)
+            # iteration, which happens every m (accelerated) steps
             q_hist, r_hist = [Qx], [Rx]
-            windowed_since_restart = 0
         else:
             q_hist.append(Qx)
             r_hist.append(Rx)
@@ -282,28 +259,35 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
         return lambda values: np.split(np.concatenate(values)[order], ends)
 
     per_row = by_row(len(step_rows))
-    return BatchRun(
-        residual_norms=per_row(step_res),
-        error_norms=per_row(step_err) if x_star is not None else None,
-        converged=converged.tolist(), failures=failures, x_star_norm=_x_star_norm(problem),
-        iterates=by_row(len(step_x))(step_x) if keep else None)
+    res = per_row(step_res)
+    errs = per_row(step_err) if x_star is not None else [None] * B
+    kept = by_row(len(step_x))(step_x) if keep else [()] * B
+    x_star_norm = _x_star_norm(problem)
+    return [IterationTrace(iterates=list(x), residual_norms=r.tolist(),
+                           error_norms=None if e is None else e.tolist(),
+                           x_star_norm=x_star_norm, converged=c, failure=f)
+            for x, r, e, c, f in zip(kept, res, errs, converged.tolist(), failures)]
 
 
 def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
-              keep: int = 0) -> BatchRun:
-    """run_scheme from every row of X0 (B, n), without coefficients.
+              keep: int = 0) -> list[IterationTrace]:
+    """run_scheme from every row of X0 (B, n): one IterationTrace per row, without betas.
 
-    Every problem runs as one batch; an error in q (EvalError) fails only the
-    row it was raised on.  Every row equals its single-init run bit for bit.
-    Each row keeps its first keep iterates (BatchRun.iterates); keep = 0
-    keeps none.
+    The rows run in lockstep, in chunks of rows_per_chunk(n, window_m) rows,
+    so that a batch's memory stays bounded whatever B is.  An error in q
+    (EvalError) fails only the rows it was raised on, and a trace's failure
+    is the error that stopped its row (not raised).  Every row equals its
+    single-init run bit for bit.  Each trace keeps the row's first keep
+    iterates; keep = 0 keeps none.
     """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
         raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
     if keep < 0:
         raise ValueError("keep must be >= 0")
-    return _iterate(problem, X, cfg, keep)
+    chunk = rows_per_chunk(problem.dim, cfg.window_m)
+    return [tr for start in range(0, len(X), chunk)
+            for tr in _iterate(problem, X[start:start + chunk], cfg, keep)]
 
 
 def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -321,12 +305,11 @@ def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> 
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
     betas = []
-    run = _iterate(problem, x[None], cfg, cfg.max_iters + 1, betas)
-    tr = run.trace(0)
+    tr = _iterate(problem, x[None], cfg, cfg.max_iters + 1, betas)[0]
     tr.betas = betas
-    if run.failures[0] is not None:
-        run.failures[0].trace = tr
-        raise run.failures[0]
+    if tr.failure is not None:
+        tr.failure.trace = tr
+        raise tr.failure
     return tr
 
 
@@ -429,9 +412,10 @@ def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: Iteratio
     """max_k || x^AA_{k+1} - q(x^GMRES_k) || for k < min(k_max, steps of either trace).
 
     aa_trace (unbounded-window AA) and gmres_trace start from the same x0 and
-    carry their iterates (ValueError otherwise; a BatchRun.trace has none).
-    Raises StagnationDetected when the GMRES residuals do not strictly
-    decrease over the compared range (the correspondence is undefined there).
+    carry their iterates (ValueError otherwise; a run_batch trace without keep
+    has none).  Raises StagnationDetected when the GMRES residuals do not
+    strictly decrease over the compared range (the correspondence is undefined
+    there).
     """
     if not (aa_trace.iterates and gmres_trace.iterates):
         raise ValueError("the AA-vs-GMRES check needs traces with their iterates")

@@ -120,7 +120,7 @@ def monte_carlo_sweep(
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
-    Each scheme runs all inits as one batch (run_batch).  Per-run failures
+    Each scheme runs all inits through one run_batch call.  Per-run failures
     (divergence, evaluation errors, too few usable iterations) are recorded
     as None entries rather than aborting the sweep.
     """
@@ -131,13 +131,12 @@ def monte_carlo_sweep(
 
     estimates: dict[str, list] = {}
     for cfg in schemes:
-        run = run_batch(problem, inits, cfg)
         per_init = []
-        for i, failure in enumerate(run.failures):
+        for tr in run_batch(problem, inits, cfg):
             est = None
-            if failure is None:
+            if tr.failure is None:
                 try:
-                    est = estimate_r_factor(run.trace(i))
+                    est = estimate_r_factor(tr)
                 except AndersonLabError:
                     pass
             per_init.append(est)

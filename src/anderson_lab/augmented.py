@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accelerators import _aa_update
+from .accelerators import _aa_update, rows_per_chunk
 from .errors import MissingJacobian, SingularA
-from .linalg import chunk_rows, operator_norm_2, rank_tolerance, stacked_anderson_coefficients
+from .linalg import operator_norm_2, rank_tolerance, stacked_anderson_coefficients
 # anderson_coefficients is unused here but stays bound: perfbench/tracer.py
 # patches augmented.anderson_coefficients by name
 from .linalg import anderson_coefficients  # noqa: F401
@@ -99,15 +99,14 @@ def _lifted_update(problem: FixedPointProblem,
     """The AA update of every state of a block stack: new newest blocks (S, n), beta (S, m).
 
     Block 0 of a state is its newest iterate, so the history the update reads
-    (oldest first) is the blocks reversed.  The states go in chunks of the
-    shared float budget (linalg.CHUNK_FLOATS).
+    (oldest first) is the blocks reversed.  The states go in chunks of
+    rows_per_chunk(n, m) states, as the run loop's batches do.
     """
     S, m1, n = blocks.shape
     if n != problem.dim:
         raise ValueError("state block size does not match problem dimension")
     x_next, coeffs = np.empty((S, n)), np.empty((S, m1 - 1))
-    # a state holds its blocks, their q and r, R, Q and the SVD's U
-    chunk = chunk_rows(5 * m1 * n)
+    chunk = rows_per_chunk(n, m1 - 1)
     for start in range(0, S, chunk):
         part = slice(start, start + chunk)
         # (m+1, s, n), oldest block first; contiguous so that every product in

@@ -23,7 +23,6 @@ from . import analysis, plots
 from .accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,  # noqa: F401
                            gmres_run, run_batch, run_scheme)
 from .errors import AndersonLabError, StagnationDetected
-from .linalg import chunk_rows
 from .problems import FixedPointProblem, problem_from_id
 
 EXIT_OK = 0
@@ -79,8 +78,12 @@ class ExperimentConfig:
         box = self.box_array(problem.dim)
         if not np.all(np.isfinite(box)):
             raise ConfigError("box bounds must be finite")
-        if np.any(box[:, 1] < box[:, 0]):
+        with np.errstate(over="ignore"):  # an overflowing span is Inf, rejected below
+            span = box[:, 1] - box[:, 0]
+        if np.any(span < 0):
             raise ConfigError("box upper bounds must be >= lower bounds")
+        if not np.all(span < np.inf):
+            raise ConfigError("box spans hi - lo must be finite")
 
     def box_array(self, dim: int) -> np.ndarray:
         if self.init_box is None:
@@ -284,23 +287,18 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
                               stop_tol=cfg.stop_tol)
     windowed = cfg.accel()
     windowed_label = analysis.scheme_label(windowed)
-    # the windowed runs go as one batch; AA(inf) runs in chunks of inits, each
-    # row keeping the k_max + 1 iterates the check reads, and GMRES once per
+    # the windowed and the AA(inf) runs go as batches, each AA(inf) row
+    # keeping the k_max + 1 iterates the check reads, and GMRES once per
     # init.  An init whose runs do not all finish writes no rows; the first
     # such init's error is raised after the writes.
-    batch = run_batch(problem, inits, windowed)
-    # an AA(inf) row holds its q and r histories, R, Q and the SVD's U
-    chunk = chunk_rows(5 * problem.dim * (cfg.max_iters + 1))
+    runs = zip(inits, run_batch(problem, inits, windowed),
+               run_batch(problem, inits, full_window, keep=cfg.k_max + 1))
     first_failure = None
-    for i, x0 in enumerate(inits):
-        j = i % chunk
-        if not j:  # the next chunk's AA(inf) runs replace the last chunk's
-            aa_batch = run_batch(problem, inits[i:i + chunk], full_window, keep=cfg.k_max + 1)
+    for i, (x0, aa_m, aa_inf) in enumerate(runs):
         try:
-            failure = batch.failures[i] or aa_batch.failures[j]
+            failure = aa_m.failure or aa_inf.failure
             if failure is not None:
                 raise failure
-            aa_inf = aa_batch.trace(j)
             gmres = gmres_run(problem, x0, full_window)
             try:
                 dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)
@@ -309,7 +307,7 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
         except AndersonLabError as exc:
             first_failure = first_failure or exc
             continue
-        for label, tr in ((windowed_label, batch.trace(i)), ("aa_inf", aa_inf), ("gmres", gmres)):
+        for label, tr in ((windowed_label, aa_m), ("aa_inf", aa_inf), ("gmres", gmres)):
             for k in range(len(tr)):
                 sig = tr.sigma_k[k] if tr.sigma_k is not None else None
                 trace_rows.append([i, label, k, sig, tr.residual_norms[k]])

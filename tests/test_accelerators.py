@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -427,7 +428,7 @@ class TestGmresCorrespondence:
         x0 = np.array([0.2, 0.1])
         cfg = AccelConfig(window_m=2, max_iters=2, stop_tol=0.0)
         with pytest.raises(ValueError, match="iterates"):
-            aa_full_window_vs_gmres_check(p, run_batch(p, x0[None], cfg).trace(0),
+            aa_full_window_vs_gmres_check(p, run_batch(p, x0[None], cfg)[0],
                                           gmres_run(p, x0, cfg), k_max=2)
 
     def test_does_not_rebuild_the_problem(self, monkeypatch):
@@ -460,8 +461,8 @@ def _assert_row_matches_single_run(batch, i, problem, x0, cfg):
         failure = None
     except AndersonLabError as exc:
         tr, failure = exc.trace, exc
-    assert type(batch.failures[i]) is type(failure)
-    row = batch.trace(i)
+    row = batch[i]
+    assert type(row.failure) is type(failure)
     assert len(row) == len(tr)
     # assert_array_equal compares floats exactly and NaN equal to NaN
     np.testing.assert_array_equal(row.residual_norms, tr.residual_norms)
@@ -512,16 +513,16 @@ class TestRunBatch:
         X0[rng.random(B) < 0.25] *= 1e13  # rows that start outside the guard: Diverged
         cfg = AccelConfig(window_m=m, restart=restart and m >= 1, max_iters=40)
         batch = run_batch(problem, X0, cfg, keep=keep)
-        assert run_batch(problem, X0, cfg).iterates is None
+        assert all(tr.iterates == [] for tr in run_batch(problem, X0, cfg))
         for i in range(B):
             try:
                 tr = run_scheme(problem, X0[i], cfg)
             except AndersonLabError as exc:
                 tr = exc.trace
             expected = np.array(tr.iterates[:keep])
-            assert batch.iterates[i].shape == expected.shape
-            assert batch.iterates[i].tobytes() == expected.tobytes()
-            assert np.array_equal(batch.trace(i).iterates, expected)
+            assert np.array(batch[i].iterates).shape == expected.shape
+            assert np.array(batch[i].iterates).tobytes() == expected.tobytes()
+            assert np.array_equal(batch[i].iterates, expected)
 
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):
@@ -539,9 +540,9 @@ class TestRunBatch:
         batch = run_batch(problem, X0, cfg)
         for i, x0 in enumerate(X0):
             if x0[0] != 0.0:
-                assert isinstance(batch.failures[i], Diverged)
+                assert isinstance(batch[i].failure, Diverged)
             else:
-                assert batch.failures[i] is None and batch.converged[i]
+                assert batch[i].failure is None and batch[i].converged
             _assert_row_matches_single_run(batch, i, problem, x0, cfg)
 
     def test_non_affine_failures_stay_per_init(self):
@@ -551,18 +552,18 @@ class TestRunBatch:
         X0 = np.array([[1.0], [0.2], [0.5]])
         cfg = AccelConfig(window_m=1, max_iters=50, stop_tol=0.0)
         batch = run_batch(nan_below, X0, cfg)
-        assert [type(f) for f in batch.failures] == [NonFinite] * 3
+        assert [type(tr.failure) for tr in batch] == [NonFinite] * 3
         for i, x0 in enumerate(X0):
             _assert_row_matches_single_run(batch, i, nan_below, x0, cfg)
         # -1.0 fails after one step (q(-1) = 0), 0.0 at once
         X0 = np.array([[1.0], [0.0], [2.0], [-1.0]])
         cfg = AccelConfig(window_m=1, max_iters=20)
         scalar = run_batch(problem_scalar(), X0, cfg)
-        assert scalar.failures[0] is None and scalar.converged[0]
-        assert isinstance(scalar.failures[1], EvalError)
-        assert scalar.failures[2] is None and scalar.converged[2]
-        assert isinstance(scalar.failures[3], EvalError)
-        assert [len(scalar.residual_norms[i]) for i in (1, 3)] == [1, 2]
+        assert scalar[0].failure is None and scalar[0].converged
+        assert isinstance(scalar[1].failure, EvalError)
+        assert scalar[2].failure is None and scalar[2].converged
+        assert isinstance(scalar[3].failure, EvalError)
+        assert [len(scalar[i].residual_norms) for i in (1, 3)] == [1, 2]
         for i, x0 in enumerate(X0):
             _assert_row_matches_single_run(scalar, i, problem_scalar(), x0, cfg)
 
@@ -576,8 +577,8 @@ class TestRunBatch:
         p = FixedPointProblem(dim=1, q=q, known_fixed_point=np.zeros(1))
         # FP from 0.5 reaches 0.25 at k = 1, which fails the other rows too
         batch = run_batch(p, np.array([[1.0], [0.5], [100.0]]), AccelConfig(window_m=0))
-        assert [str(f) for f in batch.failures] == ["below 0.3"] * 3
-        assert all(len(r) == 2 and np.isnan(r[-1]) for r in batch.residual_norms)
+        assert [str(tr.failure) for tr in batch] == ["below 0.3"] * 3
+        assert all(len(tr) == 2 and np.isnan(tr.residual_norms[-1]) for tr in batch)
 
     def test_non_affine_batch_makes_one_solve_per_step(self, monkeypatch):
         solves = []
@@ -590,20 +591,29 @@ class TestRunBatch:
         X0 = np.random.default_rng(5).uniform(-0.25, 0.25, (50, 2))
         cfg = AccelConfig(window_m=3, max_iters=100)
         batch = run_batch(problem_nonlinear_2x2(), X0, cfg)
-        assert all(batch.converged)
+        assert all(tr.converged for tr in batch)
         assert 0 < len(solves) <= cfg.max_iters
 
-    def test_rows_independent_of_batch_size(self):
+    def test_rows_independent_of_batch_size(self, monkeypatch):
         problem = problem_linear_2x2()
         X0 = np.random.default_rng(3).uniform(-0.25, 0.25, (1000, 2))
-        for cfg in (AccelConfig(window_m=0), AccelConfig(window_m=1),
-                    AccelConfig(window_m=2, restart=True)):
-            batch = run_batch(problem, X0, cfg)
-            for i in range(0, 1000, 97):
-                alone = run_batch(problem, X0[i:i + 1], cfg)
-                np.testing.assert_array_equal(alone.residual_norms[0], batch.residual_norms[i])
-                np.testing.assert_array_equal(alone.error_norms[0], batch.error_norms[i])
-                assert alone.converged[0] == batch.converged[i]
+        # rows per chunk: all 1000 in one (None), or ragged chunks of 333 and 7
+        for chunk, cfg, keep in itertools.product(
+                (None, 333, 7), (AccelConfig(window_m=0), AccelConfig(window_m=1),
+                                 AccelConfig(window_m=2, restart=True)), (0, 5)):
+            with monkeypatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(linalg, "CHUNK_FLOATS", 5 * 2 * (cfg.window_m + 1) * chunk)
+                    assert accelerators.rows_per_chunk(2, cfg.window_m) == chunk
+                batch = run_batch(problem, X0, cfg, keep=keep)
+                assert len(batch) == 1000
+                for i in range(0, 1000, 97):
+                    alone = run_batch(problem, X0[i:i + 1], cfg, keep=keep)[0]
+                    np.testing.assert_array_equal(alone.residual_norms, batch[i].residual_norms)
+                    np.testing.assert_array_equal(alone.error_norms, batch[i].error_norms)
+                    assert alone.converged == batch[i].converged
+                    assert len(batch[i].iterates) == min(keep, len(alone))
+                    np.testing.assert_array_equal(alone.iterates, batch[i].iterates)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

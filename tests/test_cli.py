@@ -194,6 +194,17 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "configuration error: box bounds must be finite\n"
         assert not list(out.iterdir())
 
+    # finite bounds whose span hi - lo overflows: rejected before any sampling,
+    # and without the overflow warning (which this suite turns into an error)
+    @pytest.mark.parametrize("command, box", [("sweep", "-1e308,1e308"),
+                                              ("msweep", "0,1;-1.7e308,1.7e308")])
+    def test_box_whose_span_overflows_is_config_error(self, tmp_path, capsys, command, box):
+        out = tmp_path / "o"
+        assert main([command, "--problem", "linear2x2", "--inits", "3",
+                     f"--box={box}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: box spans hi - lo must be finite\n"
+        assert not list(out.iterdir())
+
     def test_bad_box(self, tmp_path):
         assert main(["sweep", "--problem", "linear2x2", "--inits", "2",
                      "--box", "1,0", "--out", str(tmp_path)]) == 2
