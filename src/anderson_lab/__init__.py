@@ -12,6 +12,7 @@ from .accelerators import (
     aa_full_window_vs_gmres_check,
     aa_run,
     aa_step,
+    gmres_batch,
     gmres_run,
     run_batch,
     run_scheme,

@@ -5,7 +5,8 @@ index k.  Error-based quantities (error norms, sigma_k, error ratios) are only
 recorded when the problem knows its fixed point; the stopping test always uses
 the residual norm, which is available for any problem.  FP and AA(m) share one
 loop, which runs a batch of initial conditions in lockstep (run_batch); a
-single run is its batch of one.
+single run is its batch of one.  GMRES likewise runs in lockstep
+(gmres_batch), and gmres_run is its batch of one.
 """
 
 from __future__ import annotations
@@ -155,6 +156,25 @@ def aa_step(problem: FixedPointProblem,
     return x_next[0], _beta_solution(float(_norms(Rx[-1])), Rx[-1], R, coeffs, ranks)
 
 
+def _stopped(rn: np.ndarray, xn: np.ndarray, k: int, rows: np.ndarray, stop_tol: float,
+             failures: list, converged: np.ndarray, q_errors: dict) -> np.ndarray:
+    """The stop test at iterate k of the running rows (batch indices rows); True where one stops.
+
+    From the residual norms rn and iterate norms xn, a row fails with Diverged,
+    else q's error (q_errors) or NonFinite, recorded in failures; any other
+    row with rn <= stop_tol is marked in converged.
+    """
+    out = xn > DIVERGENCE_GUARD
+    failed = out | ~(rn < np.inf)  # NaN included
+    for j in np.flatnonzero(failed):
+        failures[rows[j]] = (
+            Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}") if out[j]
+            else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
+    done = ~failed & (rn <= stop_tol)
+    converged[rows[done]] = True
+    return failed | done
+
+
 def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
     x_star = problem.known_fixed_point
     return None if x_star is None else float(np.linalg.norm(x_star))
@@ -169,7 +189,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     when q raised for some of them) and solves all their least-squares
     problems with one stacked SVD.  The history length depends on the step
     count alone, so the running rows share it.  Every iterate is recorded,
-    then tested once; a row stops, in this order of priority, when
+    then tested once (_stopped); a row stops, in this order of priority, when
     it is outside the divergence guard ball (Diverged), when q raised on it
     (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
     residual norm is at most stop_tol (converged).  The other rows go on.
@@ -217,15 +237,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
         # the cheapest whole-batch tests, which matters at B = 1.
         if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf
                 and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
-            out = xn > DIVERGENCE_GUARD
-            failed = out | ~(rn < np.inf)
-            for j in np.flatnonzero(failed):
-                failures[rows[j]] = (
-                    Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}") if out[j]
-                    else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
-            done = rn <= cfg.stop_tol
-            converged[rows[done & ~failed]] = True
-            going = ~(failed | done)
+            going = ~_stopped(rn, xn, k, rows, cfg.stop_tol, failures, converged, q_errors)
             rows = rows[going]
             q_hist = [a[going] for a in q_hist]
             r_hist = [a[going] for a in r_hist]
@@ -249,24 +261,53 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 q_hist.pop(0)
                 r_hist.pop(0)
 
-    # a row leaves the batch for good, so its steps are a prefix of all steps:
-    # sorting the step-major records of the first n_steps steps by row (stably)
-    # lines up each row's records
-    def by_row(n_steps):
-        ids = np.concatenate(step_rows[:n_steps])
-        order = np.argsort(ids, kind="stable")
-        ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
-        return lambda values: np.split(np.concatenate(values)[order], ends)
+    return _traces(problem, B, step_rows, step_res, step_err, step_x, converged, failures)
 
-    per_row = by_row(len(step_rows))
+
+def _traces(problem: FixedPointProblem, B: int, step_rows: list, step_res: list,
+            step_err: list, step_x: list, converged: np.ndarray,
+            failures: list) -> list[IterationTrace]:
+    """The IterationTrace of each of B rows of a lockstep batch, from its step-major records.
+
+    step_rows[s] holds the batch index of each row that ran step s, and
+    step_res[s], step_err[s] and step_x[s] their residual norms, error norms
+    and iterates.  step_err is empty without x*, and step_x covers the first
+    steps only (none when the batch kept no iterates).
+    """
+    # a row leaves the batch for good, so its steps are a prefix of all steps:
+    # sorting the step-major records by row (stably) lines up each row's records
+    ids = np.concatenate(step_rows)
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
+
+    def per_row(values):
+        return np.split(np.concatenate(values)[order], ends)
+
     res = per_row(step_res)
-    errs = per_row(step_err) if x_star is not None else [None] * B
-    kept = by_row(len(step_x))(step_x) if keep else [()] * B
+    errs = per_row(step_err) if step_err else [None] * B
+    # kept iterates stay views of the step arrays: sorting them would copy them
+    kept = [[] for _ in range(B)]
+    for step_ids, X in zip(step_rows, step_x):
+        for i, x in zip(step_ids.tolist(), X):
+            kept[i].append(x)
     x_star_norm = _x_star_norm(problem)
-    return [IterationTrace(iterates=list(x), residual_norms=r.tolist(),
+    return [IterationTrace(iterates=x, residual_norms=r.tolist(),
                            error_norms=None if e is None else e.tolist(),
                            x_star_norm=x_star_norm, converged=c, failure=f)
             for x, r, e, c, f in zip(kept, res, errs, converged.tolist(), failures)]
+
+
+def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
+    """A copy of the starts X0 as a (B, n) float array; ValueError for another shape or keep < 0.
+
+    The copy is the batch's own, because a trace may keep views of it.
+    """
+    X = np.array(X0, dtype=float)
+    if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
+        raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
+    if keep < 0:
+        raise ValueError("keep must be >= 0")
+    return X
 
 
 def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
@@ -280,11 +321,7 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     single-init run bit for bit.  Each trace keeps the row's first keep
     iterates; keep = 0 keeps none.
     """
-    X = np.asarray(X0, dtype=float)
-    if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
-        raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
-    if keep < 0:
-        raise ValueError("keep must be >= 0")
+    X = _batch_starts(problem, X0, keep)
     chunk = rows_per_chunk(problem.dim, cfg.window_m)
     return [tr for start in range(0, len(X), chunk)
             for tr in _iterate(problem, X[start:start + chunk], cfg, keep)]
@@ -301,7 +338,7 @@ def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> 
     linear case.  A failure (Diverged, NonFinite or q's error) carries the
     partial trace, up to and including the iterate that stopped the run.
     """
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)  # the trace keeps a view of it
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
     betas = []
@@ -318,93 +355,164 @@ def aa_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> Iter
     return run_scheme(problem, x0, replace(cfg, restart=False))
 
 
-@np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the guard or stop test fails
-def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """Full-memory dense GMRES on (I - M) x = b of an affine problem, tracing the iterates.
+def gmres_rows_per_chunk(n: int, max_k: int) -> int:
+    """Rows per chunk of a GMRES batch at dimension n with up to max_k Arnoldi steps.
 
-    Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
-    least-squares problem; the iterate is reconstructed every step so the
-    trace lines up with the other schemes.  Each recorded iterate is tested
-    as in the run loop: Diverged when it is outside the divergence guard
-    ball, else NonFinite when its residual norm is NaN or Inf.  Either error
-    carries the trace up to and including the offending row.
+    A row holds its basis V, n (max_k + 1) floats, and its Hessenberg matrix
+    H, (max_k + 1) max_k floats, of the shared budget linalg.CHUNK_FLOATS.
     """
-    if problem.affine is None:
-        raise ValueError("gmres requires an affine problem")
+    return chunk_rows((n + max_k) * (max_k + 1))
+
+
+@np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the guard or stop test fails
+def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: int,
+           V: np.ndarray) -> list[IterationTrace]:
+    """Dense GMRES from every row of X0, in lockstep; see gmres_batch.
+
+    Each step makes one stacked matvec, the MGS and Givens loops and one
+    stacked triangular solve for all running rows.  Every row keeps the
+    arithmetic of a run of its own: a gemv per row, strided dot products,
+    and products and differences as separate operations.  V, of shape
+    (at least B, n, min(max_iters, n) + 1), is the work array of the Arnoldi
+    bases; a column is always written before it is read.
+    """
     A = problem.affine.A
     b = problem.affine.b
-    n = A.shape[0]
-    x0 = np.asarray(x0, dtype=float)
+    B, n = X0.shape
     x_star = problem.known_fixed_point
-    iterates, res = [], []
+    if x_star is not None:
+        x_star = x_star[None]
+    converged = np.zeros(B, dtype=bool)
+    failures = [None] * B
+    rows = np.arange(B)  # batch index of each running row
+    step_rows, step_res, step_err, step_x = [], [], [], []
 
-    def trace(converged: bool) -> IterationTrace:
-        errs = None if x_star is None else [float(np.linalg.norm(x_star - x)) for x in iterates]
-        return IterationTrace(iterates=iterates, residual_norms=res, error_norms=errs,
-                              x_star_norm=_x_star_norm(problem), converged=converged)
+    def record(X, rn, k):  # records iterate k of the running rows; True where a row stops
+        step_rows.append(rows)
+        if len(step_x) < keep:
+            step_x.append(X)
+        step_res.append(rn)
+        if x_star is not None:
+            step_err.append(_norms(x_star - X))
+        return _stopped(rn, _norms(X), k, rows, cfg.stop_tol, failures, converged, {})
 
-    def record(x, r_norm):
-        iterates.append(x)
-        res.append(r_norm)
-        if _norms(x) > DIVERGENCE_GUARD:
-            raise Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}", trace=trace(False))
-        if not r_norm < np.inf:  # NaN included
-            raise NonFinite(f"residual norm is {r_norm} at k = {len(res) - 1}",
-                            trace=trace(False))
-
-    r0 = b - A @ x0
-    beta0 = float(np.linalg.norm(r0))
-    record(x0, beta0)
-    if beta0 <= cfg.stop_tol:
-        return trace(True)
-
+    R0 = b - (A @ X0[..., None])[..., 0]
+    beta0 = _norms(R0)
+    going = ~record(X0, beta0, 0)
+    rows, X0, R0, beta0 = rows[going], X0[going], R0[going], beta0[going]
     max_k = min(cfg.max_iters, n)
-    V = np.zeros((n, max_k + 1))
-    H = np.zeros((max_k + 1, max_k))
-    cs = np.zeros(max_k)
-    sn = np.zeros(max_k)
-    g = np.zeros(max_k + 1)
+    # V keeps the basis vectors as columns, as a single run's (n, max_k + 1)
+    # array does, so that its dot products see the same strides.  The
+    # Hessenberg columns H[k] (max_k + 1, B), the rotations and g, whose
+    # layout changes no value, put the batch axis last for cheap indexing.
+    V = V[:len(rows)]
+    V[:, :, 0] = R0 / beta0[:, None]
+    H = np.zeros((max_k, max_k + 1, len(rows)))
+    cs, sn = np.zeros((2, max_k, len(rows)))
+    g = np.zeros((max_k + 1, len(rows)))
     g[0] = beta0
-    V[:, 0] = r0 / beta0
 
     for k in range(max_k):
-        w = A @ V[:, k]
+        if not rows.size:
+            break
+        h = H[k]
+        w = (A @ V[:, :, k, None])[..., 0]
+        Av_norm = _norms(w)
         for j in range(k + 1):
-            H[j, k] = V[:, j] @ w
-            w -= H[j, k] * V[:, j]
-        hkk = float(np.linalg.norm(w))
-        H[k + 1, k] = hkk
-        happy = hkk <= 1e-14 * max(1.0, float(np.linalg.norm(A @ V[:, k])))
-        if not happy:
-            V[:, k + 1] = w / hkk
+            vj = V[:, :, j]
+            h[j] = np.vecdot(vj, w)
+            w -= h[j, :, None] * vj
+        hkk = _norms(w)
+        h[k + 1] = hkk
+        # fmax, as Python's max, takes 1.0 over a NaN norm
+        happy = hkk <= 1e-14 * np.fmax(1.0, Av_norm)
+        np.divide(w, hkk[:, None], out=V[:, :, k + 1], where=~happy[:, None])
 
         # apply accumulated Givens rotations to the new column
         for j in range(k):
-            t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
-            H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
-            H[j, k] = t
-        denom = float(np.hypot(H[k, k], H[k + 1, k]))
-        cs[k] = H[k, k] / denom
-        sn[k] = H[k + 1, k] / denom
-        H[k, k] = denom
-        H[k + 1, k] = 0.0
+            t = cs[j] * h[j] + sn[j] * h[j + 1]
+            h[j + 1] = -sn[j] * h[j] + cs[j] * h[j + 1]
+            h[j] = t
+        denom = np.hypot(h[k], h[k + 1])
+        cs[k] = h[k] / denom
+        sn[k] = h[k + 1] / denom
+        h[k] = denom
+        h[k + 1] = 0.0
         g[k + 1] = -sn[k] * g[k]
         g[k] = cs[k] * g[k]
 
-        y = np.linalg.solve(np.triu(H[: k + 1, : k + 1]), g[: k + 1])
-        xk = x0 + V[:, : k + 1] @ y
-        record(xk, float(np.linalg.norm(b - A @ xk)))
+        # each row's H[:k+1, :k+1] is upper triangular: each subdiagonal
+        # entry was zeroed by its rotation, and nothing below it is written
+        y = np.linalg.solve(H[:k + 1, :k + 1].T, g[:k + 1].T[..., None])
+        X = X0 + (V[:, :, :k + 1] @ y)[..., 0]
+        stop = record(X, _norms(b - (A @ X[..., None])[..., 0]), k + 1)
 
-        if res[-1] <= cfg.stop_tol:
-            return trace(True)
-        if happy:
-            # happy breakdown means the Krylov space became invariant; if the
-            # residual is not already at rounding level something is wrong
-            if res[-1] <= 1e-10 * max(1.0, beta0):
-                return trace(True)
-            raise Breakdown("Arnoldi produced a zero vector before convergence")
+        # happy breakdown means the Krylov space became invariant; if the
+        # residual is not already at rounding level something is wrong.
+        # beta0 is finite, so maximum is Python's max
+        happy &= ~stop
+        at_rounding = happy & (step_res[-1] <= 1e-10 * np.maximum(1.0, beta0))
+        converged[rows[at_rounding]] = True
+        for j in np.flatnonzero(happy & ~at_rounding):
+            failures[rows[j]] = Breakdown("Arnoldi produced a zero vector before convergence")
+        going = ~(stop | happy)
+        if not going.all():
+            # the running rows move to the front in place, so that V and H
+            # are never copied whole
+            live = np.flatnonzero(going)
+            for dst, src in enumerate(live.tolist()):
+                if dst != src:
+                    V[dst] = V[src]
+                    H[..., dst] = H[..., src]
+                    cs[:, dst], sn[:, dst], g[:, dst] = cs[:, src], sn[:, src], g[:, src]
+            rows, X0, beta0 = rows[live], X0[live], beta0[live]
+            m = len(live)
+            V, H, cs, sn, g = V[:m], H[..., :m], cs[:, :m], sn[:, :m], g[:, :m]
 
-    return trace(res[-1] <= cfg.stop_tol)
+    return _traces(problem, B, step_rows, step_res, step_err, step_x, converged, failures)
+
+
+def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
+                keep: int = 0) -> list[IterationTrace]:
+    """Full-memory dense GMRES on (I - M) x = b from every row of X0 (B, n) of an affine problem.
+
+    Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
+    least-squares problem; the iterate is reconstructed every step so the
+    traces line up with the other schemes.  Each recorded iterate is tested
+    as in the run loop: Diverged when it is outside the divergence guard
+    ball, else NonFinite when its residual norm is NaN or Inf, else
+    converged when that norm is at most stop_tol.  A happy breakdown (a zero
+    Arnoldi vector) ends a row as converged when its residual is at rounding
+    level, and with Breakdown otherwise.  A trace's failure is the error
+    that stopped its row (not raised).  A problem without an affine form
+    raises ValueError.
+
+    The rows run in lockstep, in chunks of gmres_rows_per_chunk(n, max_k)
+    rows with max_k = min(max_iters, n), and every row equals its
+    single-init run bit for bit.  Each trace keeps the row's first keep
+    iterates; keep = 0 keeps none.
+    """
+    if problem.affine is None:
+        raise ValueError("gmres requires an affine problem")
+    X = _batch_starts(problem, X0, keep)
+    max_k = min(cfg.max_iters, problem.dim)
+    chunk = gmres_rows_per_chunk(problem.dim, max_k)
+    V = np.zeros((min(chunk, len(X)), problem.dim, max_k + 1))  # shared by the chunks
+    return [tr for start in range(0, len(X), chunk)
+            for tr in _gmres(problem, X[start:start + chunk], cfg, keep, V)]
+
+
+def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
+    """gmres_batch from x0 alone, traced with its iterates.
+
+    A failure (Diverged, NonFinite or Breakdown) carries the partial trace,
+    up to and including the iterate that stopped the run.
+    """
+    tr = gmres_batch(problem, np.asarray(x0, dtype=float)[None], cfg, cfg.max_iters + 1)[0]
+    if tr.failure is not None:
+        tr.failure.trace = tr
+        raise tr.failure
+    return tr
 
 
 def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: IterationTrace,

@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import zlib
@@ -21,7 +22,7 @@ import numpy as np
 from . import analysis, plots
 # aa_run is unused here but stays bound: perfbench/tracer.py patches cli.aa_run by name
 from .accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,  # noqa: F401
-                           gmres_run, run_batch, run_scheme)
+                           gmres_batch, gmres_run, run_batch, run_scheme)
 from .errors import AndersonLabError, StagnationDetected
 from .problems import FixedPointProblem, problem_from_id
 
@@ -30,6 +31,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 SCHEMES = ("fp", "aa", "aa_restarted", "gmres")
+CSV_BLOCK_ROWS = 256
 
 
 class ConfigError(Exception):
@@ -148,21 +150,25 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(cfg, **overrides)
 
 
+def _fmt_column(values) -> list[str]:
+    """CSV cells of one column: floats (np.float64 too) as .17g, blank for NaN and None."""
+    return [(f"{v:.17g}" if v == v else "") if isinstance(v, float)
+            else "" if v is None else str(v) for v in values]
+
+
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if v != v:  # NaN
-            return ""
-        return format(v, ".17g")
-    return str(v)
+    return _fmt_column((v,))[0]
 
 
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    lines = [f"# schema: {schema} v1", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # each block of rows is formatted one column at a time, joined row by row
+    # and written, so the cells of one block are all the writer holds
+    rows = iter(rows)
+    with path.open("w") as f:
+        f.write(f"# schema: {schema} v1\n{','.join(header)}\n")
+        while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+            cells = zip(*[_fmt_column(column) for column in zip(*block)])
+            f.write("\n".join(map(",".join, cells)) + "\n")
 
 
 def _trace_rows(trace, m: int):
@@ -259,7 +265,7 @@ def cmd_deriv_hist(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path)
     norms = analysis.derivative_norm_samples(M, cfg.window_m, cfg.n_samples, cfg.seed)
     edges, counts = analysis.bin_counts(norms, analysis.DERIV_BINS)
     _write_csv(out / "derivnorms.csv", "derivnorms", ["sample_id", "norm"],
-               ([i, float(v)] for i, v in enumerate(norms)))
+               zip(range(len(norms)), norms.tolist()))
     (out / "derivnorms.svg").write_text(
         plots.bar_chart(edges, counts, title="directional derivative norms"))
 
@@ -287,19 +293,21 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
                               stop_tol=cfg.stop_tol)
     windowed = cfg.accel()
     windowed_label = analysis.scheme_label(windowed)
-    # the windowed and the AA(inf) runs go as batches, each AA(inf) row
-    # keeping the k_max + 1 iterates the check reads, and GMRES once per
-    # init.  An init whose runs do not all finish writes no rows; the first
-    # such init's error is raised after the writes.
-    runs = zip(inits, run_batch(problem, inits, windowed),
-               run_batch(problem, inits, full_window, keep=cfg.k_max + 1))
+    # the GMRES, windowed and AA(inf) runs go as batches, the GMRES and
+    # AA(inf) rows keeping the k_max + 1 iterates the check reads.  GMRES
+    # runs first, so its work array is gone before the AA batches allocate
+    # theirs, which lowers the command's peak memory.  An init whose runs do
+    # not all finish writes no rows; the first such init's error is raised
+    # after the writes.
+    gmres_traces = gmres_batch(problem, inits, full_window, keep=cfg.k_max + 1)
+    runs = zip(run_batch(problem, inits, windowed),
+               run_batch(problem, inits, full_window, keep=cfg.k_max + 1), gmres_traces)
     first_failure = None
-    for i, (x0, aa_m, aa_inf) in enumerate(runs):
+    for i, (aa_m, aa_inf, gmres) in enumerate(runs):
         try:
-            failure = aa_m.failure or aa_inf.failure
+            failure = aa_m.failure or aa_inf.failure or gmres.failure
             if failure is not None:
                 raise failure
-            gmres = gmres_run(problem, x0, full_window)
             try:
                 dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)
             except StagnationDetected:

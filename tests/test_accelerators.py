@@ -17,7 +17,7 @@ from anderson_lab.accelerators import (
     run_batch,
     run_scheme,
 )
-from anderson_lab.errors import (AndersonLabError, Diverged, EvalError, NonFinite,
+from anderson_lab.errors import (AndersonLabError, Breakdown, Diverged, EvalError, NonFinite,
                                  StagnationDetected)
 from anderson_lab.linalg import stacked_anderson_coefficients
 from anderson_lab.problems import (
@@ -390,6 +390,165 @@ class TestGmres:
             if k < len(tr):
                 expected = _gmres_min_residual_bruteforce(A, b, x0, k)
                 assert abs(tr.residual_norms[k] - expected) < 1e-10
+
+
+# M has an eigenvalue within ~2e-11 of 1 (found by a search over random 2 x 2
+# problems): from BREAKDOWN_X0 the second Arnoldi vector is zero while the
+# residual is still ~1e-8, a happy breakdown before convergence
+BREAKDOWN_SPEC = AffineSpec(M=[[0.9072367523944367, -0.0157785950950866],
+                               [0.047109366426820676, 1.0080130831477414]],
+                            b=[0.009867914309511578, 0.04660923129893535])
+BREAKDOWN_X0 = [0.8296357793171745, 0.26364256770818373]
+
+
+@np.errstate(over="ignore")
+def _gmres_loop_reference(problem, x0, cfg):
+    """Dense GMRES from x0 as one scalar loop: the arithmetic gmres_batch keeps for each row.
+
+    Returns the iterates, residual norms, converged flag and failure (or None).
+    """
+    A, b = problem.affine.A, problem.affine.b
+    n = A.shape[0]
+    iterates, res = [x0], [float(np.linalg.norm(b - A @ x0))]
+
+    def stopped():
+        if np.linalg.norm(iterates[-1]) > accelerators.DIVERGENCE_GUARD:
+            return Diverged("||x_k|| exceeded 1e+12")
+        if not res[-1] < np.inf:
+            return NonFinite(f"residual norm is {res[-1]} at k = {len(res) - 1}")
+        return None
+
+    if (failure := stopped()) or res[0] <= cfg.stop_tol:
+        return iterates, res, failure is None, failure
+    max_k = min(cfg.max_iters, n)
+    V, H = np.zeros((n, max_k + 1)), np.zeros((max_k + 1, max_k))
+    cs, sn, g = np.zeros(max_k), np.zeros(max_k), np.zeros(max_k + 1)
+    g[0] = res[0]
+    V[:, 0] = (b - A @ x0) / res[0]
+    for k in range(max_k):
+        w = A @ V[:, k]
+        for j in range(k + 1):
+            H[j, k] = V[:, j] @ w
+            w -= H[j, k] * V[:, j]
+        hkk = float(np.linalg.norm(w))
+        H[k + 1, k] = hkk
+        happy = hkk <= 1e-14 * max(1.0, float(np.linalg.norm(A @ V[:, k])))
+        if not happy:
+            V[:, k + 1] = w / hkk
+        for j in range(k):
+            t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
+            H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
+            H[j, k] = t
+        denom = float(np.hypot(H[k, k], H[k + 1, k]))
+        cs[k], sn[k] = H[k, k] / denom, H[k + 1, k] / denom
+        H[k, k], H[k + 1, k] = denom, 0.0
+        g[k + 1] = -sn[k] * g[k]
+        g[k] = cs[k] * g[k]
+        y = np.linalg.solve(np.triu(H[:k + 1, :k + 1]), g[:k + 1])
+        iterates.append(x0 + V[:, :k + 1] @ y)
+        res.append(float(np.linalg.norm(b - A @ iterates[-1])))
+        if (failure := stopped()) or res[-1] <= cfg.stop_tol:
+            return iterates, res, failure is None, failure
+        if happy:
+            if res[-1] <= 1e-10 * max(1.0, res[0]):
+                return iterates, res, True, None
+            return iterates, res, False, Breakdown(
+                "Arnoldi produced a zero vector before convergence")
+    return iterates, res, False, None
+
+
+def _assert_gmres_row_matches_single_run(row, problem, x0, cfg, keep):
+    """A gmres_batch row equals gmres_run from x0, and the scalar reference loop, bit for bit.
+
+    The row holds the first keep iterates.
+    """
+    try:
+        tr = gmres_run(problem, x0, cfg)
+        failure = None
+    except AndersonLabError as exc:
+        tr, failure = exc.trace, exc
+    iterates, res, converged, ref_failure = _gmres_loop_reference(problem, x0, cfg)
+    assert type(ref_failure) is type(failure) and str(ref_failure) == str(failure)
+    assert converged == tr.converged and _bits(res) == _bits(tr.residual_norms)
+    assert np.array(iterates).tobytes() == np.array(tr.iterates).tobytes()
+    errs = [float(np.linalg.norm(problem.known_fixed_point - x)) for x in iterates]
+    assert _bits(errs) == _bits(tr.error_norms)
+    assert type(row.failure) is type(failure) and str(row.failure) == str(failure)
+    assert row.converged == tr.converged
+    assert _bits(row.residual_norms) == _bits(tr.residual_norms)
+    assert _bits(row.error_norms) == _bits(tr.error_norms)
+    assert row.x_star_norm == tr.x_star_norm
+    expected = np.array(tr.iterates[:keep])
+    assert np.array(row.iterates).shape == expected.shape
+    assert np.array(row.iterates).tobytes() == expected.tobytes()
+
+
+class TestGmresBatch:
+    def test_happy_breakdown_before_convergence_raises_with_partial_trace(self):
+        with pytest.raises(Breakdown, match="zero vector") as exc_info:
+            gmres_run(make_affine(BREAKDOWN_SPEC), np.array(BREAKDOWN_X0),
+                      AccelConfig(max_iters=10))
+        tr = exc_info.value.trace
+        assert len(tr) == 3 and len(tr.iterates) == 3 and not tr.converged
+        assert 1e-10 < tr.residual_norms[-1] < 1e-6
+
+    def test_batch_of_one_is_gmres_run(self):
+        p = problem_linear_200(-0.9, 0.7, -0.7)
+        cfg = AccelConfig(max_iters=60)
+        for x0 in np.random.default_rng(3).uniform(-0.25, 0.25, (3, 200)):
+            row = accelerators.gmres_batch(p, x0[None], cfg, keep=cfg.max_iters + 1)[0]
+            _assert_gmres_row_matches_single_run(row, p, x0, cfg, cfg.max_iters + 1)
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("keep", [0, 4, 61])
+    def test_rows_equal_single_runs_bitwise(self, monkeypatch, rows_per_chunk, keep):
+        # each batch mixes rows that converge with a start beyond the guard
+        # (Diverged) and a NaN start (NonFinite); the 2 x 2 rows end in happy
+        # breakdowns, converged at stop_tol = 0 or, for BREAKDOWN_X0 of its
+        # own problem, with Breakdown
+        rng = np.random.default_rng(11)
+        cases = [(problem_linear_200(-0.9, 0.7, -0.7), AccelConfig(max_iters=60),
+                  rng.uniform(-0.25, 0.25, (7, 200))),
+                 (problem_linear_2x2(), AccelConfig(max_iters=10, stop_tol=0.0),
+                  rng.uniform(-0.25, 0.25, (7, 2))),
+                 (make_affine(BREAKDOWN_SPEC), AccelConfig(max_iters=10),
+                  np.vstack([rng.uniform(-1.0, 1.0, (6, 2)), BREAKDOWN_X0]))]
+        for problem, cfg, X0 in cases:
+            X0[2] *= 1e13
+            X0[4, 0] = np.nan
+            max_k = min(cfg.max_iters, problem.dim)
+            if rows_per_chunk is not None:
+                monkeypatch.setattr(linalg, "CHUNK_FLOATS",
+                                    (problem.dim + max_k) * (max_k + 1) * rows_per_chunk)
+                assert accelerators.gmres_rows_per_chunk(problem.dim, max_k) == rows_per_chunk
+            batch = accelerators.gmres_batch(problem, X0, cfg, keep=keep)
+            assert len(batch) == len(X0)
+            assert isinstance(batch[2].failure, Diverged)
+            assert isinstance(batch[4].failure, NonFinite)
+            for row, x0 in zip(batch, X0):
+                _assert_gmres_row_matches_single_run(row, problem, x0, cfg, keep)
+        assert isinstance(batch[-1].failure, Breakdown)
+
+    def test_traces_do_not_share_memory_with_the_starts(self):
+        X0 = np.array([[0.2, 0.1], [-0.1, 0.05]])
+        x0 = X0[0].copy()
+        cfg = AccelConfig(window_m=2, max_iters=10)
+        p = problem_linear_2x2()
+        traces = [*accelerators.gmres_batch(p, X0, cfg, keep=3), *run_batch(p, X0, cfg, keep=3),
+                  gmres_run(p, x0, cfg), run_scheme(p, x0, cfg)]
+        X0[:] = x0[:] = 7.0
+        for tr, start in zip(traces, [[0.2, 0.1], [-0.1, 0.05]] * 2 + [[0.2, 0.1]] * 2):
+            assert tr.iterates[0].tolist() == start
+
+    def test_rejects_bad_input(self):
+        cfg = AccelConfig(max_iters=5)
+        with pytest.raises(ValueError, match="affine"):
+            accelerators.gmres_batch(problem_scalar(), np.full((1, 1), 0.5), cfg)
+        for X0 in (np.zeros(2), np.zeros((3, 1)), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                accelerators.gmres_batch(problem_linear_2x2(), X0, cfg)
+        with pytest.raises(ValueError, match="keep"):
+            accelerators.gmres_batch(problem_linear_2x2(), np.zeros((1, 2)), cfg, keep=-1)
 
 
 def _check_traces(problem, x0, k_max):

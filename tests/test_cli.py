@@ -463,8 +463,9 @@ class TestGmresCompare:
         assert _read_csv(out / "gmres_compare_deviation.csv")[2] == expected_dev
 
     def test_one_gmres_and_one_aa_run_per_init(self, tmp_path, monkeypatch):
-        # every name the command or the check could reach the solvers by is
-        # counted; the AA(inf) runs are the rows of full-window batches
+        # every name the command or the check could reach the single-init
+        # solvers by is counted; the AA(inf) and GMRES runs are the rows of
+        # full-window batches
         calls = {"aa_run": 0, "gmres_run": 0}
         for name in calls:
             def counted(*args, _name=name, _run=getattr(accelerators, name)):
@@ -472,20 +473,26 @@ class TestGmresCompare:
                 return _run(*args)
             for module in (cli, accelerators):
                 monkeypatch.setattr(module, name, counted)
-        full_window_rows = []
+        full_window_rows, gmres_rows = [], []
 
         def batched(problem, X0, cfg, **kwargs):
             if cfg.window_m == 60:
                 full_window_rows.extend(map(tuple, X0))
             return run_batch(problem, X0, cfg, **kwargs)
 
+        def gmres_batched(problem, X0, cfg, **kwargs):
+            gmres_rows.extend(map(tuple, X0))
+            return accelerators.gmres_batch(problem, X0, cfg, **kwargs)
+
         monkeypatch.setattr(cli, "run_batch", batched)
+        monkeypatch.setattr(cli, "gmres_batch", gmres_batched)
         assert main(["gmres-compare", "--problem", "linear200", "--m", "1", "--inits", "5",
                      "--seed", "3", "--k-max", "10", "--iters", "60",
                      "--out", str(tmp_path / "o")]) == 0
-        assert calls == {"aa_run": 0, "gmres_run": 5}
-        inits = sample_inits(np.tile([-0.25, 0.25], (200, 1)), 5, 3)
-        assert sorted(full_window_rows) == sorted(map(tuple, inits))
+        assert calls == {"aa_run": 0, "gmres_run": 0}
+        inits = sorted(map(tuple, sample_inits(np.tile([-0.25, 0.25], (200, 1)), 5, 3)))
+        assert sorted(full_window_rows) == inits
+        assert sorted(gmres_rows) == inits
 
     @pytest.mark.parametrize("problem_id, iters, n_inits", [("linear200", 60, 7),
                                                           ("linear2x2", 20, 7)])
