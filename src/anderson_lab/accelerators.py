@@ -127,10 +127,12 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
 
 
 def rows_per_chunk(n: int, window: int) -> int:
-    """Rows per chunk of a batch that _aa_update steps at dimension n with windows up to window.
+    """Rows that _aa_update may step at once at dimension n with windows up to window.
 
     A row holds its window + 1 q and r history entries, R, Q and the SVD's U:
-    5 n (window + 1) floats of the shared budget linalg.CHUNK_FLOATS.
+    5 n (window + 1) floats of the shared budget linalg.CHUNK_FLOATS.  The
+    run loop splits its running rows above it, at the window of the coming
+    update, and the lifted map steps its states in chunks of it.
     """
     return chunk_rows(5 * n * (window + 1))
 
@@ -194,21 +196,26 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
     residual norm is at most stop_tol (converged).  The other rows go on.
 
+    Memory stays bounded whatever the batch size: before each q evaluation,
+    while the running rows are more than rows_per_chunk allows at the
+    history length of the coming update, they are split in two halves (each
+    with a copy of its histories).  One runs on, and the other resumes from
+    that step once it has stopped.  A batch within that budget runs as one.
+
     Returns the IterationTrace of each row, with its first keep iterates.
     When betas is a list, it receives the BetaSolution of each step of a
     single-row X.
     """
-    B = X.shape[0]
+    B, n = X.shape
     m = cfg.window_m
     x_star = problem.known_fixed_point
     if x_star is not None:
         x_star = x_star[None]  # a (1, n) row subtracts from X faster than (n,)
     converged = np.zeros(B, dtype=bool)
     failures = [None] * B
-    rows = np.arange(B)  # batch index of each running row
     step_rows, step_res, step_err, step_x = [], [], [], []
 
-    def record(X):
+    def record(X, rows, k):
         q_errors = {}  # running-row index -> the error q raised there
         try:
             Qx = problem.q(X)
@@ -222,44 +229,58 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
         step_rows.append(rows)
-        if len(step_x) < keep:
-            step_x.append(X)
+        step_x.append(X if k < keep else None)
         step_res.append(_norms(Rx))
         if x_star is not None:
             step_err.append(_norms(x_star - X))
         return Qx, Rx, step_res[-1], _norms(X), q_errors
 
-    Qx, Rx, rn, xn, q_errors = record(X)
-    q_hist, r_hist = [Qx], [Rx]
-    for k in range(cfg.max_iters + 1):
-        # the one stop test: a row of q's error has a NaN residual, so it
-        # fails the residual tests as NaN/Inf does.  The ufunc reductions are
-        # the cheapest whole-batch tests, which matters at B = 1.
-        if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf
-                and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
-            going = ~_stopped(rn, xn, k, rows, cfg.stop_tol, failures, converged, q_errors)
-            rows = rows[going]
-            q_hist = [a[going] for a in q_hist]
-            r_hist = [a[going] for a in r_hist]
-        if k == cfg.max_iters or not rows.size:
-            break
-
-        # every residual in the history has a finite norm, so R is finite
-        X, coeffs, ranks, R = _aa_update(q_hist, r_hist)
-        if betas is not None:
-            betas.append(_beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks))
-        Qx, Rx, rn, xn, q_errors = record(X)
-
-        if cfg.restart and len(q_hist) == m + 1:
+    # cohorts set aside: (step k, batch index of each row, iterate k, q and r
+    # histories before step k)
+    waiting = [(0, np.arange(B), X, [], [])]
+    while waiting:
+        k, rows, X, q_hist, r_hist = waiting.pop()
+        while True:
             # the step just taken had a full window: restart the entire AA(m)
             # iteration, which happens every m (accelerated) steps
-            q_hist, r_hist = [Qx], [Rx]
-        else:
-            q_hist.append(Qx)
-            r_hist.append(Rx)
-            if len(q_hist) > m + 1:
-                q_hist.pop(0)
-                r_hist.pop(0)
+            restarting = cfg.restart and len(q_hist) == m + 1
+            # the window of the coming update.  A single row never splits, so
+            # it skips the test, which single runs pay for at every step
+            if len(rows) > 1 and len(rows) > rows_per_chunk(
+                    n, 0 if restarting else min(len(q_hist), m)):
+                # set both halves aside, each with its own copy of the
+                # histories; the first runs on next
+                h = len(rows) // 2
+                waiting += [(k, rows[s], X[s], [a[s].copy() for a in q_hist],
+                             [a[s].copy() for a in r_hist]) for s in (np.s_[h:], np.s_[:h])]
+                break
+            Qx, Rx, rn, xn, q_errors = record(X, rows, k)
+            if restarting:
+                q_hist, r_hist = [Qx], [Rx]
+            else:
+                q_hist.append(Qx)
+                r_hist.append(Rx)
+                if len(q_hist) > m + 1:
+                    q_hist.pop(0)
+                    r_hist.pop(0)
+
+            # the one stop test: a row of q's error has a NaN residual, so it
+            # fails the residual tests as NaN/Inf does.  The ufunc reductions
+            # are the cheapest whole-batch tests, which matters at B = 1.
+            if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf
+                    and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
+                going = ~_stopped(rn, xn, k, rows, cfg.stop_tol, failures, converged, q_errors)
+                rows = rows[going]
+                q_hist = [a[going] for a in q_hist]
+                r_hist = [a[going] for a in r_hist]
+            if k == cfg.max_iters or not rows.size:
+                break
+
+            # every residual in the history has a finite norm, so R is finite
+            X, coeffs, ranks, R = _aa_update(q_hist, r_hist)
+            if betas is not None:
+                betas.append(_beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks))
+            k += 1
 
     return _traces(problem, B, step_rows, step_res, step_err, step_x, converged, failures)
 
@@ -269,13 +290,13 @@ def _traces(problem: FixedPointProblem, B: int, step_rows: list, step_res: list,
             failures: list) -> list[IterationTrace]:
     """The IterationTrace of each of B rows of a lockstep batch, from its step-major records.
 
-    step_rows[s] holds the batch index of each row that ran step s, and
+    step_rows[s] holds the batch index of each row that ran record s, and
     step_res[s], step_err[s] and step_x[s] their residual norms, error norms
-    and iterates.  step_err is empty without x*, and step_x covers the first
-    steps only (none when the batch kept no iterates).
+    and iterates.  step_err is empty without x*, and step_x[s] is None where
+    the iterates were not kept.
     """
-    # a row leaves the batch for good, so its steps are a prefix of all steps:
-    # sorting the step-major records by row (stably) lines up each row's records
+    # a row runs in one cohort at a time and records its steps in order, so
+    # sorting the records by row (stably) lines up each row's records
     ids = np.concatenate(step_rows)
     order = np.argsort(ids, kind="stable")
     ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
@@ -288,8 +309,9 @@ def _traces(problem: FixedPointProblem, B: int, step_rows: list, step_res: list,
     # kept iterates stay views of the step arrays: sorting them would copy them
     kept = [[] for _ in range(B)]
     for step_ids, X in zip(step_rows, step_x):
-        for i, x in zip(step_ids.tolist(), X):
-            kept[i].append(x)
+        if X is not None:
+            for i, x in zip(step_ids.tolist(), X):
+                kept[i].append(x)
     x_star_norm = _x_star_norm(problem)
     return [IterationTrace(iterates=x, residual_norms=r.tolist(),
                            error_norms=None if e is None else e.tolist(),
@@ -314,17 +336,15 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
               keep: int = 0) -> list[IterationTrace]:
     """run_scheme from every row of X0 (B, n): one IterationTrace per row, without betas.
 
-    The rows run in lockstep, in chunks of rows_per_chunk(n, window_m) rows,
-    so that a batch's memory stays bounded whatever B is.  An error in q
-    (EvalError) fails only the rows it was raised on, and a trace's failure
-    is the error that stopped its row (not raised).  Every row equals its
-    single-init run bit for bit.  Each trace keeps the row's first keep
-    iterates; keep = 0 keeps none.
+    The rows run in lockstep as one batch, split only while the history the
+    running rows hold would outgrow the budget of rows_per_chunk, so that
+    memory stays bounded whatever B is.  An error in q (EvalError) fails only
+    the rows it was raised on, and a trace's failure is the error that
+    stopped its row (not raised).  Every row equals its single-init run bit
+    for bit.  Each trace keeps the row's first keep iterates; keep = 0 keeps
+    none.
     """
-    X = _batch_starts(problem, X0, keep)
-    chunk = rows_per_chunk(problem.dim, cfg.window_m)
-    return [tr for start in range(0, len(X), chunk)
-            for tr in _iterate(problem, X[start:start + chunk], cfg, keep)]
+    return _iterate(problem, _batch_starts(problem, X0, keep), cfg, keep)
 
 
 def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -389,8 +409,7 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: i
 
     def record(X, rn, k):  # records iterate k of the running rows; True where a row stops
         step_rows.append(rows)
-        if len(step_x) < keep:
-            step_x.append(X)
+        step_x.append(X if k < keep else None)
         step_res.append(rn)
         if x_star is not None:
             step_err.append(_norms(x_star - X))

@@ -24,6 +24,7 @@ from anderson_lab.problems import (
     AffineSpec,
     FixedPointProblem,
     make_affine,
+    problem_from_id,
     problem_linear_2x2,
     problem_linear_200,
     problem_nonlinear_2x2,
@@ -639,6 +640,32 @@ def _random_contraction(seed, n):
     return AffineSpec(M=M, b=rng.standard_normal(n)), rng
 
 
+def _logged_steps(monkeypatch, problem):
+    """problem with the run loop's q calls and AA updates logged in order.
+
+    The log gets ("q", rows) for each q call and ("update", rows, mk) for
+    each update of mk columns (history length mk + 1).
+    """
+    log = []
+    update = accelerators._aa_update
+
+    def logged_update(q_hist, r_hist):
+        log.append(("update", len(q_hist[-1]), len(q_hist) - 1))
+        return update(q_hist, r_hist)
+
+    def logged_q(X):
+        log.append(("q", len(X)))
+        return problem.q(X)
+
+    monkeypatch.setattr(accelerators, "_aa_update", logged_update)
+    return replace(problem, q=logged_q), log
+
+
+def _split_mid_run(log):
+    """True when an update of the log is followed by a q call on fewer rows (a split at k > 0)."""
+    return any(a[0] == "update" and b[0] == "q" and b[1] < a[1] for a, b in zip(log, log[1:]))
+
+
 class TestRunBatch:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
@@ -755,24 +782,93 @@ class TestRunBatch:
 
     def test_rows_independent_of_batch_size(self, monkeypatch):
         problem = problem_linear_2x2()
-        X0 = np.random.default_rng(3).uniform(-0.25, 0.25, (1000, 2))
-        # rows per chunk: all 1000 in one (None), or ragged chunks of 333 and 7
-        for chunk, cfg, keep in itertools.product(
-                (None, 333, 7), (AccelConfig(window_m=0), AccelConfig(window_m=1),
-                                 AccelConfig(window_m=2, restart=True)), (0, 5)):
-            with monkeypatch.context() as patch:
-                if chunk is not None:
-                    patch.setattr(linalg, "CHUNK_FLOATS", 5 * 2 * (cfg.window_m + 1) * chunk)
-                    assert accelerators.rows_per_chunk(2, cfg.window_m) == chunk
-                batch = run_batch(problem, X0, cfg, keep=keep)
-                assert len(batch) == 1000
-                for i in range(0, 1000, 97):
-                    alone = run_batch(problem, X0[i:i + 1], cfg, keep=keep)[0]
-                    np.testing.assert_array_equal(alone.residual_norms, batch[i].residual_norms)
-                    np.testing.assert_array_equal(alone.error_norms, batch[i].error_norms)
-                    assert alone.converged == batch[i].converged
-                    assert len(batch[i].iterates) == min(keep, len(alone))
-                    np.testing.assert_array_equal(alone.iterates, batch[i].iterates)
+        X0 = np.random.default_rng(3).uniform(-0.25, 0.25, (300, 2))
+        sample = range(0, 300, 23)
+        for cfg, keep in itertools.product(
+                (AccelConfig(window_m=0), AccelConfig(window_m=1),
+                 AccelConfig(window_m=2, restart=True)), (0, 5)):
+            alone = {i: run_scheme(problem, X0[i], cfg) for i in sample}
+            # a budget that fits 160 rows at window 0, 80 at window 1 and 53 at
+            # window 2; one that fits 20, 10 and 6; and the default, which
+            # splits nothing.  Every split is before step 5, and restarted
+            # AA(2) runs resumed cohorts across its restarts at k = 3 and 6
+            for budget in (5 * 2 * 1 * 160, 5 * 2 * 1 * 20, None):
+                with monkeypatch.context() as patch:
+                    if budget is not None:
+                        patch.setattr(linalg, "CHUNK_FLOATS", budget)
+                    logged, log = _logged_steps(patch, problem)
+                    batch = run_batch(logged, X0, cfg, keep=keep)
+                assert len(batch) == 300
+                assert (log[0] == ("q", 300)) == (budget is None)  # a split at k = 0
+                if budget is not None and cfg.window_m:
+                    assert _split_mid_run(log)
+                for i in sample:
+                    np.testing.assert_array_equal(alone[i].residual_norms,
+                                                  batch[i].residual_norms)
+                    np.testing.assert_array_equal(alone[i].error_norms, batch[i].error_norms)
+                    assert alone[i].converged == batch[i].converged
+                    assert len(batch[i].iterates) == min(keep, len(alone[i]))
+                    np.testing.assert_array_equal(alone[i].iterates[:keep], batch[i].iterates)
+
+    @pytest.mark.parametrize("problem_id, B, cfg, budget", [
+        ("linear2x2", 300, AccelConfig(window_m=1), 5 * 2 * 1 * 20),
+        ("linear2x2", 300, AccelConfig(window_m=2, restart=True), 5 * 2 * 1 * 20),
+        # the AA(inf) batch of the krylov-200 benchmark command
+        ("linear200", 50, AccelConfig(window_m=60, max_iters=60), None),
+        ("linear200", 20, AccelConfig(window_m=3, max_iters=30), 5 * 200 * 3 * 7),
+    ])
+    def test_multi_row_steps_fit_the_budget(self, monkeypatch, problem_id, B, cfg, budget):
+        if budget is not None:
+            monkeypatch.setattr(linalg, "CHUNK_FLOATS", budget)
+        problem = problem_from_id(problem_id)
+        X0 = np.random.default_rng(4).uniform(-0.25, 0.25, (B, problem.dim))
+        logged, log = _logged_steps(monkeypatch, problem)
+        batch = run_batch(logged, X0, cfg)
+        assert all(tr.converged for tr in batch)
+        updates = [entry[1:] for entry in log if entry[0] == "update"]
+        assert max(rows for rows, _ in updates) > 1
+        for rows, mk in updates:
+            assert rows == 1 or 5 * problem.dim * (mk + 1) * rows <= linalg.CHUNK_FLOATS
+
+    @pytest.mark.parametrize("problem_id, B, cfg, exact", [
+        ("linear200:-0.9,0.7,-0.7", 10, AccelConfig(window_m=6), False),
+        ("linear200:-0.9,0.7,-0.7", 10, AccelConfig(window_m=6, restart=True), False),
+        ("linear2x2", 200, AccelConfig(window_m=0), False),
+        ("linear2x2", 200, AccelConfig(window_m=1), False),
+        ("linear200:-0.9,0.7,-0.7", 10, AccelConfig(window_m=6), True),
+        ("linear2x2", 200, AccelConfig(window_m=1), True),
+    ])
+    def test_batch_within_the_budget_runs_as_one_cohort(self, monkeypatch, problem_id, B, cfg,
+                                                        exact):
+        # the sizes of the msweep-200 and spectra-2x2 benchmark commands, with
+        # the default budget or one the full window's footprint just fits
+        problem = problem_from_id(problem_id)
+        if exact:
+            monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * problem.dim * (cfg.window_m + 1) * B)
+        X0 = np.random.default_rng(5).uniform(-0.25, 0.25, (B, problem.dim))
+        logged, log = _logged_steps(monkeypatch, problem)
+        batch = run_batch(logged, X0, cfg)
+        q_rows = [rows for event, rows, *_ in log if event == "q"]
+        assert q_rows[0] == B
+        assert len(q_rows) == max(map(len, batch))  # one q call per step
+        assert q_rows == sorted(q_rows, reverse=True)
+
+    def test_failures_across_splits_equal_single_runs(self, monkeypatch):
+        # q = 1 + 1/x raises EvalError on the rows at 0: 0 at once, -1 after
+        # one step; 1e13 is outside the guard (Diverged at k = 0) and 1e-13
+        # steps out of it (Diverged at k = 1)
+        problem = problem_scalar()
+        X0 = np.array([1.0, 0.0, 2.0, -1.0, 1e13, 3.0, 1e-13, 0.5, -1.0, 0.0,
+                       1e13, 1e-13, 0.25, 5.0, 0.0, -1.0])[:, None]
+        # 4 rows a cohort at window 0 and 2 at window 1: the failing rows of
+        # a mask share a cohort with running rows and are spread over several
+        monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * 1 * 1 * 4)
+        for cfg in (AccelConfig(window_m=0, max_iters=60), AccelConfig(window_m=1, max_iters=20),
+                    AccelConfig(window_m=2, restart=True, max_iters=20)):
+            batch = run_batch(problem, X0, cfg)
+            assert {type(tr.failure) for tr in batch} == {type(None), EvalError, Diverged}
+            for i, x0 in enumerate(X0):
+                _assert_row_matches_single_run(batch, i, problem, x0, cfg)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

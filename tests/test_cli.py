@@ -498,12 +498,16 @@ class TestGmresCompare:
                                                           ("linear2x2", 20, 7)])
     def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch,
                                                     problem_id, iters, n_inits):
-        # AA(inf) chunks of 1 row, of 3 rows (a ragged last chunk) and of all rows
+        # the default budget, which splits nothing at these sizes; one that
+        # fits 3 rows at k = 0 (a split there, and more as the window grows);
+        # and one that fits all rows up to a history of 2 entries (AA(1) runs
+        # whole, AA(inf) splits at k = 2)
         n = problem_from_id(problem_id).dim
         outputs = []
-        for rows in (1, 3, n_inits):
-            monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * n * (iters + 1) * rows)
-            out = tmp_path / str(rows)
+        for budget in (None, 5 * n * 1 * 3, 5 * n * 2 * n_inits):
+            if budget is not None:
+                monkeypatch.setattr(linalg, "CHUNK_FLOATS", budget)
+            out = tmp_path / str(budget)
             assert main(["gmres-compare", "--problem", problem_id, "--m", "1",
                          "--inits", str(n_inits), "--seed", "11", "--k-max", "10",
                          "--iters", str(iters), "--out", str(out)]) == 0
