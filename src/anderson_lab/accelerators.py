@@ -49,11 +49,9 @@ class AccelConfig:
 
 @dataclass(frozen=True)
 class BetaSolution:
-    """Least-squares coefficients of one AA step plus diagnostics."""
+    """Least-squares coefficients of one AA step and the numerical rank of its R."""
 
     beta: np.ndarray
-    residual_norm_before: float
-    ls_objective: float
     rank: int
 
 
@@ -61,12 +59,13 @@ class BetaSolution:
 class IterationTrace:
     """Per-iteration record of one run.
 
-    betas[k] is the coefficient solution used to produce iterates[k + 1]; the
-    list is one shorter than the iterate list.  sigma_k and error_ratios are
-    derived from error_norms on first read (None without them), NaN at k = 0
-    by convention.  failure is the error that stopped the run, or None; the
-    trace then ends with the iterate that stopped it.  Traces of a batch run
-    (run_batch) have no betas, and iterates only when the run kept them.
+    A trace holds the norms of every iterate, its first keep iterates (a
+    single run keeps all) and the betas that produced them: betas[k]
+    produced iterates[k + 1] (GMRES has none).
+    sigma_k and error_ratios are derived from error_norms on first read (None
+    without them), NaN at k = 0 by convention.  failure is the error that
+    stopped the run, or None; the trace then ends with the iterate that
+    stopped it.
     """
 
     iterates: list = field(default_factory=list)
@@ -107,23 +106,23 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     """One AA update for a batch, from cached q and r histories, oldest first.
 
     Each history entry is a (B, n) array; with mk + 1 entries the update
-    solves B least-squares problems of mk columns with one stacked SVD.
-    Returns the next iterates (B, n), the coefficients (B, mk), the numerical
-    ranks (B,) and the residual differences R (B, n, mk), whose column j pairs
-    the newest residual with the one j + 1 steps older.  mk = 0 is the plain
-    fixed-point step, which solves nothing: coefficients, ranks and R are None.
+    solves B least-squares problems of mk columns with one stacked SVD, whose
+    column j pairs the newest residual with the one j + 1 steps older.
+    Returns the next iterates (B, n), the coefficients (B, mk) and the
+    numerical ranks (B,).  mk = 0 is the plain fixed-point step, which solves
+    nothing: no coefficients, rank 0.
     """
     qk, rk = q_hist[-1], r_hist[-1]
     mk = len(q_hist) - 1
     if not mk:
-        return qk.copy(), None, None, None
+        return qk.copy(), np.zeros((len(qk), 0)), np.zeros(len(qk), dtype=int)
     R = np.empty(rk.shape + (mk,))
     Q = np.empty(R.shape)
     for j in range(mk):
         np.subtract(rk, r_hist[-2 - j], out=R[..., j])
         np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
     coeffs, ranks = stacked_anderson_coefficients(R, rk)
-    return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks, R
+    return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks
 
 
 def rows_per_chunk(n: int, window: int) -> int:
@@ -137,15 +136,6 @@ def rows_per_chunk(n: int, window: int) -> int:
     return chunk_rows(5 * n * (window + 1))
 
 
-def _beta_solution(r_norm: float, r: np.ndarray, R, coeffs, ranks) -> BetaSolution:
-    """BetaSolution of an AA update of a batch of one, whose residual r (n,) has norm r_norm."""
-    if R is None:
-        return BetaSolution(beta=np.zeros(0), residual_norm_before=r_norm,
-                            ls_objective=r_norm, rank=0)
-    return BetaSolution(beta=coeffs[0], residual_norm_before=r_norm,
-                        ls_objective=float(_norms(r + R[0] @ coeffs[0])), rank=int(ranks[0]))
-
-
 def aa_step(problem: FixedPointProblem,
             history: Sequence[np.ndarray]) -> tuple[np.ndarray, BetaSolution]:
     """One AA update from the last min(k, m) + 1 iterates (newest last)."""
@@ -154,8 +144,8 @@ def aa_step(problem: FixedPointProblem,
     X = np.asarray(history, dtype=float)
     Qx = problem.q(X)
     Rx = X - Qx
-    x_next, coeffs, ranks, R = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
-    return x_next[0], _beta_solution(float(_norms(Rx[-1])), Rx[-1], R, coeffs, ranks)
+    x_next, coeffs, ranks = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
+    return x_next[0], BetaSolution(coeffs[0], int(ranks[0]))
 
 
 def _stopped(rn: np.ndarray, xn: np.ndarray, k: int, rows: np.ndarray, stop_tol: float,
@@ -184,7 +174,7 @@ def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
 def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
-             keep: int = 0, betas: Optional[list] = None) -> list[IterationTrace]:
+             keep: int = 0) -> list[IterationTrace]:
     """FP, windowed or restarted AA(m) from every row of X, in lockstep.
 
     Each step evaluates q once on the running rows (once more on the others
@@ -202,9 +192,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     with a copy of its histories).  One runs on, and the other resumes from
     that step once it has stopped.  A batch within that budget runs as one.
 
-    Returns the IterationTrace of each row, with its first keep iterates.
-    When betas is a list, it receives the BetaSolution of each step of a
-    single-row X.
+    Returns the IterationTrace of each row, with its first keep iterates and
+    the betas that produced them.
     """
     B, n = X.shape
     m = cfg.window_m
@@ -213,7 +202,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
         x_star = x_star[None]  # a (1, n) row subtracts from X faster than (n,)
     converged = np.zeros(B, dtype=bool)
     failures = [None] * B
-    step_rows, step_res, step_err, step_x = [], [], [], []
+    step_rows, step_res, step_err, kept_x, kept_betas = [], [], [], [], []
 
     def record(X, rows, k):
         q_errors = {}  # running-row index -> the error q raised there
@@ -229,7 +218,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
         step_rows.append(rows)
-        step_x.append(X if k < keep else None)
+        if k < keep:
+            kept_x.append((rows, X))
         step_res.append(_norms(Rx))
         if x_star is not None:
             step_err.append(_norms(x_star - X))
@@ -277,23 +267,24 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 break
 
             # every residual in the history has a finite norm, so R is finite
-            X, coeffs, ranks, R = _aa_update(q_hist, r_hist)
-            if betas is not None:
-                betas.append(_beta_solution(float(rn[0]), r_hist[-1][0], R, coeffs, ranks))
+            X, coeffs, ranks = _aa_update(q_hist, r_hist)
             k += 1
+            if k < keep:
+                kept_betas.append((rows, list(map(BetaSolution, coeffs, ranks.tolist()))))
 
-    return _traces(problem, B, step_rows, step_res, step_err, step_x, converged, failures)
+    return _traces(problem, B, step_rows, step_res, step_err, kept_x, kept_betas, converged,
+                   failures)
 
 
 def _traces(problem: FixedPointProblem, B: int, step_rows: list, step_res: list,
-            step_err: list, step_x: list, converged: np.ndarray,
+            step_err: list, kept_x: list, kept_betas: list, converged: np.ndarray,
             failures: list) -> list[IterationTrace]:
     """The IterationTrace of each of B rows of a lockstep batch, from its step-major records.
 
     step_rows[s] holds the batch index of each row that ran record s, and
-    step_res[s], step_err[s] and step_x[s] their residual norms, error norms
-    and iterates.  step_err is empty without x*, and step_x[s] is None where
-    the iterates were not kept.
+    step_res[s] and step_err[s] their residual and error norms (step_err is
+    empty without x*).  kept_x and kept_betas hold (batch indices, values)
+    pairs, one per kept step: the rows' iterates and their BetaSolutions.
     """
     # a row runs in one cohort at a time and records its steps in order, so
     # sorting the records by row (stably) lines up each row's records
@@ -307,16 +298,16 @@ def _traces(problem: FixedPointProblem, B: int, step_rows: list, step_res: list,
     res = per_row(step_res)
     errs = per_row(step_err) if step_err else [None] * B
     # kept iterates stay views of the step arrays: sorting them would copy them
-    kept = [[] for _ in range(B)]
-    for step_ids, X in zip(step_rows, step_x):
-        if X is not None:
-            for i, x in zip(step_ids.tolist(), X):
-                kept[i].append(x)
+    iterates, betas = [[] for _ in range(B)], [[] for _ in range(B)]
+    for out, kept in ((iterates, kept_x), (betas, kept_betas)):
+        for step_ids, values in kept:
+            for i, v in zip(step_ids.tolist(), values):
+                out[i].append(v)
     x_star_norm = _x_star_norm(problem)
     return [IterationTrace(iterates=x, residual_norms=r.tolist(),
-                           error_norms=None if e is None else e.tolist(),
+                           error_norms=None if e is None else e.tolist(), betas=bs,
                            x_star_norm=x_star_norm, converged=c, failure=f)
-            for x, r, e, c, f in zip(kept, res, errs, converged.tolist(), failures)]
+            for x, r, e, bs, c, f in zip(iterates, res, errs, betas, converged.tolist(), failures)]
 
 
 def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
@@ -334,40 +325,45 @@ def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.n
 
 def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
               keep: int = 0) -> list[IterationTrace]:
-    """run_scheme from every row of X0 (B, n): one IterationTrace per row, without betas.
+    """run_scheme from every row of X0 (B, n): one IterationTrace per row.
 
     The rows run in lockstep as one batch, split only while the history the
     running rows hold would outgrow the budget of rows_per_chunk, so that
     memory stays bounded whatever B is.  An error in q (EvalError) fails only
     the rows it was raised on, and a trace's failure is the error that
     stopped its row (not raised).  Every row equals its single-init run bit
-    for bit.  Each trace keeps the row's first keep iterates; keep = 0 keeps
-    none.
+    for bit.  Each trace keeps the row's first keep iterates and the betas
+    that produced them; keep = 0 keeps neither.
     """
     return _iterate(problem, _batch_starts(problem, X0, keep), cfg, keep)
 
 
+def _batch_of_one(batch, problem: FixedPointProblem, x0: np.ndarray,
+                  cfg: AccelConfig) -> IterationTrace:
+    """The trace of batch (run_batch or gmres_batch) from x0 alone with every iterate kept.
+
+    A failure is raised with the trace, up to and including the iterate that
+    stopped the run.
+    """
+    tr = batch(problem, np.asarray(x0, dtype=float)[None], cfg, cfg.max_iters + 1)[0]
+    if tr.failure is not None:
+        tr.failure.trace = tr
+        raise tr.failure
+    return tr
+
+
 def run_scheme(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """One trajectory from x0, traced with its iterates and coefficients.
+    """One trajectory from x0 with its iterates and coefficients: run_batch's batch of one.
 
     window_m = 0 gives the plain fixed-point iteration x_{k+1} = q(x_k);
     window_m = m >= 1 gives AA(m) with a growing-then-sliding window of size
     min(k, m).  With restart, the history is cleared after every m-th
     windowed step, so each cycle is one plain-FP-like step followed by m
     steps whose windows grow from 1 to m, mirroring restarted GMRES(m) in the
-    linear case.  A failure (Diverged, NonFinite or q's error) carries the
-    partial trace, up to and including the iterate that stopped the run.
+    linear case.  A failure (Diverged, NonFinite or q's error) is raised with
+    the partial trace.
     """
-    x = np.array(x0, dtype=float)  # the trace keeps a view of it
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 must have shape ({problem.dim},)")
-    betas = []
-    tr = _iterate(problem, x[None], cfg, cfg.max_iters + 1, betas)[0]
-    tr.betas = betas
-    if tr.failure is not None:
-        tr.failure.trace = tr
-        raise tr.failure
-    return tr
+    return _batch_of_one(run_batch, problem, x0, cfg)
 
 
 def aa_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -385,16 +381,16 @@ def gmres_rows_per_chunk(n: int, max_k: int) -> int:
 
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the guard or stop test fails
-def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: int,
-           V: np.ndarray) -> list[IterationTrace]:
+def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
+           keep: int) -> list[IterationTrace]:
     """Dense GMRES from every row of X0, in lockstep; see gmres_batch.
 
     Each step makes one stacked matvec, the MGS and Givens loops and one
     stacked triangular solve for all running rows.  Every row keeps the
     arithmetic of a run of its own: a gemv per row, strided dot products,
-    and products and differences as separate operations.  V, of shape
-    (at least B, n, min(max_iters, n) + 1), is the work array of the Arnoldi
-    bases; a column is always written before it is read.
+    and products and differences as separate operations.  Stopped rows
+    leave the batch as in the run loop, by boolean indexing of every per-row
+    array.
     """
     A = problem.affine.A
     b = problem.affine.b
@@ -405,11 +401,12 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: i
     converged = np.zeros(B, dtype=bool)
     failures = [None] * B
     rows = np.arange(B)  # batch index of each running row
-    step_rows, step_res, step_err, step_x = [], [], [], []
+    step_rows, step_res, step_err, kept_x = [], [], [], []
 
     def record(X, rn, k):  # records iterate k of the running rows; True where a row stops
         step_rows.append(rows)
-        step_x.append(X if k < keep else None)
+        if k < keep:
+            kept_x.append((rows, X))
         step_res.append(rn)
         if x_star is not None:
             step_err.append(_norms(x_star - X))
@@ -424,7 +421,7 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: i
     # array does, so that its dot products see the same strides.  The
     # Hessenberg columns H[k] (max_k + 1, B), the rotations and g, whose
     # layout changes no value, put the batch axis last for cheap indexing.
-    V = V[:len(rows)]
+    V = np.zeros((len(rows), n, max_k + 1))
     V[:, :, 0] = R0 / beta0[:, None]
     H = np.zeros((max_k, max_k + 1, len(rows)))
     cs, sn = np.zeros((2, max_k, len(rows)))
@@ -476,19 +473,10 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: i
             failures[rows[j]] = Breakdown("Arnoldi produced a zero vector before convergence")
         going = ~(stop | happy)
         if not going.all():
-            # the running rows move to the front in place, so that V and H
-            # are never copied whole
-            live = np.flatnonzero(going)
-            for dst, src in enumerate(live.tolist()):
-                if dst != src:
-                    V[dst] = V[src]
-                    H[..., dst] = H[..., src]
-                    cs[:, dst], sn[:, dst], g[:, dst] = cs[:, src], sn[:, src], g[:, src]
-            rows, X0, beta0 = rows[live], X0[live], beta0[live]
-            m = len(live)
-            V, H, cs, sn, g = V[:m], H[..., :m], cs[:, :m], sn[:, :m], g[:, :m]
+            rows, X0, beta0, V = rows[going], X0[going], beta0[going], V[going]
+            H, cs, sn, g = H[..., going], cs[:, going], sn[:, going], g[:, going]
 
-    return _traces(problem, B, step_rows, step_res, step_err, step_x, converged, failures)
+    return _traces(problem, B, step_rows, step_res, step_err, kept_x, [], converged, failures)
 
 
 def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
@@ -506,48 +494,44 @@ def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     that stopped its row (not raised).  A problem without an affine form
     raises ValueError.
 
-    The rows run in lockstep, in chunks of gmres_rows_per_chunk(n, max_k)
-    rows with max_k = min(max_iters, n), and every row equals its
-    single-init run bit for bit.  Each trace keeps the row's first keep
-    iterates; keep = 0 keeps none.
+    The rows run in lockstep, one chunk of gmres_rows_per_chunk(n, max_k)
+    rows with max_k = min(max_iters, n) after another, each with its own
+    Arnoldi bases, and every row equals its single-init run bit for bit.
+    Each trace keeps the row's first keep iterates and has no betas.
     """
     if problem.affine is None:
         raise ValueError("gmres requires an affine problem")
     X = _batch_starts(problem, X0, keep)
-    max_k = min(cfg.max_iters, problem.dim)
-    chunk = gmres_rows_per_chunk(problem.dim, max_k)
-    V = np.zeros((min(chunk, len(X)), problem.dim, max_k + 1))  # shared by the chunks
+    chunk = gmres_rows_per_chunk(problem.dim, min(cfg.max_iters, problem.dim))
     return [tr for start in range(0, len(X), chunk)
-            for tr in _gmres(problem, X[start:start + chunk], cfg, keep, V)]
+            for tr in _gmres(problem, X[start:start + chunk], cfg, keep)]
 
 
 def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
-    """gmres_batch from x0 alone, traced with its iterates.
+    """gmres_batch's batch of one from x0, traced with its iterates.
 
-    A failure (Diverged, NonFinite or Breakdown) carries the partial trace,
-    up to and including the iterate that stopped the run.
+    A failure (Diverged, NonFinite or Breakdown) is raised with the partial
+    trace.
     """
-    tr = gmres_batch(problem, np.asarray(x0, dtype=float)[None], cfg, cfg.max_iters + 1)[0]
-    if tr.failure is not None:
-        tr.failure.trace = tr
-        raise tr.failure
-    return tr
+    return _batch_of_one(gmres_batch, problem, x0, cfg)
 
 
 def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: IterationTrace,
                                   gmres_trace: IterationTrace, k_max: int) -> float:
-    """max_k || x^AA_{k+1} - q(x^GMRES_k) || for k < min(k_max, steps of either trace).
+    """max_k || x^AA_{k+1} - q(x^GMRES_k) || for k < K.
 
-    aa_trace (unbounded-window AA) and gmres_trace start from the same x0 and
-    carry their iterates (ValueError otherwise; a run_batch trace without keep
-    has none).  Raises StagnationDetected when the GMRES residuals do not
-    strictly decrease over the compared range (the correspondence is undefined
-    there).
+    K = min(k_max, steps kept by either trace): a trace keeping i iterates
+    (all of them, or its first keep) has kept i - 1 steps.  aa_trace
+    (unbounded-window AA) and gmres_trace start from the same x0 and carry
+    their iterates (ValueError otherwise; a batch trace with keep = 0 has
+    none).  Raises StagnationDetected when the GMRES residuals do not
+    strictly decrease over the compared range (the correspondence is
+    undefined there).
     """
     if not (aa_trace.iterates and gmres_trace.iterates):
         raise ValueError("the AA-vs-GMRES check needs traces with their iterates")
     res = gmres_trace.residual_norms
-    K = max(0, min(k_max, len(gmres_trace) - 1, len(aa_trace) - 1))
+    K = max(0, min(k_max, len(aa_trace.iterates) - 1, len(gmres_trace.iterates) - 1))
     for k in range(K):
         if res[k + 1] >= res[k]:
             raise StagnationDetected(

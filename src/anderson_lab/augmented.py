@@ -113,7 +113,7 @@ def _lifted_update(problem: FixedPointProblem,
         # the update runs as in the batched run loop
         X = np.ascontiguousarray(blocks[part, ::-1].transpose(1, 0, 2))
         Qx = problem.q(X)
-        x_next[part], coeffs[part], _, _ = _aa_update(list(Qx), list(X - Qx))
+        x_next[part], coeffs[part], _ = _aa_update(list(Qx), list(X - Qx))
     return x_next, coeffs
 
 

@@ -155,7 +155,12 @@ class TestAaStep:
         rng = np.random.default_rng(5)
         hist = [rng.standard_normal(2) for _ in range(3)]
         _, beta = aa_step(p, hist)
-        assert beta.ls_objective <= beta.residual_norm_before + 1e-12
+        # column j of R pairs the newest residual with the one j + 1 steps older
+        res = [x - p.q(x) for x in hist]
+        r = res[-1]
+        R = np.column_stack([r - res[-2 - j] for j in range(len(hist) - 1)])
+        assert beta.beta.shape == (2,)
+        assert np.linalg.norm(r + R @ beta.beta) <= np.linalg.norm(r) + 1e-12
 
 
 class TestAaRun:
@@ -506,15 +511,28 @@ class TestGmresBatch:
         # each batch mixes rows that converge with a start beyond the guard
         # (Diverged) and a NaN start (NonFinite); the 2 x 2 rows end in happy
         # breakdowns, converged at stop_tol = 0 or, for BREAKDOWN_X0 of its
-        # own problem, with Breakdown
+        # own problem, with Breakdown.  With the diagonal M, x* plus an error
+        # on d coordinates has a residual in an invariant subspace of
+        # dimension d, so that row stops at step d, between generic rows that
+        # run on to step 6
         rng = np.random.default_rng(11)
+        diagonal = make_affine(AffineSpec(M=np.diag([-0.8, -0.5, -0.1, 0.3, 0.6, 0.9]),
+                                          b=[0.3, -0.7, 0.5, 0.1, -0.2, 0.9]))
+        X0_diagonal = np.random.default_rng(5).uniform(-1.0, 1.0, (11, 6))
+        for i, support in {0: [1], 3: [0, 2, 5], 5: [3, 4], 7: [0, 1, 3, 5], 8: [4],
+                           10: [2, 5]}.items():
+            error = np.zeros(6)
+            error[support] = X0_diagonal[i, support]
+            X0_diagonal[i] = diagonal.known_fixed_point + error
         cases = [(problem_linear_200(-0.9, 0.7, -0.7), AccelConfig(max_iters=60),
-                  rng.uniform(-0.25, 0.25, (7, 200))),
+                  rng.uniform(-0.25, 0.25, (7, 200)), None),
                  (problem_linear_2x2(), AccelConfig(max_iters=10, stop_tol=0.0),
-                  rng.uniform(-0.25, 0.25, (7, 2))),
+                  rng.uniform(-0.25, 0.25, (7, 2)), None),
+                 (diagonal, AccelConfig(max_iters=10, stop_tol=0.0), X0_diagonal,
+                  [2, 7, 1, 4, 1, 3, 7, 5, 2, 7, 3]),
                  (make_affine(BREAKDOWN_SPEC), AccelConfig(max_iters=10),
-                  np.vstack([rng.uniform(-1.0, 1.0, (6, 2)), BREAKDOWN_X0]))]
-        for problem, cfg, X0 in cases:
+                  np.vstack([rng.uniform(-1.0, 1.0, (6, 2)), BREAKDOWN_X0]), None)]
+        for problem, cfg, X0, lengths in cases:
             X0[2] *= 1e13
             X0[4, 0] = np.nan
             max_k = min(cfg.max_iters, problem.dim)
@@ -524,6 +542,8 @@ class TestGmresBatch:
                 assert accelerators.gmres_rows_per_chunk(problem.dim, max_k) == rows_per_chunk
             batch = accelerators.gmres_batch(problem, X0, cfg, keep=keep)
             assert len(batch) == len(X0)
+            if lengths is not None:
+                assert [len(tr) for tr in batch] == lengths
             assert isinstance(batch[2].failure, Diverged)
             assert isinstance(batch[4].failure, NonFinite)
             for row, x0 in zip(batch, X0):
@@ -583,6 +603,20 @@ class TestGmresCorrespondence:
         assert aa_full_window_vs_gmres_check(p, aa_tr, gmres_tr, k_max=10) == \
             aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, steps), k_max=steps)
 
+    @pytest.mark.parametrize("keep", [2, 3])
+    def test_batch_traces_compare_the_steps_kept(self, keep):
+        # the traces run 10 steps but keep the first keep - 1 of them
+        p = problem_linear_200(-0.3, 0.3, -0.3)
+        X0 = np.random.default_rng(7).uniform(-1, 1, (2, 200))
+        cfg = AccelConfig(window_m=10, max_iters=10, stop_tol=0.0)
+        kept = zip(run_batch(p, X0, cfg, keep=keep),
+                   accelerators.gmres_batch(p, X0, cfg, keep=keep))
+        for x0, (aa_tr, gmres_tr) in zip(X0, kept):
+            assert len(aa_tr) == len(gmres_tr) == 11 and len(aa_tr.iterates) == keep
+            full = _check_traces(p, x0, keep - 1)
+            assert aa_full_window_vs_gmres_check(p, aa_tr, gmres_tr, k_max=10) == \
+                aa_full_window_vs_gmres_check(p, *full, k_max=keep - 1) <= 1e-6
+
     def test_trace_without_iterates_is_rejected(self):
         p = problem_linear_2x2()
         x0 = np.array([0.2, 0.1])
@@ -630,6 +664,17 @@ def _assert_row_matches_single_run(batch, i, problem, x0, cfg):
     np.testing.assert_array_equal(row.sigma_k, tr.sigma_k)
     if failure is None:
         assert row.converged == tr.converged
+
+
+def _assert_kept_betas(row, tr, keep):
+    """A run_batch row with keep holds the betas of its single run tr, bit for bit.
+
+    Those are the betas that produced its kept iterates: max(0, min(keep, len) - 1).
+    """
+    assert len(row.betas) == max(0, min(keep, len(tr)) - 1)
+    for b, ref in zip(row.betas, tr.betas):
+        assert b.beta.shape == ref.beta.shape and b.beta.tobytes() == ref.beta.tobytes()
+        assert b.rank == ref.rank
 
 
 def _random_contraction(seed, n):
@@ -699,7 +744,7 @@ class TestRunBatch:
         X0[rng.random(B) < 0.25] *= 1e13  # rows that start outside the guard: Diverged
         cfg = AccelConfig(window_m=m, restart=restart and m >= 1, max_iters=40)
         batch = run_batch(problem, X0, cfg, keep=keep)
-        assert all(tr.iterates == [] for tr in run_batch(problem, X0, cfg))
+        assert all(tr.iterates == [] and tr.betas == [] for tr in run_batch(problem, X0, cfg))
         for i in range(B):
             try:
                 tr = run_scheme(problem, X0[i], cfg)
@@ -709,6 +754,7 @@ class TestRunBatch:
             assert np.array(batch[i].iterates).shape == expected.shape
             assert np.array(batch[i].iterates).tobytes() == expected.tobytes()
             assert np.array_equal(batch[i].iterates, expected)
+            _assert_kept_betas(batch[i], tr, keep)
 
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):
@@ -809,6 +855,7 @@ class TestRunBatch:
                     assert alone[i].converged == batch[i].converged
                     assert len(batch[i].iterates) == min(keep, len(alone[i]))
                     np.testing.assert_array_equal(alone[i].iterates[:keep], batch[i].iterates)
+                    _assert_kept_betas(batch[i], alone[i], keep)
 
     @pytest.mark.parametrize("problem_id, B, cfg, budget", [
         ("linear2x2", 300, AccelConfig(window_m=1), 5 * 2 * 1 * 20),
