@@ -148,28 +148,84 @@ def aa_step(problem: FixedPointProblem,
     return x_next[0], BetaSolution(coeffs[0], int(ranks[0]))
 
 
-def _stopped(rn: np.ndarray, xn: np.ndarray, k: int, rows: np.ndarray, stop_tol: float,
-             failures: list, converged: np.ndarray, q_errors: dict) -> np.ndarray:
-    """The stop test at iterate k of the running rows (batch indices rows); True where one stops.
+class _Steps:
+    """The step-major log of a lockstep batch of B rows: its records, stop test and traces.
 
-    From the residual norms rn and iterate norms xn, a row fails with Diverged,
-    else q's error (q_errors) or NonFinite, recorded in failures; any other
-    row with rn <= stop_tol is marked in converged.
+    Record s holds the batch index of each row that ran it (rows[s]), their
+    residual norms (res[s]) and, with a known x*, their error norms (err[s]).
+    iterates and betas hold (batch indices, values) pairs, one per kept
+    step: the rows' first keep iterates and the BetaSolutions that produced
+    them.  failures and converged say how each row stopped.
     """
-    out = xn > DIVERGENCE_GUARD
-    failed = out | ~(rn < np.inf)  # NaN included
-    for j in np.flatnonzero(failed):
-        failures[rows[j]] = (
-            Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}") if out[j]
-            else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
-    done = ~failed & (rn <= stop_tol)
-    converged[rows[done]] = True
-    return failed | done
 
+    def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float):
+        self.x_star = problem.known_fixed_point
+        if self.x_star is not None:
+            self.x_star = self.x_star[None]  # a (1, n) row subtracts from X faster than (n,)
+        self.keep, self.stop_tol = keep, stop_tol
+        self.converged = np.zeros(B, dtype=bool)
+        self.failures = [None] * B
+        self.rows, self.res, self.err, self.iterates, self.betas = [], [], [], [], []
 
-def _x_star_norm(problem: FixedPointProblem) -> Optional[float]:
-    x_star = problem.known_fixed_point
-    return None if x_star is None else float(np.linalg.norm(x_star))
+    def record(self, X: np.ndarray, rn: np.ndarray, rows: np.ndarray, k: int,
+               q_errors: dict) -> Optional[np.ndarray]:
+        """Records iterate k of the running rows (batch indices rows) and tests it once.
+
+        A row stops, in this order of priority, when it is outside the
+        divergence guard ball (Diverged), when q raised on it (q_errors, by
+        running-row index) or its residual norm rn is NaN/Inf (NonFinite), or
+        when rn is at most stop_tol (converged).  Returns the mask of the
+        rows that stop, or None when none does.
+        """
+        self.rows.append(rows)
+        if k < self.keep:
+            self.iterates.append((rows, X))
+        self.res.append(rn)
+        if self.x_star is not None:
+            self.err.append(_norms(self.x_star - X))
+        xn = _norms(X)
+        # a row of q's error has a NaN residual, so it fails the residual
+        # tests as NaN/Inf does.  The ufunc reductions are the cheapest
+        # whole-batch tests, which matters at B = 1.
+        if (np.minimum.reduce(rn) > self.stop_tol and np.maximum.reduce(rn) < np.inf
+                and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
+            return None
+        out = xn > DIVERGENCE_GUARD
+        failed = out | ~(rn < np.inf)  # NaN included
+        for j in np.flatnonzero(failed):
+            self.failures[rows[j]] = (
+                Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}") if out[j]
+                else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
+        done = ~failed & (rn <= self.stop_tol)
+        self.converged[rows[done]] = True
+        return failed | done
+
+    def traces(self) -> list[IterationTrace]:
+        """The IterationTrace of each row, from its records."""
+        B = len(self.failures)
+        # a row runs in one cohort at a time and records its steps in order, so
+        # sorting the records by row (stably) lines up each row's records
+        ids = np.concatenate(self.rows)
+        order = np.argsort(ids, kind="stable")
+        ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
+
+        def per_row(values):
+            return np.split(np.concatenate(values)[order], ends)
+
+        res = per_row(self.res)
+        errs = per_row(self.err) if self.err else [None] * B
+        # kept iterates stay views of the step arrays: sorting them would copy them
+        iterates, betas = [[] for _ in range(B)], [[] for _ in range(B)]
+        for out, kept in ((iterates, self.iterates), (betas, self.betas)):
+            for step_ids, values in kept:
+                for i, v in zip(step_ids.tolist(), values):
+                    out[i].append(v)
+        x_star_norm = None if self.x_star is None else float(np.linalg.norm(self.x_star))
+        return [IterationTrace(iterates=x, residual_norms=r.tolist(),
+                               error_norms=None if e is None else e.tolist(), betas=bs,
+                               x_star_norm=x_star_norm, converged=c, failure=f)
+                for x, r, e, bs, c, f in zip(iterates, res, errs, betas,
+                                             self.converged.tolist(), self.failures)]
 
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
@@ -180,11 +236,9 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     Each step evaluates q once on the running rows (once more on the others
     when q raised for some of them) and solves all their least-squares
     problems with one stacked SVD.  The history length depends on the step
-    count alone, so the running rows share it.  Every iterate is recorded,
-    then tested once (_stopped); a row stops, in this order of priority, when
-    it is outside the divergence guard ball (Diverged), when q raised on it
-    (q's error) or its residual norm is NaN/Inf (NonFinite), or when its
-    residual norm is at most stop_tol (converged).  The other rows go on.
+    count alone, so the running rows share it.  Every iterate is recorded
+    and tested once by the step log (_Steps.record); the rows it stops leave
+    the batch, and the other rows go on.
 
     Memory stays bounded whatever the batch size: before each q evaluation,
     while the running rows are more than rows_per_chunk allows at the
@@ -197,34 +251,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     """
     B, n = X.shape
     m = cfg.window_m
-    x_star = problem.known_fixed_point
-    if x_star is not None:
-        x_star = x_star[None]  # a (1, n) row subtracts from X faster than (n,)
-    converged = np.zeros(B, dtype=bool)
-    failures = [None] * B
-    step_rows, step_res, step_err, kept_x, kept_betas = [], [], [], [], []
-
-    def record(X, rows, k):
-        q_errors = {}  # running-row index -> the error q raised there
-        try:
-            Qx = problem.q(X)
-        except AndersonLabError as exc:
-            # the rows of q's mask (every row without one) fail with NaN, and
-            # q runs once more on the others
-            bad = np.full(len(X), True) if exc.rows is None else np.asarray(exc.rows, bool)
-            q_errors = dict.fromkeys(np.flatnonzero(bad).tolist(), exc)
-            Qx = np.full(X.shape, np.nan)
-            if not bad.all():
-                Qx[~bad] = problem.q(X[~bad])
-        Rx = X - Qx
-        step_rows.append(rows)
-        if k < keep:
-            kept_x.append((rows, X))
-        step_res.append(_norms(Rx))
-        if x_star is not None:
-            step_err.append(_norms(x_star - X))
-        return Qx, Rx, step_res[-1], _norms(X), q_errors
-
+    steps = _Steps(problem, B, keep, cfg.stop_tol)
     # cohorts set aside: (step k, batch index of each row, iterate k, q and r
     # histories before step k)
     waiting = [(0, np.arange(B), X, [], [])]
@@ -244,7 +271,19 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 waiting += [(k, rows[s], X[s], [a[s].copy() for a in q_hist],
                              [a[s].copy() for a in r_hist]) for s in (np.s_[h:], np.s_[:h])]
                 break
-            Qx, Rx, rn, xn, q_errors = record(X, rows, k)
+            q_errors = {}  # running-row index -> the error q raised there
+            try:
+                Qx = problem.q(X)
+            except AndersonLabError as exc:
+                # the rows of q's mask (every row without one) fail with NaN,
+                # and q runs once more on the others
+                bad = np.full(len(X), True) if exc.rows is None else np.asarray(exc.rows, bool)
+                q_errors = dict.fromkeys(np.flatnonzero(bad).tolist(), exc)
+                Qx = np.full(X.shape, np.nan)
+                if not bad.all():
+                    Qx[~bad] = problem.q(X[~bad])
+            Rx = X - Qx
+            stop = steps.record(X, _norms(Rx), rows, k, q_errors)
             if restarting:
                 q_hist, r_hist = [Qx], [Rx]
             else:
@@ -253,13 +292,8 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
                 if len(q_hist) > m + 1:
                     q_hist.pop(0)
                     r_hist.pop(0)
-
-            # the one stop test: a row of q's error has a NaN residual, so it
-            # fails the residual tests as NaN/Inf does.  The ufunc reductions
-            # are the cheapest whole-batch tests, which matters at B = 1.
-            if not (np.minimum.reduce(rn) > cfg.stop_tol and np.maximum.reduce(rn) < np.inf
-                    and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
-                going = ~_stopped(rn, xn, k, rows, cfg.stop_tol, failures, converged, q_errors)
+            if stop is not None:
+                going = ~stop
                 rows = rows[going]
                 q_hist = [a[going] for a in q_hist]
                 r_hist = [a[going] for a in r_hist]
@@ -270,44 +304,9 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             X, coeffs, ranks = _aa_update(q_hist, r_hist)
             k += 1
             if k < keep:
-                kept_betas.append((rows, list(map(BetaSolution, coeffs, ranks.tolist()))))
+                steps.betas.append((rows, list(map(BetaSolution, coeffs, ranks.tolist()))))
 
-    return _traces(problem, B, step_rows, step_res, step_err, kept_x, kept_betas, converged,
-                   failures)
-
-
-def _traces(problem: FixedPointProblem, B: int, step_rows: list, step_res: list,
-            step_err: list, kept_x: list, kept_betas: list, converged: np.ndarray,
-            failures: list) -> list[IterationTrace]:
-    """The IterationTrace of each of B rows of a lockstep batch, from its step-major records.
-
-    step_rows[s] holds the batch index of each row that ran record s, and
-    step_res[s] and step_err[s] their residual and error norms (step_err is
-    empty without x*).  kept_x and kept_betas hold (batch indices, values)
-    pairs, one per kept step: the rows' iterates and their BetaSolutions.
-    """
-    # a row runs in one cohort at a time and records its steps in order, so
-    # sorting the records by row (stably) lines up each row's records
-    ids = np.concatenate(step_rows)
-    order = np.argsort(ids, kind="stable")
-    ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
-
-    def per_row(values):
-        return np.split(np.concatenate(values)[order], ends)
-
-    res = per_row(step_res)
-    errs = per_row(step_err) if step_err else [None] * B
-    # kept iterates stay views of the step arrays: sorting them would copy them
-    iterates, betas = [[] for _ in range(B)], [[] for _ in range(B)]
-    for out, kept in ((iterates, kept_x), (betas, kept_betas)):
-        for step_ids, values in kept:
-            for i, v in zip(step_ids.tolist(), values):
-                out[i].append(v)
-    x_star_norm = _x_star_norm(problem)
-    return [IterationTrace(iterates=x, residual_norms=r.tolist(),
-                           error_norms=None if e is None else e.tolist(), betas=bs,
-                           x_star_norm=x_star_norm, converged=c, failure=f)
-            for x, r, e, bs, c, f in zip(iterates, res, errs, betas, converged.tolist(), failures)]
+    return steps.traces()
 
 
 def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
@@ -388,34 +387,22 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     Each step makes one stacked matvec, the MGS and Givens loops and one
     stacked triangular solve for all running rows.  Every row keeps the
     arithmetic of a run of its own: a gemv per row, strided dot products,
-    and products and differences as separate operations.  Stopped rows
-    leave the batch as in the run loop, by boolean indexing of every per-row
-    array.
+    and products and differences as separate operations.  Every iterate is
+    recorded and tested by the step log (_Steps.record), as in the run
+    loop, and stopped rows leave the batch as there, by boolean indexing of
+    every per-row array.
     """
     A = problem.affine.A
     b = problem.affine.b
     B, n = X0.shape
-    x_star = problem.known_fixed_point
-    if x_star is not None:
-        x_star = x_star[None]
-    converged = np.zeros(B, dtype=bool)
-    failures = [None] * B
+    steps = _Steps(problem, B, keep, cfg.stop_tol)
     rows = np.arange(B)  # batch index of each running row
-    step_rows, step_res, step_err, kept_x = [], [], [], []
-
-    def record(X, rn, k):  # records iterate k of the running rows; True where a row stops
-        step_rows.append(rows)
-        if k < keep:
-            kept_x.append((rows, X))
-        step_res.append(rn)
-        if x_star is not None:
-            step_err.append(_norms(x_star - X))
-        return _stopped(rn, _norms(X), k, rows, cfg.stop_tol, failures, converged, {})
-
     R0 = b - (A @ X0[..., None])[..., 0]
     beta0 = _norms(R0)
-    going = ~record(X0, beta0, 0)
-    rows, X0, R0, beta0 = rows[going], X0[going], R0[going], beta0[going]
+    stop = steps.record(X0, beta0, rows, 0, {})
+    if stop is not None:
+        going = ~stop
+        rows, X0, R0, beta0 = rows[going], X0[going], R0[going], beta0[going]
     max_k = min(cfg.max_iters, n)
     # V keeps the basis vectors as columns, as a single run's (n, max_k + 1)
     # array does, so that its dot products see the same strides.  The
@@ -461,22 +448,26 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
         # entry was zeroed by its rotation, and nothing below it is written
         y = np.linalg.solve(H[:k + 1, :k + 1].T, g[:k + 1].T[..., None])
         X = X0 + (V[:, :, :k + 1] @ y)[..., 0]
-        stop = record(X, _norms(b - (A @ X[..., None])[..., 0]), k + 1)
+        rn = _norms(b - (A @ X[..., None])[..., 0])
+        stop = steps.record(X, rn, rows, k + 1, {})
 
         # happy breakdown means the Krylov space became invariant; if the
         # residual is not already at rounding level something is wrong.
         # beta0 is finite, so maximum is Python's max
-        happy &= ~stop
-        at_rounding = happy & (step_res[-1] <= 1e-10 * np.maximum(1.0, beta0))
-        converged[rows[at_rounding]] = True
+        going = ~happy
+        if stop is not None:
+            happy &= ~stop
+            going &= ~stop
+        at_rounding = happy & (rn <= 1e-10 * np.maximum(1.0, beta0))
+        steps.converged[rows[at_rounding]] = True
         for j in np.flatnonzero(happy & ~at_rounding):
-            failures[rows[j]] = Breakdown("Arnoldi produced a zero vector before convergence")
-        going = ~(stop | happy)
+            steps.failures[rows[j]] = Breakdown(
+                "Arnoldi produced a zero vector before convergence")
         if not going.all():
             rows, X0, beta0, V = rows[going], X0[going], beta0[going], V[going]
             H, cs, sn, g = H[..., going], cs[:, going], sn[:, going], g[:, going]
 
-    return _traces(problem, B, step_rows, step_res, step_err, kept_x, [], converged, failures)
+    return steps.traces()
 
 
 def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
@@ -485,14 +476,12 @@ def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
 
     Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
     least-squares problem; the iterate is reconstructed every step so the
-    traces line up with the other schemes.  Each recorded iterate is tested
-    as in the run loop: Diverged when it is outside the divergence guard
-    ball, else NonFinite when its residual norm is NaN or Inf, else
-    converged when that norm is at most stop_tol.  A happy breakdown (a zero
-    Arnoldi vector) ends a row as converged when its residual is at rounding
-    level, and with Breakdown otherwise.  A trace's failure is the error
-    that stopped its row (not raised).  A problem without an affine form
-    raises ValueError.
+    traces line up with the other schemes.  Each recorded iterate goes
+    through the stop test that both lockstep loops share (_Steps.record).
+    A happy breakdown (a zero Arnoldi vector) then ends a row as converged
+    when its residual is at rounding level, and with Breakdown otherwise.
+    A trace's failure is the error that stopped its row (not raised).  A
+    problem without an affine form raises ValueError.
 
     The rows run in lockstep, one chunk of gmres_rows_per_chunk(n, max_k)
     rows with max_k = min(max_iters, n) after another, each with its own

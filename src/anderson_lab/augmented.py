@@ -165,9 +165,11 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     """Closed-form directional derivative of the lifted map at its fixed point.
 
     The first block is M (d_{m+1} + D(d) beta_hat) and the remaining blocks
-    shift down.  formula_rank_ok records whether D(d) has full numerical rank;
-    for affine maps the formula is valid regardless, for nonlinear maps it is
-    only guaranteed in the full-rank case.
+    shift down.  formula_rank_ok records whether D(d) has the largest
+    numerical rank, min(n, m).  For affine maps the formula is valid
+    regardless.  For nonlinear maps it is guaranteed there: pinv is
+    continuous where the rank stays the same, and the largest rank survives
+    the O(h) nonlinear terms.
 
     d is one Direction or an (S, m+1, n) stack of direction blocks; for a
     stack, value is (S, n(m+1)), beta_hat (S, m) and formula_rank_ok (S,).
@@ -185,7 +187,7 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
 
     sv = np.linalg.svd(D, compute_uv=False)
     tol = rank_tolerance(n, m, sv[:, 0])
-    rank_ok = np.count_nonzero(sv > tol[:, None], axis=1) == m
+    rank_ok = np.count_nonzero(sv > tol[:, None], axis=1) == min(n, m)
     if single:
         return DirectionalDerivativeResult(value=value[0], beta_hat=bh[0],
                                            formula_rank_ok=bool(rank_ok[0]))

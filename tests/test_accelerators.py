@@ -509,7 +509,8 @@ class TestGmresBatch:
     @pytest.mark.parametrize("keep", [0, 4, 61])
     def test_rows_equal_single_runs_bitwise(self, monkeypatch, rows_per_chunk, keep):
         # each batch mixes rows that converge with a start beyond the guard
-        # (Diverged) and a NaN start (NonFinite); the 2 x 2 rows end in happy
+        # (Diverged) and a NaN start (NonFinite); linear200's row 5 starts at
+        # x* = 0 and converges at k = 0.  The 2 x 2 rows end in happy
         # breakdowns, converged at stop_tol = 0 or, for BREAKDOWN_X0 of its
         # own problem, with Breakdown.  With the diagonal M, x* plus an error
         # on d coordinates has a residual in an invariant subspace of
@@ -524,8 +525,10 @@ class TestGmresBatch:
             error = np.zeros(6)
             error[support] = X0_diagonal[i, support]
             X0_diagonal[i] = diagonal.known_fixed_point + error
+        X0_linear200 = rng.uniform(-0.25, 0.25, (7, 200))
+        X0_linear200[5] = 0.0
         cases = [(problem_linear_200(-0.9, 0.7, -0.7), AccelConfig(max_iters=60),
-                  rng.uniform(-0.25, 0.25, (7, 200)), None),
+                  X0_linear200, None),
                  (problem_linear_2x2(), AccelConfig(max_iters=10, stop_tol=0.0),
                   rng.uniform(-0.25, 0.25, (7, 2)), None),
                  (diagonal, AccelConfig(max_iters=10, stop_tol=0.0), X0_diagonal,
@@ -544,6 +547,8 @@ class TestGmresBatch:
             assert len(batch) == len(X0)
             if lengths is not None:
                 assert [len(tr) for tr in batch] == lengths
+            if problem.dim == 200:
+                assert len(batch[5]) == 1 and batch[5].converged
             assert isinstance(batch[2].failure, Diverged)
             assert isinstance(batch[4].failure, NonFinite)
             for row, x0 in zip(batch, X0):
@@ -742,8 +747,11 @@ class TestRunBatch:
                 np.asarray(x)[..., :1] < nan_below, np.nan, affine.q(x)))
         X0 = rng.uniform(-1.0, 1.0, (B, n))
         X0[rng.random(B) < 0.25] *= 1e13  # rows that start outside the guard: Diverged
+        at_x_star = rng.random(B) < 0.25
+        X0[at_x_star] = problem.known_fixed_point  # rows that stop at k = 0
         cfg = AccelConfig(window_m=m, restart=restart and m >= 1, max_iters=40)
         batch = run_batch(problem, X0, cfg, keep=keep)
+        assert all(len(batch[i]) == 1 for i in np.flatnonzero(at_x_star))
         assert all(tr.iterates == [] and tr.betas == [] for tr in run_batch(problem, X0, cfg))
         for i in range(B):
             try:

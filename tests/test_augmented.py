@@ -303,7 +303,9 @@ class TestDirectionalDerivative:
                 np.testing.assert_allclose(stacked.beta_hat[i], single.beta_hat,
                                            rtol=0, atol=1e-14)
                 assert stacked.formula_rank_ok[i] == single.formula_rank_ok
-            assert not stacked.formula_rank_ok[1:4].any()
+            # at m = 3 > n, row 1 keeps rank 2 = min(n, m), the largest rank
+            assert stacked.formula_rank_ok[1] == (m == 3)
+            assert not stacked.formula_rank_ok[2:4].any()
 
     def test_stack_shape_checked(self):
         M = problem_linear_2x2().affine.M
@@ -344,7 +346,7 @@ class TestFiniteDifference:
         M = p.jacobian(p.known_fixed_point)
         rng = np.random.default_rng(15)
         hs = np.array([1e-3, 1e-4, 1e-5, 1e-6])
-        for m in (1, 2):
+        for m in (1, 2, 3, 4):
             errs = np.zeros(len(hs))
             for _ in range(10):
                 v = rng.standard_normal(2 * (m + 1))
