@@ -63,7 +63,8 @@ class IterationTrace:
     single run keeps all) and the betas that produced them: betas[k]
     produced iterates[k + 1] (GMRES has none).
     sigma_k and error_ratios are derived from error_norms on first read (None
-    without them), NaN at k = 0 by convention.  failure is the error that
+    without them), NaN at k = 0 by convention; sigma_at(k), the one sigma
+    formula, evaluates sigma at a single k.  failure is the error that
     stopped the run, or None; the trace then ends with the iterate that
     stopped it.
     """
@@ -79,13 +80,16 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.residual_norms)
 
+    def sigma_at(self, k: int) -> float:
+        """sigma_k = ||x_k - x*||^(1/k), the root-averaged error, at one k of error_norms."""
+        return float(self.error_norms[k]) ** (1.0 / k) if k else float("nan")
+
     @cached_property
     def sigma_k(self) -> Optional[list]:
-        """sigma_k = ||x_k - x*||^(1/k), the root-averaged error."""
+        """sigma_at(k) for every k."""
         if self.error_norms is None:
             return None
-        errs = np.asarray(self.error_norms, dtype=float).tolist()
-        return [e ** (1.0 / k) if k else float("nan") for k, e in enumerate(errs)]
+        return list(map(self.sigma_at, range(len(self.error_norms))))
 
     @cached_property
     def error_ratios(self) -> Optional[list]:
@@ -207,10 +211,12 @@ class _Steps:
         # sorting the records by row (stably) lines up each row's records
         ids = np.concatenate(self.rows)
         order = np.argsort(ids, kind="stable")
-        ends = np.cumsum(np.bincount(ids, minlength=B))[:-1]
+        ends = np.cumsum(np.bincount(ids, minlength=B)).tolist()
+        spans = list(zip([0, *ends], ends))
 
         def per_row(values):
-            return np.split(np.concatenate(values)[order], ends)
+            column = np.concatenate(values)[order].tolist()
+            return [column[a:b] for a, b in spans]
 
         res = per_row(self.res)
         errs = per_row(self.err) if self.err else [None] * B
@@ -221,8 +227,7 @@ class _Steps:
                 for i, v in zip(step_ids.tolist(), values):
                     out[i].append(v)
         x_star_norm = None if self.x_star is None else float(np.linalg.norm(self.x_star))
-        return [IterationTrace(iterates=x, residual_norms=r.tolist(),
-                               error_norms=None if e is None else e.tolist(), betas=bs,
+        return [IterationTrace(iterates=x, residual_norms=r, error_norms=e, betas=bs,
                                x_star_norm=x_star_norm, converged=c, failure=f)
                 for x, r, e, bs, c, f in zip(iterates, res, errs, betas,
                                              self.converged.tolist(), self.failures)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,24 +46,25 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     sigma_final is sigma at the last usable iteration; sigma_tail_max is the
     max over the final TAIL_WINDOW usable iterations, a limsup proxy robust to
     the oscillation of sigma_k.  Iterations whose error is below the rounding
-    floor 1e-14 * (1 + ||x*||) are excluded.
+    floor 1e-14 * (1 + ||x*||) are excluded.  sigma is evaluated only at the
+    last TAIL_WINDOW usable iterations, found by scanning the error norms
+    from the end.
     """
-    if trace.error_norms is None:
+    errs = trace.error_norms
+    if errs is None:
         raise InsufficientData("trace has no error norms (fixed point unknown)")
     floor = ERROR_FLOOR_SCALE * (1.0 + (trace.x_star_norm or 0.0))
-    usable = [k for k in range(1, len(trace.error_norms))
-              if trace.error_norms[k] > floor]
-    if not usable:
+    # the last TAIL_WINDOW usable iterations, newest first
+    tail = list(islice((k for k in range(len(errs) - 1, 0, -1) if errs[k] > floor),
+                       TAIL_WINDOW))
+    if not tail:
         raise InsufficientData("no usable iterations above the rounding floor")
-    sigma = trace.sigma_k
-    k_last = usable[-1]
-    sigma_final = sigma[k_last]
-    sigma_tail_max = max(sigma[k] for k in usable[-TAIL_WINDOW:])
-    cauchy = len(usable) >= 2 and abs(sigma[usable[-1]] - sigma[usable[-2]]) <= 1e-3
+    sigma = [trace.sigma_at(k) for k in tail]
+    cauchy = len(sigma) >= 2 and abs(sigma[0] - sigma[1]) <= 1e-3
     return RFactorEstimate(
-        sigma_final=float(sigma_final),
-        sigma_tail_max=float(sigma_tail_max),
-        k_used=k_last,
+        sigma_final=sigma[0],
+        sigma_tail_max=max(sigma),
+        k_used=tail[0],
         converged=bool(trace.converged or cauchy),
     )
 

@@ -11,6 +11,7 @@ Lipschitz bounds that can be checked against sampled perturbations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,16 @@ class DirectionalDerivativeResult:
 
     value: np.ndarray
     beta_hat: np.ndarray
-    formula_rank_ok: bool | np.ndarray
+    D: np.ndarray  # the difference matrices D(d) it was built from
+
+    @cached_property
+    def formula_rank_ok(self) -> bool | np.ndarray:
+        """D(d) has the largest numerical rank, min(n, m), per sample; computed on first read."""
+        n, m = self.D.shape[-2:]
+        sv = np.linalg.svd(self.D, compute_uv=False)
+        tol = rank_tolerance(n, m, sv[..., 0])
+        ok = np.count_nonzero(sv > tol[..., None], axis=-1) == min(n, m)
+        return ok if ok.ndim else bool(ok)
 
 
 def build_D(state: AugmentedState) -> np.ndarray:
@@ -165,11 +175,11 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     """Closed-form directional derivative of the lifted map at its fixed point.
 
     The first block is M (d_{m+1} + D(d) beta_hat) and the remaining blocks
-    shift down.  formula_rank_ok records whether D(d) has the largest
-    numerical rank, min(n, m).  For affine maps the formula is valid
-    regardless.  For nonlinear maps it is guaranteed there: pinv is
-    continuous where the rank stays the same, and the largest rank survives
-    the O(h) nonlinear terms.
+    shift down.  formula_rank_ok, computed on first read, records whether
+    D(d) has the largest numerical rank, min(n, m).  For affine maps the
+    formula is valid regardless.  For nonlinear maps it is guaranteed there:
+    pinv is continuous where the rank stays the same, and the largest rank
+    survives the O(h) nonlinear terms.
 
     d is one Direction or an (S, m+1, n) stack of direction blocks; for a
     stack, value is (S, n(m+1)), beta_hat (S, m) and formula_rank_ok (S,).
@@ -184,14 +194,9 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     D = _stacked_D(blocks)
     first = (blocks[:, 0] + (D @ bh[:, :, None])[:, :, 0]) @ M.T
     value = np.concatenate([first, blocks[:, :-1].reshape(S, m * n)], axis=1)
-
-    sv = np.linalg.svd(D, compute_uv=False)
-    tol = rank_tolerance(n, m, sv[:, 0])
-    rank_ok = np.count_nonzero(sv > tol[:, None], axis=1) == min(n, m)
     if single:
-        return DirectionalDerivativeResult(value=value[0], beta_hat=bh[0],
-                                           formula_rank_ok=bool(rank_ok[0]))
-    return DirectionalDerivativeResult(value=value, beta_hat=bh, formula_rank_ok=rank_ok)
+        return DirectionalDerivativeResult(value=value[0], beta_hat=bh[0], D=D[0])
+    return DirectionalDerivativeResult(value=value, beta_hat=bh, D=D)
 
 
 def directional_derivative_fd(problem: FixedPointProblem, d: Direction,

@@ -235,7 +235,7 @@ def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> N
         m = accel.window_m
         for i, est in enumerate(report.estimates[label]):
             x0 = report.inits[i]
-            coords = list(x0) if n <= 4 else [zlib.crc32(x0.tobytes())]
+            coords = x0.tolist() if n <= 4 else [zlib.crc32(x0.tobytes())]
             if est is None:
                 rows.append([i, *coords, label, m, None, None, False])
             else:

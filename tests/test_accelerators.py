@@ -249,6 +249,7 @@ class TestIterationTrace:
         assert _bits(tr.sigma_k) == _bits(sigma)
         assert _bits(tr.error_ratios) == _bits(ratios)
         assert tr.sigma_k is tr.sigma_k and tr.error_ratios is tr.error_ratios  # cached
+        assert _bits([tr.sigma_at(k) for k in range(len(errs))]) == _bits(sigma)
 
     def test_no_error_norms_gives_none(self):
         tr = IterationTrace(residual_norms=[1.0, 0.5])
@@ -767,6 +768,21 @@ class TestRunBatch:
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):
             run_batch(problem_linear_2x2(), np.zeros((1, 2)), AccelConfig(), keep=-1)
+
+    @pytest.mark.parametrize("cfg", [AccelConfig(window_m=0), AccelConfig(window_m=1)])
+    def test_norm_lists_are_floats_equal_to_single_runs(self, cfg):
+        problem = problem_linear_2x2()
+        # row 0 starts at x* and stops at k = 0; the others stop at other k
+        X0 = np.array([problem.known_fixed_point, [1e-9, 0.0], [0.0, 1e-6], [3.0, -2.0]])
+        batch = run_batch(problem, X0, cfg)
+        assert len(batch[0]) == 1
+        assert len({len(tr) for tr in batch}) == len(batch)
+        for x0, tr in zip(X0, batch):
+            for norms in (tr.residual_norms, tr.error_norms):
+                assert type(norms) is list and all(type(v) is float for v in norms)
+            single = run_scheme(problem, x0, cfg)
+            assert _bits(tr.residual_norms) == _bits(single.residual_norms)
+            assert _bits(tr.error_norms) == _bits(single.error_norms)
 
     @pytest.mark.parametrize("cfg", [
         AccelConfig(window_m=0, max_iters=100),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anderson_lab import analysis, linalg
 from anderson_lab.accelerators import AccelConfig, IterationTrace, run_scheme
@@ -30,7 +32,63 @@ def _synthetic_trace(error_norms):
     )
 
 
+def _full_sequence_estimate(errs, x_star_norm, converged):
+    """estimate_r_factor defined on the whole sigma_k sequence; None if nothing is usable."""
+    floor = 1e-14 * (1.0 + x_star_norm)
+    usable = [k for k in range(1, len(errs)) if errs[k] > floor]
+    if not usable:
+        return None
+    sigma = [e ** (1.0 / k) if k else float("nan") for k, e in enumerate(errs)]
+    cauchy = len(usable) >= 2 and abs(sigma[usable[-1]] - sigma[usable[-2]]) <= 1e-3
+    return (sigma[usable[-1]], max(sigma[k] for k in usable[-20:]), usable[-1],
+            converged or cauchy)
+
+
+def _assert_tail_scan_matches_full_sequence(errs, x_star_norm=0.0, converged=False):
+    tr = IterationTrace(residual_norms=list(errs), error_norms=list(errs),
+                        x_star_norm=x_star_norm, converged=converged)
+    expected = _full_sequence_estimate(errs, x_star_norm, converged)
+    if expected is None:
+        with pytest.raises(InsufficientData):
+            estimate_r_factor(tr)
+        return
+    est = estimate_r_factor(tr)
+    got = (est.sigma_final, est.sigma_tail_max, est.k_used, est.converged)
+    assert [type(v) for v in got] == [float, float, int, bool]
+    assert np.array(got[:2]).tobytes() == np.array(expected[:2]).tobytes()
+    assert got[2:] == expected[2:]
+
+
+_ERROR_NORMS = st.one_of(
+    st.floats(min_value=1e-18, max_value=1e3),   # above and below the rounding floor
+    st.sampled_from([0.0, 1e-14, 1.001e-11, float("inf")]))
+
+
 class TestEstimateRFactor:
+    @settings(max_examples=300, deadline=None)
+    @given(errs=st.lists(_ERROR_NORMS, max_size=60),
+           x_star_norm=st.sampled_from([0.0, 1.0, 1e3]), converged=st.booleans())
+    def test_tail_scan_matches_full_sequence_bitwise(self, errs, x_star_norm, converged):
+        _assert_tail_scan_matches_full_sequence(errs, x_star_norm, converged)
+
+    @pytest.mark.parametrize("errs,x_star_norm", [
+        # dips below the floor and rises above it again
+        ([1.0, 0.5, 1e-16, 0.25, 1e-15, 0.1, 1e-17], 0.0),
+        ([1.0] + [0.9 ** k if k % 3 else 1e-16 for k in range(1, 70)], 0.0),
+        ([0.5 ** k for k in range(8)], 0.0),                 # fewer than 20 usable
+        # the max is the oldest of the last 20 usable (k = 11), a larger one just before it
+        ([0.99 ** k if k == 10 else 0.9 ** k if k == 11 else 0.5 ** k for k in range(31)], 0.0),
+        ([1.0, 0.3], 0.0),                                   # exactly 1 usable
+        ([1.0, 1e-16, 0.3, 1e-15], 0.0),
+        ([1.0, 1e-16, 1e-15], 0.0),                          # none usable
+        ([1.0], 0.0),
+        ([1.0, float("inf"), 0.5, float("inf"), 0.2], 0.0),  # inf entries
+        ([0.8 ** k for k in range(40)] + [float("inf")], 0.0),
+        ([1.0] + [10.0 ** -k for k in range(1, 16)], 1e3),   # floor 1.001e-11
+    ])
+    def test_tail_scan_edge_cases(self, errs, x_star_norm):
+        _assert_tail_scan_matches_full_sequence(errs, x_star_norm)
+
     def test_pure_geometric_is_exact(self):
         c = 0.5
         tr = _synthetic_trace([c ** k for k in range(30)])
@@ -212,6 +270,24 @@ class TestDerivativeNorms:
         batched = derivative_norm_samples(M, m, n_samples, seed=21)
         looped = self._one_direction_at_a_time(M, m, n_samples, seed=21)
         np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-14)
+
+    def test_norms_are_the_derivative_values_bitwise(self, monkeypatch):
+        M = problem_linear_2x2().affine.M
+        results = []
+
+        def logged(M, d):
+            results.append(directional_derivative(M, d))
+            return results[-1]
+
+        monkeypatch.setattr(analysis, "directional_derivative", logged)
+        norms = derivative_norm_samples(M, 2, 300, seed=3)
+        rng = np.random.default_rng(3)
+        blocks = rng.standard_normal((300, 3, 2))
+        blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
+        expected = np.linalg.norm(directional_derivative(M, blocks).value, axis=1)
+        assert norms.tobytes() == expected.tobytes()
+        # the samples read the values only, so no rank flag was computed
+        assert len(results) == 1 and "formula_rank_ok" not in results[0].__dict__
 
     @pytest.mark.parametrize("n,m", [(2, 1), (200, 2)])
     def test_prefix_bitwise_across_chunk_boundary(self, n, m):

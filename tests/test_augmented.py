@@ -145,6 +145,36 @@ class TestPsiApply:
             z = psi_apply(p, z)
             assert z.blocks()[0].tobytes() == tr.iterates[k + 1].tobytes()
 
+    @staticmethod
+    def _eager_rank_ok(blocks):
+        """rank D(d) == min(n, m) for one (m+1, n) direction, with the cut-off restated."""
+        D = (blocks[0] - blocks[1:]).T
+        n, m = D.shape
+        sv = np.linalg.svd(D, compute_uv=False)
+        tol = max(n, m) * np.finfo(float).eps * (sv[0] if sv[0] > 0 else 1.0)
+        return int(np.count_nonzero(sv > tol)) == min(n, m)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 3), (3, 2)])
+    def test_lazy_rank_flag_is_the_eager_rule(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        M = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+        blocks = rng.standard_normal((6, m + 1, n))
+        blocks[1, 1] = blocks[1, 0]                    # a zero column of D(d)
+        blocks[2] = 0.0                                # zero direction
+        blocks[3, 1:] = blocks[3, 0]                   # diagonal direction
+        blocks[4, 1:] = blocks[4, 0] + 1e-3 * blocks[4, 1:2]  # parallel columns
+        eager = [self._eager_rank_ok(b) for b in blocks]
+        stacked = directional_derivative(M, blocks)
+        assert "formula_rank_ok" not in stacked.__dict__
+        assert stacked.formula_rank_ok.dtype == bool
+        assert stacked.formula_rank_ok.tolist() == eager
+        assert stacked.formula_rank_ok is stacked.formula_rank_ok  # computed once
+        for b, ok in zip(blocks, eager):
+            single = directional_derivative(M, Direction.from_blocks(b))
+            assert single.value.shape == (n * (m + 1),)
+            assert "formula_rank_ok" not in single.__dict__
+            assert single.formula_rank_ok is ok
+
     def test_stack_shape_checked(self):
         p = problem_linear_2x2()
         with pytest.raises(ValueError):
@@ -306,6 +336,36 @@ class TestDirectionalDerivative:
             # at m = 3 > n, row 1 keeps rank 2 = min(n, m), the largest rank
             assert stacked.formula_rank_ok[1] == (m == 3)
             assert not stacked.formula_rank_ok[2:4].any()
+
+    @staticmethod
+    def _eager_rank_ok(blocks):
+        """rank D(d) == min(n, m) for one (m+1, n) direction, with the cut-off restated."""
+        D = (blocks[0] - blocks[1:]).T
+        n, m = D.shape
+        sv = np.linalg.svd(D, compute_uv=False)
+        tol = max(n, m) * np.finfo(float).eps * (sv[0] if sv[0] > 0 else 1.0)
+        return int(np.count_nonzero(sv > tol)) == min(n, m)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 3), (3, 2)])
+    def test_lazy_rank_flag_is_the_eager_rule(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        M = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+        blocks = rng.standard_normal((6, m + 1, n))
+        blocks[1, 1] = blocks[1, 0]                    # a zero column of D(d)
+        blocks[2] = 0.0                                # zero direction
+        blocks[3, 1:] = blocks[3, 0]                   # diagonal direction
+        blocks[4, 1:] = blocks[4, 0] + 1e-3 * blocks[4, 1:2]  # parallel columns
+        eager = [self._eager_rank_ok(b) for b in blocks]
+        stacked = directional_derivative(M, blocks)
+        assert "formula_rank_ok" not in stacked.__dict__
+        assert stacked.formula_rank_ok.dtype == bool
+        assert stacked.formula_rank_ok.tolist() == eager
+        assert stacked.formula_rank_ok is stacked.formula_rank_ok  # computed once
+        for b, ok in zip(blocks, eager):
+            single = directional_derivative(M, Direction.from_blocks(b))
+            assert single.value.shape == (n * (m + 1),)
+            assert "formula_rank_ok" not in single.__dict__
+            assert single.formula_rank_ok is ok
 
     def test_stack_shape_checked(self):
         M = problem_linear_2x2().affine.M
