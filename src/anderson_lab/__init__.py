@@ -29,8 +29,6 @@ from .analysis import (
     worst_case_rho,
 )
 from .augmented import (
-    AugmentedState,
-    Direction,
     DirectionalDerivativeResult,
     beta_hat,
     beta_of_z,

@@ -17,7 +17,6 @@ from .linalg import chunk_rows, spectral_radius
 from .problems import FixedPointProblem
 
 ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
-S_FRACTION_MARGIN = 0.05  # a sweep's s_fraction counts factors below rho_{q,x*} minus this
 SWEEP_BINS = 40  # bins of a sweep's sigma_final histograms
 TAIL_WINDOW = 20  # usable iterations over which sigma_tail_max is taken
 DERIV_BINS = 60  # bins of the derivative-norm histogram
@@ -77,12 +76,6 @@ class SweepReport:
     inits: np.ndarray  # (n_inits, n)
     estimates: dict    # scheme label -> list[RFactorEstimate | None] per init
     histograms: dict   # scheme label -> (bin_edges, counts)
-    s_fraction: dict   # scheme label -> fraction below rho_{q,x*} - S_FRACTION_MARGIN
-    rho_fp: Optional[float]
-
-    @property
-    def n_inits(self) -> int:
-        return self.inits.shape[0]
 
 
 def worst_case_rho(problem: FixedPointProblem) -> Optional[float]:
@@ -129,7 +122,6 @@ def monte_carlo_sweep(
     if n_inits < 1:
         raise ValueError("n_inits must be >= 1")
     inits = sample_inits(box, n_inits, seed)
-    rho_fp = worst_case_rho(problem)
 
     estimates: dict[str, list] = {}
     for cfg in schemes:
@@ -145,18 +137,10 @@ def monte_carlo_sweep(
         estimates[scheme_label(cfg)] = per_init
 
     histograms = {}
-    s_fraction = {}
     for label, per_init in estimates.items():
         finals = np.array([e.sigma_final for e in per_init if e is not None])
         histograms[label] = bin_counts(finals, SWEEP_BINS)
-        if rho_fp is not None and finals.size:
-            s_fraction[label] = float(np.mean(finals < rho_fp - S_FRACTION_MARGIN))
-        else:
-            s_fraction[label] = float("nan")
-    return SweepReport(
-        seed=seed, inits=inits, estimates=estimates, histograms=histograms,
-        s_fraction=s_fraction, rho_fp=rho_fp,
-    )
+    return SweepReport(seed=seed, inits=inits, estimates=estimates, histograms=histograms)
 
 
 def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) -> np.ndarray:
@@ -181,7 +165,8 @@ def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) ->
         stop = min(start + chunk, n_samples)
         blocks = rng.standard_normal((stop - start, m + 1, n))
         blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
-        norms[start:stop] = np.linalg.norm(directional_derivative(M, blocks).value, axis=1)
+        value = directional_derivative(M, blocks).value
+        norms[start:stop] = np.linalg.norm(value.reshape(stop - start, -1), axis=1)
     return norms
 
 

@@ -6,6 +6,11 @@ once the window is full.  The module also provides the coefficient map beta(z),
 its limiting coefficients along rays at the fixed point, closed-form
 directional derivatives there, one-sided finite-difference estimates, and the
 Lipschitz bounds that can be checked against sampled perturbations.
+
+A state z = (z_{m+1}, ..., z_1), a direction d and a derivative value are each
+an (m+1, n) float array of blocks, newest first: row 0 is z_{m+1}.  Every
+function that takes one also takes an (S, m+1, n) stack of them, and returns
+its results with the same leading shape.
 """
 
 from __future__ import annotations
@@ -25,51 +30,10 @@ from .problems import FixedPointProblem
 
 
 @dataclass(frozen=True)
-class AugmentedState:
-    """Stacked vector (z_{m+1}, z_m, ..., z_1), newest block first."""
-
-    stacked: np.ndarray
-    block_dim: int
-
-    def __post_init__(self):
-        stacked = np.asarray(self.stacked, dtype=float).ravel()
-        object.__setattr__(self, "stacked", stacked)
-        n = self.block_dim
-        if n < 1 or stacked.size % n != 0 or stacked.size // n < 2:
-            raise ValueError(
-                f"stacked length {stacked.size} must be n*(m+1) with m >= 1, n = {n}"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.stacked.size // self.block_dim - 1
-
-    def blocks(self) -> np.ndarray:
-        """(m+1, n) array; row 0 is the newest block z_{m+1}."""
-        return self.stacked.reshape(self.m + 1, self.block_dim)
-
-    @classmethod
-    def from_blocks(cls, blocks):
-        """A cls from an (m+1, n) block array, newest first."""
-        blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-        return cls(stacked=blocks.ravel(), block_dim=blocks.shape[1])
-
-    @staticmethod
-    def at_point(x: np.ndarray, m: int) -> "AugmentedState":
-        """Diagonal state with all m+1 blocks equal to x."""
-        x = np.asarray(x, dtype=float).ravel()
-        return AugmentedState.from_blocks(np.tile(x, (m + 1, 1)))
-
-
-class Direction(AugmentedState):
-    """A perturbation direction in the augmented space."""
-
-
-@dataclass(frozen=True)
 class DirectionalDerivativeResult:
-    """One derivative, or a stack of them with a leading sample axis."""
+    """A derivative at one direction, or at each direction of a stack."""
 
-    value: np.ndarray
+    value: np.ndarray  # d's shape
     beta_hat: np.ndarray
     D: np.ndarray  # the difference matrices D(d) it was built from
 
@@ -83,25 +47,22 @@ class DirectionalDerivativeResult:
         return ok if ok.ndim else bool(ok)
 
 
-def build_D(state: AugmentedState) -> np.ndarray:
-    """n x m difference matrix with columns z_{m+1} - z_j, j = m, ..., 1."""
-    return _stacked_D(state.blocks()[None])[0]
+def build_D(z) -> np.ndarray:
+    """Difference matrices with columns z_{m+1} - z_j, j = m, ..., 1.
+
+    (n, m) for one (m+1, n) state, (S, n, m) for an (S, m+1, n) stack.
+    """
+    z = np.asarray(z, dtype=float)
+    return z[..., 0, :, None] - np.swapaxes(z[..., 1:, :], -1, -2)
 
 
-def _stacked_D(blocks: np.ndarray) -> np.ndarray:
-    """(S, n, m) difference matrices of an (S, m+1, n) block stack."""
-    return blocks[:, 0, :, None] - blocks[:, 1:].transpose(0, 2, 1)
-
-
-def _block_stack(z) -> tuple[np.ndarray, bool]:
-    """(S, m+1, n) block stack of z, and whether z is a single AugmentedState."""
-    if isinstance(z, AugmentedState):
-        return z.blocks()[None], True
+def _stack(z) -> tuple[np.ndarray, tuple[int, ...]]:
+    """z as an (S, m+1, n) stack, and z's leading shape: () for one state, (S,) for a stack."""
     blocks = np.asarray(z, dtype=float)
-    if blocks.ndim != 3 or blocks.shape[1] < 2 or blocks.shape[2] < 1:
-        raise ValueError(f"a block stack has shape (S, m+1, n) with m >= 1, "
+    if blocks.ndim not in (2, 3) or blocks.shape[-2] < 2 or blocks.shape[-1] < 1:
+        raise ValueError(f"a state is (m+1, n) and a stack (S, m+1, n), with m >= 1, "
                          f"got {blocks.shape}")
-    return blocks, False
+    return blocks.reshape((-1,) + blocks.shape[-2:]), blocks.shape[:-2]
 
 
 def _lifted_update(problem: FixedPointProblem,
@@ -128,26 +89,18 @@ def _lifted_update(problem: FixedPointProblem,
 
 
 def beta_of_z(problem: FixedPointProblem, z) -> np.ndarray:
-    """Coefficient map beta(z) = -pinv(R(z)) r(z_{m+1}), minimum-norm.
-
-    z is one AugmentedState, giving an (m,) array, or an (S, m+1, n) stack of
-    state blocks (block 0 newest), giving (S, m).
-    """
-    blocks, single = _block_stack(z)
+    """Coefficient map beta(z) = -pinv(R(z)) r(z_{m+1}), minimum-norm: (m,) per state."""
+    blocks, lead = _stack(z)
     coeffs = _lifted_update(problem, blocks)[1]
-    return coeffs[0] if single else coeffs
+    return coeffs.reshape(lead + coeffs.shape[1:])
 
 
-def psi_apply(problem: FixedPointProblem, z):
-    """One application of the lifted AA(m) map.
-
-    z is one AugmentedState, giving an AugmentedState, or an (S, m+1, n) stack
-    of state blocks (block 0 newest), giving the (S, m+1, n) stack of images.
-    """
-    blocks, single = _block_stack(z)
+def psi_apply(problem: FixedPointProblem, z) -> np.ndarray:
+    """One application of the lifted AA(m) map: the image of each state, z's shape."""
+    blocks, lead = _stack(z)
     x_next = _lifted_update(problem, blocks)[0]
     out = np.concatenate([x_next[:, None], blocks[:, :-1]], axis=1)
-    return AugmentedState.from_blocks(out[0]) if single else out
+    return out.reshape(lead + out.shape[1:])
 
 
 def _check_nonsingular(A: np.ndarray) -> np.ndarray:
@@ -159,16 +112,15 @@ def _check_nonsingular(A: np.ndarray) -> np.ndarray:
 
 
 def beta_hat(A: np.ndarray, d) -> np.ndarray:
-    """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}.
+    """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}, (m,) per direction.
 
-    d is one Direction, giving an (m,) array, or an (S, m+1, n) stack of
-    direction blocks, giving (S, m); A is checked once either way.
+    A is checked once for the whole stack.
     """
     A = np.asarray(A, dtype=float)
     _check_nonsingular(A)
-    blocks, single = _block_stack(d)
-    coeffs, _ = stacked_anderson_coefficients(A @ _stacked_D(blocks), blocks[:, 0] @ A.T)
-    return coeffs[0] if single else coeffs
+    blocks, lead = _stack(d)
+    coeffs, _ = stacked_anderson_coefficients(A @ build_D(blocks), blocks[:, 0] @ A.T)
+    return coeffs.reshape(lead + coeffs.shape[1:])
 
 
 def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
@@ -181,35 +133,38 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     pinv is continuous where the rank stays the same, and the largest rank
     survives the O(h) nonlinear terms.
 
-    d is one Direction or an (S, m+1, n) stack of direction blocks; for a
-    stack, value is (S, n(m+1)), beta_hat (S, m) and formula_rank_ok (S,).
+    value has d's shape; beta_hat is (m,) and formula_rank_ok a bool per
+    direction, with d's leading shape.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
-    blocks, single = _block_stack(d)
-    S, m = blocks.shape[0], blocks.shape[1] - 1
+    blocks, lead = _stack(d)
     if blocks.shape[2] != n:
         raise ValueError("direction block size does not match M")
     bh = beta_hat(np.eye(n) - M, blocks)
-    D = _stacked_D(blocks)
+    D = build_D(blocks)
     first = (blocks[:, 0] + (D @ bh[:, :, None])[:, :, 0]) @ M.T
-    value = np.concatenate([first, blocks[:, :-1].reshape(S, m * n)], axis=1)
-    if single:
-        return DirectionalDerivativeResult(value=value[0], beta_hat=bh[0], D=D[0])
-    return DirectionalDerivativeResult(value=value, beta_hat=bh, D=D)
+    value = np.concatenate([first[:, None], blocks[:, :-1]], axis=1)
+    return DirectionalDerivativeResult(value=value.reshape(lead + value.shape[1:]),
+                                       beta_hat=bh.reshape(lead + bh.shape[1:]),
+                                       D=D.reshape(lead + D.shape[1:]))
 
 
-def directional_derivative_fd(problem: FixedPointProblem, d: Direction,
-                              h_sequence) -> list[np.ndarray]:
-    """One-sided finite-difference estimates (Psi(z* + h d) - z*) / h, one per h."""
+def directional_derivative_fd(problem: FixedPointProblem, d, h_sequence) -> np.ndarray:
+    """One-sided finite-difference estimates (Psi(z* + h d) - z*) / h at one direction d.
+
+    Returns a (len(h_sequence), m+1, n) array, one estimate per h.
+    """
     if problem.known_fixed_point is None:
         raise ValueError("finite differencing at the fixed point needs a known x*")
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2:
+        raise ValueError(f"d is one (m+1, n) direction, got shape {d.shape}")
     h = np.asarray(h_sequence, dtype=float)[:, None, None]
     if np.any(h <= 0):
         raise ValueError("h must be positive (one-sided limit)")
-    z_star = AugmentedState.at_point(problem.known_fixed_point, d.m).blocks()
-    est = (psi_apply(problem, z_star + h * d.blocks()) - z_star) / h
-    return list(est.reshape(len(h), -1))
+    z_star = np.tile(problem.known_fixed_point, (len(d), 1))
+    return (psi_apply(problem, z_star + h * d) - z_star) / h
 
 
 def lipschitz_bound_linear_m1(A: np.ndarray) -> float:
@@ -240,14 +195,16 @@ def lipschitz_bound_nonlinear_m1(problem: FixedPointProblem,
     return 3.0 + (4.0 + 4.0 / c_r) * operator_norm_2(r_prime)
 
 
-def discontinuity_probe_beta(problem: FixedPointProblem, z0: AugmentedState,
-                             directions, eps_sequence) -> list[list[np.ndarray]]:
-    """beta(z0 + eps * d) tabulated over eps for each probe direction.
+def discontinuity_probe_beta(problem: FixedPointProblem, z0, directions,
+                             eps_sequence) -> np.ndarray:
+    """beta(z0 + eps * d) for each probe direction d and each eps: (directions, eps, m).
 
+    z0 is one (m+1, n) state and directions a sequence of (m+1, n) arrays.
     Returns raw tables only; limit claims belong to the caller, asserted
     against explicit eps sequences.
     """
     eps = np.asarray(eps_sequence, dtype=float)[:, None, None]
-    z = np.stack([z0.blocks() + eps * d.blocks() for d in directions])
+    d = np.asarray(directions, dtype=float)[:, None]
+    z = np.asarray(z0, dtype=float) + eps * d
     betas = beta_of_z(problem, z.reshape((-1,) + z.shape[2:]))
-    return [list(row) for row in betas.reshape(len(z), len(eps), -1)]
+    return betas.reshape(z.shape[:2] + (-1,))

@@ -156,10 +156,6 @@ def _fmt_column(values) -> list[str]:
             else "" if v is None else str(v) for v in values]
 
 
-def _fmt(v) -> str:
-    return _fmt_column((v,))[0]
-
-
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
     # each block of rows is formatted one column at a time, joined row by row
     # and written, so the cells of one block are all the writer holds
@@ -304,17 +300,14 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
                run_batch(problem, inits, full_window, keep=cfg.k_max + 1), gmres_traces)
     first_failure = None
     for i, (aa_m, aa_inf, gmres) in enumerate(runs):
-        try:
-            failure = aa_m.failure or aa_inf.failure or gmres.failure
-            if failure is not None:
-                raise failure
-            try:
-                dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)
-            except StagnationDetected:
-                dev = None
-        except AndersonLabError as exc:
-            first_failure = first_failure or exc
+        failure = aa_m.failure or aa_inf.failure or gmres.failure
+        if failure is not None:
+            first_failure = first_failure or failure
             continue
+        try:
+            dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)
+        except StagnationDetected:
+            dev = None
         for label, tr in ((windowed_label, aa_m), ("aa_inf", aa_inf), ("gmres", gmres)):
             for k in range(len(tr)):
                 sig = tr.sigma_k[k] if tr.sigma_k is not None else None

@@ -26,8 +26,6 @@ from anderson_lab.analysis import (
     sample_inits,
 )
 from anderson_lab.augmented import (
-    AugmentedState,
-    Direction,
     directional_derivative,
     directional_derivative_fd,
     discontinuity_probe_beta,
@@ -149,7 +147,7 @@ def test_criterion_05_directional_derivatives():
     affine_ok = True
     for m in (1, 2):
         for _ in range(20):
-            d = Direction(stacked=rng.standard_normal(2 * (m + 1)), block_dim=2)
+            d = rng.standard_normal((m + 1, 2))
             res = directional_derivative(M_lin, d)
             for est in directional_derivative_fd(p_lin, d, [1e-2, 1e-4, 1e-6]):
                 if np.linalg.norm(est - res.value) > 1e-10:
@@ -162,9 +160,8 @@ def test_criterion_05_directional_derivatives():
     for m in (1, 2):
         errs = np.zeros(len(hs))
         for _ in range(50):
-            v = rng.standard_normal(2 * (m + 1))
-            v /= np.linalg.norm(v)
-            d = Direction(stacked=v, block_dim=2)
+            d = rng.standard_normal((m + 1, 2))
+            d /= np.linalg.norm(d)
             res = directional_derivative(M_nl, d)
             assert res.formula_rank_ok
             fd = directional_derivative_fd(p_nl, d, hs)
@@ -180,9 +177,9 @@ def test_criterion_06_non_differentiability_certificate():
     a = 0.5
     M = np.array([[1.0 - a]])
     d1 = 1.0
-    v_new = directional_derivative(M, Direction.from_blocks([[d1], [0.0]])).value
-    v_diag = directional_derivative(M, Direction.from_blocks([[d1], [d1]])).value
-    v_old = directional_derivative(M, Direction.from_blocks([[0.0], [d1]])).value
+    v_new = directional_derivative(M, [[d1], [0.0]]).value
+    v_diag = directional_derivative(M, [[d1], [d1]]).value
+    v_old = directional_derivative(M, [[0.0], [d1]]).value
     # any linear map J would force J(0, d1) = J(d1, d1) - J(d1, 0)
     gap = float(np.linalg.norm(v_old - (v_diag - v_new)))
     ok = gap > 1e-12 and abs(gap - (1.0 - a) * d1) <= 1e-12
@@ -192,16 +189,16 @@ def test_criterion_06_non_differentiability_certificate():
 
 def test_criterion_07_beta_limit_table():
     p = problem_linear_2x2()
-    z_star = AugmentedState.at_point(p.known_fixed_point, m=1)
-    d_new = Direction.from_blocks([[0.3, -0.4], [0.0, 0.0]])
-    d_old = Direction.from_blocks([[0.0, 0.0], [0.3, -0.4]])
+    z_star = np.tile(p.known_fixed_point, (2, 1))
+    d_new = [[0.3, -0.4], [0.0, 0.0]]
+    d_old = [[0.0, 0.0], [0.3, -0.4]]
     table = discontinuity_probe_beta(p, z_star, [d_new, d_old], [1e-4])
     lim_new_ok = abs(table[0][0][0] + 1.0) <= 1e-3
     lim_old_ok = abs(table[1][0][0]) <= 1e-3
 
     x = np.array([0.2, 0.1])  # diagonal point with r(x) != 0
-    z0 = AugmentedState.at_point(x, m=1)
-    d = Direction.from_blocks([[0.0, 0.0], [1.0, 0.0]])
+    z0 = np.tile(x, (2, 1))
+    d = [[0.0, 0.0], [1.0, 0.0]]
     growth = discontinuity_probe_beta(p, z0, [d], [1e-3, 1e-6])[0]
     growth_ok = abs(growth[1][0]) >= 10.0 * abs(growth[0][0])
     ok = lim_new_ok and lim_old_ok and growth_ok
@@ -213,7 +210,7 @@ def test_criterion_07_beta_limit_table():
 def _lipschitz_holds(problem, z_base, L, n_samples, rng, max_norm=None):
     # every perturbation is drawn first, in sample order; Psi then maps them
     # with one batched call per 1000 states, which bounds the memory at n = 200
-    d = np.empty((n_samples, z_base.stacked.size))
+    d = np.empty((n_samples, z_base.size))
     scale = np.empty(n_samples)
     for i, row in enumerate(d):
         rng.standard_normal(out=row)
@@ -222,9 +219,9 @@ def _lipschitz_holds(problem, z_base, L, n_samples, rng, max_norm=None):
         else:
             scale[i] = max_norm * rng.random() / np.linalg.norm(row)
     d *= scale[:, None]
-    psi_base = psi_apply(problem, z_base).stacked
+    psi_base = psi_apply(problem, z_base).ravel()
     for chunk in np.split(d, range(1000, n_samples, 1000)):
-        z = (z_base.stacked + chunk).reshape((len(chunk),) + z_base.blocks().shape)
+        z = (z_base.ravel() + chunk).reshape((len(chunk),) + z_base.shape)
         lhs = np.linalg.norm(psi_apply(problem, z).reshape(chunk.shape) - psi_base, axis=1)
         if np.any(lhs > L * np.linalg.norm(chunk, axis=1) * (1 + 1e-10)):
             return False
@@ -236,7 +233,7 @@ def test_criterion_08_lipschitz_bounds():
 
     p2 = problem_linear_2x2()
     L2 = lipschitz_bound_linear_m1(p2.affine.A)
-    z2 = AugmentedState.at_point(p2.known_fixed_point, m=1)
+    z2 = np.tile(p2.known_fixed_point, (2, 1))
     ok2 = _lipschitz_holds(p2, z2, L2, 10000, rng)
 
     p200 = problem_linear_200(-0.3, 0.3, -0.3)
@@ -245,14 +242,13 @@ def test_criterion_08_lipschitz_bounds():
     ok200 = True
     for m in (1, 3):
         # rank-deficient stacked point: newest block at x*, repeated old block
-        z = AugmentedState.from_blocks(
-            np.vstack([p200.known_fixed_point] + [y] * m))
+        z = np.vstack([p200.known_fixed_point] + [y] * m)
         if not _lipschitz_holds(p200, z, L200, 10000, rng):
             ok200 = False
 
     p_nl = problem_nonlinear_2x2()
     L_nl = lipschitz_bound_nonlinear_m1(p_nl)
-    z_nl = AugmentedState.at_point(p_nl.known_fixed_point, m=1)
+    z_nl = np.tile(p_nl.known_fixed_point, (2, 1))
     ok_nl = _lipschitz_holds(p_nl, z_nl, L_nl, 10000, rng, max_norm=1e-3)
 
     ok = ok2 and ok200 and ok_nl
@@ -347,12 +343,11 @@ def test_criterion_12_property_suites():
     psi_ok = True
     for factory, m in [(problem_linear_2x2, 1), (problem_nonlinear_2x2, 2)]:
         p = factory()
-        z_star = AugmentedState.at_point(p.known_fixed_point, m=m)
-        if np.linalg.norm(psi_apply(p, z_star).stacked - z_star.stacked) > 1e-12:
+        z_star = np.tile(p.known_fixed_point, (m + 1, 1))
+        if np.linalg.norm(psi_apply(p, z_star) - z_star) > 1e-12:
             psi_ok = False
-        z = AugmentedState(stacked=rng.uniform(-0.2, 0.2, p.dim * (m + 1)),
-                           block_dim=p.dim)
-        if not np.array_equal(psi_apply(p, z).blocks()[1:], z.blocks()[:-1]):
+        z = rng.uniform(-0.2, 0.2, (m + 1, p.dim))
+        if not np.array_equal(psi_apply(p, z)[1:], z[:-1]):
             psi_ok = False
 
     # lifted map consistent with the windowed accelerator
@@ -362,9 +357,7 @@ def test_criterion_12_property_suites():
                 AccelConfig(window_m=m, max_iters=10, stop_tol=0.0))
     history = tr.iterates[-(m + 1):]
     x_next, _ = aa_step(p, history)
-    z = AugmentedState.from_blocks(list(reversed(history)))
-    consistency_ok = np.linalg.norm(
-        psi_apply(p, z).blocks()[0] - x_next) <= 1e-10
+    consistency_ok = np.linalg.norm(psi_apply(p, history[::-1])[0] - x_next) <= 1e-10
 
     # seed determinism of the Monte-Carlo driver
     p2 = problem_linear_2x2()

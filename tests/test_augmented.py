@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from anderson_lab import linalg
 from anderson_lab.accelerators import AccelConfig, aa_run, aa_step
 from anderson_lab.augmented import (
-    AugmentedState,
-    Direction,
     beta_hat,
     beta_of_z,
     build_D,
@@ -31,60 +29,48 @@ from anderson_lab.problems import (
 
 
 class TestAugmentedState:
-    def test_block_layout(self):
-        z = AugmentedState(stacked=np.arange(6.0), block_dim=2)
-        assert z.m == 2
-        np.testing.assert_array_equal(z.blocks(), [[0, 1], [2, 3], [4, 5]])
-
-    def test_roundtrip(self):
-        blocks = np.array([[1.0, 2.0], [3.0, 4.0]])
-        z = AugmentedState.from_blocks(blocks)
-        np.testing.assert_array_equal(z.blocks(), blocks)
-
-    def test_at_point(self):
-        z = AugmentedState.at_point(np.array([1.0, 2.0]), m=3)
-        assert z.m == 3
-        assert np.all(z.blocks() == [1.0, 2.0])
-
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            AugmentedState(stacked=np.arange(5.0), block_dim=2)
-        with pytest.raises(ValueError):
-            AugmentedState(stacked=np.arange(2.0), block_dim=2)  # m = 0
-
-    def test_from_blocks_builds_its_own_class(self):
-        d = Direction.from_blocks([[0.6], [0.8]])
-        assert type(d) is Direction and d.block_dim == 1
-        with pytest.raises(ValueError):
-            Direction.from_blocks([[1.0]])  # m = 0
-        assert type(AugmentedState.from_blocks([[1.0], [0.0]])) is AugmentedState
+        # an augmented state is an (m+1, n) block array; a flat stacked vector
+        # or a state with m = 0 is rejected
+        p = problem_linear_2x2()
+        for z in [np.arange(5.0), np.arange(4.0), np.arange(2.0).reshape(1, 2)]:
+            with pytest.raises(ValueError):
+                psi_apply(p, z)
+            with pytest.raises(ValueError):
+                beta_of_z(p, z)
 
 
 class TestBuildD:
     def test_equal_blocks_zero(self):
-        z = AugmentedState.at_point(np.array([1.0, -1.0]), m=2)
+        z = np.tile([1.0, -1.0], (3, 1))  # m = 2
         assert np.all(build_D(z) == 0.0)
 
     def test_m1_difference(self):
-        z = AugmentedState.from_blocks([[2.0, 3.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(build_D(z), [[1.0], [2.0]])
+        np.testing.assert_array_equal(build_D([[2.0, 3.0], [1.0, 1.0]]), [[1.0], [2.0]])
 
     def test_m2_hand_value(self):
-        z = AugmentedState.from_blocks([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        z = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
         np.testing.assert_array_equal(build_D(z), [[1.0, 1.0], [0.0, -1.0]])
+
+    def test_stack_rows_equal_single_states(self):
+        Z = np.random.default_rng(3).standard_normal((5, 4, 2))
+        D = build_D(Z)
+        assert D.shape == (5, 2, 3)
+        for i in range(5):
+            assert D[i].tobytes() == build_D(Z[i]).tobytes()
 
 
 class TestBetaOfZ:
     def test_zero_at_stacked_fixed_point(self):
         p = problem_linear_2x2()
-        z = AugmentedState.at_point(p.known_fixed_point, m=1)
+        z = np.tile(p.known_fixed_point, (2, 1))
         assert np.all(beta_of_z(p, z) == 0.0)
 
     def test_limit_minus_one_when_old_block_unperturbed(self):
         p = problem_linear_2x2()
         d1 = np.array([0.3, -0.4])
         for eps in (1e-2, 1e-4):
-            z = AugmentedState.from_blocks([eps * d1, [0.0, 0.0]])
+            z = np.array([eps * d1, [0.0, 0.0]])
             beta = beta_of_z(p, z)
             assert abs(beta[0] + 1.0) <= 1e-3
 
@@ -92,7 +78,7 @@ class TestBetaOfZ:
         p = problem_linear_2x2()
         d2 = np.array([0.3, -0.4])
         for eps in (1e-2, 1e-4):
-            z = AugmentedState.from_blocks([[0.0, 0.0], eps * d2])
+            z = np.array([[0.0, 0.0], eps * d2])
             assert abs(beta_of_z(p, z)[0]) <= 1e-12
 
 
@@ -104,23 +90,24 @@ class TestPsiApply:
     ])
     def test_fixed_point(self, factory, m):
         p = factory()
-        z_star = AugmentedState.at_point(p.known_fixed_point, m=m)
+        z_star = np.tile(p.known_fixed_point, (m + 1, 1))
         out = psi_apply(p, z_star)
-        assert np.linalg.norm(out.stacked - z_star.stacked) <= 1e-12
+        assert out.shape == z_star.shape
+        assert np.linalg.norm(out - z_star) <= 1e-12
 
     def test_shift_structure_exact(self):
         p = problem_nonlinear_2x2()
         rng = np.random.default_rng(8)
-        z = AugmentedState(stacked=rng.uniform(-0.2, 0.2, 6), block_dim=2)
+        z = rng.uniform(-0.2, 0.2, (3, 2))
         out = psi_apply(p, z)
-        np.testing.assert_array_equal(out.blocks()[1:], z.blocks()[:-1])
+        np.testing.assert_array_equal(out[1:], z[:-1])
 
     def test_diagonal_non_fixed_point_takes_fp_step(self):
         p = problem_linear_2x2()
         x = np.array([0.2, 0.1])
-        z = AugmentedState.at_point(x, m=2)
+        z = np.tile(x, (3, 1))  # m = 2
         out = psi_apply(p, z)
-        np.testing.assert_allclose(out.blocks()[0], p.q(x), atol=0)
+        np.testing.assert_allclose(out[0], p.q(x), atol=0)
 
     @pytest.mark.parametrize("factory,m", [(problem_linear_2x2, 1),
                                            (problem_nonlinear_2x2, 2)])
@@ -130,57 +117,32 @@ class TestPsiApply:
                                                          stop_tol=0.0))
         history = tr.iterates[-(m + 1):]
         x_next, _ = aa_step(p, history)
-        z = AugmentedState.from_blocks(list(reversed(history)))
-        out = psi_apply(p, z)
+        out = psi_apply(p, history[::-1])
         # Psi and aa_step share one update: equal bit for bit
-        assert out.blocks()[0].tobytes() == x_next.tobytes()
+        assert out[0].tobytes() == x_next.tobytes()
 
     def test_iterating_psi_reproduces_aa_run(self):
         p = problem_nonlinear_2x2()
         m = 2
         tr = aa_run(p, np.array([0.2, 0.1]), AccelConfig(window_m=m, max_iters=12,
                                                          stop_tol=0.0))
-        z = AugmentedState.from_blocks(list(reversed(tr.iterates[: m + 1])))
+        z = tr.iterates[m::-1]
         for k in range(m, 12):
             z = psi_apply(p, z)
-            assert z.blocks()[0].tobytes() == tr.iterates[k + 1].tobytes()
-
-    @staticmethod
-    def _eager_rank_ok(blocks):
-        """rank D(d) == min(n, m) for one (m+1, n) direction, with the cut-off restated."""
-        D = (blocks[0] - blocks[1:]).T
-        n, m = D.shape
-        sv = np.linalg.svd(D, compute_uv=False)
-        tol = max(n, m) * np.finfo(float).eps * (sv[0] if sv[0] > 0 else 1.0)
-        return int(np.count_nonzero(sv > tol)) == min(n, m)
-
-    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 3), (3, 2)])
-    def test_lazy_rank_flag_is_the_eager_rule(self, n, m):
-        rng = np.random.default_rng(10 * n + m)
-        M = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-        blocks = rng.standard_normal((6, m + 1, n))
-        blocks[1, 1] = blocks[1, 0]                    # a zero column of D(d)
-        blocks[2] = 0.0                                # zero direction
-        blocks[3, 1:] = blocks[3, 0]                   # diagonal direction
-        blocks[4, 1:] = blocks[4, 0] + 1e-3 * blocks[4, 1:2]  # parallel columns
-        eager = [self._eager_rank_ok(b) for b in blocks]
-        stacked = directional_derivative(M, blocks)
-        assert "formula_rank_ok" not in stacked.__dict__
-        assert stacked.formula_rank_ok.dtype == bool
-        assert stacked.formula_rank_ok.tolist() == eager
-        assert stacked.formula_rank_ok is stacked.formula_rank_ok  # computed once
-        for b, ok in zip(blocks, eager):
-            single = directional_derivative(M, Direction.from_blocks(b))
-            assert single.value.shape == (n * (m + 1),)
-            assert "formula_rank_ok" not in single.__dict__
-            assert single.formula_rank_ok is ok
+            assert z[0].tobytes() == tr.iterates[k + 1].tobytes()
 
     def test_stack_shape_checked(self):
         p = problem_linear_2x2()
-        with pytest.raises(ValueError):
-            psi_apply(p, np.zeros((3, 1, 2)))       # m = 0
-        with pytest.raises(ValueError):
-            beta_of_z(p, np.zeros((3, 2, 3)))       # block size != n
+        for shape in [(4,),          # 1-D
+                      (1, 2),        # m = 0
+                      (3, 1, 2),     # a stack with m = 0
+                      (2, 3, 2, 2),  # 4-D
+                      (2, 3),        # block size != n
+                      (3, 2, 3)]:    # a stack with block size != n
+            with pytest.raises(ValueError):
+                psi_apply(p, np.zeros(shape))
+            with pytest.raises(ValueError):
+                beta_of_z(p, np.zeros(shape))
 
 
 def _lifted_map_problem(seed, n, affine):
@@ -207,9 +169,8 @@ class TestLiftedMapProperties:
         psi, beta = psi_apply(p, Z), beta_of_z(p, Z)
         assert psi.shape == Z.shape and beta.shape == (S, m)
         for i in range(S):
-            z = AugmentedState.from_blocks(Z[i])
-            assert psi[i].tobytes() == psi_apply(p, z).blocks().tobytes()
-            assert beta[i].tobytes() == beta_of_z(p, z).tobytes()
+            assert psi[i].tobytes() == psi_apply(p, Z[i]).tobytes()
+            assert beta[i].tobytes() == beta_of_z(p, Z[i]).tobytes()
 
     @pytest.mark.parametrize("n, m, affine", [(2, 1, True), (2, 3, False), (200, 2, True)])
     def test_stack_beyond_one_chunk_equals_single_states(self, monkeypatch, n, m, affine):
@@ -222,9 +183,8 @@ class TestLiftedMapProperties:
         psi, beta = psi_apply(counted, Z), beta_of_z(p, Z)
         assert chunks == [3, 3, 3, 1]
         for i in range(len(Z)):
-            z = AugmentedState.from_blocks(Z[i])
-            assert psi[i].tobytes() == psi_apply(p, z).blocks().tobytes()
-            assert beta[i].tobytes() == beta_of_z(p, z).tobytes()
+            assert psi[i].tobytes() == psi_apply(p, Z[i]).tobytes()
+            assert beta[i].tobytes() == beta_of_z(p, Z[i]).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 4))
@@ -235,21 +195,19 @@ class TestLiftedMapProperties:
         assume(np.linalg.svd(np.eye(n) - M, compute_uv=False)[-1] > 1e-6)
         x_star = rng.integers(-8, 9, n).astype(float)
         p = make_affine(AffineSpec(M=M, b=x_star - M @ x_star))
-        z_star = AugmentedState.at_point(x_star, m)
-        assert np.array_equal(psi_apply(p, z_star).stacked, z_star.stacked)
+        z_star = np.tile(x_star, (m + 1, 1))
+        assert np.array_equal(psi_apply(p, z_star), z_star)
         assert np.array_equal(beta_of_z(p, z_star), np.zeros(m))
 
 
 class TestBetaHat:
     def test_equal_blocks_give_zero(self):
         A = np.array([[1.5, 0.2], [0.0, 0.8]])
-        d = Direction.from_blocks([[0.3, 0.4], [0.3, 0.4]])
-        assert np.all(beta_hat(A, d) == 0.0)
+        assert np.all(beta_hat(A, [[0.3, 0.4], [0.3, 0.4]]) == 0.0)
 
     def test_old_block_zero_gives_minus_one(self):
         A = np.array([[1.5, 0.2], [0.0, 0.8]])
-        d = Direction.from_blocks([[0.3, 0.4], [0.0, 0.0]])
-        np.testing.assert_allclose(beta_hat(A, d), [-1.0], atol=1e-14)
+        np.testing.assert_allclose(beta_hat(A, [[0.3, 0.4], [0.0, 0.0]]), [-1.0], atol=1e-14)
 
     def test_scalar_closed_form(self):
         rng = np.random.default_rng(9)
@@ -257,61 +215,53 @@ class TestBetaHat:
             d1, d2 = rng.standard_normal(2)
             if abs(d1 - d2) < 1e-3:
                 continue
-            d = Direction.from_blocks([[d1], [d2]])
-            bh = beta_hat(np.array([[0.7]]), d)
+            bh = beta_hat(np.array([[0.7]]), [[d1], [d2]])
             assert abs(bh[0] - (-d1 / (d1 - d2))) < 1e-12
 
     def test_m1_rayleigh_quotient_form(self):
         A = np.array([[1.2, -0.3], [0.1, 0.9]])
         rng = np.random.default_rng(10)
         d1, d2 = rng.standard_normal(2), rng.standard_normal(2)
-        d = Direction.from_blocks([d1, d2])
-        bh = beta_hat(A, d)
+        bh = beta_hat(A, [d1, d2])
         diff = d1 - d2
         expected = -(d1 @ A.T @ A @ diff) / (diff @ A.T @ A @ diff)
         assert abs(bh[0] - expected) < 1e-12
 
     def test_singular_A_rejected(self):
-        d = Direction.from_blocks([[1.0], [0.0]])
         with pytest.raises(SingularA):
-            beta_hat(np.array([[0.0]]), d)
+            beta_hat(np.array([[0.0]]), [[1.0], [0.0]])
 
 
 class TestDirectionalDerivative:
     def test_scalar_distinct_blocks(self):
         M = np.array([[0.5]])  # a = 1 - 0.5
-        d = Direction.from_blocks([[0.7], [0.2]])
-        res = directional_derivative(M, d)
-        np.testing.assert_allclose(res.value, [0.0, 0.7], atol=1e-14)
+        res = directional_derivative(M, [[0.7], [0.2]])
+        np.testing.assert_allclose(res.value, [[0.0], [0.7]], atol=1e-14)
         assert res.formula_rank_ok
 
     def test_scalar_equal_blocks(self):
         m0 = 0.25
         a = 1.0 - m0
         delta = 0.6
-        res = directional_derivative(np.array([[m0]]),
-                                     Direction.from_blocks([[delta], [delta]]))
-        np.testing.assert_allclose(res.value, [(1 - a) * delta, delta], atol=1e-14)
+        res = directional_derivative(np.array([[m0]]), [[delta], [delta]])
+        np.testing.assert_allclose(res.value, [[(1 - a) * delta], [delta]], atol=1e-14)
         assert not res.formula_rank_ok
 
     def test_zero_new_block_full_rank(self):
         p = problem_linear_2x2()
         M = p.affine.M
-        d = Direction.from_blocks([[0.0, 0.0], [0.4, -0.3]])
-        res = directional_derivative(M, d)
+        res = directional_derivative(M, [[0.0, 0.0], [0.4, -0.3]])
         assert np.all(res.beta_hat == 0.0)
-        np.testing.assert_allclose(res.value[:2], [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(res.value[0], [0.0, 0.0], atol=1e-14)
 
     def test_homogeneity(self):
         p = problem_linear_2x2()
         M = p.affine.M
         rng = np.random.default_rng(13)
         for _ in range(20):
-            v = rng.standard_normal(4)
-            d = Direction(stacked=v, block_dim=2)
-            cd = Direction(stacked=3.5 * v, block_dim=2)
+            d = rng.standard_normal((2, 2))
             r1 = directional_derivative(M, d)
-            r2 = directional_derivative(M, cd)
+            r2 = directional_derivative(M, 3.5 * d)
             np.testing.assert_allclose(r2.value, 3.5 * r1.value, atol=1e-12)
 
     def test_stack_matches_single_directions(self):
@@ -323,16 +273,16 @@ class TestDirectionalDerivative:
             blocks[2] = 0.0                                # zero direction
             blocks[3, 1:] = blocks[3, 0]                   # diagonal direction
             stacked = directional_derivative(M, blocks)
-            assert stacked.value.shape == (9, 2 * (m + 1))
+            assert stacked.value.shape == (9, m + 1, 2)
             assert stacked.formula_rank_ok.shape == (9,)
             A = np.eye(2) - M
             np.testing.assert_allclose(beta_hat(A, blocks), stacked.beta_hat, rtol=0, atol=0)
             for i in range(9):
-                single = directional_derivative(M, Direction.from_blocks(blocks[i]))
-                np.testing.assert_allclose(stacked.value[i], single.value, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(stacked.beta_hat[i], single.beta_hat,
+                alone = directional_derivative(M, blocks[i])
+                np.testing.assert_allclose(stacked.value[i], alone.value, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(stacked.beta_hat[i], alone.beta_hat,
                                            rtol=0, atol=1e-14)
-                assert stacked.formula_rank_ok[i] == single.formula_rank_ok
+                assert stacked.formula_rank_ok[i] == alone.formula_rank_ok
             # at m = 3 > n, row 1 keeps rank 2 = min(n, m), the largest rank
             assert stacked.formula_rank_ok[1] == (m == 3)
             assert not stacked.formula_rank_ok[2:4].any()
@@ -362,28 +312,34 @@ class TestDirectionalDerivative:
         assert stacked.formula_rank_ok.tolist() == eager
         assert stacked.formula_rank_ok is stacked.formula_rank_ok  # computed once
         for b, ok in zip(blocks, eager):
-            single = directional_derivative(M, Direction.from_blocks(b))
-            assert single.value.shape == (n * (m + 1),)
-            assert "formula_rank_ok" not in single.__dict__
-            assert single.formula_rank_ok is ok
+            alone = directional_derivative(M, b)
+            assert alone.value.shape == (m + 1, n)
+            assert "formula_rank_ok" not in alone.__dict__
+            assert alone.formula_rank_ok is ok
 
     def test_stack_shape_checked(self):
         M = problem_linear_2x2().affine.M
-        with pytest.raises(ValueError):
-            directional_derivative(M, np.zeros((4, 2)))       # no sample axis
-        with pytest.raises(ValueError):
-            directional_derivative(M, np.zeros((4, 1, 2)))    # m = 0
-        with pytest.raises(ValueError):
-            directional_derivative(M, np.zeros((4, 2, 3)))    # block size != n
+        # a 2-D array is one direction, m = 3
+        assert directional_derivative(M, np.zeros((4, 2))).value.shape == (4, 2)
+        for shape in [(4,),          # 1-D
+                      (1, 2),        # m = 0
+                      (4, 1, 2),     # a stack with m = 0
+                      (2, 4, 2, 2),  # 4-D
+                      (4, 3),        # block size != n
+                      (4, 2, 3)]:    # a stack with block size != n
+            with pytest.raises(ValueError):
+                directional_derivative(M, np.zeros(shape))
+            with pytest.raises(ValueError):
+                beta_hat(np.eye(2) - M, np.zeros(shape))
 
     def test_non_differentiability_certificate(self):
         # no single matrix J reproduces the derivative on all three directions
         M = np.array([[0.5]])
         a = 0.5
         d1 = 1.0
-        v_new = directional_derivative(M, Direction.from_blocks([[d1], [0.0]])).value
-        v_diag = directional_derivative(M, Direction.from_blocks([[d1], [d1]])).value
-        v_old = directional_derivative(M, Direction.from_blocks([[0.0], [d1]])).value
+        v_new = directional_derivative(M, [[d1], [0.0]]).value
+        v_diag = directional_derivative(M, [[d1], [d1]]).value
+        v_old = directional_derivative(M, [[0.0], [d1]]).value
         # linearity would force v_old = v_diag - v_new
         gap = np.linalg.norm(v_old - (v_diag - v_new))
         assert abs(gap - (1 - a) * d1) <= 1e-12
@@ -396,9 +352,11 @@ class TestFiniteDifference:
         M = p.affine.M
         rng = np.random.default_rng(14)
         for _ in range(10):
-            d = Direction(stacked=rng.standard_normal(4), block_dim=2)
+            d = rng.standard_normal((2, 2))
             closed = directional_derivative(M, d).value
-            for est in directional_derivative_fd(p, d, [1e-2, 1e-4, 1e-6]):
+            fd = directional_derivative_fd(p, d, [1e-2, 1e-4, 1e-6])
+            assert fd.shape == (3, 2, 2)
+            for est in fd:
                 assert np.linalg.norm(est - closed) <= 1e-10
 
     def test_nonlinear_first_order_slope(self):
@@ -409,9 +367,8 @@ class TestFiniteDifference:
         for m in (1, 2, 3, 4):
             errs = np.zeros(len(hs))
             for _ in range(10):
-                v = rng.standard_normal(2 * (m + 1))
-                v /= np.linalg.norm(v)
-                d = Direction(stacked=v, block_dim=2)
+                d = rng.standard_normal((m + 1, 2))
+                d /= np.linalg.norm(d)
                 res = directional_derivative(M, d)
                 assert res.formula_rank_ok
                 fd = directional_derivative_fd(p, d, hs)
@@ -421,15 +378,15 @@ class TestFiniteDifference:
 
     def test_zero_direction(self):
         p = problem_linear_2x2()
-        d = Direction.from_blocks([[0.0, 0.0], [0.0, 0.0]])
-        for est in directional_derivative_fd(p, d, [1e-3]):
-            assert np.all(est == 0.0)
+        assert np.all(directional_derivative_fd(p, np.zeros((2, 2)), [1e-3]) == 0.0)
 
     def test_requires_positive_h(self):
         p = problem_linear_2x2()
-        d = Direction.from_blocks([[1.0, 0.0], [0.0, 0.0]])
+        d = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             directional_derivative_fd(p, d, [-1e-3])
+        with pytest.raises(ValueError):
+            directional_derivative_fd(p, d[None], [1e-3])  # one direction, not a stack
 
 
 class TestLipschitzBounds:
@@ -442,12 +399,11 @@ class TestLipschitzBounds:
     def test_linear_empirical(self):
         p = problem_linear_2x2()
         L = lipschitz_bound_linear_m1(p.affine.A)
-        z_star = AugmentedState.at_point(p.known_fixed_point, m=1)
+        z_star = np.tile(p.known_fixed_point, (2, 1))
         rng = np.random.default_rng(16)
         for _ in range(500):
-            d = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 1)
-            z = AugmentedState(stacked=z_star.stacked + d, block_dim=2)
-            lhs = np.linalg.norm(psi_apply(p, z).stacked - z_star.stacked)
+            d = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-6, 1)
+            lhs = np.linalg.norm(psi_apply(p, z_star + d) - z_star)
             assert lhs <= L * np.linalg.norm(d) * (1 + 1e-10)
 
     def test_nonlinear_hand_value(self):
@@ -470,11 +426,12 @@ class TestLipschitzBounds:
 class TestDiscontinuityProbes:
     def test_limits_at_fixed_point(self):
         p = problem_linear_2x2()
-        z_star = AugmentedState.at_point(p.known_fixed_point, m=1)
-        d_new = Direction.from_blocks([[0.3, -0.4], [0.0, 0.0]])
-        d_old = Direction.from_blocks([[0.0, 0.0], [0.3, -0.4]])
+        z_star = np.tile(p.known_fixed_point, (2, 1))
+        d_new = [[0.3, -0.4], [0.0, 0.0]]
+        d_old = [[0.0, 0.0], [0.3, -0.4]]
         eps = [1e-2, 1e-3, 1e-4]
         table = discontinuity_probe_beta(p, z_star, [d_new, d_old], eps)
+        assert table.shape == (2, 3, 1)
         for beta in table[0]:
             assert abs(beta[0] + 1.0) <= 1e-3
         for beta in table[1]:
@@ -483,16 +440,16 @@ class TestDiscontinuityProbes:
     def test_unbounded_growth_at_non_fixed_diagonal(self):
         p = problem_linear_2x2()
         x = np.array([0.2, 0.1])
-        z0 = AugmentedState.at_point(x, m=1)
-        d = Direction.from_blocks([[0.0, 0.0], [1.0, 0.0]])
+        z0 = np.tile(x, (2, 1))
+        d = [[0.0, 0.0], [1.0, 0.0]]
         table = discontinuity_probe_beta(p, z0, [d], [1e-3, 1e-6])
         b_coarse, b_fine = abs(table[0][0][0]), abs(table[0][1][0])
         assert b_fine >= 10.0 * b_coarse
 
     def test_diagonal_direction_gives_zero_beta(self):
         p = problem_linear_2x2()
-        z_star = AugmentedState.at_point(p.known_fixed_point, m=1)
-        d = Direction.from_blocks([[0.3, -0.4], [0.3, -0.4]])
+        z_star = np.tile(p.known_fixed_point, (2, 1))
+        d = [[0.3, -0.4], [0.3, -0.4]]
         table = discontinuity_probe_beta(p, z_star, [d], [1e-1, 1e-3, 1e-6])
         for beta in table[0]:
             assert np.all(beta == 0.0)

@@ -452,12 +452,13 @@ class TestGmresCompare:
             for label, tr in (("aa(1)", run_scheme(problem, x0, windowed)),
                               ("aa_inf", aa_run(problem, x0, full_window)),
                               ("gmres", gmres_run(problem, x0, full_window))):
-                expected += [[str(i), label, str(k), cli._fmt(tr.sigma_k[k]),
-                              cli._fmt(tr.residual_norms[k])] for k in range(len(tr))]
+                expected += [[str(i), label, str(k),
+                              *cli._fmt_column((tr.sigma_k[k], tr.residual_norms[k]))]
+                             for k in range(len(tr))]
             # the check on its own traces, which run the k_max steps without a stopping test
             dev = aa_full_window_vs_gmres_check(
                 problem, aa_run(problem, x0, check), gmres_run(problem, x0, check), 10)
-            expected_dev.append([str(i), cli._fmt(dev), "False"])
+            expected_dev.append([str(i), *cli._fmt_column((dev,)), "False"])
         # .17g round-trips a float, so equal cells are equal bits
         assert _read_csv(out / "gmres_compare_traces.csv")[2] == expected
         assert _read_csv(out / "gmres_compare_deviation.csv")[2] == expected_dev
@@ -556,3 +557,13 @@ def test_readme_commands_parse():
     parser = cli._build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])  # a bad flag exits with SystemExit
+
+
+def test_readme_python_blocks_run():
+    """README's python blocks run in order, in one namespace, as a reader would paste them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 4
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
