@@ -7,7 +7,6 @@ baseline, and Monte-Carlo convergence-factor experiments.
 
 from .accelerators import (
     AccelConfig,
-    BetaSolution,
     IterationTrace,
     aa_full_window_vs_gmres_check,
     aa_run,

@@ -47,21 +47,15 @@ class AccelConfig:
             raise ValueError("stop_tol must be positive (or exactly 0 to disable)")
 
 
-@dataclass(frozen=True)
-class BetaSolution:
-    """Least-squares coefficients of one AA step and the numerical rank of its R."""
-
-    beta: np.ndarray
-    rank: int
-
-
 @dataclass
 class IterationTrace:
     """Per-iteration record of one run.
 
-    A trace holds the norms of every iterate, its first keep iterates (a
-    single run keeps all) and the betas that produced them: betas[k]
-    produced iterates[k + 1] (GMRES has none).
+    A trace holds the norms of every iterate and, as step-major arrays, its
+    first keep iterates (kept, n) (a single run keeps all) and the beta
+    (kept - 1, w) and rank (kept - 1,) of the updates that produced them:
+    beta[k] produced iterates[k + 1], NaN beyond its window, w = min(m,
+    keep - 1), and FP has w = 0 and ranks 0 (GMRES: both empty).
     sigma_k and error_ratios are derived from error_norms on first read (None
     without them), NaN at k = 0 by convention; sigma_at(k), the one sigma
     formula, evaluates sigma at a single k.  failure is the error that
@@ -69,10 +63,11 @@ class IterationTrace:
     stopped it.
     """
 
-    iterates: list = field(default_factory=list)
+    iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     residual_norms: list = field(default_factory=list)
     error_norms: Optional[list] = None
-    betas: list = field(default_factory=list)
+    beta: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    rank: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     x_star_norm: Optional[float] = None
     converged: bool = False
     failure: Optional[AndersonLabError] = None
@@ -141,15 +136,15 @@ def rows_per_chunk(n: int, window: int) -> int:
 
 
 def aa_step(problem: FixedPointProblem,
-            history: Sequence[np.ndarray]) -> tuple[np.ndarray, BetaSolution]:
-    """One AA update from the last min(k, m) + 1 iterates (newest last)."""
+            history: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
+    """One AA update from the last min(k, m) + 1 iterates (newest last): x_next, beta, rank."""
     if not len(history):
         raise ValueError("history must contain at least the current iterate")
     X = np.asarray(history, dtype=float)
     Qx = problem.q(X)
     Rx = X - Qx
     x_next, coeffs, ranks = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
-    return x_next[0], BetaSolution(coeffs[0], int(ranks[0]))
+    return x_next[0], coeffs[0], int(ranks[0])
 
 
 class _Steps:
@@ -157,19 +152,23 @@ class _Steps:
 
     Record s holds the batch index of each row that ran it (rows[s]), their
     residual norms (res[s]) and, with a known x*, their error norms (err[s]).
-    iterates and betas hold (batch indices, values) pairs, one per kept
-    step: the rows' first keep iterates and the BetaSolutions that produced
-    them.  failures and converged say how each row stopped.
+    The kept steps (each row's first keep) are logged the same way: iterates
+    (kept_rows, iterates) and their updates (solved_rows, beta NaN-padded to
+    width, rank).  failures and converged say how each row stopped.
     """
 
-    def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float):
+    def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int):
         self.x_star = problem.known_fixed_point
         if self.x_star is not None:
             self.x_star = self.x_star[None]  # a (1, n) row subtracts from X faster than (n,)
         self.keep, self.stop_tol = keep, stop_tol
+        self.width = min(m, max(keep - 1, 0))
         self.converged = np.zeros(B, dtype=bool)
         self.failures = [None] * B
-        self.rows, self.res, self.err, self.iterates, self.betas = [], [], [], [], []
+        self.rows, self.res, self.err = [], [], []
+        no_rows = np.empty(0, dtype=int)  # each kept log starts with an empty record to join
+        self.kept_rows, self.iterates = [no_rows], [np.empty((0, problem.dim))]
+        self.solved_rows, self.beta, self.rank = [no_rows], [np.empty((0, self.width))], [no_rows]
 
     def record(self, X: np.ndarray, rn: np.ndarray, rows: np.ndarray, k: int,
                q_errors: dict) -> Optional[np.ndarray]:
@@ -183,7 +182,8 @@ class _Steps:
         """
         self.rows.append(rows)
         if k < self.keep:
-            self.iterates.append((rows, X))
+            self.kept_rows.append(rows)
+            self.iterates.append(X)
         self.res.append(rn)
         if self.x_star is not None:
             self.err.append(_norms(self.x_star - X))
@@ -204,33 +204,45 @@ class _Steps:
         self.converged[rows[done]] = True
         return failed | done
 
+    def record_update(self, rows: np.ndarray, k: int, coeffs: np.ndarray,
+                      ranks: np.ndarray) -> None:
+        """Keeps the coefficients and ranks of the update that gave iterate k of rows, if kept."""
+        if k < self.keep:
+            self.solved_rows.append(rows)
+            self.beta.append(np.full((len(rows), self.width), np.nan))
+            self.beta[-1][:, :coeffs.shape[1]] = coeffs
+            self.rank.append(ranks)
+
     def traces(self) -> list[IterationTrace]:
         """The IterationTrace of each row, from its records."""
         B = len(self.failures)
-        # a row runs in one cohort at a time and records its steps in order, so
-        # sorting the records by row (stably) lines up each row's records
-        ids = np.concatenate(self.rows)
-        order = np.argsort(ids, kind="stable")
-        ends = np.cumsum(np.bincount(ids, minlength=B)).tolist()
-        spans = list(zip([0, *ends], ends))
 
-        def per_row(values):
-            column = np.concatenate(values)[order].tolist()
-            return [column[a:b] for a, b in spans]
+        def by_row(ids, *logs):
+            """The span of each row in the sorted records, and each log's records sorted by row."""
+            # a row runs in one cohort at a time and records its steps in order, so
+            # sorting the records by row (stably) lines up each row's records
+            ids = np.concatenate(ids)
+            order = np.argsort(ids, kind="stable")
+            ends = np.cumsum(np.bincount(ids, minlength=B)).tolist()
+            for log in logs:  # joined in place, so the step arrays go before the sorted copy
+                log[:] = [np.concatenate(log)]
+            return list(zip([0, *ends], ends)), [log[0][order] for log in logs]
 
-        res = per_row(self.res)
-        errs = per_row(self.err) if self.err else [None] * B
-        # kept iterates stay views of the step arrays: sorting them would copy them
-        iterates, betas = [[] for _ in range(B)], [[] for _ in range(B)]
-        for out, kept in ((iterates, self.iterates), (betas, self.betas)):
-            for step_ids, values in kept:
-                for i, v in zip(step_ids.tolist(), values):
-                    out[i].append(v)
+        def parts(column, spans):
+            # an empty column (nothing kept) gives every row the same empty array
+            return [column[a:b] for a, b in spans] if len(column) else [column] * B
+
+        spans, (res, *err) = by_row(self.rows, self.res, *([self.err] if self.err else []))
+        errs = parts(err[0].tolist(), spans) if err else [None] * B
+        kept, (iterates,) = by_row(self.kept_rows, self.iterates)
+        solved, (beta, rank) = by_row(self.solved_rows, self.beta, self.rank)
         x_star_norm = None if self.x_star is None else float(np.linalg.norm(self.x_star))
-        return [IterationTrace(iterates=x, residual_norms=r, error_norms=e, betas=bs,
+        return [IterationTrace(iterates=x, residual_norms=r, error_norms=e, beta=bt, rank=rk,
                                x_star_norm=x_star_norm, converged=c, failure=f)
-                for x, r, e, bs, c, f in zip(iterates, res, errs, betas,
-                                             self.converged.tolist(), self.failures)]
+                for x, r, e, bt, rk, c, f in zip(
+                    parts(iterates, kept), parts(res.tolist(), spans), errs,
+                    parts(beta, solved), parts(rank, solved),
+                    self.converged.tolist(), self.failures)]
 
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
@@ -252,11 +264,11 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     that step once it has stopped.  A batch within that budget runs as one.
 
     Returns the IterationTrace of each row, with its first keep iterates and
-    the betas that produced them.
+    the coefficients and ranks that produced them.
     """
     B, n = X.shape
     m = cfg.window_m
-    steps = _Steps(problem, B, keep, cfg.stop_tol)
+    steps = _Steps(problem, B, keep, cfg.stop_tol, m)
     # cohorts set aside: (step k, batch index of each row, iterate k, q and r
     # histories before step k)
     waiting = [(0, np.arange(B), X, [], [])]
@@ -308,18 +320,14 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             # every residual in the history has a finite norm, so R is finite
             X, coeffs, ranks = _aa_update(q_hist, r_hist)
             k += 1
-            if k < keep:
-                steps.betas.append((rows, list(map(BetaSolution, coeffs, ranks.tolist()))))
+            steps.record_update(rows, k, coeffs, ranks)
 
     return steps.traces()
 
 
 def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
-    """A copy of the starts X0 as a (B, n) float array; ValueError for another shape or keep < 0.
-
-    The copy is the batch's own, because a trace may keep views of it.
-    """
-    X = np.array(X0, dtype=float)
+    """The starts X0 as a (B, n) float array; ValueError for another shape or keep < 0."""
+    X = np.asarray(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim or not len(X):
         raise ValueError(f"X0 must have shape (B, {problem.dim}) with B >= 1")
     if keep < 0:
@@ -336,8 +344,8 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     memory stays bounded whatever B is.  An error in q (EvalError) fails only
     the rows it was raised on, and a trace's failure is the error that
     stopped its row (not raised).  Every row equals its single-init run bit
-    for bit.  Each trace keeps the row's first keep iterates and the betas
-    that produced them; keep = 0 keeps neither.
+    for bit.  Each trace keeps the row's first keep iterates and the
+    coefficients and ranks that produced them; keep = 0 keeps none.
     """
     return _iterate(problem, _batch_starts(problem, X0, keep), cfg, keep)
 
@@ -400,7 +408,7 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     A = problem.affine.A
     b = problem.affine.b
     B, n = X0.shape
-    steps = _Steps(problem, B, keep, cfg.stop_tol)
+    steps = _Steps(problem, B, keep, cfg.stop_tol, 0)
     rows = np.arange(B)  # batch index of each running row
     R0 = b - (A @ X0[..., None])[..., 0]
     beta0 = _norms(R0)
@@ -491,7 +499,7 @@ def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     The rows run in lockstep, one chunk of gmres_rows_per_chunk(n, max_k)
     rows with max_k = min(max_iters, n) after another, each with its own
     Arnoldi bases, and every row equals its single-init run bit for bit.
-    Each trace keeps the row's first keep iterates and has no betas.
+    Each trace keeps the row's first keep iterates; its beta and rank are empty.
     """
     if problem.affine is None:
         raise ValueError("gmres requires an affine problem")
@@ -522,7 +530,7 @@ def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: Iteratio
     strictly decrease over the compared range (the correspondence is
     undefined there).
     """
-    if not (aa_trace.iterates and gmres_trace.iterates):
+    if not (len(aa_trace.iterates) and len(gmres_trace.iterates)):
         raise ValueError("the AA-vs-GMRES check needs traces with their iterates")
     res = gmres_trace.residual_norms
     K = max(0, min(k_max, len(aa_trace.iterates) - 1, len(gmres_trace.iterates) - 1))
@@ -532,6 +540,5 @@ def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: Iteratio
                 f"GMRES residual did not strictly decrease at step {k} "
                 f"({res[k]:.3e} -> {res[k + 1]:.3e})"
             )
-    dev = _norms(np.asarray(aa_trace.iterates)[1:K + 1]
-                 - problem.q(np.asarray(gmres_trace.iterates)[:K]))
+    dev = _norms(aa_trace.iterates[1:K + 1] - problem.q(gmres_trace.iterates[:K]))
     return float(dev.max(initial=0.0))

@@ -168,17 +168,12 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
 
 
 def _trace_rows(trace, m: int):
-    n_iter = len(trace.iterates)
-    for k in range(n_iter):
+    for k in range(len(trace.iterates)):
         err = trace.error_norms[k] if trace.error_norms is not None else None
         sig = trace.sigma_k[k] if trace.sigma_k is not None else None
         rat = trace.error_ratios[k] if trace.error_ratios is not None else None
-        betas = [None] * m
-        if k < len(trace.betas):
-            b = trace.betas[k].beta
-            for i in range(min(m, b.size)):
-                betas[i] = float(b[i])
-        yield [k, err, trace.residual_norms[k], sig, rat, *betas]
+        beta = trace.beta[k].tolist() if k < len(trace.beta) else []
+        yield [k, err, trace.residual_norms[k], sig, rat, *beta, *[None] * (m - len(beta))]
 
 
 def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
@@ -207,9 +202,7 @@ def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> Non
     if trace.sigma_k is not None:
         series["sigma_k"] = trace.sigma_k
     if m:
-        series["beta_1"] = [
-            float(b.beta[0]) if b.beta.size else float("nan") for b in trace.betas
-        ]
+        series["beta_1"] = trace.beta[:, 0].tolist()
     (out / "trace.svg").write_text(
         plots.line_chart(series, title=f"{cfg.problem_id} {cfg.scheme}"))
 

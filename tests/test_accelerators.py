@@ -112,7 +112,7 @@ class TestNonFiniteResidual:
         assert len(tr) == 3
         assert np.all(np.isfinite(tr.residual_norms[:2]))
         assert np.isnan(tr.residual_norms[2])
-        assert len(tr.betas) == 2
+        assert len(tr.beta) == len(tr.rank) == 2
 
     def test_nan_at_start(self):
         with pytest.raises(NonFinite) as exc_info:
@@ -128,48 +128,60 @@ class TestAaStep:
     def test_single_entry_is_fp_step(self):
         p = problem_linear_2x2()
         x0 = np.array([0.2, 0.1])
-        x1, beta = aa_step(p, [x0])
+        x1, beta, _ = aa_step(p, [x0])
         np.testing.assert_allclose(x1, p.q(x0), atol=0)
-        assert beta.beta.shape == (0,)
+        assert beta.shape == (0,)
 
     def test_equal_residuals_degenerate_to_fp(self):
         p = problem_linear_2x2()
         x = np.array([0.2, 0.1])
-        x_next, beta = aa_step(p, [x, x])
+        x_next, beta, rank = aa_step(p, [x, x])
         np.testing.assert_allclose(x_next, p.q(x), atol=0)
-        assert np.all(beta.beta == 0.0)
-        assert beta.rank == 0
+        assert np.all(beta == 0.0)
+        assert rank == 0
 
     def test_orthogonal_residuals_hand_value(self):
         # residuals [0,1] then [1,0]: beta = -r_k.(r_k - r_{k-1}) / ||r_k - r_{k-1}||^2
         p = make_affine(AffineSpec(M=0.5 * np.eye(2), b=np.zeros(2)))
         x_prev = np.array([0.0, 2.0])   # r = [0, 1]
         x_k = np.array([2.0, 0.0])      # r = [1, 0]
-        x_next, beta = aa_step(p, [x_prev, x_k])
-        assert abs(beta.beta[0] - (-0.5)) < 1e-14
-        expected = p.q(x_k) + beta.beta[0] * (p.q(x_k) - p.q(x_prev))
+        x_next, beta, _ = aa_step(p, [x_prev, x_k])
+        assert abs(beta[0] - (-0.5)) < 1e-14
+        expected = p.q(x_k) + beta[0] * (p.q(x_k) - p.q(x_prev))
         np.testing.assert_allclose(x_next, expected, atol=1e-14)
 
     def test_optimality_over_beta_zero(self):
         p = problem_linear_2x2()
         rng = np.random.default_rng(5)
         hist = [rng.standard_normal(2) for _ in range(3)]
-        _, beta = aa_step(p, hist)
+        _, beta, _ = aa_step(p, hist)
         # column j of R pairs the newest residual with the one j + 1 steps older
         res = [x - p.q(x) for x in hist]
         r = res[-1]
         R = np.column_stack([r - res[-2 - j] for j in range(len(hist) - 1)])
-        assert beta.beta.shape == (2,)
-        assert np.linalg.norm(r + R @ beta.beta) <= np.linalg.norm(r) + 1e-12
+        assert beta.shape == (2,)
+        assert np.linalg.norm(r + R @ beta) <= np.linalg.norm(r) + 1e-12
+
+
+def _widths(tr):
+    """The window of each kept step of tr: the count of non-NaN entries of its beta row."""
+    return np.count_nonzero(~np.isnan(tr.beta), axis=1).tolist()
+
+
+def _single_and_batch_row(problem, x0, cfg):
+    """run_scheme from x0, and the row of x0 in a run_batch of 3 rows keeping every iterate."""
+    X0 = np.array([[-0.1, 0.05], x0, [0.3, -0.2]])
+    return run_scheme(problem, x0, cfg), run_batch(problem, X0, cfg, keep=cfg.max_iters + 1)[1]
 
 
 class TestAaRun:
     def test_window_discipline(self):
         p = problem_linear_2x2()
         m = 3
-        tr = aa_run(p, np.array([0.2, 0.1]), AccelConfig(window_m=m, max_iters=10, stop_tol=0.0))
-        for k, beta in enumerate(tr.betas):
-            assert beta.beta.shape == (min(k, m),)
+        for tr in _single_and_batch_row(p, np.array([0.2, 0.1]),
+                                        AccelConfig(window_m=m, max_iters=10, stop_tol=0.0)):
+            assert tr.beta.shape == (10, m)
+            assert _widths(tr) == [min(k, m) for k in range(10)]
 
     def test_forced_beta_zero_reproduces_fp_bitwise(self, monkeypatch):
         # a huge eps makes every column of R negligible next to ||r||, so the
@@ -179,7 +191,7 @@ class TestAaRun:
         x0 = np.array([0.21, -0.13])
         cfg = AccelConfig(window_m=2, max_iters=40, stop_tol=0.0)
         tr_aa = aa_run(p, x0, cfg)
-        assert all(b.rank == 0 and not np.any(b.beta) for b in tr_aa.betas)
+        assert not np.any(tr_aa.rank) and not np.any(tr_aa.beta[~np.isnan(tr_aa.beta)])
         tr_fp = run_scheme(p, x0, AccelConfig(window_m=0, max_iters=40, stop_tol=0.0))
         assert len(tr_aa) == len(tr_fp)
         for a, b in zip(tr_aa.iterates, tr_fp.iterates):
@@ -198,7 +210,7 @@ class TestAaRun:
             mp.setattr(accelerators, "stacked_anderson_coefficients",
                        lambda R, r: (np.zeros(R.shape[::2]), np.zeros(len(R), dtype=int)))
             tr_aa = run_scheme(p, x0, cfg)
-        assert any(b.beta.size for b in tr_aa.betas)
+        assert any(_widths(tr_aa))
         assert len(tr_aa) == len(tr_fp)
         for a, b in zip(tr_aa.iterates, tr_fp.iterates):
             assert np.array_equal(a, b)
@@ -213,13 +225,13 @@ class TestAaRun:
     def test_beta_oscillates_on_linear_2x2(self):
         p = problem_linear_2x2()
         tr = aa_run(p, np.array([0.2, 0.1]), AccelConfig(window_m=1, max_iters=100, stop_tol=0.0))
-        tail = [b.beta[0] for b in tr.betas[50:100]]
+        tail = tr.beta[50:100, 0]
         assert max(tail) - min(tail) > 0.05
 
     def test_trace_alignment(self):
         p = problem_linear_2x2()
         tr = aa_run(p, np.array([0.2, 0.1]), AccelConfig(window_m=1, max_iters=20, stop_tol=0.0))
-        assert len(tr.betas) == len(tr.iterates) - 1
+        assert len(tr.beta) == len(tr.rank) == len(tr.iterates) - 1
         assert np.isnan(tr.sigma_k[0])
         for k in range(1, len(tr)):
             assert abs(tr.sigma_k[k] - tr.error_norms[k] ** (1.0 / k)) < 1e-15
@@ -303,10 +315,9 @@ class TestRestartedRun:
     def test_restart_cycle_structure(self):
         # m=2 cycles: FP-like step (empty beta), then windows 1 and 2
         p = problem_linear_2x2()
-        tr = run_scheme(p, np.array([0.2, 0.1]),
-                        AccelConfig(window_m=2, restart=True, max_iters=9, stop_tol=0.0))
-        sizes = [b.beta.shape[0] for b in tr.betas]
-        assert sizes == [0, 1, 2, 0, 1, 2, 0, 1, 2]
+        for tr in _single_and_batch_row(p, np.array([0.2, 0.1]), AccelConfig(
+                window_m=2, restart=True, max_iters=9, stop_tol=0.0)):
+            assert _widths(tr) == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
 
 class TestRunScheme:
@@ -316,8 +327,8 @@ class TestRunScheme:
         fp = run_scheme(p, x0, AccelConfig(window_m=0, max_iters=5, stop_tol=0.0))
         aa = run_scheme(p, x0, AccelConfig(window_m=1, max_iters=5, stop_tol=0.0))
         rs = run_scheme(p, x0, AccelConfig(window_m=1, restart=True, max_iters=5, stop_tol=0.0))
-        assert all(b.beta.size == 0 for b in fp.betas)
-        assert aa.betas[1].beta.size == 1
+        assert fp.beta.shape == (5, 0) and not np.any(fp.rank)
+        assert _widths(aa)[1] == 1
         assert len(rs) == 6
 
 
@@ -673,14 +684,17 @@ def _assert_row_matches_single_run(batch, i, problem, x0, cfg):
 
 
 def _assert_kept_betas(row, tr, keep):
-    """A run_batch row with keep holds the betas of its single run tr, bit for bit.
+    """A run_batch row with keep holds the beta and rank of its single run tr, bit for bit.
 
-    Those are the betas that produced its kept iterates: max(0, min(keep, len) - 1).
+    Those produced its kept iterates: max(0, min(keep, len) - 1) steps, whose
+    beta rows are the single run's first columns, keep - 1 at most; the
+    columns left out are NaN.
     """
-    assert len(row.betas) == max(0, min(keep, len(tr)) - 1)
-    for b, ref in zip(row.betas, tr.betas):
-        assert b.beta.shape == ref.beta.shape and b.beta.tobytes() == ref.beta.tobytes()
-        assert b.rank == ref.rank
+    kept, width = max(0, min(keep, len(tr)) - 1), min(tr.beta.shape[1], max(keep - 1, 0))
+    assert row.beta.shape == (kept, width) and row.rank.shape == (kept,)
+    assert row.beta.tobytes() == tr.beta[:kept, :width].tobytes()
+    assert np.isnan(tr.beta[:kept, width:]).all()
+    assert row.rank.dtype == tr.rank.dtype and row.rank.tobytes() == tr.rank[:kept].tobytes()
 
 
 def _random_contraction(seed, n):
@@ -753,7 +767,8 @@ class TestRunBatch:
         cfg = AccelConfig(window_m=m, restart=restart and m >= 1, max_iters=40)
         batch = run_batch(problem, X0, cfg, keep=keep)
         assert all(len(batch[i]) == 1 for i in np.flatnonzero(at_x_star))
-        assert all(tr.iterates == [] and tr.betas == [] for tr in run_batch(problem, X0, cfg))
+        assert all(tr.iterates.shape == (0, n) and tr.beta.shape == (0, 0)
+                   and tr.rank.shape == (0,) for tr in run_batch(problem, X0, cfg))
         for i in range(B):
             try:
                 tr = run_scheme(problem, X0[i], cfg)
@@ -764,6 +779,14 @@ class TestRunBatch:
             assert np.array(batch[i].iterates).tobytes() == expected.tobytes()
             assert np.array_equal(batch[i].iterates, expected)
             _assert_kept_betas(batch[i], tr, keep)
+
+    def test_beta_width_is_capped_at_the_kept_steps(self):
+        # the window, 10**6, is wider than the 10 kept steps can use
+        problem = problem_from_id("linear200")
+        X0 = np.random.default_rng(9).uniform(-0.25, 0.25, (3, problem.dim))
+        cfg = AccelConfig(window_m=10**6, max_iters=20, stop_tol=0.0)
+        for tr in run_batch(problem, X0, cfg, keep=11):
+            assert len(tr) == 21 and tr.beta.shape == (10, 10) and tr.rank.shape == (10,)
 
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):

@@ -23,10 +23,9 @@ def _synthetic_trace(error_norms):
     errs = [float(e) for e in error_norms]
     n = len(errs)
     return IterationTrace(
-        iterates=[np.zeros(1)] * n,
+        iterates=np.zeros((n, 1)),
         residual_norms=errs,
         error_norms=errs,
-        betas=[],
         x_star_norm=0.0,
         converged=False,
     )

@@ -116,7 +116,7 @@ class TestPsiApply:
         tr = aa_run(p, np.array([0.2, 0.1]), AccelConfig(window_m=m, max_iters=m + 4,
                                                          stop_tol=0.0))
         history = tr.iterates[-(m + 1):]
-        x_next, _ = aa_step(p, history)
+        x_next, _, _ = aa_step(p, history)
         out = psi_apply(p, history[::-1])
         # Psi and aa_step share one update: equal bit for bit
         assert out[0].tobytes() == x_next.tobytes()

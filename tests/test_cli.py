@@ -32,15 +32,22 @@ def _read_csv(path):
 
 class TestRun:
     def test_trace_schema(self, tmp_path):
-        out = tmp_path / "o"
-        rc = main(["run", "--problem", "linear2x2", "--scheme", "aa", "--m", "1",
-                   "--x0", "0.2,0.1", "--iters", "50", "--out", str(out)])
-        assert rc == 0
-        schema, header, rows = _read_csv(out / "trace.csv")
-        assert schema == "# schema: trace v1"
-        assert header == ["k", "err_norm", "resid_norm", "sigma_k", "err_ratio", "beta_1"]
-        assert 2 <= len(rows) <= 51  # may stop early at the residual tolerance
-        assert (out / "trace.svg").exists()
+        for m, iters in ((1, 50), (5, 3)):
+            out = tmp_path / f"o{m}"
+            rc = main(["run", "--problem", "linear2x2", "--scheme", "aa", "--m", str(m),
+                       "--x0", "0.2,0.1", "--iters", str(iters), "--out", str(out)])
+            assert rc == 0
+            schema, header, rows = _read_csv(out / "trace.csv")
+            assert schema == "# schema: trace v1"
+            assert header == ["k", "err_norm", "resid_norm", "sigma_k", "err_ratio",
+                              *[f"beta_{i + 1}" for i in range(m)]]
+            assert 2 <= len(rows) <= iters + 1  # may stop early at the residual tolerance
+            # row k holds the beta that produced iterate k + 1, of window
+            # min(k, m), and the last row none: the cells beyond are blank
+            for k, row in enumerate(rows):
+                window = min(k, m) if k + 1 < len(rows) else 0
+                assert [cell != "" for cell in row[5:]] == [j < window for j in range(m)]
+            assert (out / "trace.svg").exists()
 
     def test_fp_from_fixed_point_single_row(self, tmp_path):
         out = tmp_path / "o"
