@@ -22,6 +22,7 @@ from .analysis import (
     SweepReport,
     derivative_norm_samples,
     estimate_r_factor,
+    estimate_r_factors,
     m_sweep,
     monte_carlo_sweep,
     sample_inits,

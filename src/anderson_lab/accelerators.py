@@ -47,25 +47,30 @@ class AccelConfig:
             raise ValueError("stop_tol must be positive (or exactly 0 to disable)")
 
 
+def root_error(e: float, k: int) -> float:
+    """e^(1/k), the root-averaged error of error norm e at step k; NaN at k = 0."""
+    return e ** (1.0 / k) if k else float("nan")
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration record of one run.
 
-    A trace holds the norms of every iterate and, as step-major arrays, its
-    first keep iterates (kept, n) (a single run keeps all) and the beta
-    (kept - 1, w) and rank (kept - 1,) of the updates that produced them:
-    beta[k] produced iterates[k + 1], NaN beyond its window, w = min(m,
-    keep - 1), and FP has w = 0 and ranks 0 (GMRES: both empty).
-    sigma_k and error_ratios are derived from error_norms on first read (None
-    without them), NaN at k = 0 by convention; sigma_at(k), the one sigma
-    formula, evaluates sigma at a single k.  failure is the error that
-    stopped the run, or None; the trace then ends with the iterate that
-    stopped it.
+    A trace holds the residual and error norms of every iterate as 1-D
+    float arrays and, as step-major arrays, its first keep iterates (kept, n)
+    (a single run keeps all) and the beta (kept - 1, w) and rank (kept - 1,)
+    of the updates that produced them: beta[k] produced iterates[k + 1], NaN
+    beyond its window, w = min(m, keep - 1), and FP has w = 0 and ranks 0
+    (GMRES: both empty).  sigma_k and error_ratios are lists derived from
+    error_norms on first read (None without them), NaN at k = 0 by
+    convention; sigma_at(k) evaluates sigma at a single k with root_error,
+    the one sigma formula.  failure is the error that stopped the run, or
+    None; the trace then ends with the iterate that stopped it.
     """
 
     iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    residual_norms: list = field(default_factory=list)
-    error_norms: Optional[list] = None
+    residual_norms: np.ndarray = field(default_factory=lambda: np.empty(0))
+    error_norms: Optional[np.ndarray] = None
     beta: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     rank: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     x_star_norm: Optional[float] = None
@@ -77,14 +82,15 @@ class IterationTrace:
 
     def sigma_at(self, k: int) -> float:
         """sigma_k = ||x_k - x*||^(1/k), the root-averaged error, at one k of error_norms."""
-        return float(self.error_norms[k]) ** (1.0 / k) if k else float("nan")
+        return root_error(float(self.error_norms[k]), k)
 
     @cached_property
     def sigma_k(self) -> Optional[list]:
         """sigma_at(k) for every k."""
         if self.error_norms is None:
             return None
-        return list(map(self.sigma_at, range(len(self.error_norms))))
+        errs = np.asarray(self.error_norms, dtype=float).tolist()
+        return list(map(root_error, errs, range(len(errs))))
 
     @cached_property
     def error_ratios(self) -> Optional[list]:
@@ -233,14 +239,14 @@ class _Steps:
             return [column[a:b] for a, b in spans] if len(column) else [column] * B
 
         spans, (res, *err) = by_row(self.rows, self.res, *([self.err] if self.err else []))
-        errs = parts(err[0].tolist(), spans) if err else [None] * B
+        errs = parts(err[0], spans) if err else [None] * B
         kept, (iterates,) = by_row(self.kept_rows, self.iterates)
         solved, (beta, rank) = by_row(self.solved_rows, self.beta, self.rank)
         x_star_norm = None if self.x_star is None else float(np.linalg.norm(self.x_star))
         return [IterationTrace(iterates=x, residual_norms=r, error_norms=e, beta=bt, rank=rk,
                                x_star_norm=x_star_norm, converged=c, failure=f)
                 for x, r, e, bt, rk, c, f in zip(
-                    parts(iterates, kept), parts(res.tolist(), spans), errs,
+                    parts(iterates, kept), parts(res, spans), errs,
                     parts(beta, solved), parts(rank, solved),
                     self.converged.tolist(), self.failures)]
 

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 # run_scheme is unused here but stays bound: perfbench/tracer.py patches
 # analysis.run_scheme by name
-from .accelerators import AccelConfig, IterationTrace, run_batch, run_scheme  # noqa: F401
+from .accelerators import (  # noqa: F401
+    AccelConfig, IterationTrace, root_error, run_batch, run_scheme)
 from .augmented import directional_derivative
-from .errors import AndersonLabError, InsufficientData
+from .errors import InsufficientData
 from .linalg import chunk_rows, spectral_radius
 from .problems import FixedPointProblem
 
@@ -45,27 +45,68 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     sigma_final is sigma at the last usable iteration; sigma_tail_max is the
     max over the final TAIL_WINDOW usable iterations, a limsup proxy robust to
     the oscillation of sigma_k.  Iterations whose error is below the rounding
-    floor 1e-14 * (1 + ||x*||) are excluded.  sigma is evaluated only at the
-    last TAIL_WINDOW usable iterations, found by scanning the error norms
-    from the end.
+    floor 1e-14 * (1 + ||x*||) are excluded.  This is estimate_r_factors'
+    batch of one, which raises InsufficientData where that gives None.
     """
-    errs = trace.error_norms
-    if errs is None:
+    if trace.error_norms is None:
         raise InsufficientData("trace has no error norms (fixed point unknown)")
-    floor = ERROR_FLOOR_SCALE * (1.0 + (trace.x_star_norm or 0.0))
-    # the last TAIL_WINDOW usable iterations, newest first
-    tail = list(islice((k for k in range(len(errs) - 1, 0, -1) if errs[k] > floor),
-                       TAIL_WINDOW))
-    if not tail:
+    est, = estimate_r_factors([trace])
+    if est is None:
         raise InsufficientData("no usable iterations above the rounding floor")
-    sigma = [trace.sigma_at(k) for k in tail]
-    cauchy = len(sigma) >= 2 and abs(sigma[0] - sigma[1]) <= 1e-3
-    return RFactorEstimate(
-        sigma_final=sigma[0],
-        sigma_tail_max=max(sigma),
-        k_used=tail[0],
-        converged=bool(trace.converged or cauchy),
-    )
+    return est
+
+
+@np.errstate(invalid="ignore")  # inf - inf between two infinite sigmas is NaN, not Cauchy
+def estimate_r_factors(traces: Sequence[IterationTrace]) -> list[Optional[RFactorEstimate]]:
+    """estimate_r_factor of every trace at once; None for a trace without one.
+
+    A trace gives None when it has no error norms or no usable iteration.
+    The last TAIL_WINDOW usable iterations of every trace are found at once,
+    on the joined error norms of all traces.  sigma is evaluated with
+    root_error, the one sigma formula, only where the estimate can read it:
+    at the newest two usable iterations, and where np.power, which may
+    differ from it in the last bit, comes within a relative 1e-12 of its
+    trace's tail maximum.  The exact maximum is so always among them.
+    """
+    out = [None] * len(traces)
+    # a trace without error norms has no usable iteration
+    errs = [np.empty(0) if tr.error_norms is None else np.asarray(tr.error_norms, dtype=float)
+            for tr in traces]
+    lens = np.array(list(map(len, errs)), dtype=int)
+    if not lens.sum():
+        return out
+    e = np.concatenate(errs)
+    ends = np.cumsum(lens)
+    owner = np.repeat(np.arange(len(traces)), lens)  # the trace of each entry
+    k = np.arange(len(e)) - (ends - lens)[owner]
+    floor = np.array([ERROR_FLOOR_SCALE * (1.0 + (tr.x_star_norm or 0.0)) for tr in traces])
+    usable = (e > floor[owner]) & (k > 0)
+    # the usable iterations of its trace at or after each entry: 1 at the newest
+    seen = np.concatenate(([0], np.cumsum(usable)))
+    newer = seen[ends][owner] - seen[:-1]
+    tail = np.flatnonzero(usable & (newer <= TAIL_WINDOW))
+    if not tail.size:
+        return out
+    # the tails, grouped by trace and oldest first
+    e, k, owner, newer = e[tail], k[tail], owner[tail], newer[tail]
+    oldest = np.diff(owner, prepend=-1) != 0
+    group = np.cumsum(oldest) - 1
+    approx = np.power(e, 1.0 / k)
+    top = np.maximum.reduceat(approx, np.flatnonzero(oldest))
+    exact = np.flatnonzero((newer <= 2) | (approx >= top[group] * (1.0 - 1e-12)))
+    sigma = np.array(list(map(root_error, e[exact].tolist(), k[exact].tolist())))
+    # each group's newest entry is exact and its last; the one before is its
+    # second newest when the group has two
+    firsts = np.flatnonzero(np.diff(group[exact], prepend=-1))
+    lasts = np.append(firsts[1:], len(exact)) - 1
+    cauchy = (lasts > firsts) & (np.abs(sigma[lasts] - sigma[lasts - 1]) <= 1e-3)
+    for i, final, tail_max, k_used, c in zip(
+            owner[exact][lasts].tolist(), sigma[lasts].tolist(),
+            np.maximum.reduceat(sigma, firsts).tolist(), k[exact][lasts].tolist(),
+            cauchy.tolist()):
+        out[i] = RFactorEstimate(sigma_final=final, sigma_tail_max=tail_max, k_used=k_used,
+                                 converged=bool(traces[i].converged or c))
+    return out
 
 
 @dataclass
@@ -115,7 +156,8 @@ def monte_carlo_sweep(
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
-    Each scheme runs all inits through one run_batch call.  Per-run failures
+    Each scheme runs all inits through one run_batch call and estimates
+    their factors with one estimate_r_factors call.  Per-run failures
     (divergence, evaluation errors, too few usable iterations) are recorded
     as None entries rather than aborting the sweep.
     """
@@ -125,16 +167,9 @@ def monte_carlo_sweep(
 
     estimates: dict[str, list] = {}
     for cfg in schemes:
-        per_init = []
-        for tr in run_batch(problem, inits, cfg):
-            est = None
-            if tr.failure is None:
-                try:
-                    est = estimate_r_factor(tr)
-                except AndersonLabError:
-                    pass
-            per_init.append(est)
-        estimates[scheme_label(cfg)] = per_init
+        traces = run_batch(problem, inits, cfg)
+        estimates[scheme_label(cfg)] = [None if tr.failure is not None else est for tr, est
+                                        in zip(traces, estimate_r_factors(traces))]
 
     histograms = {}
     for label, per_init in estimates.items():

@@ -168,12 +168,13 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
 
 
 def _trace_rows(trace, m: int):
+    errs = trace.error_norms.tolist() if trace.error_norms is not None else [None] * len(trace)
+    res = trace.residual_norms.tolist()
     for k in range(len(trace.iterates)):
-        err = trace.error_norms[k] if trace.error_norms is not None else None
         sig = trace.sigma_k[k] if trace.sigma_k is not None else None
         rat = trace.error_ratios[k] if trace.error_ratios is not None else None
         beta = trace.beta[k].tolist() if k < len(trace.beta) else []
-        yield [k, err, trace.residual_norms[k], sig, rat, *beta, *[None] * (m - len(beta))]
+        yield [k, errs[k], res[k], sig, rat, *beta, *[None] * (m - len(beta))]
 
 
 def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
@@ -302,9 +303,9 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
         except StagnationDetected:
             dev = None
         for label, tr in ((windowed_label, aa_m), ("aa_inf", aa_inf), ("gmres", gmres)):
-            for k in range(len(tr)):
-                sig = tr.sigma_k[k] if tr.sigma_k is not None else None
-                trace_rows.append([i, label, k, sig, tr.residual_norms[k]])
+            sigma = tr.sigma_k if tr.sigma_k is not None else [None] * len(tr)
+            trace_rows += ([i, label, k, sig, res] for k, (sig, res) in
+                           enumerate(zip(sigma, tr.residual_norms.tolist())))
         dev_rows.append([i, dev, dev is None])  # no deviation when GMRES stagnated
 
     _write_csv(out / "gmres_compare_traces.csv", "gmres_compare_traces",

@@ -134,7 +134,9 @@ def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndar
 
     Each slice comes out bit for bit equal to the 2-D function: the products
     are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
-    function runs on one slice, and a rank-deficient slice is solved again by
+    function runs on one slice; the column norms, computed only where the
+    largest singular value leaves the degenerate-step rule open, are those of
+    np.linalg.norm; and a rank-deficient slice is solved again by
     min_norm_lstsq, which sums over the kept singular directions only.
     """
     R = np.asarray(R, dtype=float)
@@ -147,11 +149,21 @@ def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     S, n, m = R.shape
     if m == 0:
         return np.zeros((S, 0)), np.zeros(S, dtype=int)
-    # column norms as np.linalg.norm(R, axis=1) computes them
-    col_max = np.sqrt(np.add.reduce(R * R, axis=1)).max(axis=1)
-    informative = col_max > max(n, m) * _EPS * np.sqrt(np.vecdot(r, r))
-
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    # the degenerate-step rule: a slice is informative when its largest
+    # column norm exceeds cut.  ||R||_2 >= that norm >= ||R||_2 / sqrt(m), so
+    # s[0] > 2 sqrt(m) cut decides it (the 2 covers the SVD's rounding) where
+    # the column norms are computed to rounding: s[0] >= 1e-140 puts an entry
+    # of the largest column above s[0] / sqrt(n m), whose square does not
+    # underflow (the SVD rescales, R * R does not).  Only the other slices
+    # compute their column norms, as np.linalg.norm(R, axis=1) computes them
+    cut = max(n, m) * _EPS * np.sqrt(np.vecdot(r, r))
+    informative = (s[:, 0] > 2.0 * np.sqrt(m) * cut) & (s[:, 0] >= 1e-140)
+    unsure = np.flatnonzero(~informative)
+    if unsure.size:
+        Ru = R[unsure]
+        informative[unsure] = np.sqrt(np.add.reduce(Ru * Ru, axis=1)).max(axis=1) > cut[unsure]
+
     tol = rank_tolerance(n, m, s[:, 0])
     kept = (s > tol[:, None]) & informative[:, None]
     Ur = np.matmul(U.transpose(0, 2, 1), r[..., None])[..., 0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from anderson_lab.accelerators import AccelConfig, IterationTrace, run_scheme
 from anderson_lab.analysis import (
     derivative_norm_samples,
     estimate_r_factor,
+    estimate_r_factors,
     m_sweep,
     monte_carlo_sweep,
     sample_inits,
@@ -63,6 +66,28 @@ _ERROR_NORMS = st.one_of(
     st.sampled_from([0.0, 1e-14, 1.001e-11, float("inf")]))
 
 
+_EDGE_CASES = [
+    # dips below the floor and rises above it again
+    ([1.0, 0.5, 1e-16, 0.25, 1e-15, 0.1, 1e-17], 0.0),
+    ([1.0] + [0.9 ** k if k % 3 else 1e-16 for k in range(1, 70)], 0.0),
+    ([0.5 ** k for k in range(8)], 0.0),                 # fewer than 20 usable
+    # the max is the oldest of the last 20 usable (k = 11), a larger one just before it
+    ([0.99 ** k if k == 10 else 0.9 ** k if k == 11 else 0.5 ** k for k in range(31)], 0.0),
+    ([1.0, 0.3], 0.0),                                   # exactly 1 usable
+    ([1.0, 1e-16, 0.3, 1e-15], 0.0),
+    ([1.0, 1e-16, 1e-15], 0.0),                          # none usable
+    ([1.0], 0.0),
+    ([1.0, float("inf"), 0.5, float("inf"), 0.2], 0.0),  # inf entries
+    ([0.8 ** k for k in range(40)] + [float("inf")], 0.0),
+    ([1.0] + [10.0 ** -k for k in range(1, 16)], 1e3),   # floor 1.001e-11
+    ([1.0, 0.0, 0.5, 0.0], 0.0),                         # zero errors
+    ([1.0, float("inf"), float("inf")], 0.0),            # the newest two infinite
+    # the newest two agree (Cauchy) and the tail maximum lies further back
+    ([0.9 ** 15 if k == 15 else 0.5 ** k for k in range(30)], 0.0),
+    ([], 0.0),
+]
+
+
 class TestEstimateRFactor:
     @settings(max_examples=300, deadline=None)
     @given(errs=st.lists(_ERROR_NORMS, max_size=60),
@@ -70,21 +95,7 @@ class TestEstimateRFactor:
     def test_tail_scan_matches_full_sequence_bitwise(self, errs, x_star_norm, converged):
         _assert_tail_scan_matches_full_sequence(errs, x_star_norm, converged)
 
-    @pytest.mark.parametrize("errs,x_star_norm", [
-        # dips below the floor and rises above it again
-        ([1.0, 0.5, 1e-16, 0.25, 1e-15, 0.1, 1e-17], 0.0),
-        ([1.0] + [0.9 ** k if k % 3 else 1e-16 for k in range(1, 70)], 0.0),
-        ([0.5 ** k for k in range(8)], 0.0),                 # fewer than 20 usable
-        # the max is the oldest of the last 20 usable (k = 11), a larger one just before it
-        ([0.99 ** k if k == 10 else 0.9 ** k if k == 11 else 0.5 ** k for k in range(31)], 0.0),
-        ([1.0, 0.3], 0.0),                                   # exactly 1 usable
-        ([1.0, 1e-16, 0.3, 1e-15], 0.0),
-        ([1.0, 1e-16, 1e-15], 0.0),                          # none usable
-        ([1.0], 0.0),
-        ([1.0, float("inf"), 0.5, float("inf"), 0.2], 0.0),  # inf entries
-        ([0.8 ** k for k in range(40)] + [float("inf")], 0.0),
-        ([1.0] + [10.0 ** -k for k in range(1, 16)], 1e3),   # floor 1.001e-11
-    ])
+    @pytest.mark.parametrize("errs,x_star_norm", _EDGE_CASES)
     def test_tail_scan_edge_cases(self, errs, x_star_norm):
         _assert_tail_scan_matches_full_sequence(errs, x_star_norm)
 
@@ -136,6 +147,60 @@ class TestEstimateRFactor:
         tr = IterationTrace(iterates=[np.zeros(1)], residual_norms=[1.0])
         with pytest.raises(InsufficientData):
             estimate_r_factor(tr)
+
+
+def _assert_batch_matches_full_sequence(specs):
+    """estimate_r_factors over traces (error norms or None, x_star_norm, converged), bit for bit.
+
+    A trace without error norms or usable iterations must give None, and no
+    numpy warning may be raised.
+    """
+    traces = [IterationTrace(residual_norms=np.ones(len(errs or ())),
+                             error_norms=None if errs is None else np.array(errs, dtype=float),
+                             x_star_norm=x_star_norm, converged=converged)
+              for errs, x_star_norm, converged in specs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimate_r_factors(traces)
+    assert len(got) == len(traces)
+    for (errs, x_star_norm, converged), est in zip(specs, got):
+        expected = (None if errs is None
+                    else _full_sequence_estimate(errs, x_star_norm or 0.0, converged))
+        if expected is None:
+            assert est is None
+            continue
+        values = (est.sigma_final, est.sigma_tail_max, est.k_used, est.converged)
+        assert [type(v) for v in values] == [float, float, int, bool]
+        assert np.array(values[:2]).tobytes() == np.array(expected[:2]).tobytes()
+        assert values[2:] == expected[2:]
+
+
+# geometric errors c^k have sigma_k = c up to rounding, so the tail maximum
+# is decided in the last bits of the power
+_GEOMETRIC = st.builds(lambda c, n: [c ** k for k in range(n)],
+                       st.floats(min_value=0.05, max_value=0.999), st.integers(0, 80))
+_TRACE_SPEC = st.tuples(
+    st.one_of(st.none(), st.lists(_ERROR_NORMS, max_size=60), _GEOMETRIC),
+    st.sampled_from([None, 0.0, 1.0, 1e3]), st.booleans())
+
+
+class TestEstimateRFactors:
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(_TRACE_SPEC, max_size=8))
+    def test_batch_matches_full_sequence_bitwise(self, specs):
+        _assert_batch_matches_full_sequence(specs)
+
+    def test_edge_cases_in_one_batch(self):
+        _assert_batch_matches_full_sequence(
+            [(errs, x_star_norm, i % 2 == 0) for i, (errs, x_star_norm) in enumerate(_EDGE_CASES)]
+            + [(None, 0.0, True), ([1.0], None, False), ([0.5 ** k for k in range(30)], None, True)])
+
+    def test_sweep_estimates_equal_single_estimates(self):
+        p = problem_linear_2x2()
+        cfg = AccelConfig(window_m=1, max_iters=100, stop_tol=1e-12)
+        r = monte_carlo_sweep(p, [cfg], np.tile([-0.25, 0.25], (2, 1)), 40, seed=3)
+        for x0, est in zip(r.inits, r.estimates["aa(1)"]):
+            assert est == estimate_r_factor(run_scheme(p, x0, cfg))
 
 
 class TestSampleInits:

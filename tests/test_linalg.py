@@ -167,20 +167,116 @@ def _mixed_stack(seed, S, n, m):
     return R, r
 
 
+def _cut(n, m, r):
+    """The degenerate-step cut-off of a slice, max(n, m) eps ||r||, as the stacked solve takes it."""
+    return max(n, m) * EPS * np.sqrt(np.vecdot(r, r))
+
+
+def _largest_column_norm(R):
+    return np.max(np.linalg.norm(R, axis=0))
+
+
+def _largest_singular_value(R):
+    return np.linalg.svd(R[None], full_matrices=False)[1][0, 0]
+
+
+def _slice_at_ratio(rng, n, m, measure, ratio, ulps=None):
+    """(R, r) with measure(R) at ratio * cut(r), or exactly ulps ulps from it as floats compute it.
+
+    r is a random direction u scaled by t = measure(R) / (ratio * cut(u)).
+    For an exact target, t walks in steps of one ulp, and R and u are
+    redrawn, until the product lands on it (a product with ratio skips some
+    floats, so a given R may have no r).
+    """
+    for _ in range(50):
+        R = rng.standard_normal((n, m))
+        value = measure(R)
+        u = rng.standard_normal(n)
+        t = value / (ratio * _cut(n, m, u))
+        if ulps is None:
+            return R, t * u
+        for step in range(-64, 65):
+            scale = t
+            for _ in range(abs(step)):
+                scale = np.nextafter(scale, np.inf * step)
+            target = ratio * _cut(n, m, scale * u)
+            for _ in range(abs(ulps)):
+                target = np.nextafter(target, np.inf * ulps)
+            if value == target:
+                return R, scale * u
+    raise AssertionError(f"no slice at {ratio} cut {ulps:+d} ulps")
+
+
+def _screening_band(seed, n, m):
+    """Slices around the two thresholds of the degenerate-step rule, one R and r each.
+
+    Their largest column norm lies at 0.5, 1 (exactly, and 1 ulp either
+    side), 1.5, 2 sqrt(m) (exactly, and 1 ulp either side) and 3 sqrt(m)
+    times the cut-off; their largest singular value at 2 sqrt(m) times it
+    (exactly, and 1 ulp either side).
+    """
+    rng = np.random.default_rng(seed)
+    band = [(_largest_column_norm, ratio, ulps)
+            for ratio, ulps in ((0.5, None), (1.0, -1), (1.0, 0), (1.0, 1), (1.5, None),
+                                (2.0 * np.sqrt(m), -1), (2.0 * np.sqrt(m), 0),
+                                (2.0 * np.sqrt(m), 1), (3.0 * np.sqrt(m), None))]
+    band += [(_largest_singular_value, 2.0 * np.sqrt(m), ulps) for ulps in (-1, 0, 1)]
+    slices = [_slice_at_ratio(rng, n, m, *spec) for spec in band]
+    return np.array([R for R, _ in slices]), np.array([r for _, r in slices])
+
+
+def _assert_slices_match_2d_solve(R, r):
+    """Stacked-solve (R, r); assert each slice equals the 2-D solve bit for bit.
+
+    The rank and the signs of zeros must match too.
+    """
+    coeffs, ranks = stacked_anderson_coefficients(R, r)
+    for i in range(len(R)):
+        expected, info = anderson_coefficients(R[i], r[i])
+        assert ranks[i] == info.numerical_rank
+        np.testing.assert_array_equal(coeffs[i], expected)
+        np.testing.assert_array_equal(np.signbit(coeffs[i]), np.signbit(expected))
+    return coeffs, ranks
+
+
 class TestStackedAndersonCoefficients:
+    @pytest.mark.parametrize("n", [2, 200])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_screening_band_matches_2d_solve(self, n, m):
+        R, r = _screening_band(1000 * n + m, n, m)
+        # the stack as a whole, each slice alone, and the slices below the cut-off alone
+        stacks = [np.arange(len(R))] + [[i] for i in range(len(R))] + [[0, 1, 2]]
+        for idx in stacks:
+            _assert_slices_match_2d_solve(R[idx], r[idx])
+        # the rule drops slices 0-2 (at most the cut-off) and keeps the rest
+        _, ranks = stacked_anderson_coefficients(R, r)
+        assert np.all(ranks[:3] == 0) and np.all(ranks[3:] == min(n, m))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (200, 1), (200, 6)])
+    @pytest.mark.parametrize("scale", [1e-163, 1e-160, 1e-155, 1e-150, 1e-145, 1e-140, 1e-130])
+    def test_underflow_range_matches_2d_solve(self, n, m, scale):
+        # below ~1.5e-154 the squares in the column norms underflow, and below
+        # ~1e-162 they flush to 0; the SVD, which rescales, does neither
+        rng = np.random.default_rng(n + m)
+        R = scale * rng.standard_normal((4, n, m))
+        r = scale * rng.standard_normal((4, n)) * np.array([[1.0], [1e-3], [1e3], [0.0]])
+        _assert_slices_match_2d_solve(R, r)
+
+    def test_flushed_column_norms_give_a_degenerate_step(self):
+        # the column norm computes to 0 <= cut, although ||R||_2 is 1.4e-163 > 0
+        R = np.full((1, 2, 1), 1e-163)
+        r = np.full((1, 2), 1e-163)
+        coeffs, ranks = stacked_anderson_coefficients(R, r)
+        assert ranks[0] == 0 and coeffs[0, 0] == 0.0
+        _assert_slices_match_2d_solve(R, r)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 12),
            n=st.integers(1, 7), m=st.integers(1, 6))
     def test_matches_2d_solve_per_slice(self, seed, S, n, m):
         R, r = _mixed_stack(seed, S, n, m)
-        coeffs, ranks = stacked_anderson_coefficients(R, r)
+        coeffs, ranks = _assert_slices_match_2d_solve(R, r)
         assert coeffs.shape == (S, m) and ranks.shape == (S,)
-        for i in range(S):
-            expected, info = anderson_coefficients(R[i], r[i])
-            assert ranks[i] == info.numerical_rank
-            # bit for bit, signed zeros included
-            np.testing.assert_array_equal(coeffs[i], expected)
-            np.testing.assert_array_equal(np.signbit(coeffs[i]), np.signbit(expected))
 
     def test_kinds_give_expected_ranks(self):
         R, r = _mixed_stack(0, 6, 5, 3)
