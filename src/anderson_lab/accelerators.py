@@ -63,9 +63,9 @@ class IterationTrace:
     beyond its window, w = min(m, keep - 1), and FP has w = 0 and ranks 0
     (GMRES: both empty).  sigma_k and error_ratios are lists derived from
     error_norms on first read (None without them), NaN at k = 0 by
-    convention; sigma_at(k) evaluates sigma at a single k with root_error,
-    the one sigma formula.  failure is the error that stopped the run, or
-    None; the trace then ends with the iterate that stopped it.
+    convention; sigma_k uses root_error, the one sigma formula.  failure is
+    the error that stopped the run, or None; the trace then ends with the
+    iterate that stopped it.
     """
 
     iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
@@ -80,13 +80,9 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.residual_norms)
 
-    def sigma_at(self, k: int) -> float:
-        """sigma_k = ||x_k - x*||^(1/k), the root-averaged error, at one k of error_norms."""
-        return root_error(float(self.error_norms[k]), k)
-
     @cached_property
     def sigma_k(self) -> Optional[list]:
-        """sigma_at(k) for every k."""
+        """sigma_k = ||x_k - x*||^(1/k), the root-averaged error, for every k."""
         if self.error_norms is None:
             return None
         errs = np.asarray(self.error_norms, dtype=float).tolist()

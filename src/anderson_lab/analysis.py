@@ -24,12 +24,17 @@ DERIV_BINS = 60  # bins of the derivative-norm histogram
 
 @dataclass(frozen=True)
 class RFactorEstimate:
-    """Finite-k proxy for the root-linear convergence factor of one run."""
+    """Finite-k proxies for the root-linear convergence factor, one row per run.
 
-    sigma_final: float
-    sigma_tail_max: float
-    k_used: int
-    converged: bool
+    estimate_r_factors gives columns, arrays of float64, float64, int and
+    bool with a row per trace; a row without an estimate holds NaN, NaN, 0
+    and False.  estimate_r_factor gives the one row as Python scalars.
+    """
+
+    sigma_final: np.ndarray
+    sigma_tail_max: np.ndarray
+    k_used: np.ndarray
+    converged: np.ndarray
 
 
 def scheme_label(cfg: AccelConfig) -> str:
@@ -46,38 +51,41 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     max over the final TAIL_WINDOW usable iterations, a limsup proxy robust to
     the oscillation of sigma_k.  Iterations whose error is below the rounding
     floor 1e-14 * (1 + ||x*||) are excluded.  This is estimate_r_factors'
-    batch of one, which raises InsufficientData where that gives None.
+    batch of one, which raises InsufficientData where that has no estimate.
     """
     if trace.error_norms is None:
         raise InsufficientData("trace has no error norms (fixed point unknown)")
-    est, = estimate_r_factors([trace])
-    if est is None:
-        raise InsufficientData("no usable iterations above the rounding floor")
-    return est
+    est = estimate_r_factors([trace])
+    if not est.k_used[0]:
+        raise InsufficientData("failed run or no usable iterations above the rounding floor")
+    return RFactorEstimate(*(column[0].item() for column in vars(est).values()))
 
 
 @np.errstate(invalid="ignore")  # inf - inf between two infinite sigmas is NaN, not Cauchy
-def estimate_r_factors(traces: Sequence[IterationTrace]) -> list[Optional[RFactorEstimate]]:
-    """estimate_r_factor of every trace at once; None for a trace without one.
+def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
+    """estimate_r_factor of every trace at once, as columns with a row per trace.
 
-    A trace gives None when it has no error norms or no usable iteration.
-    The last TAIL_WINDOW usable iterations of every trace are found at once,
-    on the joined error norms of all traces.  sigma is evaluated with
-    root_error, the one sigma formula, only where the estimate can read it:
-    at the newest two usable iterations, and where np.power, which may
-    differ from it in the last bit, comes within a relative 1e-12 of its
-    trace's tail maximum.  The exact maximum is so always among them.
+    A trace that failed, has no error norms or has no usable iteration gets
+    no estimate.  The last TAIL_WINDOW usable iterations of every trace are
+    found at once, on the joined error norms of all traces.  sigma is
+    evaluated with root_error, the one sigma formula, only where the
+    estimate can read it: at the newest two usable iterations, and where
+    np.power, which may differ from it in the last bit, comes within a
+    relative 1e-12 of its trace's tail maximum.  The exact maximum is so
+    always among them.
     """
-    out = [None] * len(traces)
-    # a trace without error norms has no usable iteration
-    errs = [np.empty(0) if tr.error_norms is None else np.asarray(tr.error_norms, dtype=float)
-            for tr in traces]
+    n = len(traces)
+    est = RFactorEstimate(sigma_final=np.full(n, np.nan), sigma_tail_max=np.full(n, np.nan),
+                          k_used=np.zeros(n, dtype=int), converged=np.zeros(n, dtype=bool))
+    # a failed trace and a trace without error norms have no usable iteration
+    errs = [np.empty(0) if tr.error_norms is None or tr.failure is not None
+            else np.asarray(tr.error_norms, dtype=float) for tr in traces]
     lens = np.array(list(map(len, errs)), dtype=int)
     if not lens.sum():
-        return out
+        return est
     e = np.concatenate(errs)
     ends = np.cumsum(lens)
-    owner = np.repeat(np.arange(len(traces)), lens)  # the trace of each entry
+    owner = np.repeat(np.arange(n), lens)  # the trace of each entry
     k = np.arange(len(e)) - (ends - lens)[owner]
     floor = np.array([ERROR_FLOOR_SCALE * (1.0 + (tr.x_star_norm or 0.0)) for tr in traces])
     usable = (e > floor[owner]) & (k > 0)
@@ -86,7 +94,7 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> list[Optional[RFacto
     newer = seen[ends][owner] - seen[:-1]
     tail = np.flatnonzero(usable & (newer <= TAIL_WINDOW))
     if not tail.size:
-        return out
+        return est
     # the tails, grouped by trace and oldest first
     e, k, owner, newer = e[tail], k[tail], owner[tail], newer[tail]
     oldest = np.diff(owner, prepend=-1) != 0
@@ -99,24 +107,21 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> list[Optional[RFacto
     # second newest when the group has two
     firsts = np.flatnonzero(np.diff(group[exact], prepend=-1))
     lasts = np.append(firsts[1:], len(exact)) - 1
+    rows = owner[exact][lasts]
+    est.sigma_final[rows] = sigma[lasts]
+    est.sigma_tail_max[rows] = np.maximum.reduceat(sigma, firsts)
+    est.k_used[rows] = k[exact][lasts]
     cauchy = (lasts > firsts) & (np.abs(sigma[lasts] - sigma[lasts - 1]) <= 1e-3)
-    for i, final, tail_max, k_used, c in zip(
-            owner[exact][lasts].tolist(), sigma[lasts].tolist(),
-            np.maximum.reduceat(sigma, firsts).tolist(), k[exact][lasts].tolist(),
-            cauchy.tolist()):
-        out[i] = RFactorEstimate(sigma_final=final, sigma_tail_max=tail_max, k_used=k_used,
-                                 converged=bool(traces[i].converged or c))
-    return out
+    est.converged[rows] = cauchy | [traces[i].converged for i in rows.tolist()]
+    return est
 
 
 @dataclass
 class SweepReport:
     """Aggregate of one Monte-Carlo sweep over random initial conditions."""
 
-    seed: int
     inits: np.ndarray  # (n_inits, n)
-    estimates: dict    # scheme label -> list[RFactorEstimate | None] per init
-    histograms: dict   # scheme label -> (bin_edges, counts)
+    estimates: dict    # scheme label -> RFactorEstimate, a row per init
 
 
 def worst_case_rho(problem: FixedPointProblem) -> Optional[float]:
@@ -158,24 +163,14 @@ def monte_carlo_sweep(
 
     Each scheme runs all inits through one run_batch call and estimates
     their factors with one estimate_r_factors call.  Per-run failures
-    (divergence, evaluation errors, too few usable iterations) are recorded
-    as None entries rather than aborting the sweep.
+    (divergence, evaluation errors, too few usable iterations) are rows
+    without an estimate rather than aborting the sweep.
     """
     if n_inits < 1:
         raise ValueError("n_inits must be >= 1")
     inits = sample_inits(box, n_inits, seed)
-
-    estimates: dict[str, list] = {}
-    for cfg in schemes:
-        traces = run_batch(problem, inits, cfg)
-        estimates[scheme_label(cfg)] = [None if tr.failure is not None else est for tr, est
-                                        in zip(traces, estimate_r_factors(traces))]
-
-    histograms = {}
-    for label, per_init in estimates.items():
-        finals = np.array([e.sigma_final for e in per_init if e is not None])
-        histograms[label] = bin_counts(finals, SWEEP_BINS)
-    return SweepReport(seed=seed, inits=inits, estimates=estimates, histograms=histograms)
+    return SweepReport(inits=inits, estimates={
+        scheme_label(cfg): estimate_r_factors(run_batch(problem, inits, cfg)) for cfg in schemes})
 
 
 def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) -> np.ndarray:
@@ -230,9 +225,8 @@ def m_sweep(
     cfgs = [AccelConfig(window_m=m, restart=restart, max_iters=max_iters, stop_tol=stop_tol)
             for m in m_values for restart in (False, True)]
     report = monte_carlo_sweep(problem, list(dict.fromkeys(cfgs)), box, n_inits, seed)
-    rows = []
-    for cfg in cfgs:
-        finals = [e.sigma_final for e in report.estimates[scheme_label(cfg)] if e is not None]
-        rows.append(MSweepRow(m=cfg.window_m, scheme="restarted" if cfg.restart else "windowed",
-                              worst_sigma=max(finals) if finals else float("nan")))
-    return rows
+    # the largest sigma_final of the runs with an estimate, NaN when there is none
+    return [MSweepRow(m=cfg.window_m, scheme="restarted" if cfg.restart else "windowed",
+                      worst_sigma=float(np.fmax.reduce(
+                          report.estimates[scheme_label(cfg)].sigma_final, initial=np.nan)))
+            for cfg in cfgs]

@@ -219,31 +219,29 @@ def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> N
 
     n = problem.dim
     coord_cols = [f"x0_{i}" for i in range(n)] if n <= 4 else ["init_hash"]
-    rows = []
+    coords = (report.inits.tolist() if n <= 4
+              else [[zlib.crc32(x0.tobytes())] for x0 in report.inits])
+    rows, hist_rows = [], []
     for accel in schemes:
         label = analysis.scheme_label(accel)
-        m = accel.window_m
-        for i, est in enumerate(report.estimates[label]):
-            x0 = report.inits[i]
-            coords = x0.tolist() if n <= 4 else [zlib.crc32(x0.tobytes())]
-            if est is None:
-                rows.append([i, *coords, label, m, None, None, False])
-            else:
-                rows.append([i, *coords, label, m, est.sigma_final,
-                             est.sigma_tail_max, est.converged])
+        est = report.estimates[label]
+        rows += ([i, *x0, label, accel.window_m, final, tail_max, converged]
+                 for i, (x0, final, tail_max, converged) in enumerate(zip(
+                     coords, est.sigma_final.tolist(), est.sigma_tail_max.tolist(),
+                     est.converged.tolist())))
+        # a run without an estimate has NaN sigmas: a blank cell, no histogram count
+        edges, counts = analysis.bin_counts(est.sigma_final[~np.isnan(est.sigma_final)],
+                                            analysis.SWEEP_BINS)
+        if not hist_rows:  # the plot shows the first scheme
+            svg = plots.bar_chart(edges, counts, title=f"sigma_final histogram ({label})")
+        hist_rows += ([label, lo, hi, c] for lo, hi, c in
+                      zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     _write_csv(out / "sweep.csv", "sweep",
                ["init_id", *coord_cols, "scheme", "m", "sigma_final",
                 "sigma_tail_max", "converged"], rows)
-
-    hist_rows = []
-    for label, (edges, counts) in report.histograms.items():
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            hist_rows.append([label, float(lo), float(hi), int(c)])
     _write_csv(out / "histogram.csv", "histogram",
                ["scheme", "bin_lo", "bin_hi", "count"], hist_rows)
-    label, (edges, counts) = next(iter(report.histograms.items()))
-    (out / "histogram.svg").write_text(
-        plots.bar_chart(edges, counts, title=f"sigma_final histogram ({label})"))
+    (out / "histogram.svg").write_text(svg)
 
 
 def cmd_deriv_hist(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:

@@ -261,7 +261,6 @@ class TestIterationTrace:
         assert _bits(tr.sigma_k) == _bits(sigma)
         assert _bits(tr.error_ratios) == _bits(ratios)
         assert tr.sigma_k is tr.sigma_k and tr.error_ratios is tr.error_ratios  # cached
-        assert _bits([tr.sigma_at(k) for k in range(len(errs))]) == _bits(sigma)
 
     def test_no_error_norms_gives_none(self):
         tr = IterationTrace(residual_norms=[1.0, 0.5])

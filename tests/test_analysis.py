@@ -18,8 +18,9 @@ from anderson_lab.analysis import (
     worst_case_rho,
 )
 from anderson_lab.augmented import directional_derivative
-from anderson_lab.errors import InsufficientData
-from anderson_lab.problems import problem_linear_2x2, problem_linear_200, problem_nonlinear_2x2
+from anderson_lab.errors import Diverged, InsufficientData
+from anderson_lab.problems import (problem_linear_2x2, problem_linear_200, problem_nonlinear_2x2,
+                                   problem_scalar)
 
 
 def _synthetic_trace(error_norms):
@@ -149,27 +150,37 @@ class TestEstimateRFactor:
             estimate_r_factor(tr)
 
 
-def _assert_batch_matches_full_sequence(specs):
+def _row(est, i):
+    """Row i of estimate columns as Python scalars, in field order."""
+    return tuple(column[i].item() for column in
+                 (est.sigma_final, est.sigma_tail_max, est.k_used, est.converged))
+
+
+def _assert_batch_matches_full_sequence(specs, failed=()):
     """estimate_r_factors over traces (error norms or None, x_star_norm, converged), bit for bit.
 
-    A trace without error norms or usable iterations must give None, and no
-    numpy warning may be raised.
+    The traces at the indices in failed carry a failure.  The columns must
+    be float64, float64, int and bool with a row per trace.  A trace that
+    failed or has no error norms or usable iterations must give the row
+    NaN, NaN, 0, False, and no numpy warning may be raised.
     """
     traces = [IterationTrace(residual_norms=np.ones(len(errs or ())),
                              error_norms=None if errs is None else np.array(errs, dtype=float),
-                             x_star_norm=x_star_norm, converged=converged)
-              for errs, x_star_norm, converged in specs]
+                             x_star_norm=x_star_norm, converged=converged,
+                             failure=Diverged("diverged") if i in failed else None)
+              for i, (errs, x_star_norm, converged) in enumerate(specs)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = estimate_r_factors(traces)
-    assert len(got) == len(traces)
-    for (errs, x_star_norm, converged), est in zip(specs, got):
-        expected = (None if errs is None
+    columns = (got.sigma_final, got.sigma_tail_max, got.k_used, got.converged)
+    assert [c.dtype for c in columns] == [np.float64, np.float64, np.dtype(int), np.bool_]
+    assert all(c.shape == (len(traces),) for c in columns)
+    for i, (errs, x_star_norm, converged) in enumerate(specs):
+        expected = (None if errs is None or i in failed
                     else _full_sequence_estimate(errs, x_star_norm or 0.0, converged))
         if expected is None:
-            assert est is None
-            continue
-        values = (est.sigma_final, est.sigma_tail_max, est.k_used, est.converged)
+            expected = (float("nan"), float("nan"), 0, False)
+        values = _row(got, i)
         assert [type(v) for v in values] == [float, float, int, bool]
         assert np.array(values[:2]).tobytes() == np.array(expected[:2]).tobytes()
         assert values[2:] == expected[2:]
@@ -189,18 +200,25 @@ class TestEstimateRFactors:
     @given(specs=st.lists(_TRACE_SPEC, max_size=8))
     def test_batch_matches_full_sequence_bitwise(self, specs):
         _assert_batch_matches_full_sequence(specs)
+        # a failed run has no estimate, whatever its error norms
+        _assert_batch_matches_full_sequence(specs, failed=range(0, len(specs), 2))
 
     def test_edge_cases_in_one_batch(self):
-        _assert_batch_matches_full_sequence(
-            [(errs, x_star_norm, i % 2 == 0) for i, (errs, x_star_norm) in enumerate(_EDGE_CASES)]
-            + [(None, 0.0, True), ([1.0], None, False), ([0.5 ** k for k in range(30)], None, True)])
+        specs = ([(errs, x_star_norm, i % 2 == 0)
+                  for i, (errs, x_star_norm) in enumerate(_EDGE_CASES)]
+                 + [(None, 0.0, True), ([1.0], None, False),
+                    ([0.5 ** k for k in range(30)], None, True),
+                    ([0.5 ** k for k in range(30)], None, True)])
+        _assert_batch_matches_full_sequence(specs, failed={2, len(specs) - 1})
 
     def test_sweep_estimates_equal_single_estimates(self):
         p = problem_linear_2x2()
         cfg = AccelConfig(window_m=1, max_iters=100, stop_tol=1e-12)
         r = monte_carlo_sweep(p, [cfg], np.tile([-0.25, 0.25], (2, 1)), 40, seed=3)
-        for x0, est in zip(r.inits, r.estimates["aa(1)"]):
-            assert est == estimate_r_factor(run_scheme(p, x0, cfg))
+        for i, x0 in enumerate(r.inits):
+            single = estimate_r_factor(run_scheme(p, x0, cfg))
+            assert _row(r.estimates["aa(1)"], i) == (
+                single.sigma_final, single.sigma_tail_max, single.k_used, single.converged)
 
 
 class TestSampleInits:
@@ -226,6 +244,11 @@ class TestWorstCaseRho:
         assert abs(worst_case_rho(problem_nonlinear_2x2()) - 0.5) < 1e-12
 
 
+def _histogram(est):
+    """(bin_edges, counts) of the sigma_final column of the runs with an estimate."""
+    return analysis.bin_counts(est.sigma_final[~np.isnan(est.sigma_final)], analysis.SWEEP_BINS)
+
+
 class TestMonteCarloSweep:
     def _sweep(self, seed=5, n_inits=30):
         p = problem_linear_2x2()
@@ -238,26 +261,24 @@ class TestMonteCarloSweep:
         r1, r2 = self._sweep(), self._sweep()
         assert np.array_equal(r1.inits, r2.inits)
         for label in r1.estimates:
-            for e1, e2 in zip(r1.estimates[label], r2.estimates[label]):
-                assert e1.sigma_final == e2.sigma_final
-                assert e1.sigma_tail_max == e2.sigma_tail_max
-        for label in r1.histograms:
-            assert np.array_equal(r1.histograms[label][1], r2.histograms[label][1])
+            e1, e2 = r1.estimates[label], r2.estimates[label]
+            assert e1.sigma_final.tobytes() == e2.sigma_final.tobytes()
+            assert e1.sigma_tail_max.tobytes() == e2.sigma_tail_max.tobytes()
+            assert np.array_equal(_histogram(e1)[1], _histogram(e2)[1])
 
     def test_scheme_labels_and_counts(self):
         r = self._sweep()
         assert set(r.estimates) == {"fp", "aa(1)"}
-        assert all(len(v) == 30 for v in r.estimates.values())
-        for edges, counts in r.histograms.values():
-            assert counts.sum() == 30
+        assert all(len(est.sigma_final) == 30 for est in r.estimates.values())
+        for est in r.estimates.values():
+            assert _histogram(est)[1].sum() == 30
 
     def test_s_fraction_range_and_separation(self):
         # the fraction of inits whose sigma_final beats rho_{q,x*} by the 0.05 margin
         r = self._sweep(n_inits=50)
         rho = worst_case_rho(problem_linear_2x2())
-        s_fraction = {label: np.mean([e.sigma_final < rho - 0.05
-                                      for e in per_init if e is not None])
-                      for label, per_init in r.estimates.items()}
+        s_fraction = {label: np.mean(est.sigma_final[~np.isnan(est.sigma_final)] < rho - 0.05)
+                      for label, est in r.estimates.items()}
         for v in s_fraction.values():
             assert 0.0 <= v <= 1.0
         # AA(1) beats the FP worst-case factor; plain FP essentially never does
@@ -273,7 +294,7 @@ class TestMonteCarloSweep:
         from anderson_lab.accelerators import aa_run
         from anderson_lab.analysis import estimate_r_factor as erf
         direct = erf(aa_run(p, np.array([0.2, 0.1]), cfg))
-        assert r.estimates["aa(1)"][0].sigma_final == direct.sigma_final
+        assert r.estimates["aa(1)"].sigma_final[0] == direct.sigma_final
 
 
 class TestDerivativeNorms:
@@ -380,6 +401,14 @@ class TestMSweep:
             for r in rows:
                 assert np.isfinite(r.worst_sigma)
             assert rows[2:] == rows[:2] * (len(m_values) - 1)
+
+    def test_every_run_failing_gives_nan_without_a_warning(self):
+        # q(-1) = 0, and q raises at 0: no run of either scheme has an estimate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = m_sweep(problem_scalar(), [1], 3, 0, box=np.array([[-1.0, -1.0]]))
+        assert [r.scheme for r in rows] == ["windowed", "restarted"]
+        assert all(np.isnan(r.worst_sigma) for r in rows)
 
     def test_scheme_label(self):
         assert scheme_label(AccelConfig(window_m=0)) == "fp"

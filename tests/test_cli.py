@@ -338,6 +338,27 @@ class TestSweep:
         rows = _read_csv(out / "sweep.csv")[2]
         assert [(r[0], r[3], r[4]) for r in rows] == [(str(i), "fp", "0") for i in range(4)]
 
+    def test_failed_runs_write_blank_rows_and_no_counts(self, tmp_path):
+        # FP on x -> 1.5 x diverges from every init; AA(1) solves it in one secant step
+        aff = tmp_path / "grow.json"
+        aff.write_text(json.dumps({"M": [[1.5]], "b": [0]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--problem", f"affine:{aff}", "--scheme", "aa", "--m", "1",
+                     "--box=-1,1", "--inits", "4", "--seed", "7", "--out", str(out)]) == 0
+        _, header, rows = _read_csv(out / "sweep.csv")
+        cells = [dict(zip(header, r)) for r in rows]
+        assert [c["scheme"] for c in cells] == ["fp"] * 4 + ["aa(1)"] * 4
+        for c in cells[:4]:
+            assert (c["sigma_final"], c["sigma_tail_max"], c["converged"]) == ("", "", "False")
+        for c in cells[4:]:
+            assert float(c["sigma_final"]) > 0.0 and float(c["sigma_tail_max"]) > 0.0
+            assert c["converged"] == "True"
+        _, header, hist = _read_csv(out / "histogram.csv")
+        totals = {}
+        for scheme, _, _, count in hist:
+            totals[scheme] = totals.get(scheme, 0) + int(count)
+        assert totals == {"fp": 0, "aa(1)": 4}
+
     def test_init_hash_for_large_dimension(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["sweep", "--problem", "linear200", "--scheme", "aa", "--m", "1",
