@@ -1,12 +1,12 @@
 """Iterative schemes: plain fixed-point, windowed/restarted AA(m), dense GMRES.
 
 All runs record an IterationTrace whose sequences are aligned by iteration
-index k.  Error-based quantities (error norms, sigma_k, error ratios) are only
-recorded when the problem knows its fixed point; the stopping test always uses
-the residual norm, which is available for any problem.  FP and AA(m) share one
-loop, which runs a batch of initial conditions in lockstep (run_batch); a
-single run is its batch of one.  GMRES likewise runs in lockstep
-(gmres_batch), and gmres_run is its batch of one.
+index k.  Error-based quantities (error norms, sigma_k, error ratios) are NaN
+where the problem does not know its fixed point; the stopping test always
+uses the residual norm, which is available for any problem.  FP and AA(m)
+share one loop, which runs a batch of initial conditions in lockstep
+(run_batch); a single run is its batch of one.  GMRES likewise runs in
+lockstep (gmres_batch), and gmres_run is its batch of one.
 """
 
 from __future__ import annotations
@@ -57,23 +57,24 @@ class IterationTrace:
     """Per-iteration record of one run.
 
     A trace holds the residual and error norms of every iterate as 1-D
-    float arrays and, as step-major arrays, its first keep iterates (kept, n)
-    (a single run keeps all) and the beta (kept - 1, w) and rank (kept - 1,)
-    of the updates that produced them: beta[k] produced iterates[k + 1], NaN
-    beyond its window, w = min(m, keep - 1), and FP has w = 0 and ranks 0
-    (GMRES: both empty).  sigma_k and error_ratios are lists derived from
-    error_norms on first read (None without them), NaN at k = 0 by
-    convention; sigma_k uses root_error, the one sigma formula.  failure is
-    the error that stopped the run, or None; the trace then ends with the
+    float arrays, the error norms NaN where x* is unknown (as is x_star_norm),
+    and, as step-major arrays, its first keep iterates (kept, n) (a single
+    run keeps all) and the beta (kept - 1, w) and rank (kept - 1,) of the
+    updates that produced them: beta[k] produced iterates[k + 1], NaN beyond
+    its window, w = min(m, keep - 1), and FP has w = 0 and ranks 0 (GMRES:
+    both empty).  sigma_k and error_ratios are lists derived from error_norms
+    on first read, NaN at k = 0 by convention and wherever the error norms
+    are; sigma_k uses root_error, the one sigma formula.  failure is the
+    error that stopped the run, or None; the trace then ends with the
     iterate that stopped it.
     """
 
     iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     residual_norms: np.ndarray = field(default_factory=lambda: np.empty(0))
-    error_norms: Optional[np.ndarray] = None
+    error_norms: np.ndarray = field(default_factory=lambda: np.empty(0))
     beta: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     rank: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    x_star_norm: Optional[float] = None
+    x_star_norm: float = 0.0
     converged: bool = False
     failure: Optional[AndersonLabError] = None
 
@@ -81,18 +82,14 @@ class IterationTrace:
         return len(self.residual_norms)
 
     @cached_property
-    def sigma_k(self) -> Optional[list]:
+    def sigma_k(self) -> list:
         """sigma_k = ||x_k - x*||^(1/k), the root-averaged error, for every k."""
-        if self.error_norms is None:
-            return None
         errs = np.asarray(self.error_norms, dtype=float).tolist()
         return list(map(root_error, errs, range(len(errs))))
 
     @cached_property
-    def error_ratios(self) -> Optional[list]:
-        """||x_k - x*|| / ||x_{k-1} - x*||, NaN where the previous error is 0."""
-        if self.error_norms is None:
-            return None
+    def error_ratios(self) -> list:
+        """||x_k - x*|| / ||x_{k-1} - x*||, NaN where the previous error is 0 or NaN."""
         errs = np.asarray(self.error_norms, dtype=float).tolist()
         nan = float("nan")
         return [e / p if p > 0.0 else nan for p, e in zip([nan, *errs], errs)]
@@ -153,16 +150,16 @@ class _Steps:
     """The step-major log of a lockstep batch of B rows: its records, stop test and traces.
 
     Record s holds the batch index of each row that ran it (rows[s]), their
-    residual norms (res[s]) and, with a known x*, their error norms (err[s]).
+    residual norms (res[s]) and error norms (err[s], NaN where x* is unknown).
     The kept steps (each row's first keep) are logged the same way: iterates
     (kept_rows, iterates) and their updates (solved_rows, beta NaN-padded to
     width, rank).  failures and converged say how each row stopped.
     """
 
     def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int):
-        self.x_star = problem.known_fixed_point
-        if self.x_star is not None:
-            self.x_star = self.x_star[None]  # a (1, n) row subtracts from X faster than (n,)
+        # x* as a (1, n) row, which subtracts from X faster than (n,); numpy
+        # casts None (x* unknown) to NaN, so the row is NaN then
+        self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
         self.keep, self.stop_tol = keep, stop_tol
         self.width = min(m, max(keep - 1, 0))
         self.converged = np.zeros(B, dtype=bool)
@@ -187,8 +184,7 @@ class _Steps:
             self.kept_rows.append(rows)
             self.iterates.append(X)
         self.res.append(rn)
-        if self.x_star is not None:
-            self.err.append(_norms(self.x_star - X))
+        self.err.append(_norms(self.x_star - X))
         xn = _norms(X)
         # a row of q's error has a NaN residual, so it fails the residual
         # tests as NaN/Inf does.  The ufunc reductions are the cheapest
@@ -234,15 +230,14 @@ class _Steps:
             # an empty column (nothing kept) gives every row the same empty array
             return [column[a:b] for a, b in spans] if len(column) else [column] * B
 
-        spans, (res, *err) = by_row(self.rows, self.res, *([self.err] if self.err else []))
-        errs = parts(err[0], spans) if err else [None] * B
+        spans, (res, err) = by_row(self.rows, self.res, self.err)
         kept, (iterates,) = by_row(self.kept_rows, self.iterates)
         solved, (beta, rank) = by_row(self.solved_rows, self.beta, self.rank)
-        x_star_norm = None if self.x_star is None else float(np.linalg.norm(self.x_star))
+        x_star_norm = float(np.linalg.norm(self.x_star))
         return [IterationTrace(iterates=x, residual_norms=r, error_norms=e, beta=bt, rank=rk,
                                x_star_norm=x_star_norm, converged=c, failure=f)
                 for x, r, e, bt, rk, c, f in zip(
-                    parts(iterates, kept), parts(res, spans), errs,
+                    parts(iterates, kept), parts(res, spans), parts(err, spans),
                     parts(beta, solved), parts(rank, solved),
                     self.converged.tolist(), self.failures)]
 

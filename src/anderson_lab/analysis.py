@@ -53,11 +53,9 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     floor 1e-14 * (1 + ||x*||) are excluded.  This is estimate_r_factors'
     batch of one, which raises InsufficientData where that has no estimate.
     """
-    if trace.error_norms is None:
-        raise InsufficientData("trace has no error norms (fixed point unknown)")
     est = estimate_r_factors([trace])
     if not est.k_used[0]:
-        raise InsufficientData("failed run or no usable iterations above the rounding floor")
+        raise InsufficientData("failed run, unknown x* or no usable iteration above the floor")
     return RFactorEstimate(*(column[0].item() for column in vars(est).values()))
 
 
@@ -65,21 +63,21 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
 def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
     """estimate_r_factor of every trace at once, as columns with a row per trace.
 
-    A trace that failed, has no error norms or has no usable iteration gets
-    no estimate.  The last TAIL_WINDOW usable iterations of every trace are
-    found at once, on the joined error norms of all traces.  sigma is
-    evaluated with root_error, the one sigma formula, only where the
-    estimate can read it: at the newest two usable iterations, and where
-    np.power, which may differ from it in the last bit, comes within a
-    relative 1e-12 of its trace's tail maximum.  The exact maximum is so
-    always among them.
+    A trace that failed or has no usable iteration gets no estimate; NaN
+    error norms (x* unknown) are never usable.  The last TAIL_WINDOW usable
+    iterations of every trace are found at once, on the joined error norms
+    of all traces.  sigma is evaluated with root_error, the one sigma
+    formula, only where the estimate can read it: at the newest two usable
+    iterations, and where np.power, which may differ from it in the last
+    bit, comes within a relative 1e-12 of its trace's tail maximum.  The
+    exact maximum is so always among them.
     """
     n = len(traces)
     est = RFactorEstimate(sigma_final=np.full(n, np.nan), sigma_tail_max=np.full(n, np.nan),
                           k_used=np.zeros(n, dtype=int), converged=np.zeros(n, dtype=bool))
-    # a failed trace and a trace without error norms have no usable iteration
-    errs = [np.empty(0) if tr.error_norms is None or tr.failure is not None
-            else np.asarray(tr.error_norms, dtype=float) for tr in traces]
+    # a failed trace has no usable iteration
+    errs = [np.empty(0) if tr.failure is not None else np.asarray(tr.error_norms, dtype=float)
+            for tr in traces]
     lens = np.array(list(map(len, errs)), dtype=int)
     if not lens.sum():
         return est
@@ -87,7 +85,7 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
     ends = np.cumsum(lens)
     owner = np.repeat(np.arange(n), lens)  # the trace of each entry
     k = np.arange(len(e)) - (ends - lens)[owner]
-    floor = np.array([ERROR_FLOOR_SCALE * (1.0 + (tr.x_star_norm or 0.0)) for tr in traces])
+    floor = np.array([ERROR_FLOOR_SCALE * (1.0 + tr.x_star_norm) for tr in traces])
     usable = (e > floor[owner]) & (k > 0)
     # the usable iterations of its trace at or after each entry: 1 at the newest
     seen = np.concatenate(([0], np.cumsum(usable)))

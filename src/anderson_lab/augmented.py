@@ -22,7 +22,7 @@ import numpy as np
 
 from .accelerators import _aa_update, rows_per_chunk
 from .errors import MissingJacobian, SingularA
-from .linalg import operator_norm_2, rank_tolerance, stacked_anderson_coefficients
+from .linalg import _check_finite, operator_norm_2, rank_tolerance, stacked_anderson_coefficients
 # anderson_coefficients is unused here but stays bound: perfbench/tracer.py
 # patches augmented.anderson_coefficients by name
 from .linalg import anderson_coefficients  # noqa: F401
@@ -161,8 +161,8 @@ def directional_derivative_fd(problem: FixedPointProblem, d, h_sequence) -> np.n
     if d.ndim != 2:
         raise ValueError(f"d is one (m+1, n) direction, got shape {d.shape}")
     h = np.asarray(h_sequence, dtype=float)[:, None, None]
-    if np.any(h <= 0):
-        raise ValueError("h must be positive (one-sided limit)")
+    if not np.all((h > 0) & (h < np.inf)):  # NaN included
+        raise ValueError("h must be positive (one-sided limit) and finite")
     z_star = np.tile(problem.known_fixed_point, (len(d), 1))
     return (psi_apply(problem, z_star + h * d) - z_star) / h
 
@@ -182,17 +182,18 @@ def lipschitz_bound_nonlinear_m1(problem: FixedPointProblem,
     """Local bound 3 + (4 + 4/c_r) ||I - q'(x*)|| for the nonlinear lifted map.
 
     c_r defaults to the smallest singular value of r'(x*) = I - q'(x*), its
-    role being a lower bound on the singular values of r' near x*.
+    role being a lower bound on the singular values of r' near x*.  One SVD
+    of r' gives both it and ||r'||.
     """
     if problem.known_fixed_point is None or problem.jacobian is None:
         raise MissingJacobian("need a known fixed point and an analytic jacobian")
-    J = problem.jacobian(problem.known_fixed_point)
-    r_prime = np.eye(problem.dim) - J
-    if c_r is None:
-        c_r = float(np.linalg.svd(r_prime, compute_uv=False)[-1])
-    if c_r <= 0:
+    r_prime = np.eye(problem.dim) - problem.jacobian(problem.known_fixed_point)
+    _check_finite("r'(x*)", r_prime)
+    s = np.linalg.svd(r_prime, compute_uv=False)
+    c_r = float(s[-1]) if c_r is None else c_r
+    if not c_r > 0:  # NaN included
         raise ValueError("c_r must be positive")
-    return 3.0 + (4.0 + 4.0 / c_r) * operator_norm_2(r_prime)
+    return 3.0 + (4.0 + 4.0 / c_r) * float(s[0])
 
 
 def discontinuity_probe_beta(problem: FixedPointProblem, z0, directions,

@@ -151,9 +151,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _fmt_column(values) -> list[str]:
-    """CSV cells of one column: floats (np.float64 too) as .17g, blank for NaN and None."""
-    return [(f"{v:.17g}" if v == v else "") if isinstance(v, float)
-            else "" if v is None else str(v) for v in values]
+    """CSV cells of one column: floats (np.float64 too) as .17g, blank for NaN, a missing number."""
+    return [(f"{v:.17g}" if v == v else "") if isinstance(v, float) else str(v) for v in values]
 
 
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
@@ -168,13 +167,11 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
 
 
 def _trace_rows(trace, m: int):
-    errs = trace.error_norms.tolist() if trace.error_norms is not None else [None] * len(trace)
-    res = trace.residual_norms.tolist()
+    errs, res = trace.error_norms.tolist(), trace.residual_norms.tolist()
     for k in range(len(trace.iterates)):
-        sig = trace.sigma_k[k] if trace.sigma_k is not None else None
-        rat = trace.error_ratios[k] if trace.error_ratios is not None else None
         beta = trace.beta[k].tolist() if k < len(trace.beta) else []
-        yield [k, errs[k], res[k], sig, rat, *beta, *[None] * (m - len(beta))]
+        yield [k, errs[k], res[k], trace.sigma_k[k], trace.error_ratios[k],
+               *beta, *[float("nan")] * (m - len(beta))]
 
 
 def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
@@ -200,7 +197,7 @@ def cmd_run(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> Non
 
     _write_csv(out / "trace.csv", "trace", header, _trace_rows(trace, m))
     series = {}
-    if trace.sigma_k is not None:
+    if problem.known_fixed_point is not None:  # an all-NaN series would still draw a legend
         series["sigma_k"] = trace.sigma_k
     if m:
         series["beta_1"] = trace.beta[:, 0].tolist()
@@ -296,15 +293,15 @@ def cmd_gmres_compare(cfg: ExperimentConfig, problem: FixedPointProblem, out: Pa
         if failure is not None:
             first_failure = first_failure or failure
             continue
+        stagnated = False
         try:
             dev = aa_full_window_vs_gmres_check(problem, aa_inf, gmres, cfg.k_max)
-        except StagnationDetected:
-            dev = None
+        except StagnationDetected:  # no deviation when GMRES stagnated
+            dev, stagnated = float("nan"), True
         for label, tr in ((windowed_label, aa_m), ("aa_inf", aa_inf), ("gmres", gmres)):
-            sigma = tr.sigma_k if tr.sigma_k is not None else [None] * len(tr)
             trace_rows += ([i, label, k, sig, res] for k, (sig, res) in
-                           enumerate(zip(sigma, tr.residual_norms.tolist())))
-        dev_rows.append([i, dev, dev is None])  # no deviation when GMRES stagnated
+                           enumerate(zip(tr.sigma_k, tr.residual_norms.tolist())))
+        dev_rows.append([i, dev, stagnated])
 
     _write_csv(out / "gmres_compare_traces.csv", "gmres_compare_traces",
                ["init_id", "scheme", "k", "sigma_k", "resid_norm"], trace_rows)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -262,9 +263,13 @@ class TestIterationTrace:
         assert _bits(tr.error_ratios) == _bits(ratios)
         assert tr.sigma_k is tr.sigma_k and tr.error_ratios is tr.error_ratios  # cached
 
-    def test_no_error_norms_gives_none(self):
-        tr = IterationTrace(residual_norms=[1.0, 0.5])
-        assert tr.sigma_k is None and tr.error_ratios is None
+    def test_unknown_error_norms_give_nan(self):
+        # an unknown x* makes every error norm NaN, and so every sigma and ratio
+        tr = IterationTrace(residual_norms=[1.0, 0.5], error_norms=np.full(2, np.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(tr.sigma_k) == len(tr.error_ratios) == 2
+            assert np.isnan(tr.sigma_k).all() and np.isnan(tr.error_ratios).all()
 
 
 
@@ -962,6 +967,32 @@ class TestRunBatch:
             assert {type(tr.failure) for tr in batch} == {type(None), EvalError, Diverged}
             for i, x0 in enumerate(X0):
                 _assert_row_matches_single_run(batch, i, problem, x0, cfg)
+
+    def test_unknown_fixed_point_gives_nan_error_columns(self, monkeypatch):
+        # q(x) = x / 2 without its fixed point: every error-based value is NaN,
+        # with no warning, and every row equals its single run, split or not
+        problem = FixedPointProblem(dim=2, q=lambda x: 0.5 * x)
+        X0 = np.random.default_rng(6).uniform(-1.0, 1.0, (12, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg, budget in itertools.product(
+                    (AccelConfig(window_m=0), AccelConfig(window_m=1),
+                     AccelConfig(window_m=2, restart=True)),
+                    (None, 5 * 2 * 1 * 3)):  # the default, and one that fits 3 rows at k = 0
+                with monkeypatch.context() as patch:
+                    if budget is not None:
+                        patch.setattr(linalg, "CHUNK_FLOATS", budget)
+                    logged, log = _logged_steps(patch, problem)
+                    batch = run_batch(logged, X0, cfg)
+                assert log[0] == ("q", 12 if budget is None else 3)
+                for i, (x0, tr) in enumerate(zip(X0, batch)):
+                    _assert_row_matches_single_run(batch, i, problem, x0, cfg)
+                    assert tr.failure is None and tr.converged
+                    assert tr.error_norms.dtype == np.float64
+                    assert tr.error_norms.shape == (len(tr),) and np.isnan(tr.error_norms).all()
+                    assert len(tr.sigma_k) == len(tr.error_ratios) == len(tr)
+                    assert np.isnan(tr.sigma_k).all() and np.isnan(tr.error_ratios).all()
+                    assert type(tr.x_star_norm) is float and np.isnan(tr.x_star_norm)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anderson_lab import analysis, linalg
-from anderson_lab.accelerators import AccelConfig, IterationTrace, run_scheme
+from anderson_lab.accelerators import AccelConfig, IterationTrace, run_batch, run_scheme
 from anderson_lab.analysis import (
     derivative_norm_samples,
     estimate_r_factor,
@@ -19,8 +19,8 @@ from anderson_lab.analysis import (
 )
 from anderson_lab.augmented import directional_derivative
 from anderson_lab.errors import Diverged, InsufficientData
-from anderson_lab.problems import (problem_linear_2x2, problem_linear_200, problem_nonlinear_2x2,
-                                   problem_scalar)
+from anderson_lab.problems import (FixedPointProblem, problem_linear_2x2, problem_linear_200,
+                                   problem_nonlinear_2x2, problem_scalar)
 
 
 def _synthetic_trace(error_norms):
@@ -157,15 +157,16 @@ def _row(est, i):
 
 
 def _assert_batch_matches_full_sequence(specs, failed=()):
-    """estimate_r_factors over traces (error norms or None, x_star_norm, converged), bit for bit.
+    """estimate_r_factors over traces (error norms, x_star_norm, converged), bit for bit.
 
     The traces at the indices in failed carry a failure.  The columns must
     be float64, float64, int and bool with a row per trace.  A trace that
-    failed or has no error norms or usable iterations must give the row
-    NaN, NaN, 0, False, and no numpy warning may be raised.
+    failed or has no usable iteration (the NaN error norms of an unknown x*
+    are never usable) must give the row NaN, NaN, 0, False, and no numpy
+    warning may be raised.
     """
-    traces = [IterationTrace(residual_norms=np.ones(len(errs or ())),
-                             error_norms=None if errs is None else np.array(errs, dtype=float),
+    traces = [IterationTrace(residual_norms=np.ones(len(errs)),
+                             error_norms=np.array(errs, dtype=float),
                              x_star_norm=x_star_norm, converged=converged,
                              failure=Diverged("diverged") if i in failed else None)
               for i, (errs, x_star_norm, converged) in enumerate(specs)]
@@ -176,8 +177,8 @@ def _assert_batch_matches_full_sequence(specs, failed=()):
     assert [c.dtype for c in columns] == [np.float64, np.float64, np.dtype(int), np.bool_]
     assert all(c.shape == (len(traces),) for c in columns)
     for i, (errs, x_star_norm, converged) in enumerate(specs):
-        expected = (None if errs is None or i in failed
-                    else _full_sequence_estimate(errs, x_star_norm or 0.0, converged))
+        expected = (None if i in failed
+                    else _full_sequence_estimate(errs, x_star_norm, converged))
         if expected is None:
             expected = (float("nan"), float("nan"), 0, False)
         values = _row(got, i)
@@ -190,9 +191,11 @@ def _assert_batch_matches_full_sequence(specs, failed=()):
 # is decided in the last bits of the power
 _GEOMETRIC = st.builds(lambda c, n: [c ** k for k in range(n)],
                        st.floats(min_value=0.05, max_value=0.999), st.integers(0, 80))
+# an unknown x* gives a column of NaN error norms
+_UNKNOWN = st.builds(lambda n: [float("nan")] * n, st.integers(0, 60))
 _TRACE_SPEC = st.tuples(
-    st.one_of(st.none(), st.lists(_ERROR_NORMS, max_size=60), _GEOMETRIC),
-    st.sampled_from([None, 0.0, 1.0, 1e3]), st.booleans())
+    st.one_of(_UNKNOWN, st.lists(_ERROR_NORMS, max_size=60), _GEOMETRIC),
+    st.sampled_from([0.0, 1.0, 1e3]), st.booleans())
 
 
 class TestEstimateRFactors:
@@ -206,9 +209,10 @@ class TestEstimateRFactors:
     def test_edge_cases_in_one_batch(self):
         specs = ([(errs, x_star_norm, i % 2 == 0)
                   for i, (errs, x_star_norm) in enumerate(_EDGE_CASES)]
-                 + [(None, 0.0, True), ([1.0], None, False),
-                    ([0.5 ** k for k in range(30)], None, True),
-                    ([0.5 ** k for k in range(30)], None, True)])
+                 + [([float("nan")] * 5, 0.0, True), ([float("nan")] * 3, float("nan"), False),
+                    ([1.0], 0.0, False),
+                    ([0.5 ** k for k in range(30)], 0.0, True),
+                    ([0.5 ** k for k in range(30)], 0.0, True)])
         _assert_batch_matches_full_sequence(specs, failed={2, len(specs) - 1})
 
     def test_sweep_estimates_equal_single_estimates(self):
@@ -295,6 +299,22 @@ class TestMonteCarloSweep:
         from anderson_lab.analysis import estimate_r_factor as erf
         direct = erf(aa_run(p, np.array([0.2, 0.1]), cfg))
         assert r.estimates["aa(1)"].sigma_final[0] == direct.sigma_final
+
+    def test_unknown_fixed_point_gives_rows_without_an_estimate(self):
+        # q(x) = x / 2 without its fixed point: NaN error norms, so no estimate
+        p = FixedPointProblem(dim=2, q=lambda x: 0.5 * x)
+        schemes = [AccelConfig(window_m=0), AccelConfig(window_m=1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = monte_carlo_sweep(p, schemes, np.tile([-1.0, 1.0], (2, 1)), 6, seed=2)
+            direct = estimate_r_factors(run_batch(p, r.inits, schemes[1]))
+            with pytest.raises(InsufficientData):
+                estimate_r_factor(run_scheme(p, r.inits[0], schemes[0]))
+        assert set(r.estimates) == {"fp", "aa(1)"}
+        for est in (*r.estimates.values(), direct):
+            assert [_row(est, i)[2:] for i in range(6)] == [(0, False)] * 6
+            assert np.isnan(est.sigma_final).all() and np.isnan(est.sigma_tail_max).all()
+            assert est.sigma_final.shape == est.sigma_tail_max.shape == (6,)
 
 
 class TestDerivativeNorms:

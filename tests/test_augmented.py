@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,18 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             directional_derivative_fd(p, d[None], [1e-3])  # one direction, not a stack
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_requires_finite_h_before_evaluating(self, bad):
+        calls = []
+        base = problem_linear_2x2()
+        p = replace(base, q=lambda x: calls.append(1) or base.q(x))
+        d = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                directional_derivative_fd(p, d, [1e-3, bad])
+        assert not calls
+
 
 class TestLipschitzBounds:
     def test_linear_identity(self):
@@ -410,6 +423,23 @@ class TestLipschitzBounds:
         p = problem_nonlinear_2x2()
         assert abs(lipschitz_bound_nonlinear_m1(p, c_r=0.5) - 9.0) < 1e-12
         assert abs(lipschitz_bound_nonlinear_m1(p) - 9.0) < 1e-12  # default c_r
+
+    @pytest.mark.parametrize("c_r", [np.nan, 0.0, -1.0])
+    def test_nonlinear_requires_positive_c_r(self, c_r):
+        with pytest.raises(ValueError):
+            lipschitz_bound_nonlinear_m1(problem_nonlinear_2x2(), c_r=c_r)
+
+    @pytest.mark.parametrize("problem", [
+        problem_nonlinear_2x2(), problem_scalar(),
+        make_affine(AffineSpec(M=np.random.default_rng(3).standard_normal((5, 5)) / 4,
+                               b=np.ones(5)))])
+    def test_nonlinear_default_is_the_two_svd_value(self, problem):
+        # the smallest singular value of r'(x*) and ||r'(x*)||, each from its own SVD
+        r_prime = np.eye(problem.dim) - problem.jacobian(problem.known_fixed_point)
+        c_r = float(np.linalg.svd(r_prime, compute_uv=False)[-1])
+        expected = 3.0 + (4.0 + 4.0 / c_r) * linalg.operator_norm_2(r_prime)
+        got = lipschitz_bound_nonlinear_m1(problem)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_nonlinear_large_cr_limit(self):
         p = problem_nonlinear_2x2()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import anderson_lab
-from anderson_lab import accelerators, cli, linalg
+from anderson_lab import accelerators, cli, linalg, plots
 from anderson_lab.accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,
                                        gmres_run, run_batch, run_scheme)
 from anderson_lab.analysis import sample_inits
@@ -80,6 +80,34 @@ class TestRun:
         _, header, rows = _read_csv(out / "trace.csv")
         assert "beta_1" not in header
         assert float(rows[-1][header.index("resid_norm")]) <= 1e-10
+
+    @pytest.mark.parametrize("scheme", ["fp", "aa", "gmres"])
+    def test_unknown_fixed_point_writes_blank_error_cells(self, tmp_path, monkeypatch, scheme):
+        # linear2x2 with and without its fixed point: the trace differs only
+        # in blank err_norm, sigma_k and err_ratio cells, and the plot has no
+        # sigma_k series
+        argv = ["run", "--problem", "linear2x2", "--scheme", scheme, "--m", "2",
+                "--x0", "0.2,0.1", "--iters", "30", "--tol", "1e-10"]
+        assert main([*argv, "--out", str(tmp_path / "known")]) == 0
+        unknown = replace(problem_from_id("linear2x2"), known_fixed_point=None)
+        monkeypatch.setattr(cli, "problem_from_id", lambda problem_id: unknown)
+        assert main([*argv, "--out", str(tmp_path / "unknown")]) == 0
+        known_lines = (tmp_path / "known" / "trace.csv").read_text().splitlines()
+        lines = (tmp_path / "unknown" / "trace.csv").read_text().splitlines()
+        assert len(lines) == len(known_lines) > 3 and lines[:2] == known_lines[:2]
+        for line, known_line in zip(lines[2:], known_lines[2:]):
+            cells = known_line.split(",")
+            assert cells[1] != ""
+            cells[1] = cells[3] = cells[4] = ""
+            assert line == ",".join(cells)
+        cfg = cli.ExperimentConfig(scheme=scheme, window_m=2, max_iters=30, stop_tol=1e-10)
+        trace = (gmres_run if scheme == "gmres" else run_scheme)(
+            unknown, np.array([0.2, 0.1]), cfg.accel())
+        series = {"beta_1": trace.beta[:, 0].tolist()} if scheme == "aa" else {}
+        svg = (tmp_path / "unknown" / "trace.svg").read_text()
+        assert svg == plots.line_chart(series, title=f"linear2x2 {scheme}")
+        assert "sigma_k" in (tmp_path / "known" / "trace.svg").read_text()
+        assert "sigma_k" not in svg
 
     def test_gmres_on_non_affine_problem_is_config_error(self, tmp_path):
         assert main(["run", "--problem", "scalar", "--scheme", "gmres", "--x0", "0.5",
@@ -543,6 +571,21 @@ class TestGmresCompare:
             outputs.append([(out / name).read_bytes() for name in
                             ("gmres_compare_traces.csv", "gmres_compare_deviation.csv")])
         assert outputs[1:] == outputs[:1] * 2
+
+    def test_stagnated_init_writes_a_blank_deviation(self, tmp_path):
+        # A = I - M is the cyclic shift and every init is 0, so r_0 = b = e_1
+        # and the GMRES residual stays 1 until step n = 3: the check stagnates
+        shift = np.roll(np.eye(3), 1, axis=0)
+        aff = tmp_path / "shift.json"
+        aff.write_text(json.dumps({"M": (np.eye(3) - shift).tolist(), "b": [1, 0, 0]}))
+        out = tmp_path / "o"
+        assert main(["gmres-compare", "--problem", f"affine:{aff}", "--m", "1", "--inits", "2",
+                     "--box=0,0", "--k-max", "2", "--iters", "2", "--out", str(out)]) == 0
+        assert (out / "gmres_compare_deviation.csv").read_text() == (
+            "# schema: gmres_compare_deviation v1\n"
+            "init_id,deviation,stagnated\n0,,True\n1,,True\n")
+        labels = [row[1] for row in _read_csv(out / "gmres_compare_traces.csv")[2]]
+        assert labels == 2 * (["aa(1)"] * 3 + ["aa_inf"] * 3 + ["gmres"] * 3)
 
     def test_first_failing_init_is_reported(self, tmp_path, monkeypatch, capsys):
         # q is NaN below x_1 = -0.0075: of these 6 inits, init 4 fails in AA(1)

@@ -1,11 +1,14 @@
 """The benchmark's tracer (perfbench/tracer.py) patches package names by getattr.
 
 A name it patches that the package no longer binds makes `perfbench/run.py
---trace 1` raise AttributeError, so every one of them must resolve.
+--trace 1` raise AttributeError, so every one of them must resolve, and a
+traced command of each subcommand must run and record its spans.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from anderson_lab import accelerators, analysis, augmented, cli, linalg, plots
 
@@ -35,3 +38,31 @@ def test_install_and_uninstall_restore_every_name():
     saved = tracer.Tracer().install(MODULES)
     tracer.Tracer.uninstall(saved)
     assert all(getattr(MODULES[mod], attr) is fn for (mod, attr), fn in before.items())
+
+
+# one tiny command per subcommand and the span of the layer it runs
+_COMMANDS = [
+    (["sweep", "--problem", "linear2x2", "--scheme", "aa", "--m", "1", "--box=-0.25,0.25",
+      "--inits", "4"], "analysis.monte_carlo_sweep"),
+    (["deriv-hist", "--problem", "linear2x2", "--m", "1", "--samples", "50"],
+     "analysis.derivative_norm_samples"),
+    (["msweep", "--problem", "linear2x2", "--m-values", "1,2", "--inits", "2"],
+     "analysis.m_sweep"),
+    (["gmres-compare", "--problem", "linear2x2", "--m", "1", "--inits", "2", "--iters", "20"],
+     "accelerators.aa_full_window_vs_gmres_check"),
+    (["run", "--problem", "linear2x2", "--scheme", "aa", "--x0", "0.2,0.1"],
+     "accelerators.run_scheme"),
+]
+
+
+@pytest.mark.parametrize("argv, layer", _COMMANDS, ids=[argv[0] for argv, _ in _COMMANDS])
+def test_traced_command_runs_and_records_spans(tmp_path, argv, layer):
+    # as perfbench/run.py runs a traced command
+    tracer = _load_tracer().Tracer()
+    saved = tracer.install(MODULES)
+    try:
+        rc = tracer.call("cli.main", cli.main, [*argv, "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall(saved)
+    assert rc == 0
+    assert {"cli.main", "problems.problem_from_id", layer} <= {span[2] for span in tracer.spans}
