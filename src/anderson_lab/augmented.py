@@ -5,7 +5,9 @@ and shifts the rest down, so iterating it reproduces the windowed accelerator
 once the window is full.  The module also provides the coefficient map beta(z),
 its limiting coefficients along rays at the fixed point, closed-form
 directional derivatives there, one-sided finite-difference estimates, and the
-Lipschitz bounds that can be checked against sampled perturbations.
+Lipschitz bounds that can be checked against sampled perturbations.  beta_hat
+(so the derivative) and the affine Lipschitz bound check A = I - M by the rule
+make_affine builds by, linalg.check_nonsingular.
 
 A state z = (z_{m+1}, ..., z_1), a direction d and a derivative value are each
 an (m+1, n) float array of blocks, newest first: row 0 is z_{m+1}.  Every
@@ -21,8 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .accelerators import _aa_update, rows_per_chunk
-from .errors import MissingJacobian, SingularA
-from .linalg import _check_finite, operator_norm_2, rank_tolerance, stacked_anderson_coefficients
+from .errors import MissingJacobian
+from .linalg import (_check_finite, check_nonsingular, operator_norm_2, rank_tolerance,
+                     stacked_anderson_coefficients)
 # anderson_coefficients is unused here but stays bound: perfbench/tracer.py
 # patches augmented.anderson_coefficients by name
 from .linalg import anderson_coefficients  # noqa: F401
@@ -103,21 +106,13 @@ def psi_apply(problem: FixedPointProblem, z) -> np.ndarray:
     return out.reshape(lead + out.shape[1:])
 
 
-def _check_nonsingular(A: np.ndarray) -> np.ndarray:
-    """The singular values of A, largest first; SingularA if A is numerically singular."""
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= 1e-12 * max(s[0], 1.0):
-        raise SingularA("A = I - M is numerically singular")
-    return s
-
-
 def beta_hat(A: np.ndarray, d) -> np.ndarray:
     """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}, (m,) per direction.
 
-    A is checked once for the whole stack.
+    A is checked once for the whole stack, by linalg.check_nonsingular.
     """
     A = np.asarray(A, dtype=float)
-    _check_nonsingular(A)
+    check_nonsingular(A)
     blocks, lead = _stack(d)
     coeffs, _ = stacked_anderson_coefficients(A @ build_D(blocks), blocks[:, 0] @ A.T)
     return coeffs.reshape(lead + coeffs.shape[1:])
@@ -170,7 +165,7 @@ def directional_derivative_fd(problem: FixedPointProblem, d, h_sequence) -> np.n
 def lipschitz_bound_linear_m1(A: np.ndarray) -> float:
     """Global bound (||A^-1|| ||A|| + 1) ||I - A|| + 1 for the affine lifted map."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    s = _check_nonsingular(A)
+    s = check_nonsingular(A)
     norm_A = float(s[0])
     norm_Ainv = float(1.0 / s[-1])
     norm_M = operator_norm_2(np.eye(A.shape[0]) - A)

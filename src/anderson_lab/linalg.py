@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, NonFinite
+from .errors import NonConvergence, NonFinite, SingularA
 
 _EPS = np.finfo(float).eps
 # floats per chunk of a stacked computation (derivative samples, lifted-map
@@ -30,7 +30,6 @@ class RankInfo:
     """Diagnostics of one pseudo-inverse solve."""
 
     numerical_rank: int
-    singular_values: np.ndarray
     tolerance_used: float
 
 
@@ -73,7 +72,19 @@ def min_norm_lstsq(R: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, RankInfo
         coeffs = np.zeros(R.shape[1])
     else:
         coeffs = -Vt[:rank].T @ ((U[:, :rank].T @ rhs) / s[:rank])
-    return coeffs, RankInfo(numerical_rank=rank, singular_values=s, tolerance_used=tol)
+    return coeffs, RankInfo(numerical_rank=rank, tolerance_used=tol)
+
+
+def check_nonsingular(A: np.ndarray) -> np.ndarray:
+    """The singular values of A = I - M, largest first; SingularA if A is numerically singular.
+
+    The one rule for a singular I - M: sigma_min <= 1e-12 * max(sigma_max, 1),
+    which bounds cond(A), the factor the affine Lipschitz bound multiplies.
+    """
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[-1] <= 1e-12 * max(s[0], 1.0):
+        raise SingularA(f"A = I - M is numerically singular (sigma_min = {s[-1]:.3e})")
+    return s
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -115,12 +126,7 @@ def anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, Ran
     col_max = float(np.max(np.linalg.norm(R, axis=0))) if m else 0.0
     tol = max(R.shape) * _EPS * r_norm
     if m == 0 or col_max <= tol:
-        info = RankInfo(
-            numerical_rank=0,
-            singular_values=np.zeros(min(R.shape)),
-            tolerance_used=max(tol, _EPS),
-        )
-        return np.zeros(m), info
+        return np.zeros(m), RankInfo(numerical_rank=0, tolerance_used=max(tol, _EPS))
     return min_norm_lstsq(R, r)
 
 

@@ -2,6 +2,7 @@
 
 Contains the standard test problems used by the experiment commands plus a
 generic affine constructor and a JSON loader for user-supplied affine maps.
+An AffineSpec is finite, and make_affine builds it only if I - M is nonsingular.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvalError, SingularA
+from .errors import EvalError
+from .linalg import check_nonsingular
 
 Vector = np.ndarray
 
 
 @dataclass(frozen=True)
 class AffineSpec:
-    """q(x) = M x + b with I - M nonsingular."""
+    """q(x) = M x + b, M square and matching b, both finite; ValueError otherwise."""
 
     M: np.ndarray
     b: np.ndarray
@@ -29,6 +31,8 @@ class AffineSpec:
         b = np.asarray(self.b, dtype=float).ravel()
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != b.shape[0]:
             raise ValueError("M must be a square matrix matching the length of b")
+        if not (np.isfinite(M).all() and np.isfinite(b).all()):
+            raise ValueError("M and b must be finite")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "b", b)
 
@@ -53,7 +57,6 @@ class FixedPointProblem:
     q: Callable[[Vector], Vector]
     jacobian: Optional[Callable[[Vector], np.ndarray]] = None
     known_fixed_point: Optional[Vector] = None
-    label: str = ""
     affine: Optional[AffineSpec] = field(default=None, repr=False)
 
     def residual(self, x: Vector) -> Vector:
@@ -61,13 +64,11 @@ class FixedPointProblem:
         return np.asarray(x, dtype=float) - self.q(x)
 
 
-def make_affine(spec: AffineSpec, label: str = "affine") -> FixedPointProblem:
-    """Fixed-point problem for q(x) = M x + b with x* = (I - M)^-1 b."""
+def make_affine(spec: AffineSpec) -> FixedPointProblem:
+    """q(x) = M x + b with x* = (I - M)^-1 b; SingularA per linalg.check_nonsingular."""
     n = spec.M.shape[0]
     A = spec.A
-    smin = np.linalg.svd(A, compute_uv=False)[-1]
-    if smin <= 1e-12:
-        raise SingularA(f"I - M is numerically singular (sigma_min = {smin:.3e})")
+    check_nonsingular(A)
     x_star = np.linalg.solve(A, spec.b)
     M, b = spec.M, spec.b
 
@@ -80,7 +81,6 @@ def make_affine(spec: AffineSpec, label: str = "affine") -> FixedPointProblem:
         q=q,
         jacobian=lambda x: M.copy(),
         known_fixed_point=x_star,
-        label=label,
         affine=spec,
     )
 
@@ -88,7 +88,7 @@ def make_affine(spec: AffineSpec, label: str = "affine") -> FixedPointProblem:
 def problem_linear_2x2() -> FixedPointProblem:
     """2x2 linear iteration with eigenvalues 2/3 and 1/3 and fixed point 0."""
     M = np.array([[2.0 / 3.0, 1.0 / 4.0], [0.0, 1.0 / 3.0]])
-    return make_affine(AffineSpec(M=M, b=np.zeros(2)), label="linear2x2")
+    return make_affine(AffineSpec(M=M, b=np.zeros(2)))
 
 
 def problem_nonlinear_2x2() -> FixedPointProblem:
@@ -108,7 +108,6 @@ def problem_nonlinear_2x2() -> FixedPointProblem:
         q=q,
         jacobian=jac,
         known_fixed_point=np.zeros(2),
-        label="nonlinear2x2",
     )
 
 
@@ -127,10 +126,7 @@ def problem_linear_200(l2: float, l3: float, l4: float) -> FixedPointProblem:
     )
     M = np.diag(diag)
     M[0, 1] = 1.0
-    return make_affine(
-        AffineSpec(M=M, b=np.zeros(200)),
-        label=f"linear200(l2={l2},l3={l3},l4={l4})",
-    )
+    return make_affine(AffineSpec(M=M, b=np.zeros(200)))
 
 
 def problem_scalar() -> FixedPointProblem:
@@ -155,7 +151,6 @@ def problem_scalar() -> FixedPointProblem:
         q=q,
         jacobian=jac,
         known_fixed_point=np.array([phi]),
-        label="scalar",
     )
 
 
@@ -168,10 +163,7 @@ def load_affine_json(path: str) -> FixedPointProblem:
         b = np.asarray(doc["b"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad affine JSON file {path!r}: {exc}") from exc
-    # json parses NaN and Infinity; they would give x* = NaN
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
-        raise ValueError(f"bad affine JSON file {path!r}: M and b must be finite")
-    return make_affine(AffineSpec(M=M, b=b), label=f"affine:{path}")
+    return make_affine(AffineSpec(M=M, b=b))
 
 
 # Default lambdas match the AA(inf)-vs-GMRES comparison instance.

@@ -453,6 +453,33 @@ class TestLipschitzBounds:
             lipschitz_bound_nonlinear_m1(bare)
 
 
+@pytest.mark.parametrize("s_max", [0.5, 1e4])
+def test_every_layer_applies_the_one_nonsingularity_rule(s_max):
+    # M = diag(1 - s_max, 1 - s_min) with s_min around 1e-12 * max(s_max, 1):
+    # make_affine, beta_hat and the affine Lipschitz bound raise exactly when
+    # check_nonsingular raises on A = I - M, as rounded
+    threshold = 1e-12 * max(s_max, 1.0)
+    outcomes = set()
+    for factor in (0.99, 0.999, 0.9999, 1.0, 1.0001, 1.001, 1.01):
+        spec = AffineSpec(M=np.diag([1.0 - s_max, 1.0 - factor * threshold]), b=np.zeros(2))
+        try:
+            linalg.check_nonsingular(spec.A)
+            singular = False
+        except SingularA:
+            singular = True
+        outcomes.add(singular)
+        layers = (lambda: make_affine(spec),
+                  lambda: beta_hat(spec.A, [[1.0, 0.5], [0.2, -0.3]]),
+                  lambda: lipschitz_bound_linear_m1(spec.A))
+        for layer in layers:
+            if singular:
+                with pytest.raises(SingularA):
+                    layer()
+            else:
+                layer()
+    assert outcomes == {False, True}
+
+
 class TestDiscontinuityProbes:
     def test_limits_at_fixed_point(self):
         p = problem_linear_2x2()

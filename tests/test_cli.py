@@ -342,6 +342,30 @@ class TestConfigHandling:
         assert accel.restart == (scheme == "aa_restarted")
 
 
+# every command builds its problem, and so checks I - M, before it writes anything
+_NEAR_SINGULAR_COMMANDS = [
+    ["run", "--scheme", "aa", "--m", "1", "--x0", "0.1,0.1"],
+    ["sweep", "--scheme", "aa", "--m", "1", "--inits", "3"],
+    ["deriv-hist", "--m", "1", "--samples", "10"],
+    ["msweep", "--m-values", "1", "--inits", "2"],
+    ["gmres-compare", "--m", "1", "--inits", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _NEAR_SINGULAR_COMMANDS,
+                         ids=[argv[0] for argv in _NEAR_SINGULAR_COMMANDS])
+def test_every_command_rejects_a_near_singular_affine_problem(tmp_path, capsys, argv):
+    # A = I - M = diag(1e-9, 1e4 + 1): sigma_min is above 1e-12 but not above
+    # 1e-12 * sigma_max
+    aff = tmp_path / "near_singular.json"
+    aff.write_text(json.dumps({"M": [[1.0 - 1e-9, 0.0], [0.0, -1e4]], "b": [0.0, 0.0]}))
+    out = tmp_path / "o"
+    assert main([*argv, "--problem", f"affine:{aff}", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: A = I - M is numerically singular (sigma_min = 1.000e-09)\n")
+    assert list(out.iterdir()) == []
+
+
 class TestSweep:
     def test_rows_and_schemes(self, tmp_path):
         out = tmp_path / "o"

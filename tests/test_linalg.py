@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anderson_lab.errors import NonFinite
+from anderson_lab.errors import NonFinite, SingularA
 from anderson_lab.linalg import (
     anderson_coefficients,
+    check_nonsingular,
     min_norm_lstsq,
     operator_norm_2,
     rank_tolerance,
@@ -30,6 +31,18 @@ class TestRankTolerance:
         coeffs, info = min_norm_lstsq(np.diag(s)[:2], np.ones(2))
         assert info.numerical_rank == 1 and info.tolerance_used == 3 * EPS
         np.testing.assert_array_equal(coeffs, [-1.0, 0.0, 0.0])
+
+
+class TestCheckNonsingular:
+    @pytest.mark.parametrize("s_max", [0.5, 1e4])
+    def test_raises_at_the_threshold_and_passes_one_ulp_above(self, s_max):
+        # sigma_min <= 1e-12 * max(sigma_max, 1) is singular
+        threshold = 1e-12 * max(s_max, 1.0)
+        with pytest.raises(SingularA, match=r"^A = I - M is numerically singular \(sigma_min = "):
+            check_nonsingular(np.diag([s_max, threshold]))
+        above = np.nextafter(threshold, np.inf)
+        np.testing.assert_array_equal(check_nonsingular(np.diag([s_max, above])),
+                                      [s_max, above])
 
 
 class TestMinNormLstsq:

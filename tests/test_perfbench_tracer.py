@@ -8,9 +8,11 @@ traced command of each subcommand must run and record its spans.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anderson_lab import accelerators, analysis, augmented, cli, linalg, plots
+from anderson_lab.problems import AffineSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = {"accelerators": accelerators, "analysis": analysis, "augmented": augmented,
@@ -66,3 +68,16 @@ def test_traced_command_runs_and_records_spans(tmp_path, argv, layer):
         tracer.uninstall(saved)
     assert rc == 0
     assert {"cli.main", "problems.problem_from_id", layer} <= {span[2] for span in tracer.spans}
+
+
+def test_traced_make_affine_builds_a_problem_with_a_traced_q():
+    # no package code calls accelerators.make_affine, which the tracer wraps
+    # to trace the q of the problems it builds; its signature must still fit
+    tracer = _load_tracer().Tracer()
+    saved = tracer.install(MODULES)
+    try:
+        problem = accelerators.make_affine(AffineSpec(M=[[0.5]], b=[1.0]))
+        assert problem.q(np.array([0.0])).tolist() == [1.0]
+    finally:
+        tracer.uninstall(saved)
+    assert "problems.q" in {span[2] for span in tracer.spans}

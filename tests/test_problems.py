@@ -81,6 +81,12 @@ class TestMakeAffine:
         with pytest.raises(ValueError):
             AffineSpec(M=np.eye(2), b=np.zeros(3))
 
+    @pytest.mark.parametrize("M, b", [([[np.nan]], [0.0]), ([[0.5]], [np.inf]),
+                                      ([[np.inf, 0.0], [0.0, 0.5]], [0.0, 0.0])])
+    def test_non_finite_spec_is_rejected(self, M, b):
+        with pytest.raises(ValueError, match="^M and b must be finite$"):
+            AffineSpec(M=M, b=b)
+
     @pytest.mark.parametrize("M", [[[[0.5]]], np.zeros((2, 2, 2))])
     def test_m_that_is_not_a_matrix_is_rejected(self, M):
         with pytest.raises(ValueError, match="square matrix"):
