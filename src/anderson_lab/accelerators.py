@@ -4,9 +4,8 @@ All runs record an IterationTrace whose sequences are aligned by iteration
 index k.  Error-based quantities (error norms, sigma_k, error ratios) are NaN
 where the problem does not know its fixed point; the stopping test always
 uses the residual norm, which is available for any problem.  FP and AA(m)
-share one loop, which runs a batch of initial conditions in lockstep
-(run_batch); a single run is its batch of one.  GMRES likewise runs in
-lockstep (gmres_batch), and gmres_run is its batch of one.
+share one loop over a batch of initial conditions in lockstep (run_batch),
+GMRES has its own (gmres_batch), and a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -58,15 +57,15 @@ class IterationTrace:
 
     A trace holds the residual and error norms of every iterate as 1-D
     float arrays, the error norms NaN where x* is unknown (as is x_star_norm),
-    and, as step-major arrays, its first keep iterates (kept, n) (a single
-    run keeps all) and the beta (kept - 1, w) and rank (kept - 1,) of the
-    updates that produced them: beta[k] produced iterates[k + 1], NaN beyond
-    its window, w = min(m, keep - 1), and FP has w = 0 and ranks 0 (GMRES:
-    both empty).  sigma_k and error_ratios are lists derived from error_norms
-    on first read, NaN at k = 0 by convention and wherever the error norms
-    are; sigma_k uses root_error, the one sigma formula.  failure is the
-    error that stopped the run, or None; the trace then ends with the
-    iterate that stopped it.
+    and its first keep iterates (kept, n) (a single run keeps all) with the
+    beta (kept - 1, w) and rank (kept - 1,) of the updates that produced
+    them: beta[k] produced iterates[k + 1], NaN beyond its window,
+    w = min(m, keep - 1), and FP has w = 0 and ranks 0 (GMRES: both empty).
+    A run's arrays are views of its row of its batch's step log (_Steps).
+    sigma_k and error_ratios are lists derived from error_norms on first
+    read, NaN at k = 0 by convention and wherever the error norms are;
+    sigma_k uses root_error, the one sigma formula.  failure is the error
+    that stopped the run, or None; the trace then ends with its iterate.
     """
 
     iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
@@ -146,28 +145,41 @@ def aa_step(problem: FixedPointProblem,
     return x_next[0], coeffs[0], int(ranks[0])
 
 
-class _Steps:
-    """The step-major log of a lockstep batch of B rows: its records, stop test and traces.
+def _grown(table: np.ndarray, size: int) -> np.ndarray:
+    """A copy of table with size steps (axis 1), the new ones unset."""
+    out = np.empty(table.shape[:1] + (size,) + table.shape[2:], table.dtype)
+    out[:, :table.shape[1]] = table
+    return out
 
-    Record s holds the batch index of each row that ran it (rows[s]), their
-    residual norms (res[s]) and error norms (err[s], NaN where x* is unknown).
-    The kept steps (each row's first keep) are logged the same way: iterates
-    (kept_rows, iterates) and their updates (solved_rows, beta NaN-padded to
-    width, rank).  failures and converged say how each row stopped.
+
+class _Steps:
+    """A lockstep batch's step log: tables indexed by (row, step), the stop test, the traces.
+
+    Iterate k of row i has its norms at res[i, k] and err[i, k] (NaN where
+    x* is unknown) for k < length[i]: max_k + 1, or less where the stop test
+    (or the loop) stopped the row.  A kept step (k < keep) has iterates[i, k],
+    and the update that gave it beta[i, k - 1] (NaN beyond its window) and
+    rank[i, k - 1], solved[i] of them.  No table is sized by max_iters or
+    pre-filled: each step axis starts at STEPS0 and doubles when a step does
+    not fit.
     """
 
-    def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int):
+    STEPS0 = 16
+
+    def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int,
+                 max_k: int):
         # x* as a (1, n) row, which subtracts from X faster than (n,); numpy
         # casts None (x* unknown) to NaN, so the row is NaN then
         self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
         self.keep, self.stop_tol = keep, stop_tol
-        self.width = min(m, max(keep - 1, 0))
         self.converged = np.zeros(B, dtype=bool)
         self.failures = [None] * B
-        self.rows, self.res, self.err = [], [], []
-        no_rows = np.empty(0, dtype=int)  # each kept log starts with an empty record to join
-        self.kept_rows, self.iterates = [no_rows], [np.empty((0, problem.dim))]
-        self.solved_rows, self.beta, self.rank = [no_rows], [np.empty((0, self.width))], [no_rows]
+        self.length, self.solved = np.full(B, max_k + 1), np.zeros(B, dtype=int)
+        self.res, self.err = np.empty((2, B, self.STEPS0))
+        kept = min(keep, self.STEPS0)
+        self.iterates = np.empty((B, kept, problem.dim))
+        self.beta = np.empty((B, max(kept - 1, 0), min(m, max(keep - 1, 0))))
+        self.rank = np.empty(self.beta.shape[:2], dtype=int)
 
     def record(self, X: np.ndarray, rn: np.ndarray, rows: np.ndarray, k: int,
                q_errors: dict) -> Optional[np.ndarray]:
@@ -179,12 +191,15 @@ class _Steps:
         when rn is at most stop_tol (converged).  Returns the mask of the
         rows that stop, or None when none does.
         """
-        self.rows.append(rows)
+        if k >= self.res.shape[1]:  # one table at a time, which lowers the peak
+            self.res = _grown(self.res, 2 * k)
+            self.err = _grown(self.err, 2 * k)
+        self.res[:, k][rows] = rn
+        self.err[:, k][rows] = _norms(self.x_star - X)
         if k < self.keep:
-            self.kept_rows.append(rows)
-            self.iterates.append(X)
-        self.res.append(rn)
-        self.err.append(_norms(self.x_star - X))
+            if k >= self.iterates.shape[1]:
+                self.iterates = _grown(self.iterates, min(2 * k, self.keep))
+            self.iterates[:, k][rows] = X
         xn = _norms(X)
         # a row of q's error has a NaN residual, so it fails the residual
         # tests as NaN/Inf does.  The ufunc reductions are the cheapest
@@ -200,72 +215,54 @@ class _Steps:
                 else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
         done = ~failed & (rn <= self.stop_tol)
         self.converged[rows[done]] = True
-        return failed | done
+        stop = failed | done
+        self.length[rows[stop]] = k + 1
+        return stop
 
     def record_update(self, rows: np.ndarray, k: int, coeffs: np.ndarray,
                       ranks: np.ndarray) -> None:
         """Keeps the coefficients and ranks of the update that gave iterate k of rows, if kept."""
         if k < self.keep:
-            self.solved_rows.append(rows)
-            self.beta.append(np.full((len(rows), self.width), np.nan))
-            self.beta[-1][:, :coeffs.shape[1]] = coeffs
-            self.rank.append(ranks)
+            if k > self.rank.shape[1]:
+                self.beta, self.rank = (_grown(t, min(2 * k, self.keep) - 1)
+                                        for t in (self.beta, self.rank))
+            self.beta[:, k - 1, :coeffs.shape[1]][rows] = coeffs
+            if coeffs.shape[1] < self.beta.shape[2]:  # NaN beyond the window
+                self.beta[:, k - 1, coeffs.shape[1]:][rows] = np.nan
+            self.rank[:, k - 1][rows] = ranks
+            self.solved[rows] = k
 
     def traces(self) -> list[IterationTrace]:
-        """The IterationTrace of each row, from its records."""
-        B = len(self.failures)
-
-        def by_row(ids, *logs):
-            """The span of each row in the sorted records, and each log's records sorted by row."""
-            # a row runs in one cohort at a time and records its steps in order, so
-            # sorting the records by row (stably) lines up each row's records
-            ids = np.concatenate(ids)
-            order = np.argsort(ids, kind="stable")
-            ends = np.cumsum(np.bincount(ids, minlength=B)).tolist()
-            for log in logs:  # joined in place, so the step arrays go before the sorted copy
-                log[:] = [np.concatenate(log)]
-            return list(zip([0, *ends], ends)), [log[0][order] for log in logs]
-
-        def parts(column, spans):
-            # an empty column (nothing kept) gives every row the same empty array
-            return [column[a:b] for a, b in spans] if len(column) else [column] * B
-
-        spans, (res, err) = by_row(self.rows, self.res, self.err)
-        kept, (iterates,) = by_row(self.kept_rows, self.iterates)
-        solved, (beta, rank) = by_row(self.solved_rows, self.beta, self.rank)
+        """The IterationTrace of each row, whose arrays are views of its rows of the tables."""
         x_star_norm = float(np.linalg.norm(self.x_star))
-        return [IterationTrace(iterates=x, residual_norms=r, error_norms=e, beta=bt, rank=rk,
+        return [IterationTrace(iterates=self.iterates[i, :min(n, self.keep)],
+                               residual_norms=self.res[i, :n], error_norms=self.err[i, :n],
+                               beta=self.beta[i, :s], rank=self.rank[i, :s],
                                x_star_norm=x_star_norm, converged=c, failure=f)
-                for x, r, e, bt, rk, c, f in zip(
-                    parts(iterates, kept), parts(res, spans), parts(err, spans),
-                    parts(beta, solved), parts(rank, solved),
-                    self.converged.tolist(), self.failures)]
+                for i, (n, s, c, f) in enumerate(zip(self.length.tolist(), self.solved.tolist(),
+                                                     self.converged.tolist(), self.failures))]
 
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
 def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
              keep: int = 0) -> list[IterationTrace]:
-    """FP, windowed or restarted AA(m) from every row of X, in lockstep.
+    """FP, windowed or restarted AA(m) from every row of X, in lockstep; see run_batch.
 
     Each step evaluates q once on the running rows (once more on the others
     when q raised for some of them) and solves all their least-squares
     problems with one stacked SVD.  The history length depends on the step
-    count alone, so the running rows share it.  Every iterate is recorded
-    and tested once by the step log (_Steps.record); the rows it stops leave
-    the batch, and the other rows go on.
+    count alone, so the running rows share it.  The step log records every
+    iterate at its row and step and tests it once (_Steps.record); the rows
+    it stops leave the batch, and the other rows go on.
 
-    Memory stays bounded whatever the batch size: before each q evaluation,
-    while the running rows are more than rows_per_chunk allows at the
-    history length of the coming update, they are split in two halves (each
-    with a copy of its histories).  One runs on, and the other resumes from
-    that step once it has stopped.  A batch within that budget runs as one.
-
-    Returns the IterationTrace of each row, with its first keep iterates and
-    the coefficients and ranks that produced them.
+    Before each q evaluation, while the running rows are more than
+    rows_per_chunk allows at the history length of the coming update, they
+    are split in two halves (each with a copy of its histories).  One runs
+    on, and the other resumes from that step once it has stopped.
     """
     B, n = X.shape
     m = cfg.window_m
-    steps = _Steps(problem, B, keep, cfg.stop_tol, m)
+    steps = _Steps(problem, B, keep, cfg.stop_tol, m, cfg.max_iters)
     # cohorts set aside: (step k, batch index of each row, iterate k, q and r
     # histories before step k)
     waiting = [(0, np.arange(B), X, [], [])]
@@ -337,12 +334,13 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     """run_scheme from every row of X0 (B, n): one IterationTrace per row.
 
     The rows run in lockstep as one batch, split only while the history the
-    running rows hold would outgrow the budget of rows_per_chunk, so that
-    memory stays bounded whatever B is.  An error in q (EvalError) fails only
-    the rows it was raised on, and a trace's failure is the error that
-    stopped its row (not raised).  Every row equals its single-init run bit
-    for bit.  Each trace keeps the row's first keep iterates and the
-    coefficients and ranks that produced them; keep = 0 keeps none.
+    running rows hold would outgrow the budget of rows_per_chunk.  An error
+    in q (EvalError) fails only the rows it was raised on, and a trace's
+    failure is the error that stopped its row (not raised).  Every row
+    equals its single-init run bit for bit.  Each trace keeps the row's first
+    keep iterates and the coefficients and ranks that produced them (none at
+    keep = 0), as views of the batch's step log, which holds B times the
+    longest row's steps.
     """
     return _iterate(problem, _batch_starts(problem, X0, keep), cfg, keep)
 
@@ -397,15 +395,15 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     Each step makes one stacked matvec, the MGS and Givens loops and one
     stacked triangular solve for all running rows.  Every row keeps the
     arithmetic of a run of its own: a gemv per row, strided dot products,
-    and products and differences as separate operations.  Every iterate is
-    recorded and tested by the step log (_Steps.record), as in the run
-    loop, and stopped rows leave the batch as there, by boolean indexing of
-    every per-row array.
+    and products and differences as separate operations.  As in the run
+    loop, the step log records and tests every iterate, and stopped rows
+    leave the batch by boolean indexing of every per-row array.
     """
     A = problem.affine.A
     b = problem.affine.b
     B, n = X0.shape
-    steps = _Steps(problem, B, keep, cfg.stop_tol, 0)
+    max_k = min(cfg.max_iters, n)
+    steps = _Steps(problem, B, keep, cfg.stop_tol, 0, max_k)
     rows = np.arange(B)  # batch index of each running row
     R0 = b - (A @ X0[..., None])[..., 0]
     beta0 = _norms(R0)
@@ -413,7 +411,6 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     if stop is not None:
         going = ~stop
         rows, X0, R0, beta0 = rows[going], X0[going], R0[going], beta0[going]
-    max_k = min(cfg.max_iters, n)
     # V keeps the basis vectors as columns, as a single run's (n, max_k + 1)
     # array does, so that its dot products see the same strides.  The
     # Hessenberg columns H[k] (max_k + 1, B), the rotations and g, whose
@@ -474,6 +471,7 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
             steps.failures[rows[j]] = Breakdown(
                 "Arnoldi produced a zero vector before convergence")
         if not going.all():
+            steps.length[rows[~going]] = k + 2  # as record set it for the rows it stopped
             rows, X0, beta0, V = rows[going], X0[going], beta0[going], V[going]
             H, cs, sn, g = H[..., going], cs[:, going], sn[:, going], g[:, going]
 
@@ -486,10 +484,10 @@ def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
 
     Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
     least-squares problem; the iterate is reconstructed every step so the
-    traces line up with the other schemes.  Each recorded iterate goes
-    through the stop test that both lockstep loops share (_Steps.record).
-    A happy breakdown (a zero Arnoldi vector) then ends a row as converged
-    when its residual is at rounding level, and with Breakdown otherwise.
+    traces line up with the other schemes, and goes through the run loop's
+    stop test.  A happy breakdown (a zero Arnoldi vector) then ends a row as
+    converged when its residual is at rounding level, and with Breakdown
+    otherwise.
     A trace's failure is the error that stopped its row (not raised).  A
     problem without an affine form raises ValueError.
 

@@ -76,11 +76,12 @@ def min_norm_lstsq(R: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, RankInfo
 
 
 def check_nonsingular(A: np.ndarray) -> np.ndarray:
-    """The singular values of A = I - M, largest first; SingularA if A is numerically singular.
+    """The singular values of A = I - M, largest first; NonFinite or SingularA if A is not usable.
 
     The one rule for a singular I - M: sigma_min <= 1e-12 * max(sigma_max, 1),
     which bounds cond(A), the factor the affine Lipschitz bound multiplies.
     """
+    _check_finite("A", A)
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise SingularA(f"A = I - M is numerically singular (sigma_min = {s[-1]:.3e})")

@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +339,17 @@ class TestRunScheme:
         assert _widths(aa)[1] == 1
         assert len(rs) == 6
 
+    def test_max_iters_of_a_billion_gives_the_trace_of_100(self):
+        # AA(1) from x0 converges at step 30: a step log sized by max_iters
+        # would ask for 10**9 steps of memory up front
+        p, x0 = problem_linear_2x2(), np.array([0.2, 0.1])
+        short = run_scheme(p, x0, AccelConfig(window_m=1, max_iters=100))
+        long = run_scheme(p, x0, AccelConfig(window_m=1, max_iters=10**9))
+        assert len(short) == 31 and short.converged and long.converged
+        for name in ("iterates", "residual_norms", "error_norms", "beta", "rank"):
+            a, b = getattr(short, name), getattr(long, name)
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 def _gmres_min_residual_bruteforce(A, b, x0, k):
     """min ||r0 - sum_i c_i A^{i+1} r0|| over the degree-k residual polynomial."""
@@ -513,6 +528,16 @@ class TestGmresBatch:
         tr = exc_info.value.trace
         assert len(tr) == 3 and len(tr.iterates) == 3 and not tr.converged
         assert 1e-10 < tr.residual_norms[-1] < 1e-6
+
+    def test_traces_keep_no_beta_and_no_rank(self):
+        # GMRES solves no AA update, so a rank of 0 would be a made-up value
+        p = problem_linear_200(-0.9, 0.7, -0.7)
+        cfg = AccelConfig(max_iters=60)
+        X0 = np.random.default_rng(4).uniform(-0.25, 0.25, (3, 200))
+        traces = [gmres_run(p, X0[0], cfg), *accelerators.gmres_batch(p, X0, cfg, keep=11)]
+        assert [len(tr.iterates) for tr in traces] == [len(traces[0]), 11, 11, 11]
+        for tr in traces:
+            assert tr.beta.shape == (0, 0) and tr.rank.shape == (0,)
 
     def test_batch_of_one_is_gmres_run(self):
         p = problem_linear_200(-0.9, 0.7, -0.7)
@@ -735,6 +760,22 @@ def _split_mid_run(log):
     return any(a[0] == "update" and b[0] == "q" and b[1] < a[1] for a, b in zip(log, log[1:]))
 
 
+STEP_LOG_RSS = """
+import resource
+import numpy as np
+from anderson_lab.accelerators import AccelConfig, run_batch
+from anderson_lab.problems import AffineSpec, make_affine
+problem = make_affine(AffineSpec(M=np.diag([0.999, 0.5]), b=np.zeros(2)))
+X0 = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 2))
+cfg = AccelConfig(window_m=0, max_iters=2000, stop_tol=0.0)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+traces = run_batch(problem, X0, cfg)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert [len(tr) for tr in traces] == [2001] * 1000
+print((peak - start) * 1024)  # ru_maxrss is in KiB
+"""
+
+
 class TestRunBatch:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
@@ -752,10 +793,16 @@ class TestRunBatch:
         for i in range(B):
             _assert_row_matches_single_run(batch, i, problem, X0[i], cfg)
 
-    @settings(max_examples=40, deadline=None)
+    # the step log's tables start with room for STEPS0 steps and double: with
+    # max_iters = 40, rows stop on both sides of 16 and 32 (at STEPS0 = 16),
+    # and keep is 0, inside the first room, beyond it or beyond every row
+    @pytest.mark.parametrize("keep", [0, 1, accelerators._Steps.STEPS0 // 2,
+                                      accelerators._Steps.STEPS0 + 1,
+                                      2 * accelerators._Steps.STEPS0 + 5, 45])
+    @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
            m=st.integers(0, 4), restart=st.booleans(), B=st.integers(1, 8),
-           keep=st.integers(1, 45), nan_below=st.sampled_from([None, -0.5]))
+           nan_below=st.sampled_from([None, -0.5]))
     def test_kept_iterates_equal_single_runs_bitwise(self, seed, n, m, restart, B, keep,
                                                      nan_below):
         spec, rng = _random_contraction(seed, n)
@@ -791,6 +838,17 @@ class TestRunBatch:
         cfg = AccelConfig(window_m=10**6, max_iters=20, stop_tol=0.0)
         for tr in run_batch(problem, X0, cfg, keep=11):
             assert len(tr) == 21 and tr.beta.shape == (10, 10) and tr.rank.shape == (10,)
+
+    def test_step_log_memory_follows_the_steps_taken(self):
+        # FP on M = diag(0.999, 0.5) with stop_tol = 0: 1000 rows run all
+        # 2000 steps.  The step log holds 16 bytes (two norms) per row-step;
+        # the bound leaves room for one doubling of its tables
+        src = str(Path(accelerators.__file__).resolve().parents[1])
+        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", STEP_LOG_RSS], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert int(proc.stdout) <= 32 * 1000 * 2000
 
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):

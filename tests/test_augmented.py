@@ -19,7 +19,7 @@ from anderson_lab.augmented import (
     lipschitz_bound_nonlinear_m1,
     psi_apply,
 )
-from anderson_lab.errors import MissingJacobian, SingularA
+from anderson_lab.errors import MissingJacobian, NonFinite, SingularA
 from anderson_lab.problems import (
     AffineSpec,
     make_affine,
@@ -510,3 +510,16 @@ class TestDiscontinuityProbes:
         table = discontinuity_probe_beta(p, z_star, [d], [1e-1, 1e-3, 1e-6])
         for beta in table[0]:
             assert np.all(beta == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_A_raises_non_finite_in_every_layer(bad):
+    # unchecked, a NaN entry reaches numpy's SVD (LinAlgError) and an Inf one
+    # fails later, on R or M; check_nonsingular rejects both first
+    A = np.array([[1.0, 0.0], [bad, 0.5]])
+    layers = (lambda: beta_hat(A, [[1.0, 0.5], [0.2, -0.3]]),
+              lambda: directional_derivative(np.eye(2) - A, [[1.0, 0.5], [0.2, -0.3]]),
+              lambda: lipschitz_bound_linear_m1(A))
+    for layer in layers:
+        with pytest.raises(NonFinite, match="^A contains non-finite entries$"):
+            layer()

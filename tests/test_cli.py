@@ -49,6 +49,16 @@ class TestRun:
                 assert [cell != "" for cell in row[5:]] == [j < window for j in range(m)]
             assert (out / "trace.svg").exists()
 
+    def test_billion_iters_writes_the_trace_of_100(self, tmp_path):
+        # the run converges at step 30, and no memory is taken for the others
+        for iters in ("100", "1000000000"):
+            assert main(["run", "--problem", "linear2x2", "--scheme", "aa", "--m", "1",
+                         "--x0", "0.2,0.1", "--iters", iters,
+                         "--out", str(tmp_path / iters)]) == 0
+        trace = (tmp_path / "100" / "trace.csv").read_bytes()
+        assert trace.count(b"\n") == 33  # schema, header and 31 iterates
+        assert (tmp_path / "1000000000" / "trace.csv").read_bytes() == trace
+
     def test_fp_from_fixed_point_single_row(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["run", "--problem", "linear2x2", "--scheme", "fp",
