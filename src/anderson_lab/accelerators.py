@@ -24,6 +24,8 @@ from .linalg import anderson_coefficients, chunk_rows, stacked_anderson_coeffici
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
+ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
+TAIL_WINDOW = 20  # usable iterations over which sigma_tail_max is taken
 
 
 @dataclass(frozen=True)
@@ -162,20 +164,30 @@ class _Steps:
     rank[i, k - 1], solved[i] of them.  No table is sized by max_iters or
     pre-filled: each step axis starts at STEPS0 and doubles when a step does
     not fit.
+
+    Without log, the step log keeps no norms and no traces, only each row's
+    tail (see _tail and tails): its last TAIL_WINDOW usable errors.
     """
 
     STEPS0 = 16
 
     def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int,
-                 max_k: int):
+                 max_k: int, log: bool = True):
         # x* as a (1, n) row, which subtracts from X faster than (n,); numpy
         # casts None (x* unknown) to NaN, so the row is NaN then
         self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
-        self.keep, self.stop_tol = keep, stop_tol
+        self.x_star_norm = float(np.linalg.norm(self.x_star))
+        self.floor = ERROR_FLOOR_SCALE * (1.0 + self.x_star_norm)
+        self.keep, self.stop_tol, self.log = keep, stop_tol, log
         self.converged = np.zeros(B, dtype=bool)
         self.failures = [None] * B
         self.length, self.solved = np.full(B, max_k + 1), np.zeros(B, dtype=int)
-        self.res, self.err = np.empty((2, B, self.STEPS0))
+        if log:
+            self.res, self.err = np.empty((2, B, self.STEPS0))
+        else:
+            self.tail_e = np.full((B, TAIL_WINDOW), np.nan)
+            self.tail_k = np.zeros((B, TAIL_WINDOW), dtype=int)
+            self.used = np.zeros(B, dtype=int)
         kept = min(keep, self.STEPS0)
         self.iterates = np.empty((B, kept, problem.dim))
         self.beta = np.empty((B, max(kept - 1, 0), min(m, max(keep - 1, 0))))
@@ -185,17 +197,23 @@ class _Steps:
                q_errors: dict) -> Optional[np.ndarray]:
         """Records iterate k of the running rows (batch indices rows) and tests it once.
 
+        The norms go to the tables, or without log the error norm to the tail.
+
         A row stops, in this order of priority, when it is outside the
         divergence guard ball (Diverged), when q raised on it (q_errors, by
         running-row index) or its residual norm rn is NaN/Inf (NonFinite), or
         when rn is at most stop_tol (converged).  Returns the mask of the
         rows that stop, or None when none does.
         """
-        if k >= self.res.shape[1]:  # one table at a time, which lowers the peak
-            self.res = _grown(self.res, 2 * k)
-            self.err = _grown(self.err, 2 * k)
-        self.res[:, k][rows] = rn
-        self.err[:, k][rows] = _norms(self.x_star - X)
+        e = _norms(self.x_star - X)
+        if self.log:
+            if k >= self.res.shape[1]:  # one table at a time, which lowers the peak
+                self.res = _grown(self.res, 2 * k)
+                self.err = _grown(self.err, 2 * k)
+            self.res[:, k][rows] = rn
+            self.err[:, k][rows] = e
+        elif k:
+            self._tail(e, rows, k)
         if k < self.keep:
             if k >= self.iterates.shape[1]:
                 self.iterates = _grown(self.iterates, min(2 * k, self.keep))
@@ -232,21 +250,51 @@ class _Steps:
             self.rank[:, k - 1][rows] = ranks
             self.solved[rows] = k
 
+    def _tail(self, e: np.ndarray, rows: np.ndarray, k: int) -> None:
+        """Puts the usable ones of the error norms e of iterate k >= 1 of rows into their tails.
+
+        An error is usable above the rounding floor ERROR_FLOOR_SCALE
+        (1 + ||x*||), so never NaN.  Row i's tail is a ring of its last
+        TAIL_WINDOW usable errors and their steps, tail_e[i] and tail_k[i]:
+        the next usable error goes to slot used[i] mod TAIL_WINDOW, where
+        used[i] counts the row's usable errors so far.
+        """
+        usable = e > self.floor
+        rows = rows[usable]
+        slot = self.used[rows] % TAIL_WINDOW
+        self.tail_e[rows, slot] = e[usable]
+        self.tail_k[rows, slot] = k
+        self.used[rows] += 1
+
+    def tails(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's tail, oldest first, its stop-test flag and whether it failed.
+
+        Returns (e, k, converged, failed): e (B, TAIL_WINDOW) holds the row's
+        last usable error norms and k (B, TAIL_WINDOW) their steps, the
+        newest in the last column, and NaN and 0 where the row has fewer.
+        """
+        order = (self.used[:, None] + np.arange(-TAIL_WINDOW, 0)) % TAIL_WINDOW
+        return (np.take_along_axis(self.tail_e, order, axis=1),
+                np.take_along_axis(self.tail_k, order, axis=1), self.converged,
+                np.array([f is not None for f in self.failures], dtype=bool))
+
     def traces(self) -> list[IterationTrace]:
         """The IterationTrace of each row, whose arrays are views of its rows of the tables."""
-        x_star_norm = float(np.linalg.norm(self.x_star))
         return [IterationTrace(iterates=self.iterates[i, :min(n, self.keep)],
                                residual_norms=self.res[i, :n], error_norms=self.err[i, :n],
                                beta=self.beta[i, :s], rank=self.rank[i, :s],
-                               x_star_norm=x_star_norm, converged=c, failure=f)
+                               x_star_norm=self.x_star_norm, converged=c, failure=f)
                 for i, (n, s, c, f) in enumerate(zip(self.length.tolist(), self.solved.tolist(),
                                                      self.converged.tolist(), self.failures))]
 
 
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the stop test fails
-def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
-             keep: int = 0) -> list[IterationTrace]:
-    """FP, windowed or restarted AA(m) from every row of X, in lockstep; see run_batch.
+def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep: int = 0,
+             log: bool = True) -> _Steps:
+    """FP, windowed or restarted AA(m) from every row of X0, in lockstep: the step log.
+
+    See run_batch.  Without log, the step log keeps only each row's tail
+    (_Steps.tails), which the sweeps estimate from.
 
     Each step evaluates q once on the running rows (once more on the others
     when q raised for some of them) and solves all their least-squares
@@ -260,9 +308,10 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
     are split in two halves (each with a copy of its histories).  One runs
     on, and the other resumes from that step once it has stopped.
     """
+    X = _batch_starts(problem, X0, keep)
     B, n = X.shape
     m = cfg.window_m
-    steps = _Steps(problem, B, keep, cfg.stop_tol, m, cfg.max_iters)
+    steps = _Steps(problem, B, keep, cfg.stop_tol, m, cfg.max_iters, log)
     # cohorts set aside: (step k, batch index of each row, iterate k, q and r
     # histories before step k)
     waiting = [(0, np.arange(B), X, [], [])]
@@ -316,7 +365,7 @@ def _iterate(problem: FixedPointProblem, X: np.ndarray, cfg: AccelConfig,
             k += 1
             steps.record_update(rows, k, coeffs, ranks)
 
-    return steps.traces()
+    return steps
 
 
 def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
@@ -342,7 +391,7 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     keep = 0), as views of the batch's step log, which holds B times the
     longest row's steps.
     """
-    return _iterate(problem, _batch_starts(problem, X0, keep), cfg, keep)
+    return _iterate(problem, X0, cfg, keep).traces()
 
 
 def _batch_of_one(batch, problem: FixedPointProblem, x0: np.ndarray,

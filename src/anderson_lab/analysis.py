@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # run_scheme is unused here but stays bound: perfbench/tracer.py patches
 # analysis.run_scheme by name
 from .accelerators import (  # noqa: F401
-    AccelConfig, IterationTrace, root_error, run_batch, run_scheme)
+    ERROR_FLOOR_SCALE, TAIL_WINDOW, AccelConfig, IterationTrace, _iterate, root_error,
+    run_scheme)
 from .augmented import directional_derivative
 from .errors import InsufficientData
 from .linalg import chunk_rows, spectral_radius
 from .problems import FixedPointProblem
 
-ERROR_FLOOR_SCALE = 1e-14  # iterations past this error level are rounding noise
 SWEEP_BINS = 40  # bins of a sweep's sigma_final histograms
-TAIL_WINDOW = 20  # usable iterations over which sigma_tail_max is taken
 DERIV_BINS = 60  # bins of the derivative-norm histogram
 
 
@@ -59,59 +58,63 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     return RFactorEstimate(*(column[0].item() for column in vars(est).values()))
 
 
-@np.errstate(invalid="ignore")  # inf - inf between two infinite sigmas is NaN, not Cauchy
+# 1/0 is Inf where a tail has no entry, and inf - inf between two infinite
+# sigmas is NaN, not Cauchy
+@np.errstate(divide="ignore", invalid="ignore")
+def _estimates(e: np.ndarray, k: np.ndarray, converged: np.ndarray,
+               failed: np.ndarray) -> RFactorEstimate:
+    """The estimate of every row of the tails e and k, the estimator's one core.
+
+    e and k (N, TAIL_WINDOW) hold a run's last usable error norms and their
+    steps k >= 1, oldest first with the newest in the last column, and NaN
+    and 0 where it has none (_Steps.tails); converged and failed (N,) are
+    the stop test's flag and whether the run failed.  A failed run has no
+    estimate.  sigma is evaluated with root_error, the one sigma formula,
+    only where the estimate can read it: at the newest two usable
+    iterations, and where np.power, which may differ from it in the last
+    bit, comes within a relative 1e-12 of its row's tail maximum.  The exact
+    maximum is so always among them.
+    """
+    e, k = np.where(failed[:, None], np.nan, e), np.where(failed[:, None], 0, k)
+    approx = np.power(e, 1.0 / k)
+    top = np.fmax.reduce(approx, axis=1, keepdims=True)
+    newest = np.arange(TAIL_WINDOW) >= TAIL_WINDOW - 2
+    exact = (k > 0) & (newest | (approx >= top * (1.0 - 1e-12)))
+    sigma = np.full(e.shape, np.nan)
+    sigma[exact] = list(map(root_error, e[exact].tolist(), k[exact].tolist()))
+    cauchy = np.abs(sigma[:, -1] - sigma[:, -2]) <= 1e-3
+    return RFactorEstimate(sigma_final=sigma[:, -1], sigma_tail_max=np.fmax.reduce(sigma, axis=1),
+                           k_used=k[:, -1], converged=(k[:, -1] > 0) & (cauchy | converged))
+
+
 def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
     """estimate_r_factor of every trace at once, as columns with a row per trace.
 
     A trace that failed or has no usable iteration gets no estimate; NaN
-    error norms (x* unknown) are never usable.  The last TAIL_WINDOW usable
-    iterations of every trace are found at once, on the joined error norms
-    of all traces.  sigma is evaluated with root_error, the one sigma
-    formula, only where the estimate can read it: at the newest two usable
-    iterations, and where np.power, which may differ from it in the last
-    bit, comes within a relative 1e-12 of its trace's tail maximum.  The
-    exact maximum is so always among them.
+    error norms (x* unknown) are never usable.  Each trace's last
+    TAIL_WINDOW usable error norms are its row of the tails that _estimates
+    reads, as a sweep's run loop keeps them; they are found for all traces
+    at once, on their joined error norms.
     """
     n = len(traces)
-    est = RFactorEstimate(sigma_final=np.full(n, np.nan), sigma_tail_max=np.full(n, np.nan),
-                          k_used=np.zeros(n, dtype=int), converged=np.zeros(n, dtype=bool))
-    # a failed trace has no usable iteration
-    errs = [np.empty(0) if tr.failure is not None else np.asarray(tr.error_norms, dtype=float)
-            for tr in traces]
-    lens = np.array(list(map(len, errs)), dtype=int)
-    if not lens.sum():
-        return est
-    e = np.concatenate(errs)
+    e = np.full((n, TAIL_WINDOW), np.nan)
+    k = np.zeros(e.shape, dtype=int)
+    lens = np.array([len(tr.error_norms) for tr in traces], dtype=int)
+    errs = np.concatenate([np.asarray(tr.error_norms, dtype=float) for tr in traces]
+                          or [np.empty(0)])
     ends = np.cumsum(lens)
     owner = np.repeat(np.arange(n), lens)  # the trace of each entry
-    k = np.arange(len(e)) - (ends - lens)[owner]
-    floor = np.array([ERROR_FLOOR_SCALE * (1.0 + tr.x_star_norm) for tr in traces])
-    usable = (e > floor[owner]) & (k > 0)
-    # the usable iterations of its trace at or after each entry: 1 at the newest
+    steps = np.arange(len(errs)) - (ends - lens)[owner]
+    floor = ERROR_FLOOR_SCALE * (1.0 + np.array([tr.x_star_norm for tr in traces]))
+    usable = (errs > floor[owner]) & (steps > 0)
+    # the usable errors of its trace at or after each entry: 1 at the newest
     seen = np.concatenate(([0], np.cumsum(usable)))
     newer = seen[ends][owner] - seen[:-1]
-    tail = np.flatnonzero(usable & (newer <= TAIL_WINDOW))
-    if not tail.size:
-        return est
-    # the tails, grouped by trace and oldest first
-    e, k, owner, newer = e[tail], k[tail], owner[tail], newer[tail]
-    oldest = np.diff(owner, prepend=-1) != 0
-    group = np.cumsum(oldest) - 1
-    approx = np.power(e, 1.0 / k)
-    top = np.maximum.reduceat(approx, np.flatnonzero(oldest))
-    exact = np.flatnonzero((newer <= 2) | (approx >= top[group] * (1.0 - 1e-12)))
-    sigma = np.array(list(map(root_error, e[exact].tolist(), k[exact].tolist())))
-    # each group's newest entry is exact and its last; the one before is its
-    # second newest when the group has two
-    firsts = np.flatnonzero(np.diff(group[exact], prepend=-1))
-    lasts = np.append(firsts[1:], len(exact)) - 1
-    rows = owner[exact][lasts]
-    est.sigma_final[rows] = sigma[lasts]
-    est.sigma_tail_max[rows] = np.maximum.reduceat(sigma, firsts)
-    est.k_used[rows] = k[exact][lasts]
-    cauchy = (lasts > firsts) & (np.abs(sigma[lasts] - sigma[lasts - 1]) <= 1e-3)
-    est.converged[rows] = cauchy | [traces[i].converged for i in rows.tolist()]
-    return est
+    tail = usable & (newer <= TAIL_WINDOW)
+    e[owner[tail], TAIL_WINDOW - newer[tail]] = errs[tail]
+    k[owner[tail], TAIL_WINDOW - newer[tail]] = steps[tail]
+    return _estimates(e, k, np.array([tr.converged for tr in traces], dtype=bool),
+                      np.array([tr.failure is not None for tr in traces], dtype=bool))
 
 
 @dataclass
@@ -122,10 +125,10 @@ class SweepReport:
     estimates: dict    # scheme label -> RFactorEstimate, a row per init
 
 
-def worst_case_rho(problem: FixedPointProblem) -> Optional[float]:
-    """rho(q'(x*)), the worst-case FP factor, when the Jacobian is available."""
+def worst_case_rho(problem: FixedPointProblem) -> float:
+    """rho(q'(x*)), the worst-case FP factor; NaN where x* or the Jacobian is missing."""
     if problem.known_fixed_point is None or problem.jacobian is None:
-        return None
+        return float("nan")
     return spectral_radius(problem.jacobian(problem.known_fixed_point))
 
 
@@ -159,16 +162,19 @@ def monte_carlo_sweep(
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
-    Each scheme runs all inits through one run_batch call and estimates
-    their factors with one estimate_r_factors call.  Per-run failures
-    (divergence, evaluation errors, too few usable iterations) are rows
-    without an estimate rather than aborting the sweep.
+    Each scheme runs all inits as one batch of the run loop, which keeps
+    each run's tail and no step log, and estimates their factors from the
+    tails at once: the estimates of estimate_r_factors(run_batch(...)), bit
+    for bit.  Per-run failures (divergence, evaluation errors, too few
+    usable iterations) are rows without an estimate rather than aborting
+    the sweep.
     """
     if n_inits < 1:
         raise ValueError("n_inits must be >= 1")
     inits = sample_inits(box, n_inits, seed)
     return SweepReport(inits=inits, estimates={
-        scheme_label(cfg): estimate_r_factors(run_batch(problem, inits, cfg)) for cfg in schemes})
+        scheme_label(cfg): _estimates(*_iterate(problem, inits, cfg, log=False).tails())
+        for cfg in schemes})
 
 
 def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) -> np.ndarray:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from anderson_lab.analysis import (
 )
 from anderson_lab.augmented import directional_derivative
 from anderson_lab.errors import Diverged, InsufficientData
-from anderson_lab.problems import (FixedPointProblem, problem_linear_2x2, problem_linear_200,
+from anderson_lab.problems import (AffineSpec, FixedPointProblem, make_affine,
+                                   problem_linear_2x2, problem_linear_200,
                                    problem_nonlinear_2x2, problem_scalar)
 
 
@@ -247,13 +252,117 @@ class TestWorstCaseRho:
     def test_nonlinear_2x2(self):
         assert abs(worst_case_rho(problem_nonlinear_2x2()) - 0.5) < 1e-12
 
+    def test_no_fixed_point_and_no_jacobian_give_nan(self):
+        rho = worst_case_rho(FixedPointProblem(dim=2, q=lambda x: 0.5 * x))
+        assert type(rho) is float and np.isnan(rho)
+
+
+SWEEP_RSS = """
+import resource
+import numpy as np
+from anderson_lab.accelerators import AccelConfig
+from anderson_lab.analysis import monte_carlo_sweep
+from anderson_lab.problems import AffineSpec, make_affine
+problem = make_affine(AffineSpec(M=np.diag([0.999, 0.5]), b=np.zeros(2)))
+box = np.tile([-1.0, 1.0], (2, 1))
+def sweep(steps):
+    cfg = AccelConfig(window_m=0, max_iters=steps, stop_tol=0.0)
+    est = monte_carlo_sweep(problem, [cfg], box, 1000, 0).estimates["fp"]
+    assert (est.k_used == steps).all()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = sweep(100)
+print((sweep(4000) - start) * 1024)  # ru_maxrss is in KiB
+"""
+
 
 def _histogram(est):
     """(bin_edges, counts) of the sigma_final column of the runs with an estimate."""
     return analysis.bin_counts(est.sigma_final[~np.isnan(est.sigma_final)], analysis.SWEEP_BINS)
 
 
+# (problem, extra starts) for the sweep equality test
+_SWEEP_PROBLEMS = [
+    (problem_linear_2x2(), []),
+    # x* of norm ~1e4, which lifts the rounding floor to ~1e-10
+    (make_affine(AffineSpec(M=np.diag([0.5, -0.3]),
+                            b=np.diag([0.5, 1.3]) @ np.array([1e4, -3e3]))), []),
+    # a box through 0: q raises at x = 0, which the start -1 reaches at k = 1
+    (problem_scalar(), [[0.0], [-1.0]]),
+    # FP diverges from every start but x* = 0
+    (make_affine(AffineSpec(M=np.array([[1.5]]), b=np.zeros(1))), [[0.0]]),
+    # x* unknown: NaN error norms, never usable
+    (FixedPointProblem(dim=2, q=lambda x: 0.5 * x), []),
+    # x* is declared 1e-14 off the true fixed point 0, so once |x_k| < 1e-14
+    # the error |x_k - 1e-14| falls below the floor 1e-14 (1 + 1e-14) at
+    # every other step, as x_k alternates in sign, and rises above it again
+    # until |x_k| < 1e-28
+    (FixedPointProblem(dim=1, q=lambda x: -0.5 * x, known_fixed_point=np.array([1e-14])), []),
+]
+
+
+def _assert_same_columns(got, want):
+    for name in ("sigma_final", "sigma_tail_max", "k_used", "converged"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestMonteCarloSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.integers(0, len(_SWEEP_PROBLEMS) - 1), seed=st.integers(0, 2**32 - 1),
+           B=st.integers(1, 12), m=st.integers(0, 4), restart=st.booleans(),
+           stop_tol=st.sampled_from([1e-12, 0.0]), max_iters=st.integers(1, 90),
+           budget=st.sampled_from([None, 40, 200]))
+    def test_estimates_equal_those_of_the_traces_bitwise(self, case, seed, B, m, restart,
+                                                          stop_tol, max_iters, budget):
+        # the sweep keeps each run's tail in the run loop; estimate_r_factors
+        # reads the same tails from the traces of run_batch.  A budget of 40
+        # or 200 floats splits the batch into cohorts
+        problem, extra = _SWEEP_PROBLEMS[case]
+        X0 = np.concatenate([np.random.default_rng(seed).uniform(-1.0, 1.0, (B, problem.dim)),
+                             np.reshape(extra, (-1, problem.dim))])
+        cfg = AccelConfig(window_m=m, restart=restart and m > 0, max_iters=max_iters,
+                          stop_tol=stop_tol)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(linalg, "CHUNK_FLOATS", budget)
+            patch.setattr(analysis, "sample_inits", lambda box, n_inits, seed: X0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = monte_carlo_sweep(problem, [cfg], None, len(X0), 0)
+            want = estimate_r_factors(run_batch(problem, X0, cfg))
+        _assert_same_columns(got.estimates[scheme_label(cfg)], want)
+
+    def test_rows_that_leave_and_reenter_the_floor(self):
+        # the declared x* sits 1e-14 off the true one: from k ~ 45 to ~ 90
+        # every other error is below the floor, so the tail holds every other
+        # step.  The rows start to skip steps at k = 44 (0.3) and 46, and all
+        # of them are usable at every odd step
+        problem = _SWEEP_PROBLEMS[-1][0]
+        X0 = np.array([[1.0], [0.7], [0.3]])
+        cfg = AccelConfig(window_m=0, max_iters=80, stop_tol=0.0)
+        traces = run_batch(problem, X0, cfg)
+        floor = analysis.ERROR_FLOOR_SCALE * (1.0 + 1e-14)
+        for tr in traces:
+            usable = tr.error_norms[1:] > floor
+            assert usable[:40].all() and not usable.all() and usable[-2:].any()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "sample_inits", lambda box, n_inits, seed: X0)
+            got = monte_carlo_sweep(problem, [cfg], None, len(X0), 0).estimates["fp"]
+        want = estimate_r_factors(traces)
+        _assert_same_columns(got, want)
+        assert (want.k_used > 70).all()
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        # FP on M = diag(0.999, 0.5) with stop_tol = 0: 1000 rows run all
+        # 4000 steps, and the sweep's peak stays that of 100 steps
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", SWEEP_RSS], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert int(proc.stdout) <= 4 * 2**20
+
     def _sweep(self, seed=5, n_inits=30):
         p = problem_linear_2x2()
         schemes = [AccelConfig(window_m=0, max_iters=100, stop_tol=0.0),

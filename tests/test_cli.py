@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import anderson_lab
-from anderson_lab import accelerators, cli, linalg, plots
+from anderson_lab import accelerators, analysis, cli, linalg, plots
 from anderson_lab.accelerators import (AccelConfig, aa_full_window_vs_gmres_check, aa_run,
                                        gmres_run, run_batch, run_scheme)
 from anderson_lab.analysis import sample_inits
@@ -443,6 +443,45 @@ class TestSweep:
                 env=env, check=True, timeout=120)
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _sweep_through_traces(problem, schemes, box, n_inits, seed):
+    """monte_carlo_sweep as estimate_r_factors over the traces of run_batch."""
+    inits = analysis.sample_inits(box, n_inits, seed)
+    return analysis.SweepReport(inits=inits, estimates={
+        analysis.scheme_label(cfg): analysis.estimate_r_factors(run_batch(problem, inits, cfg))
+        for cfg in schemes})
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--problem", "linear2x2", "--scheme", "aa", "--m", "1", "--box=-0.25,0.25",
+     "--inits", "50"],
+    # FP diverges from every init; AA(1) solves it in one step
+    ["sweep", "--problem", "affine:{grow}", "--scheme", "aa", "--m", "1", "--box=-1,1",
+     "--inits", "10"],
+    ["sweep", "--problem", "nonlinear2x2", "--scheme", "aa_restarted", "--m", "2",
+     "--box=-0.5,0.5", "--inits", "50"],
+    ["sweep", "--problem", "linear200:0.3,-0.3,-0.3", "--scheme", "aa_restarted", "--m", "1",
+     "--box=-1,1", "--inits", "5", "--iters", "40"],
+    # a tolerance no residual meets: the errors reach the rounding floor
+    ["sweep", "--problem", "linear2x2", "--scheme", "aa", "--m", "3", "--box=-0.25,0.25",
+     "--inits", "30", "--tol", "1e-300", "--iters", "200"],
+    ["msweep", "--problem", "linear200:-0.9,0.7,-0.7", "--m-values", "1,3", "--inits", "5"],
+    ["msweep", "--problem", "linear2x2", "--m-values", "1,2", "--inits", "20",
+     "--tol", "1e-300", "--iters", "150"],
+])
+def test_sweep_files_equal_those_estimated_from_traces(tmp_path, monkeypatch, argv):
+    grow = tmp_path / "grow.json"
+    grow.write_text(json.dumps({"M": [[1.5]], "b": [0]}))
+    argv = [a.format(grow=grow) for a in argv] + ["--seed", "7"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(analysis, "monte_carlo_sweep", _sweep_through_traces)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+    assert "sweep.csv" in names or "msweep.csv" in names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestDerivHist:
