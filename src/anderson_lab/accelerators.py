@@ -154,22 +154,50 @@ def _grown(table: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def last_usable(e: np.ndarray, k: np.ndarray, x_star_norm: float | Sequence[float]) -> tuple:
+    """Each row's last TAIL_WINDOW usable error norms in the table e and their steps.
+
+    e (rows, steps) holds error norms, NaN where a row has none, and k (which
+    broadcasts to e) their steps, each row's in increasing order; x_star_norm
+    is ||x*|| per row, or one for all.  An error at step k is usable when
+    k >= 1 and it is above the rounding floor ERROR_FLOOR_SCALE (1 + ||x*||),
+    so never NaN.  Returns (e, k), both (rows, TAIL_WINDOW), oldest first
+    with the newest in the last column, and NaN and 0 where a row has fewer.
+    """
+    k = np.broadcast_to(k, e.shape)
+    usable = (k >= 1) & (e > ERROR_FLOOR_SCALE * (1.0 + np.reshape(x_star_norm, (-1, 1))))
+    # each entry's slot in its row's tail: TAIL_WINDOW - 1 at the newest usable error
+    seen = np.cumsum(usable, axis=1)
+    slot = seen + (TAIL_WINDOW - 1 - seen[:, -1:])
+    tail = usable & (slot >= 0)
+    rows, slots = np.nonzero(tail)[0], slot[tail]
+    tail_e = np.full((len(e), TAIL_WINDOW), np.nan)
+    tail_k = np.zeros(tail_e.shape, dtype=int)
+    tail_e[rows, slots], tail_k[rows, slots] = e[tail], k[tail]
+    return tail_e, tail_k
+
+
 class _Steps:
     """A lockstep batch's step log: tables indexed by (row, step), the stop test, the traces.
 
-    Iterate k of row i has its norms at res[i, k] and err[i, k] (NaN where
-    x* is unknown) for k < length[i]: max_k + 1, or less where the stop test
-    (or the loop) stopped the row.  A kept step (k < keep) has iterates[i, k],
-    and the update that gave it beta[i, k - 1] (NaN beyond its window) and
-    rank[i, k - 1], solved[i] of them.  No table is sized by max_iters or
-    pre-filled: each step axis starts at STEPS0 and doubles when a step does
-    not fit.
+    Iterate k of row i has its norms at res[i, k] and err[i, k - k0] (NaN
+    where x* is unknown) for k < length[i]: max_k + 1, or less where the
+    stop test (or the loop) stopped the row.  A kept step (k < keep) has
+    iterates[i, k], and the update that gave it beta[i, k - 1] (NaN beyond
+    its window) and rank[i, k - 1], solved[i] of them.  No table is sized by
+    max_iters or pre-filled: each step axis starts at STEPS0 and doubles
+    when a step does not fit.  With log, k0 is 0.
 
-    Without log, the step log keeps no norms and no traces, only each row's
-    tail (see _tail and tails): its last TAIL_WINDOW usable errors.
+    Without log, the step log keeps no residual norms and no traces: err is
+    a window of WINDOW steps from k0, NaN where a row has not recorded a
+    step.  A step outside it (past its end, or below k0 where a cohort
+    resumes) folds the window into each row's tail, its last TAIL_WINDOW
+    usable errors (last_usable; empty at first), empties it and moves k0 to
+    that step.
     """
 
     STEPS0 = 16
+    WINDOW = 32  # a sweep's window: each fold rereads the tails, which 16 steps do too often
 
     def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int,
                  max_k: int, log: bool = True):
@@ -177,17 +205,15 @@ class _Steps:
         # casts None (x* unknown) to NaN, so the row is NaN then
         self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
         self.x_star_norm = float(np.linalg.norm(self.x_star))
-        self.floor = ERROR_FLOOR_SCALE * (1.0 + self.x_star_norm)
-        self.keep, self.stop_tol, self.log = keep, stop_tol, log
+        self.keep, self.stop_tol, self.log, self.k0 = keep, stop_tol, log, 0
         self.converged = np.zeros(B, dtype=bool)
         self.failures = [None] * B
         self.length, self.solved = np.full(B, max_k + 1), np.zeros(B, dtype=int)
         if log:
             self.res, self.err = np.empty((2, B, self.STEPS0))
         else:
-            self.tail_e = np.full((B, TAIL_WINDOW), np.nan)
-            self.tail_k = np.zeros((B, TAIL_WINDOW), dtype=int)
-            self.used = np.zeros(B, dtype=int)
+            self.err = np.full((B, self.WINDOW), np.nan)
+            self.tail_e, self.tail_k = np.empty((B, 0)), np.empty((B, 0), dtype=int)
         kept = min(keep, self.STEPS0)
         self.iterates = np.empty((B, kept, problem.dim))
         self.beta = np.empty((B, max(kept - 1, 0), min(m, max(keep - 1, 0))))
@@ -197,7 +223,7 @@ class _Steps:
                q_errors: dict) -> Optional[np.ndarray]:
         """Records iterate k of the running rows (batch indices rows) and tests it once.
 
-        The norms go to the tables, or without log the error norm to the tail.
+        The norms go to the tables, without log the error norm to the window.
 
         A row stops, in this order of priority, when it is outside the
         divergence guard ball (Diverged), when q raised on it (q_errors, by
@@ -211,9 +237,10 @@ class _Steps:
                 self.res = _grown(self.res, 2 * k)
                 self.err = _grown(self.err, 2 * k)
             self.res[:, k][rows] = rn
-            self.err[:, k][rows] = e
-        elif k:
-            self._tail(e, rows, k)
+        elif not 0 <= k - self.k0 < self.err.shape[1]:
+            self._fold()
+            self.k0 = k
+        self.err[:, k - self.k0][rows] = e
         if k < self.keep:
             if k >= self.iterates.shape[1]:
                 self.iterates = _grown(self.iterates, min(2 * k, self.keep))
@@ -250,32 +277,18 @@ class _Steps:
             self.rank[:, k - 1][rows] = ranks
             self.solved[rows] = k
 
-    def _tail(self, e: np.ndarray, rows: np.ndarray, k: int) -> None:
-        """Puts the usable ones of the error norms e of iterate k >= 1 of rows into their tails.
-
-        An error is usable above the rounding floor ERROR_FLOOR_SCALE
-        (1 + ||x*||), so never NaN.  Row i's tail is a ring of its last
-        TAIL_WINDOW usable errors and their steps, tail_e[i] and tail_k[i]:
-        the next usable error goes to slot used[i] mod TAIL_WINDOW, where
-        used[i] counts the row's usable errors so far.
-        """
-        usable = e > self.floor
-        rows = rows[usable]
-        slot = self.used[rows] % TAIL_WINDOW
-        self.tail_e[rows, slot] = e[usable]
-        self.tail_k[rows, slot] = k
-        self.used[rows] += 1
+    def _fold(self) -> None:
+        """Folds the window of error norms into the tails and empties it."""
+        steps = np.broadcast_to(self.k0 + np.arange(self.err.shape[1]), self.err.shape)
+        self.tail_e, self.tail_k = last_usable(np.concatenate([self.tail_e, self.err], axis=1),
+                                               np.concatenate([self.tail_k, steps], axis=1),
+                                               self.x_star_norm)
+        self.err.fill(np.nan)
 
     def tails(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's tail, oldest first, its stop-test flag and whether it failed.
-
-        Returns (e, k, converged, failed): e (B, TAIL_WINDOW) holds the row's
-        last usable error norms and k (B, TAIL_WINDOW) their steps, the
-        newest in the last column, and NaN and 0 where the row has fewer.
-        """
-        order = (self.used[:, None] + np.arange(-TAIL_WINDOW, 0)) % TAIL_WINDOW
-        return (np.take_along_axis(self.tail_e, order, axis=1),
-                np.take_along_axis(self.tail_k, order, axis=1), self.converged,
+        """(e, k, converged, failed): each row's tail (last_usable), stop-test flag and failure."""
+        self._fold()
+        return (self.tail_e, self.tail_k, self.converged,
                 np.array([f is not None for f in self.failures], dtype=bool))
 
     def traces(self) -> list[IterationTrace]:
@@ -293,8 +306,8 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
              log: bool = True) -> _Steps:
     """FP, windowed or restarted AA(m) from every row of X0, in lockstep: the step log.
 
-    See run_batch.  Without log, the step log keeps only each row's tail
-    (_Steps.tails), which the sweeps estimate from.
+    See run_batch.  Without log, the step log keeps only a window of error
+    norms and each row's tail (_Steps.tails), which the sweeps estimate from.
 
     Each step evaluates q once on the running rows (once more on the others
     when q raised for some of them) and solves all their least-squares

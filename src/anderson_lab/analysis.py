@@ -10,8 +10,7 @@ import numpy as np
 # run_scheme is unused here but stays bound: perfbench/tracer.py patches
 # analysis.run_scheme by name
 from .accelerators import (  # noqa: F401
-    ERROR_FLOOR_SCALE, TAIL_WINDOW, AccelConfig, IterationTrace, _iterate, root_error,
-    run_scheme)
+    AccelConfig, IterationTrace, _iterate, last_usable, root_error, run_scheme)
 from .augmented import directional_derivative
 from .errors import InsufficientData
 from .linalg import chunk_rows, spectral_radius
@@ -47,10 +46,11 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     """Estimate the r-linear factor from the trace's sigma_k sequence.
 
     sigma_final is sigma at the last usable iteration; sigma_tail_max is the
-    max over the final TAIL_WINDOW usable iterations, a limsup proxy robust to
-    the oscillation of sigma_k.  Iterations whose error is below the rounding
-    floor 1e-14 * (1 + ||x*||) are excluded.  This is estimate_r_factors'
-    batch of one, which raises InsufficientData where that has no estimate.
+    max over the final 20 usable iterations, a limsup proxy robust to the
+    oscillation of sigma_k.  Iterations whose error is at or below the
+    rounding floor 1e-14 * (1 + ||x*||) are excluded (accelerators.last_usable).
+    This is estimate_r_factors' batch of one, which raises InsufficientData
+    where that has no estimate.
     """
     est = estimate_r_factors([trace])
     if not est.k_used[0]:
@@ -65,9 +65,9 @@ def _estimates(e: np.ndarray, k: np.ndarray, converged: np.ndarray,
                failed: np.ndarray) -> RFactorEstimate:
     """The estimate of every row of the tails e and k, the estimator's one core.
 
-    e and k (N, TAIL_WINDOW) hold a run's last usable error norms and their
-    steps k >= 1, oldest first with the newest in the last column, and NaN
-    and 0 where it has none (_Steps.tails); converged and failed (N,) are
+    e and k (N, 20) hold a run's last usable error norms and their steps
+    k >= 1, oldest first with the newest in the last column, and NaN and 0
+    where it has none (accelerators.last_usable); converged and failed (N,) are
     the stop test's flag and whether the run failed.  A failed run has no
     estimate.  sigma is evaluated with root_error, the one sigma formula,
     only where the estimate can read it: at the newest two usable
@@ -78,8 +78,8 @@ def _estimates(e: np.ndarray, k: np.ndarray, converged: np.ndarray,
     e, k = np.where(failed[:, None], np.nan, e), np.where(failed[:, None], 0, k)
     approx = np.power(e, 1.0 / k)
     top = np.fmax.reduce(approx, axis=1, keepdims=True)
-    newest = np.arange(TAIL_WINDOW) >= TAIL_WINDOW - 2
-    exact = (k > 0) & (newest | (approx >= top * (1.0 - 1e-12)))
+    exact = (k > 0) & (approx >= top * (1.0 - 1e-12))
+    exact[:, -2:] = k[:, -2:] > 0
     sigma = np.full(e.shape, np.nan)
     sigma[exact] = list(map(root_error, e[exact].tolist(), k[exact].tolist()))
     cauchy = np.abs(sigma[:, -1] - sigma[:, -2]) <= 1e-3
@@ -91,28 +91,14 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
     """estimate_r_factor of every trace at once, as columns with a row per trace.
 
     A trace that failed or has no usable iteration gets no estimate; NaN
-    error norms (x* unknown) are never usable.  Each trace's last
-    TAIL_WINDOW usable error norms are its row of the tails that _estimates
-    reads, as a sweep's run loop keeps them; they are found for all traces
-    at once, on their joined error norms.
+    error norms (x* unknown) are never usable.  The traces' error norms are
+    the rows of one table, padded with NaN, whose tails last_usable finds,
+    as a sweep's run loop finds them.
     """
-    n = len(traces)
-    e = np.full((n, TAIL_WINDOW), np.nan)
-    k = np.zeros(e.shape, dtype=int)
-    lens = np.array([len(tr.error_norms) for tr in traces], dtype=int)
-    errs = np.concatenate([np.asarray(tr.error_norms, dtype=float) for tr in traces]
-                          or [np.empty(0)])
-    ends = np.cumsum(lens)
-    owner = np.repeat(np.arange(n), lens)  # the trace of each entry
-    steps = np.arange(len(errs)) - (ends - lens)[owner]
-    floor = ERROR_FLOOR_SCALE * (1.0 + np.array([tr.x_star_norm for tr in traces]))
-    usable = (errs > floor[owner]) & (steps > 0)
-    # the usable errors of its trace at or after each entry: 1 at the newest
-    seen = np.concatenate(([0], np.cumsum(usable)))
-    newer = seen[ends][owner] - seen[:-1]
-    tail = usable & (newer <= TAIL_WINDOW)
-    e[owner[tail], TAIL_WINDOW - newer[tail]] = errs[tail]
-    k[owner[tail], TAIL_WINDOW - newer[tail]] = steps[tail]
+    errs = np.full((len(traces), max((len(tr.error_norms) for tr in traces), default=0)), np.nan)
+    for i, tr in enumerate(traces):
+        errs[i, :len(tr.error_norms)] = tr.error_norms
+    e, k = last_usable(errs, np.arange(errs.shape[1]), [tr.x_star_norm for tr in traces])
     return _estimates(e, k, np.array([tr.converged for tr in traces], dtype=bool),
                       np.array([tr.failure is not None for tr in traces], dtype=bool))
 
@@ -162,12 +148,12 @@ def monte_carlo_sweep(
 ) -> SweepReport:
     """Run every scheme from every random init; deterministic given the seed.
 
-    Each scheme runs all inits as one batch of the run loop, which keeps
-    each run's tail and no step log, and estimates their factors from the
-    tails at once: the estimates of estimate_r_factors(run_batch(...)), bit
-    for bit.  Per-run failures (divergence, evaluation errors, too few
-    usable iterations) are rows without an estimate rather than aborting
-    the sweep.
+    Each scheme runs all inits as one batch of the run loop, which keeps a
+    window of error norms and each run's tail, no full step log, and
+    estimates their factors from the tails at once: the estimates of
+    estimate_r_factors(run_batch(...)), bit for bit.  Per-run failures
+    (divergence, evaluation errors, too few usable iterations) are rows
+    without an estimate rather than aborting the sweep.
     """
     if n_inits < 1:
         raise ValueError("n_inits must be >= 1")

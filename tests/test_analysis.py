@@ -6,10 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anderson_lab import analysis, linalg
+from anderson_lab import accelerators, analysis, linalg
 from anderson_lab.accelerators import AccelConfig, IterationTrace, run_batch, run_scheme
 from anderson_lab.analysis import (
     derivative_norm_samples,
@@ -123,7 +123,7 @@ class TestEstimateRFactor:
 
     def test_tail_is_the_last_twenty_usable_iterations(self):
         # sigma_k peaks at k = 10; the tail k = 11..30 leaves it out, k = 10..29 takes it
-        assert analysis.TAIL_WINDOW == 20
+        assert accelerators.TAIL_WINDOW == 20
         for n, peak_in_tail in ((31, False), (30, True)):
             errs = [0.5 ** k for k in range(n)]
             errs[10] = 0.9 ** 10
@@ -313,6 +313,10 @@ class TestMonteCarloSweep:
            B=st.integers(1, 12), m=st.integers(0, 4), restart=st.booleans(),
            stop_tol=st.sampled_from([1e-12, 0.0]), max_iters=st.integers(1, 90),
            budget=st.sampled_from([None, 40, 200]))
+    # a budget of 40 floats splits the batch, and a cohort that resumes after
+    # another has run past 32 or 64 steps resumes below the sweep's window
+    @example(case=0, seed=0, B=5, m=0, restart=False, stop_tol=1e-12, max_iters=33, budget=40)
+    @example(case=0, seed=0, B=5, m=1, restart=True, stop_tol=0.0, max_iters=65, budget=40)
     def test_estimates_equal_those_of_the_traces_bitwise(self, case, seed, B, m, restart,
                                                           stop_tol, max_iters, budget):
         # the sweep keeps each run's tail in the run loop; estimate_r_factors
@@ -342,7 +346,7 @@ class TestMonteCarloSweep:
         X0 = np.array([[1.0], [0.7], [0.3]])
         cfg = AccelConfig(window_m=0, max_iters=80, stop_tol=0.0)
         traces = run_batch(problem, X0, cfg)
-        floor = analysis.ERROR_FLOOR_SCALE * (1.0 + 1e-14)
+        floor = accelerators.ERROR_FLOOR_SCALE * (1.0 + 1e-14)
         for tr in traces:
             usable = tr.error_norms[1:] > floor
             assert usable[:40].all() and not usable.all() and usable[-2:].any()

@@ -5,6 +5,7 @@ A name it patches that the package no longer binds makes `perfbench/run.py
 traced command of each subcommand must run and record its spans.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from anderson_lab import accelerators, analysis, augmented, cli, linalg, plots
 from anderson_lab.problems import AffineSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(accelerators.__file__).resolve().parent
 MODULES = {"accelerators": accelerators, "analysis": analysis, "augmented": augmented,
            "cli": cli, "linalg": linalg, "plots": plots}
 
@@ -40,6 +42,32 @@ def test_install_and_uninstall_restore_every_name():
     saved = tracer.Tracer().install(MODULES)
     tracer.Tracer.uninstall(saved)
     assert all(getattr(MODULES[mod], attr) is fn for (mod, attr), fn in before.items())
+
+
+def _unread_noqa_imports():
+    """(module, name) of each name a `# noqa: F401` import in the package binds and never reads."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                found += [(path.stem, alias.asname or alias.name) for alias in node.names
+                          if (alias.asname or alias.name) not in read]
+    return found
+
+
+def test_every_unread_noqa_import_is_one_the_tracer_patches():
+    # such an import exists only to keep a name bound for the tracer; once
+    # the tracer stops patching it, the import can go
+    tracer = _load_tracer()
+    saved = tracer.Tracer().install(MODULES)
+    tracer.Tracer.uninstall(saved)
+    patched = {(mod.__name__.rpartition(".")[2], attr) for mod, attr, _ in saved}
+    assert set(_unread_noqa_imports()) <= patched
 
 
 # one tiny command per subcommand and the span of the layer it runs
