@@ -127,12 +127,27 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
 def rows_per_chunk(n: int, window: int) -> int:
     """Rows that _aa_update may step at once at dimension n with windows up to window.
 
-    A row holds its window + 1 q and r history entries, R, Q and the SVD's U:
-    5 n (window + 1) floats of the shared budget linalg.CHUNK_FLOATS.  The
-    run loop splits its running rows above it, at the window of the coming
-    update, and the lifted map steps its states in chunks of it.
+    A row counts its window + 1 q and r history entries, R, Q and the SVD's U:
+    5 n (window + 1) floats of the shared budget linalg.CHUNK_FLOATS.
     """
     return chunk_rows(5 * n * (window + 1))
+
+
+def _chunked_update(q_hist: list, r_hist: list) -> tuple:
+    """_aa_update of every row of the histories, one chunk of rows_per_chunk rows at a time.
+
+    The chunks keep the update's temporaries within linalg.CHUNK_FLOATS
+    whatever the number of rows, and change no value: each row's stacked
+    solve is independent of the others.  Returns _aa_update's triple for
+    all rows.
+    """
+    B, n = q_hist[-1].shape
+    chunk = rows_per_chunk(n, len(q_hist) - 1)
+    if B <= chunk:
+        return _aa_update(q_hist, r_hist)
+    parts = [_aa_update([a[s:s + chunk] for a in q_hist], [a[s:s + chunk] for a in r_hist])
+             for s in range(0, B, chunk)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def aa_step(problem: FixedPointProblem,
@@ -190,10 +205,10 @@ class _Steps:
 
     Without log, the step log keeps no residual norms and no traces: err is
     a window of WINDOW steps from k0, NaN where a row has not recorded a
-    step.  A step outside it (past its end, or below k0 where a cohort
-    resumes) folds the window into each row's tail, its last TAIL_WINDOW
-    usable errors (last_usable; empty at first), empties it and moves k0 to
-    that step.
+    step.  The steps only increase, and the step past the window's end
+    folds the window into each row's tail, its last TAIL_WINDOW usable
+    errors (last_usable; empty at first), empties it and moves k0 to that
+    step.
     """
 
     STEPS0 = 16
@@ -237,7 +252,7 @@ class _Steps:
                 self.res = _grown(self.res, 2 * k)
                 self.err = _grown(self.err, 2 * k)
             self.res[:, k][rows] = rn
-        elif not 0 <= k - self.k0 < self.err.shape[1]:
+        elif k - self.k0 == self.err.shape[1]:
             self._fold()
             self.k0 = k
         self.err[:, k - self.k0][rows] = e
@@ -309,76 +324,54 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
     See run_batch.  Without log, the step log keeps only a window of error
     norms and each row's tail (_Steps.tails), which the sweeps estimate from.
 
-    Each step evaluates q once on the running rows (once more on the others
-    when q raised for some of them) and solves all their least-squares
-    problems with one stacked SVD.  The history length depends on the step
-    count alone, so the running rows share it.  The step log records every
-    iterate at its row and step and tests it once (_Steps.record); the rows
-    it stops leave the batch, and the other rows go on.
-
-    Before each q evaluation, while the running rows are more than
-    rows_per_chunk allows at the history length of the coming update, they
-    are split in two halves (each with a copy of its histories).  One runs
-    on, and the other resumes from that step once it has stopped.
+    Every running row takes step k together: q is evaluated once on them
+    (once more on the others when q raised for some of them), the step log
+    records every iterate at its row and step and tests it once
+    (_Steps.record), and one update (_chunked_update) solves all their
+    least-squares problems.  The history length depends on the step count
+    alone, so the running rows share it.  The rows the stop test stops
+    leave the batch, and the other rows go on.
     """
     X = _batch_starts(problem, X0, keep)
-    B, n = X.shape
     m = cfg.window_m
-    steps = _Steps(problem, B, keep, cfg.stop_tol, m, cfg.max_iters, log)
-    # cohorts set aside: (step k, batch index of each row, iterate k, q and r
-    # histories before step k)
-    waiting = [(0, np.arange(B), X, [], [])]
-    while waiting:
-        k, rows, X, q_hist, r_hist = waiting.pop()
-        while True:
-            # the step just taken had a full window: restart the entire AA(m)
-            # iteration, which happens every m (accelerated) steps
-            restarting = cfg.restart and len(q_hist) == m + 1
-            # the window of the coming update.  A single row never splits, so
-            # it skips the test, which single runs pay for at every step
-            if len(rows) > 1 and len(rows) > rows_per_chunk(
-                    n, 0 if restarting else min(len(q_hist), m)):
-                # set both halves aside, each with its own copy of the
-                # histories; the first runs on next
-                h = len(rows) // 2
-                waiting += [(k, rows[s], X[s], [a[s].copy() for a in q_hist],
-                             [a[s].copy() for a in r_hist]) for s in (np.s_[h:], np.s_[:h])]
-                break
-            q_errors = {}  # running-row index -> the error q raised there
-            try:
-                Qx = problem.q(X)
-            except AndersonLabError as exc:
-                # the rows of q's mask (every row without one) fail with NaN,
-                # and q runs once more on the others
-                bad = np.full(len(X), True) if exc.rows is None else np.asarray(exc.rows, bool)
-                q_errors = dict.fromkeys(np.flatnonzero(bad).tolist(), exc)
-                Qx = np.full(X.shape, np.nan)
-                if not bad.all():
-                    Qx[~bad] = problem.q(X[~bad])
-            Rx = X - Qx
-            stop = steps.record(X, _norms(Rx), rows, k, q_errors)
-            if restarting:
-                q_hist, r_hist = [Qx], [Rx]
-            else:
-                q_hist.append(Qx)
-                r_hist.append(Rx)
-                if len(q_hist) > m + 1:
-                    q_hist.pop(0)
-                    r_hist.pop(0)
-            if stop is not None:
-                going = ~stop
-                rows = rows[going]
-                q_hist = [a[going] for a in q_hist]
-                r_hist = [a[going] for a in r_hist]
-            if k == cfg.max_iters or not rows.size:
-                break
+    steps = _Steps(problem, len(X), keep, cfg.stop_tol, m, cfg.max_iters, log)
+    rows = np.arange(len(X))  # batch index of each running row
+    q_hist, r_hist = [], []  # q and r of the running rows, oldest first
+    k = 0
+    while True:
+        q_errors = {}  # running-row index -> the error q raised there
+        try:
+            Qx = problem.q(X)
+        except AndersonLabError as exc:
+            # the rows of q's mask (every row without one) fail with NaN,
+            # and q runs once more on the others
+            bad = np.full(len(X), True) if exc.rows is None else np.asarray(exc.rows, bool)
+            q_errors = dict.fromkeys(np.flatnonzero(bad).tolist(), exc)
+            Qx = np.full(X.shape, np.nan)
+            if not bad.all():
+                Qx[~bad] = problem.q(X[~bad])
+        Rx = X - Qx
+        stop = steps.record(X, _norms(Rx), rows, k, q_errors)
+        # the step just taken had a full window: restart the entire AA(m)
+        # iteration, which happens every m (accelerated) steps
+        if cfg.restart and len(q_hist) == m + 1:
+            q_hist, r_hist = [], []
+        q_hist.append(Qx)
+        r_hist.append(Rx)
+        if len(q_hist) > m + 1:
+            del q_hist[0], r_hist[0]
+        if stop is not None:
+            going = ~stop
+            rows = rows[going]
+            q_hist = [a[going] for a in q_hist]
+            r_hist = [a[going] for a in r_hist]
+        if k == cfg.max_iters or not rows.size:
+            return steps
 
-            # every residual in the history has a finite norm, so R is finite
-            X, coeffs, ranks = _aa_update(q_hist, r_hist)
-            k += 1
-            steps.record_update(rows, k, coeffs, ranks)
-
-    return steps
+        # every residual in the history has a finite norm, so R is finite
+        X, coeffs, ranks = _chunked_update(q_hist, r_hist)
+        k += 1
+        steps.record_update(rows, k, coeffs, ranks)
 
 
 def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
@@ -395,11 +388,13 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
               keep: int = 0) -> list[IterationTrace]:
     """run_scheme from every row of X0 (B, n): one IterationTrace per row.
 
-    The rows run in lockstep as one batch, split only while the history the
-    running rows hold would outgrow the budget of rows_per_chunk.  An error
-    in q (EvalError) fails only the rows it was raised on, and a trace's
-    failure is the error that stopped its row (not raised).  Every row
-    equals its single-init run bit for bit.  Each trace keeps the row's first
+    The rows run in lockstep, every running row taking each step together;
+    each running row holds its q and r histories, 2 n (window + 1) floats,
+    and the update steps them in chunks of rows_per_chunk rows, whose
+    temporaries stay within linalg.CHUNK_FLOATS.  An error in q (EvalError)
+    fails only the rows it was raised on, and a trace's failure is the error
+    that stopped its row (not raised).  Every row equals its single-init run
+    bit for bit.  Each trace keeps the row's first
     keep iterates and the coefficients and ranks that produced them (none at
     keep = 0), as views of the batch's step log, which holds B times the
     longest row's steps.

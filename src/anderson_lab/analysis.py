@@ -10,7 +10,7 @@ import numpy as np
 # run_scheme is unused here but stays bound: perfbench/tracer.py patches
 # analysis.run_scheme by name
 from .accelerators import (  # noqa: F401
-    AccelConfig, IterationTrace, _iterate, last_usable, root_error, run_scheme)
+    TAIL_WINDOW, AccelConfig, IterationTrace, _iterate, last_usable, root_error, run_scheme)
 from .augmented import directional_derivative
 from .errors import InsufficientData
 from .linalg import chunk_rows, spectral_radius
@@ -91,14 +91,20 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
     """estimate_r_factor of every trace at once, as columns with a row per trace.
 
     A trace that failed or has no usable iteration gets no estimate; NaN
-    error norms (x* unknown) are never usable.  The traces' error norms are
-    the rows of one table, padded with NaN, whose tails last_usable finds,
-    as a sweep's run loop finds them.
+    error norms (x* unknown) are never usable.  The error norms of the
+    traces whose lengths have the same bit length are the rows of one table,
+    padded with NaN, whose tails last_usable finds, as a sweep's run loop
+    finds them; no trace is padded to more than twice its length.
     """
-    errs = np.full((len(traces), max((len(tr.error_norms) for tr in traces), default=0)), np.nan)
-    for i, tr in enumerate(traces):
-        errs[i, :len(tr.error_norms)] = tr.error_norms
-    e, k = last_usable(errs, np.arange(errs.shape[1]), [tr.x_star_norm for tr in traces])
+    lengths = [len(tr.error_norms) for tr in traces]
+    bits = np.frexp(np.array(lengths, dtype=int))[1]  # each length's bit length
+    e, k = np.full((len(traces), TAIL_WINDOW), np.nan), np.zeros((len(traces), TAIL_WINDOW), int)
+    for group in (np.flatnonzero(bits == b).tolist() for b in np.unique(bits)):
+        errs = np.full((len(group), max(lengths[i] for i in group)), np.nan)
+        for row, i in enumerate(group):
+            errs[row, :lengths[i]] = traces[i].error_norms
+        e[group], k[group] = last_usable(errs, np.arange(errs.shape[1]),
+                                         [traces[i].x_star_norm for i in group])
     return _estimates(e, k, np.array([tr.converged for tr in traces], dtype=bool),
                       np.array([tr.failure is not None for tr in traces], dtype=bool))
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .accelerators import _aa_update, rows_per_chunk
+from .accelerators import _chunked_update
 from .errors import MissingJacobian
 from .linalg import (_check_finite, check_nonsingular, operator_norm_2, rank_tolerance,
                      stacked_anderson_coefficients)
@@ -73,21 +73,18 @@ def _lifted_update(problem: FixedPointProblem,
     """The AA update of every state of a block stack: new newest blocks (S, n), beta (S, m).
 
     Block 0 of a state is its newest iterate, so the history the update reads
-    (oldest first) is the blocks reversed.  The states go in chunks of
-    rows_per_chunk(n, m) states, as the run loop's batches do.
+    (oldest first) is the blocks reversed.  q runs once on the whole stack,
+    which holds about three copies of it (the blocks oldest first, q and r),
+    and the update steps the states in chunks (_chunked_update), as the run
+    loop's update does.
     """
-    S, m1, n = blocks.shape
-    if n != problem.dim:
+    if blocks.shape[2] != problem.dim:
         raise ValueError("state block size does not match problem dimension")
-    x_next, coeffs = np.empty((S, n)), np.empty((S, m1 - 1))
-    chunk = rows_per_chunk(n, m1 - 1)
-    for start in range(0, S, chunk):
-        part = slice(start, start + chunk)
-        # (m+1, s, n), oldest block first; contiguous so that every product in
-        # the update runs as in the batched run loop
-        X = np.ascontiguousarray(blocks[part, ::-1].transpose(1, 0, 2))
-        Qx = problem.q(X)
-        x_next[part], coeffs[part], _ = _aa_update(list(Qx), list(X - Qx))
+    # (m+1, S, n), oldest block first; contiguous so that every product in
+    # the update runs as in the batched run loop
+    X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
+    Qx = problem.q(X)
+    x_next, coeffs, _ = _chunked_update(list(Qx), list(X - Qx))
     return x_next, coeffs
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import NonConvergence, NonFinite, SingularA
 
 _EPS = np.finfo(float).eps
-# floats per chunk of a stacked computation (derivative samples, lifted-map
-# states, AA(inf) runs): a chunk's temporaries stay at tens of MB whatever n and m are
+# floats per chunk of a stacked computation (derivative samples, the AA update's
+# rows, GMRES rows): a chunk's temporaries stay at tens of MB whatever n and m are
 CHUNK_FLOATS = 1 << 18
 
 

@@ -755,9 +755,9 @@ def _logged_steps(monkeypatch, problem):
     return replace(problem, q=logged_q), log
 
 
-def _split_mid_run(log):
-    """True when an update of the log is followed by a q call on fewer rows (a split at k > 0)."""
-    return any(a[0] == "update" and b[0] == "q" and b[1] < a[1] for a, b in zip(log, log[1:]))
+def _chunked_step(log):
+    """True when some step of the log makes more than one update call (a chunked update)."""
+    return any(a[0] == b[0] == "update" for a, b in zip(log, log[1:]))
 
 
 STEP_LOG_RSS = """
@@ -774,6 +774,31 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert [len(tr) for tr in traces] == [2001] * 1000
 print((peak - start) * 1024)  # ru_maxrss is in KiB
 """
+
+# AA(6)'s memory over 8 steps of 2000 rows at n = 200 with stop_tol = 0
+WIDE_BATCH_RSS = """
+import resource
+import numpy as np
+from anderson_lab.accelerators import AccelConfig, run_batch
+from anderson_lab.problems import problem_from_id
+problem = problem_from_id("linear200")
+X0 = np.random.default_rng(0).uniform(-0.25, 0.25, (2000, 200))
+start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+traces = run_batch(problem, X0, AccelConfig(window_m=6, max_iters=8, stop_tol=0.0))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert [len(tr) for tr in traces] == [9] * 2000
+print((peak - start) * 1024)  # ru_maxrss is in KiB
+"""
+
+
+def _rss_growth(script: str) -> int:
+    """The ru_maxrss growth in bytes that script prints, run in a fresh interpreter."""
+    src = str(Path(accelerators.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return int(proc.stdout)
 
 
 class TestRunBatch:
@@ -843,12 +868,17 @@ class TestRunBatch:
         # FP on M = diag(0.999, 0.5) with stop_tol = 0: 1000 rows run all
         # 2000 steps.  The step log holds 16 bytes (two norms) per row-step;
         # the bound leaves room for one doubling of its tables
-        src = str(Path(accelerators.__file__).resolve().parents[1])
-        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", STEP_LOG_RSS], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert int(proc.stdout) <= 32 * 1000 * 2000
+        assert _rss_growth(STEP_LOG_RSS) <= 32 * 1000 * 2000
+
+    def test_wide_batch_memory_is_its_histories(self):
+        # every running row holds its 7 q and 7 r history entries, 2 n 7
+        # floats, and the update's temporaries stay within CHUNK_FLOATS.  The
+        # bound adds six (B, n) arrays (the iterates, the next ones and the
+        # norms' temporaries) and 4 CHUNK_FLOATS; an unchunked update (R, Q
+        # and U of every row) or a copy of the histories exceeds it
+        B, n = 2000, 200
+        histories = 2 * n * 7 * B
+        assert _rss_growth(WIDE_BATCH_RSS) <= 8 * (histories + 6 * B * n + 4 * linalg.CHUNK_FLOATS)
 
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):
@@ -945,8 +975,8 @@ class TestRunBatch:
             alone = {i: run_scheme(problem, X0[i], cfg) for i in sample}
             # a budget that fits 160 rows at window 0, 80 at window 1 and 53 at
             # window 2; one that fits 20, 10 and 6; and the default, which
-            # splits nothing.  Every split is before step 5, and restarted
-            # AA(2) runs resumed cohorts across its restarts at k = 3 and 6
+            # chunks nothing.  Restarted AA(2) chunks its updates across its
+            # restarts at k = 3 and 6
             for budget in (5 * 2 * 1 * 160, 5 * 2 * 1 * 20, None):
                 with monkeypatch.context() as patch:
                     if budget is not None:
@@ -954,9 +984,9 @@ class TestRunBatch:
                     logged, log = _logged_steps(patch, problem)
                     batch = run_batch(logged, X0, cfg, keep=keep)
                 assert len(batch) == 300
-                assert (log[0] == ("q", 300)) == (budget is None)  # a split at k = 0
-                if budget is not None and cfg.window_m:
-                    assert _split_mid_run(log)
+                assert log[0] == ("q", 300)  # every row takes step 0 together
+                if budget is not None:
+                    assert _chunked_step(log)
                 for i in sample:
                     np.testing.assert_array_equal(alone[i].residual_norms,
                                                   batch[i].residual_norms)
@@ -1008,6 +1038,8 @@ class TestRunBatch:
         assert q_rows[0] == B
         assert len(q_rows) == max(map(len, batch))  # one q call per step
         assert q_rows == sorted(q_rows, reverse=True)
+        # and one update call, unchunked, between two q calls
+        assert [event for event, *_ in log].count("update") == len(q_rows) - 1
 
     def test_failures_across_splits_equal_single_runs(self, monkeypatch):
         # q = 1 + 1/x raises EvalError on the rows at 0: 0 at once, -1 after
@@ -1016,8 +1048,8 @@ class TestRunBatch:
         problem = problem_scalar()
         X0 = np.array([1.0, 0.0, 2.0, -1.0, 1e13, 3.0, 1e-13, 0.5, -1.0, 0.0,
                        1e13, 1e-13, 0.25, 5.0, 0.0, -1.0])[:, None]
-        # 4 rows a cohort at window 0 and 2 at window 1: the failing rows of
-        # a mask share a cohort with running rows and are spread over several
+        # update chunks of 4 rows at window 0 and 2 at window 1: the rows
+        # that stay after a mask's rows fail are spread over several chunks
         monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * 1 * 1 * 4)
         for cfg in (AccelConfig(window_m=0, max_iters=60), AccelConfig(window_m=1, max_iters=20),
                     AccelConfig(window_m=2, restart=True, max_iters=20)):
@@ -1028,7 +1060,8 @@ class TestRunBatch:
 
     def test_unknown_fixed_point_gives_nan_error_columns(self, monkeypatch):
         # q(x) = x / 2 without its fixed point: every error-based value is NaN,
-        # with no warning, and every row equals its single run, split or not
+        # with no warning, and every row equals its single run, its update
+        # chunked or not
         problem = FixedPointProblem(dim=2, q=lambda x: 0.5 * x)
         X0 = np.random.default_rng(6).uniform(-1.0, 1.0, (12, 2))
         with warnings.catch_warnings():
@@ -1042,7 +1075,7 @@ class TestRunBatch:
                         patch.setattr(linalg, "CHUNK_FLOATS", budget)
                     logged, log = _logged_steps(patch, problem)
                     batch = run_batch(logged, X0, cfg)
-                assert log[0] == ("q", 12 if budget is None else 3)
+                assert log[0] == ("q", 12)
                 for i, (x0, tr) in enumerate(zip(X0, batch)):
                     _assert_row_matches_single_run(batch, i, problem, x0, cfg)
                     assert tr.failure is None and tr.converged

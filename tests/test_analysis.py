@@ -203,6 +203,32 @@ _TRACE_SPEC = st.tuples(
     st.sampled_from([0.0, 1.0, 1e3]), st.booleans())
 
 
+# 200 traces of 100 steps and one of 50000
+ESTIMATES_RSS = """
+import resource
+import numpy as np
+from anderson_lab.accelerators import IterationTrace
+from anderson_lab.analysis import estimate_r_factors
+traces = [IterationTrace(error_norms=0.9 ** np.arange(100.0)) for _ in range(200)]
+traces.append(IterationTrace(error_norms=np.full(50000, 0.5)))
+start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+est = estimate_r_factors(traces)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert est.k_used.tolist() == [99] * 200 + [49999]
+print((peak - start) * 1024)  # ru_maxrss is in KiB
+"""
+
+
+def _rss_growth(script: str) -> int:
+    """The ru_maxrss growth in bytes that script prints, run in a fresh interpreter."""
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return int(proc.stdout)
+
+
 class TestEstimateRFactors:
     @settings(max_examples=200, deadline=None)
     @given(specs=st.lists(_TRACE_SPEC, max_size=8))
@@ -219,6 +245,11 @@ class TestEstimateRFactors:
                     ([0.5 ** k for k in range(30)], 0.0, True),
                     ([0.5 ** k for k in range(30)], 0.0, True)])
         _assert_batch_matches_full_sequence(specs, failed={2, len(specs) - 1})
+
+    def test_memory_follows_each_trace_length(self):
+        # padding the short traces to the long one would hold 201 x 50000
+        # error norms (80 MB) and last_usable's tables of that size
+        assert _rss_growth(ESTIMATES_RSS) <= 16 * 2**20
 
     def test_sweep_estimates_equal_single_estimates(self):
         p = problem_linear_2x2()
@@ -313,15 +344,15 @@ class TestMonteCarloSweep:
            B=st.integers(1, 12), m=st.integers(0, 4), restart=st.booleans(),
            stop_tol=st.sampled_from([1e-12, 0.0]), max_iters=st.integers(1, 90),
            budget=st.sampled_from([None, 40, 200]))
-    # a budget of 40 floats splits the batch, and a cohort that resumes after
-    # another has run past 32 or 64 steps resumes below the sweep's window
+    # a budget of 40 floats chunks the updates of a batch whose rows run past
+    # the end of the sweep's window of 32 steps, once or twice
     @example(case=0, seed=0, B=5, m=0, restart=False, stop_tol=1e-12, max_iters=33, budget=40)
     @example(case=0, seed=0, B=5, m=1, restart=True, stop_tol=0.0, max_iters=65, budget=40)
     def test_estimates_equal_those_of_the_traces_bitwise(self, case, seed, B, m, restart,
                                                           stop_tol, max_iters, budget):
         # the sweep keeps each run's tail in the run loop; estimate_r_factors
         # reads the same tails from the traces of run_batch.  A budget of 40
-        # or 200 floats splits the batch into cohorts
+        # or 200 floats chunks the batch's updates
         problem, extra = _SWEEP_PROBLEMS[case]
         X0 = np.concatenate([np.random.default_rng(seed).uniform(-1.0, 1.0, (B, problem.dim)),
                              np.reshape(extra, (-1, problem.dim))])
@@ -360,12 +391,7 @@ class TestMonteCarloSweep:
     def test_memory_does_not_grow_with_the_steps(self):
         # FP on M = diag(0.999, 0.5) with stop_tol = 0: 1000 rows run all
         # 4000 steps, and the sweep's peak stays that of 100 steps
-        src = str(Path(analysis.__file__).resolve().parents[1])
-        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", SWEEP_RSS], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert int(proc.stdout) <= 4 * 2**20
+        assert _rss_growth(SWEEP_RSS) <= 4 * 2**20
 
     def _sweep(self, seed=5, n_inits=30):
         p = problem_linear_2x2()

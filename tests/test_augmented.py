@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anderson_lab import linalg
+from anderson_lab import accelerators, linalg
 from anderson_lab.accelerators import AccelConfig, aa_run, aa_step
 from anderson_lab.augmented import (
     beta_hat,
@@ -180,8 +180,13 @@ class TestLiftedMapProperties:
         Z = p.known_fixed_point + 0.1 * np.random.default_rng(6).standard_normal((10, m + 1, n))
         monkeypatch.setattr(linalg, "CHUNK_FLOATS", 5 * (m + 1) * n * 3)
         chunks = []
-        counted = replace(p, q=lambda x: chunks.append(x.shape[1]) or p.q(x))
-        psi, beta = psi_apply(counted, Z), beta_of_z(p, Z)
+        update = accelerators._aa_update
+        with monkeypatch.context() as patch:
+            patch.setattr(accelerators, "_aa_update",
+                          lambda q_hist, r_hist: chunks.append(len(q_hist[-1]))
+                          or update(q_hist, r_hist))
+            psi = psi_apply(p, Z)
+        beta = beta_of_z(p, Z)
         assert chunks == [3, 3, 3, 1]
         for i in range(len(Z)):
             assert psi[i].tobytes() == psi_apply(p, Z[i]).tobytes()

@@ -628,10 +628,10 @@ class TestGmresCompare:
                                                           ("linear2x2", 20, 7)])
     def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch,
                                                     problem_id, iters, n_inits):
-        # the default budget, which splits nothing at these sizes; one that
-        # fits 3 rows at k = 0 (a split there, and more as the window grows);
-        # and one that fits all rows up to a history of 2 entries (AA(1) runs
-        # whole, AA(inf) splits at k = 2)
+        # the default budget, which chunks nothing at these sizes; one that
+        # fits 3 rows at k = 0 (every update chunked, in smaller chunks as the
+        # window grows); and one that fits all rows up to a history of 2
+        # entries (AA(1) updates whole, AA(inf) in chunks from k = 2)
         n = problem_from_id(problem_id).dim
         outputs = []
         for budget in (None, 5 * n * 1 * 3, 5 * n * 2 * n_inits):
