@@ -20,7 +20,7 @@ from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, Stagnation
 # anderson_coefficients and make_affine are unused here but stay bound:
 # perfbench/tracer.py patches accelerators.anderson_coefficients and
 # accelerators.make_affine by name
-from .linalg import anderson_coefficients, chunk_rows, stacked_anderson_coefficients  # noqa: F401
+from .linalg import _check_finite, _stacked_solve, anderson_coefficients, chunk_rows  # noqa: F401
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
@@ -109,7 +109,8 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     column j pairs the newest residual with the one j + 1 steps older.
     Returns the next iterates (B, n), the coefficients (B, mk) and the
     numerical ranks (B,).  mk = 0 is the plain fixed-point step, which solves
-    nothing: no coefficients, rank 0.
+    nothing: no coefficients, rank 0.  The solve (linalg._stacked_solve)
+    runs unchecked, so R and r must be finite, as the callers make sure.
     """
     qk, rk = q_hist[-1], r_hist[-1]
     mk = len(q_hist) - 1
@@ -120,7 +121,7 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     for j in range(mk):
         np.subtract(rk, r_hist[-2 - j], out=R[..., j])
         np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
-    coeffs, ranks = stacked_anderson_coefficients(R, rk)
+    coeffs, ranks = _stacked_solve(R, rk)
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks
 
 
@@ -158,6 +159,7 @@ def aa_step(problem: FixedPointProblem,
     X = np.asarray(history, dtype=float)
     Qx = problem.q(X)
     Rx = X - Qx
+    _check_finite("R", Rx[-1] - Rx[:-1])  # R's columns, finite only if r is too
     x_next, coeffs, ranks = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
     return x_next[0], coeffs[0], int(ranks[0])
 
@@ -368,7 +370,7 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
         if k == cfg.max_iters or not rows.size:
             return steps
 
-        # every residual in the history has a finite norm, so R is finite
+        # every residual in the history has a finite norm, so R and r are finite
         X, coeffs, ranks = _chunked_update(q_hist, r_hist)
         k += 1
         steps.record_update(rows, k, coeffs, ranks)

@@ -84,7 +84,10 @@ def _lifted_update(problem: FixedPointProblem,
     # the update runs as in the batched run loop
     X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
     Qx = problem.q(X)
-    x_next, coeffs, _ = _chunked_update(list(Qx), list(X - Qx))
+    Rx = X - Qx
+    # the update solves unchecked: R's columns, finite only if r is too
+    _check_finite("R", Rx[-1] - Rx[:-1])
+    x_next, coeffs, _ = _chunked_update(list(Qx), list(Rx))
     return x_next, coeffs
 
 

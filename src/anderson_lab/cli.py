@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -326,6 +327,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anderson-lab",

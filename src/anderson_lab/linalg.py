@@ -134,17 +134,11 @@ def anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, Ran
 def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """anderson_coefficients for each slice of a stack, with one stacked SVD.
 
-    R has shape (S, n, m) and r shape (S, n).  Returns the (S, m) coefficients
-    and the (S,) numerical ranks.  Every slice follows the rules of the 2-D
-    function exactly: the relative degenerate-step rule (beta = 0, rank 0),
-    the rank cut-off of rank_tolerance, and the minimum-norm solution beyond it.
-
-    Each slice comes out bit for bit equal to the 2-D function: the products
-    are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
-    function runs on one slice; the column norms, computed only where the
-    largest singular value leaves the degenerate-step rule open, are those of
-    np.linalg.norm; and a rank-deficient slice is solved again by
-    min_norm_lstsq, which sums over the kept singular directions only.
+    R has shape (S, n, m) and r shape (S, n), both finite (NonFinite
+    otherwise).  Returns the (S, m) coefficients and the (S,) numerical
+    ranks.  Every slice follows the rules of the 2-D function exactly: the
+    relative degenerate-step rule (beta = 0, rank 0), the rank cut-off of
+    rank_tolerance, and the minimum-norm solution beyond it.
     """
     R = np.asarray(R, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -153,9 +147,24 @@ def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndar
                          f"got {R.shape} and {r.shape}")
     _check_finite("R", R)
     _check_finite("r", r)
+    if R.shape[2] == 0:
+        return np.zeros(R.shape[::2]), np.zeros(len(R), dtype=int)
+    return _stacked_solve(R, r)
+
+
+def _stacked_solve(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """stacked_anderson_coefficients of a finite float stack with m >= 1, unchecked.
+
+    Each slice comes out bit for bit equal to the 2-D function: the products
+    are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
+    function runs on one slice; the column norms, computed only where the
+    largest singular value leaves the degenerate-step rule open, are those of
+    np.linalg.norm; and a rank-deficient slice is solved again by
+    min_norm_lstsq, which sums over the kept singular directions only.  A
+    stack of informative full-rank slices, the usual case, is solved with
+    no more than the SVD and the two products.
+    """
     S, n, m = R.shape
-    if m == 0:
-        return np.zeros((S, 0)), np.zeros(S, dtype=int)
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
     # the degenerate-step rule: a slice is informative when its largest
     # column norm exceeds cut.  ||R||_2 >= that norm >= ||R||_2 / sqrt(m), so
@@ -166,6 +175,12 @@ def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     # compute their column norms, as np.linalg.norm(R, axis=1) computes them
     cut = max(n, m) * _EPS * np.sqrt(np.vecdot(r, r))
     informative = (s[:, 0] > 2.0 * np.sqrt(m) * cut) & (s[:, 0] >= 1e-140)
+    Ur = np.matmul(U.transpose(0, 2, 1), r[..., None])[..., 0]
+    # every slice informative and of full rank: s is sorted, so a last value
+    # above rank_tolerance's cut-off keeps every one
+    if (informative & (s[:, -1] > max(n, m) * _EPS * s[:, 0])).all():
+        coeffs = np.matmul(-Vt.transpose(0, 2, 1), (Ur / s)[..., None])[..., 0]
+        return coeffs, np.full(S, s.shape[1])
     unsure = np.flatnonzero(~informative)
     if unsure.size:
         Ru = R[unsure]
@@ -173,7 +188,6 @@ def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndar
 
     tol = rank_tolerance(n, m, s[:, 0])
     kept = (s > tol[:, None]) & informative[:, None]
-    Ur = np.matmul(U.transpose(0, 2, 1), r[..., None])[..., 0]
     w = np.divide(Ur, s, out=np.zeros_like(Ur), where=kept)
     coeffs = np.matmul(-Vt.transpose(0, 2, 1), w[..., None])[..., 0]
     ranks = kept.sum(axis=1)

@@ -8,7 +8,7 @@ An AffineSpec is finite, and make_affine builds it only if I - M is nonsingular.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,6 +117,8 @@ def problem_linear_200(l2: float, l3: float, l4: float) -> FixedPointProblem:
     Diagonal slots hold (0.9, l2, l3, l4) followed by 196 values spaced
     uniformly (both endpoints included) from 0.29325 down to 0.03.  The slot
     ordering is fixed for reproducibility; it does not affect the spectrum.
+    q applies M in O(n), bit for bit equal to M x + b; affine keeps the dense
+    M for GMRES, the Jacobian and x*.
     """
     for name, lam in (("l2", l2), ("l3", l3), ("l4", l4)):
         if not abs(lam) < 1.0:  # NaN included
@@ -126,7 +128,18 @@ def problem_linear_200(l2: float, l3: float, l4: float) -> FixedPointProblem:
     )
     M = np.diag(diag)
     M[0, 1] = 1.0
-    return make_affine(AffineSpec(M=M, b=np.zeros(200)))
+    spec = AffineSpec(M=M, b=np.zeros(200))
+
+    def q(x):
+        # M x in O(n), bit for bit the dense matvec: each row of M has at most
+        # two non-zeros and the product 1 * x_2 is exact, so both round the
+        # same terms; + b turns a -0 sum into +0, as it does after the matvec
+        x = np.asarray(x, dtype=float)
+        y = x * diag
+        y[..., 0] += x[..., 1]
+        return y + spec.b
+
+    return replace(make_affine(spec), q=q)
 
 
 def problem_scalar() -> FixedPointProblem:

@@ -24,7 +24,7 @@ from anderson_lab.accelerators import (
 )
 from anderson_lab.errors import (AndersonLabError, Breakdown, Diverged, EvalError, NonFinite,
                                  StagnationDetected)
-from anderson_lab.linalg import stacked_anderson_coefficients
+from anderson_lab.linalg import _stacked_solve
 from anderson_lab.problems import (
     AffineSpec,
     FixedPointProblem,
@@ -212,7 +212,7 @@ class TestAaRun:
         cfg = AccelConfig(window_m=m, restart=restart, max_iters=30, stop_tol=0.0)
         tr_fp = run_scheme(p, x0, replace(cfg, window_m=0, restart=False))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(accelerators, "stacked_anderson_coefficients",
+            mp.setattr(accelerators, "_stacked_solve",
                        lambda R, r: (np.zeros(R.shape[::2]), np.zeros(len(R), dtype=int)))
             tr_aa = run_scheme(p, x0, cfg)
         assert any(_widths(tr_aa))
@@ -956,9 +956,9 @@ class TestRunBatch:
 
         def counted(*args, **kwargs):
             solves.append(1)
-            return stacked_anderson_coefficients(*args, **kwargs)
+            return _stacked_solve(*args, **kwargs)
 
-        monkeypatch.setattr(accelerators, "stacked_anderson_coefficients", counted)
+        monkeypatch.setattr(accelerators, "_stacked_solve", counted)
         X0 = np.random.default_rng(5).uniform(-0.25, 0.25, (50, 2))
         cfg = AccelConfig(window_m=3, max_iters=100)
         batch = run_batch(problem_nonlinear_2x2(), X0, cfg)

@@ -145,6 +145,27 @@ class TestPsiApply:
             with pytest.raises(ValueError):
                 beta_of_z(p, np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_non_finite_block_raises_non_finite(self, bad, block):
+        # the update solves unchecked, so the lifted map and aa_step check R;
+        # an Inf block's residual is Inf - Inf, which warns
+        Z = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3, 2))
+        Z[3, block, 1] = bad
+        for f in (psi_apply, beta_of_z):
+            for p, z in ((problem_linear_2x2(), Z), (problem_nonlinear_2x2(), Z[3])):
+                with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+                    f(p, z)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+            aa_step(problem_linear_2x2(), Z[3, ::-1])  # the same history, oldest first
+
+    def test_finite_residuals_whose_difference_overflows_raise_non_finite(self):
+        p = make_affine(AffineSpec(M=np.zeros((2, 2)), b=np.zeros(2)))  # r(x) = x
+        z = np.array([[1.5e308, 1.0], [-1.5e308, 1.0]])
+        for f in (psi_apply, beta_of_z, lambda p, z: aa_step(p, z[::-1])):
+            with np.errstate(over="ignore"), pytest.raises(NonFinite):
+                f(p, z)
+
 
 def _lifted_map_problem(seed, n, affine):
     """A random affine problem with rho(M) < 1, or nonlinear2x2 (n = 2)."""

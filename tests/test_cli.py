@@ -691,6 +691,29 @@ class TestGmresCompare:
             assert {row[0] for row in _read_csv(out / name)[2]} == {"0", "1", "2", "3"}
 
 
+def test_commands_in_one_process_equal_fresh_process_runs(tmp_path, capsys):
+    """main builds its parser once per process; back-to-back commands still run as alone."""
+    commands = (["sweep", "--problem", "linear2x2", "--scheme", "aa", "--m", "2",
+                 "--box=-0.25,0.25", "--inits", "20", "--seed", "3"],
+                ["run", "--problem", "nonlinear2x2", "--scheme", "fp", "--x0", "0.2,0.1"],
+                ["run", "--problem", "linear2x2", "--m", "-1"])  # a configuration error
+    src = str(Path(anderson_lab.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for i, argv in enumerate(commands):
+        rc = main([*argv, "--out", str(tmp_path / f"in{i}")])
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "anderson_lab.cli", *argv,
+                                "--out", str(tmp_path / f"fresh{i}")],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        files = sorted(p.name for p in (tmp_path / f"in{i}").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / f"fresh{i}").iterdir())
+        for name in files:
+            assert ((tmp_path / f"in{i}" / name).read_bytes()
+                    == (tmp_path / f"fresh{i}" / name).read_bytes())
+
+
 def test_readme_commands_parse():
     """Every anderson-lab command in README's bash blocks uses flags the CLI has."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

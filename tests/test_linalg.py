@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anderson_lab import linalg
 from anderson_lab.errors import NonFinite, SingularA
 from anderson_lab.linalg import (
+    _stacked_solve,
     anderson_coefficients,
     check_nonsingular,
     min_norm_lstsq,
@@ -238,12 +240,12 @@ def _screening_band(seed, n, m):
     return np.array([R for R, _ in slices]), np.array([r for _, r in slices])
 
 
-def _assert_slices_match_2d_solve(R, r):
-    """Stacked-solve (R, r); assert each slice equals the 2-D solve bit for bit.
+def _assert_slices_match_2d_solve(R, r, solve=stacked_anderson_coefficients):
+    """Stacked-solve (R, r) with solve; assert each slice equals the 2-D solve bit for bit.
 
     The rank and the signs of zeros must match too.
     """
-    coeffs, ranks = stacked_anderson_coefficients(R, r)
+    coeffs, ranks = solve(R, r)
     for i in range(len(R)):
         expected, info = anderson_coefficients(R[i], r[i])
         assert ranks[i] == info.numerical_rank
@@ -320,3 +322,36 @@ class TestStackedAndersonCoefficients:
             stacked_anderson_coefficients(np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(ValueError):
             stacked_anderson_coefficients(np.zeros((2, 3, 1)), np.zeros((2, 2)))
+
+
+class TestStackedSolveFastPath:
+    """The unchecked kernel solves a stack of informative full-rank slices with the SVD alone."""
+
+    @staticmethod
+    def _full_rank(n, m, S=6):
+        rng = np.random.default_rng(100 * n + m)
+        scales = 10.0 ** rng.uniform(-100, 100, S)
+        return (rng.standard_normal((S, n, m)) * scales[:, None, None],
+                rng.standard_normal((S, n)) * scales[:, None])
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (200, 6), (3, 3), (1, 1), (2, 5), (1, 4)])
+    def test_matches_2d_solve_with_ranks_min_n_m(self, n, m):
+        R, r = self._full_rank(n, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "rank_tolerance", None)  # which only the slow path calls
+            fast = _stacked_solve(R, r)
+        _, ranks = _assert_slices_match_2d_solve(R, r, lambda R, r: fast)
+        np.testing.assert_array_equal(ranks, min(n, m))
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (200, 6), (3, 3), (2, 5)])
+    @pytest.mark.parametrize("kind", ["rank_deficient", "degenerate"])
+    def test_one_other_slice_takes_the_slow_path_and_keeps_the_others(self, n, m, kind):
+        R, r = self._full_rank(n, m)
+        fast, _ = _stacked_solve(R, r)
+        odd = R[2].copy()
+        odd[:] = odd[:, :1] if kind == "rank_deficient" else 0.0  # rank 1, or beta = 0
+        stack_R, stack_r = np.insert(R, 2, odd, axis=0), np.insert(r, 2, r[2], axis=0)
+        coeffs, ranks = _assert_slices_match_2d_solve(stack_R, stack_r, _stacked_solve)
+        assert ranks[2] == (1 if kind == "rank_deficient" else 0)
+        others = np.delete(coeffs, 2, axis=0)
+        assert others.tobytes() == fast.tobytes()

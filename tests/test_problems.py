@@ -153,6 +153,24 @@ class TestLinear200:
         with pytest.raises(ValueError):
             problem_linear_200(1.0, 0.0, 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lams=st.tuples(*[st.floats(-0.999, 0.999)] * 3), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(), (1,), (7,), (3, 5)]),
+           exponents=st.tuples(st.integers(-325, 300), st.integers(-325, 300)))
+    def test_q_is_the_dense_matvec_bit_for_bit(self, lams, seed, shape, exponents):
+        # q applies M in O(n); each row must equal M x + b as the dense
+        # matvec computes it, the sign of a zero included, and q of its row alone
+        p = problem_linear_200(*lams)
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+        X = rng.choice([-1.0, 1.0], shape + (200,)) * 10.0 ** rng.uniform(lo, hi, shape + (200,))
+        X[rng.random(X.shape) < 0.1] = 0.0
+        X[rng.random(X.shape) < 0.1] = -0.0
+        Q = p.q(X)
+        assert Q.tobytes() == ((p.affine.M @ X[..., None])[..., 0] + p.affine.b).tobytes()
+        for idx in np.ndindex(shape):
+            assert Q[idx].tobytes() == p.q(X[idx]).tobytes()
+
 
 class TestScalar:
     def test_golden_ratio_fixed_point(self):
