@@ -20,7 +20,8 @@ from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, Stagnation
 # anderson_coefficients and make_affine are unused here but stay bound:
 # perfbench/tracer.py patches accelerators.anderson_coefficients and
 # accelerators.make_affine by name
-from .linalg import _check_finite, _stacked_solve, anderson_coefficients, chunk_rows  # noqa: F401
+from .linalg import (_stacked_solve, anderson_coefficients, chunk_rows,  # noqa: F401
+                     stacked_anderson_coefficients)
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
@@ -101,7 +102,7 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _aa_update(q_hist: list, r_hist: list) -> tuple:
+def _aa_update(q_hist: list, r_hist: list, solve) -> tuple:
     """One AA update for a batch, from cached q and r histories, oldest first.
 
     Each history entry is a (B, n) array; with mk + 1 entries the update
@@ -109,8 +110,10 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     column j pairs the newest residual with the one j + 1 steps older.
     Returns the next iterates (B, n), the coefficients (B, mk) and the
     numerical ranks (B,).  mk = 0 is the plain fixed-point step, which solves
-    nothing: no coefficients, rank 0.  The solve (linalg._stacked_solve)
-    runs unchecked, so R and r must be finite, as the callers make sure.
+    nothing: no coefficients, rank 0.  solve is the stacked solve: linalg's
+    stacked_anderson_coefficients, which raises NonFinite on a non-finite
+    entry of R or r, or its unchecked kernel _stacked_solve where both are
+    known to be finite.
     """
     qk, rk = q_hist[-1], r_hist[-1]
     mk = len(q_hist) - 1
@@ -121,7 +124,7 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     for j in range(mk):
         np.subtract(rk, r_hist[-2 - j], out=R[..., j])
         np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
-    coeffs, ranks = _stacked_solve(R, rk)
+    coeffs, ranks = solve(R, rk)
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks
 
 
@@ -134,7 +137,7 @@ def rows_per_chunk(n: int, window: int) -> int:
     return chunk_rows(5 * n * (window + 1))
 
 
-def _chunked_update(q_hist: list, r_hist: list) -> tuple:
+def _chunked_update(q_hist: list, r_hist: list, solve) -> tuple:
     """_aa_update of every row of the histories, one chunk of rows_per_chunk rows at a time.
 
     The chunks keep the update's temporaries within linalg.CHUNK_FLOATS
@@ -145,8 +148,8 @@ def _chunked_update(q_hist: list, r_hist: list) -> tuple:
     B, n = q_hist[-1].shape
     chunk = rows_per_chunk(n, len(q_hist) - 1)
     if B <= chunk:
-        return _aa_update(q_hist, r_hist)
-    parts = [_aa_update([a[s:s + chunk] for a in q_hist], [a[s:s + chunk] for a in r_hist])
+        return _aa_update(q_hist, r_hist, solve)
+    parts = [_aa_update([a[s:s + chunk] for a in q_hist], [a[s:s + chunk] for a in r_hist], solve)
              for s in range(0, B, chunk)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -156,12 +159,18 @@ def aa_step(problem: FixedPointProblem,
     """One AA update from the last min(k, m) + 1 iterates (newest last): x_next, beta, rank."""
     if not len(history):
         raise ValueError("history must contain at least the current iterate")
-    X = np.asarray(history, dtype=float)
-    Qx = problem.q(X)
-    Rx = X - Qx
-    _check_finite("R", Rx[-1] - Rx[:-1])  # R's columns, finite only if r is too
-    x_next, coeffs, ranks = _aa_update(list(Qx[:, None]), list(Rx[:, None]))
+    x_next, coeffs, ranks = _update_at(problem, np.asarray(history, dtype=float)[:, None])
     return x_next[0], coeffs[0], int(ranks[0])
+
+
+def _update_at(problem: FixedPointProblem, X: np.ndarray) -> tuple:
+    """_chunked_update of the histories X (k + 1, B, n), oldest first, evaluating q on them.
+
+    R and r are checked as each chunk is solved: NonFinite on a non-finite
+    entry, also where finite residuals differ by more than the largest float.
+    """
+    Qx = problem.q(X)
+    return _chunked_update(list(Qx), list(X - Qx), stacked_anderson_coefficients)
 
 
 def _grown(table: np.ndarray, size: int) -> np.ndarray:
@@ -370,8 +379,9 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
         if k == cfg.max_iters or not rows.size:
             return steps
 
-        # every residual in the history has a finite norm, so R and r are finite
-        X, coeffs, ranks = _chunked_update(q_hist, r_hist)
+        # every residual in the history has a finite norm, so R and r are
+        # finite and the solve can skip the checks
+        X, coeffs, ranks = _chunked_update(q_hist, r_hist, _stacked_solve)
         k += 1
         steps.record_update(rows, k, coeffs, ranks)
 

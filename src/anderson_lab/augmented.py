@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .accelerators import _chunked_update
+from .accelerators import _update_at
 from .errors import MissingJacobian
 from .linalg import (_check_finite, check_nonsingular, operator_norm_2, rank_tolerance,
                      stacked_anderson_coefficients)
@@ -75,19 +75,15 @@ def _lifted_update(problem: FixedPointProblem,
     Block 0 of a state is its newest iterate, so the history the update reads
     (oldest first) is the blocks reversed.  q runs once on the whole stack,
     which holds about three copies of it (the blocks oldest first, q and r),
-    and the update steps the states in chunks (_chunked_update), as the run
-    loop's update does.
+    and the update steps the states in chunks, as the run loop's update
+    does, checking each chunk's R and r (accelerators._update_at).
     """
     if blocks.shape[2] != problem.dim:
         raise ValueError("state block size does not match problem dimension")
     # (m+1, S, n), oldest block first; contiguous so that every product in
     # the update runs as in the batched run loop
     X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
-    Qx = problem.q(X)
-    Rx = X - Qx
-    # the update solves unchecked: R's columns, finite only if r is too
-    _check_finite("R", Rx[-1] - Rx[:-1])
-    x_next, coeffs, _ = _chunked_update(list(Qx), list(Rx))
+    x_next, coeffs, _ = _update_at(problem, X)
     return x_next, coeffs
 
 

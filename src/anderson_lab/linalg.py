@@ -161,8 +161,8 @@ def _stacked_solve(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     largest singular value leaves the degenerate-step rule open, are those of
     np.linalg.norm; and a rank-deficient slice is solved again by
     min_norm_lstsq, which sums over the kept singular directions only.  A
-    stack of informative full-rank slices, the usual case, is solved with
-    no more than the SVD and the two products.
+    stack whose slices are all informative and of full rank skips these
+    steps: it is solved with no more than the SVD and the two products.
     """
     S, n, m = R.shape
     U, s, Vt = np.linalg.svd(R, full_matrices=False)

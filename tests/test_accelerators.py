@@ -743,9 +743,9 @@ def _logged_steps(monkeypatch, problem):
     log = []
     update = accelerators._aa_update
 
-    def logged_update(q_hist, r_hist):
+    def logged_update(q_hist, r_hist, solve):
         log.append(("update", len(q_hist[-1]), len(q_hist) - 1))
-        return update(q_hist, r_hist)
+        return update(q_hist, r_hist, solve)
 
     def logged_q(X):
         log.append(("q", len(X)))

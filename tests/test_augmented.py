@@ -148,7 +148,7 @@ class TestPsiApply:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("block", [0, 1])
     def test_non_finite_block_raises_non_finite(self, bad, block):
-        # the update solves unchecked, so the lifted map and aa_step check R;
+        # the lifted map and aa_step solve with the checked stacked solve;
         # an Inf block's residual is Inf - Inf, which warns
         Z = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3, 2))
         Z[3, block, 1] = bad
@@ -204,8 +204,8 @@ class TestLiftedMapProperties:
         update = accelerators._aa_update
         with monkeypatch.context() as patch:
             patch.setattr(accelerators, "_aa_update",
-                          lambda q_hist, r_hist: chunks.append(len(q_hist[-1]))
-                          or update(q_hist, r_hist))
+                          lambda q_hist, r_hist, solve: chunks.append(len(q_hist[-1]))
+                          or update(q_hist, r_hist, solve))
             psi = psi_apply(p, Z)
         beta = beta_of_z(p, Z)
         assert chunks == [3, 3, 3, 1]
