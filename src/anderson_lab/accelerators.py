@@ -20,8 +20,7 @@ from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, Stagnation
 # anderson_coefficients and make_affine are unused here but stay bound:
 # perfbench/tracer.py patches accelerators.anderson_coefficients and
 # accelerators.make_affine by name
-from .linalg import (_stacked_solve, anderson_coefficients, chunk_rows,  # noqa: F401
-                     stacked_anderson_coefficients)
+from .linalg import _stacked_solve, anderson_coefficients, chunk_rows  # noqa: F401
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
@@ -49,9 +48,14 @@ class AccelConfig:
             raise ValueError("stop_tol must be positive (or exactly 0 to disable)")
 
 
-def root_error(e: float, k: int) -> float:
-    """e^(1/k), the root-averaged error of error norm e at step k; NaN at k = 0."""
-    return e ** (1.0 / k) if k else float("nan")
+def root_error(e, k) -> np.ndarray:
+    """e^(1/k) elementwise, the root-averaged error of error norms e at steps k; NaN where k = 0.
+
+    float_power calls the C library's pow, as Python's float ** does, so each
+    entry is e ** (1.0 / k) bit for bit; np.power may differ in the last bit.
+    """
+    k = np.asarray(k)
+    return np.where(k > 0, np.float_power(e, 1.0 / np.maximum(k, 1)), np.nan)
 
 
 @dataclass
@@ -86,8 +90,7 @@ class IterationTrace:
     @cached_property
     def sigma_k(self) -> list:
         """sigma_k = ||x_k - x*||^(1/k), the root-averaged error, for every k."""
-        errs = np.asarray(self.error_norms, dtype=float).tolist()
-        return list(map(root_error, errs, range(len(errs))))
+        return root_error(self.error_norms, np.arange(len(self.error_norms))).tolist()
 
     @cached_property
     def error_ratios(self) -> list:
@@ -102,7 +105,7 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _aa_update(q_hist: list, r_hist: list, solve) -> tuple:
+def _aa_update(q_hist: list, r_hist: list) -> tuple:
     """One AA update for a batch, from cached q and r histories, oldest first.
 
     Each history entry is a (B, n) array; with mk + 1 entries the update
@@ -110,10 +113,8 @@ def _aa_update(q_hist: list, r_hist: list, solve) -> tuple:
     column j pairs the newest residual with the one j + 1 steps older.
     Returns the next iterates (B, n), the coefficients (B, mk) and the
     numerical ranks (B,).  mk = 0 is the plain fixed-point step, which solves
-    nothing: no coefficients, rank 0.  solve is the stacked solve: linalg's
-    stacked_anderson_coefficients, which raises NonFinite on a non-finite
-    entry of R or r, or its unchecked kernel _stacked_solve where both are
-    known to be finite.
+    nothing: no coefficients, rank 0.  Every residual must have a finite
+    norm, so that R and r are finite: the solve is linalg's unchecked kernel.
     """
     qk, rk = q_hist[-1], r_hist[-1]
     mk = len(q_hist) - 1
@@ -124,7 +125,7 @@ def _aa_update(q_hist: list, r_hist: list, solve) -> tuple:
     for j in range(mk):
         np.subtract(rk, r_hist[-2 - j], out=R[..., j])
         np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
-    coeffs, ranks = solve(R, rk)
+    coeffs, ranks = _stacked_solve(R, rk)
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks
 
 
@@ -137,21 +138,26 @@ def rows_per_chunk(n: int, window: int) -> int:
     return chunk_rows(5 * n * (window + 1))
 
 
-def _chunked_update(q_hist: list, r_hist: list, solve) -> tuple:
-    """_aa_update of every row of the histories, one chunk of rows_per_chunk rows at a time.
+def _in_chunks(update, rows: int, n: int, window: int) -> tuple:
+    """update(s) for the slices s of rows_per_chunk(n, window) rows that cover rows, joined.
 
-    The chunks keep the update's temporaries within linalg.CHUNK_FLOATS
-    whatever the number of rows, and change no value: each row's stacked
-    solve is independent of the others.  Returns _aa_update's triple for
-    all rows.
+    update steps the rows of s (slice(None) when one chunk holds them all)
+    and returns _aa_update's triple for them.  The chunks keep the update's
+    temporaries within linalg.CHUNK_FLOATS whatever the number of rows, and
+    change no value: each row's stacked solve is independent of the others.
     """
-    B, n = q_hist[-1].shape
-    chunk = rows_per_chunk(n, len(q_hist) - 1)
-    if B <= chunk:
-        return _aa_update(q_hist, r_hist, solve)
-    parts = [_aa_update([a[s:s + chunk] for a in q_hist], [a[s:s + chunk] for a in r_hist], solve)
-             for s in range(0, B, chunk)]
+    chunk = rows_per_chunk(n, window)
+    if rows <= chunk:
+        return update(slice(None))
+    parts = [update(slice(s, s + chunk)) for s in range(0, rows, chunk)]
     return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _chunked_update(q_hist: list, r_hist: list) -> tuple:
+    """_aa_update of every row of the histories, one chunk of rows at a time (_in_chunks)."""
+    B, n = q_hist[-1].shape
+    return _in_chunks(lambda s: _aa_update([a[s] for a in q_hist], [a[s] for a in r_hist]),
+                      B, n, len(q_hist) - 1)
 
 
 def aa_step(problem: FixedPointProblem,
@@ -159,18 +165,33 @@ def aa_step(problem: FixedPointProblem,
     """One AA update from the last min(k, m) + 1 iterates (newest last): x_next, beta, rank."""
     if not len(history):
         raise ValueError("history must contain at least the current iterate")
-    x_next, coeffs, ranks = _update_at(problem, np.asarray(history, dtype=float)[:, None])
+    x_next, coeffs, ranks = _update_at(problem, np.asarray(history, dtype=float)[None, ::-1])
     return x_next[0], coeffs[0], int(ranks[0])
 
 
-def _update_at(problem: FixedPointProblem, X: np.ndarray) -> tuple:
-    """_chunked_update of the histories X (k + 1, B, n), oldest first, evaluating q on them.
+def _update_at(problem: FixedPointProblem, blocks: np.ndarray) -> tuple:
+    """_aa_update of each history of the stack blocks (S, k + 1, n), newest block first.
 
-    R and r are checked as each chunk is solved: NonFinite on a non-finite
-    entry, also where finite residuals differ by more than the largest float.
+    The update of aa_step and of the lifted map.  Each chunk of states
+    (_in_chunks) is laid out oldest first, as the run loop's histories are,
+    and evaluates q, its residuals and the update on its own.  The run
+    loop's stop rule holds for every residual: NonFinite unless its norm is
+    below Inf (not NaN), which also keeps R and r finite.  ValueError when
+    the blocks are not of the problem's dimension.
     """
-    Qx = problem.q(X)
-    return _chunked_update(list(Qx), list(X - Qx), stacked_anderson_coefficients)
+    def update(s):
+        X = np.ascontiguousarray(blocks[s, ::-1].transpose(1, 0, 2))  # (k + 1, rows, n)
+        Qx = problem.q(X)
+        Rx = X - Qx
+        if not (_norms(Rx) < np.inf).all():
+            raise NonFinite("a residual norm of the history is not finite")
+        return _aa_update(list(Qx), list(Rx))
+
+    S, k1, n = blocks.shape
+    if n != problem.dim:
+        raise ValueError("state block size does not match problem dimension")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_chunks(update, S, n, k1 - 1)
 
 
 def _grown(table: np.ndarray, size: int) -> np.ndarray:
@@ -379,9 +400,8 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
         if k == cfg.max_iters or not rows.size:
             return steps
 
-        # every residual in the history has a finite norm, so R and r are
-        # finite and the solve can skip the checks
-        X, coeffs, ranks = _chunked_update(q_hist, r_hist, _stacked_solve)
+        # every residual in the history has a finite norm (_aa_update)
+        X, coeffs, ranks = _chunked_update(q_hist, r_hist)
         k += 1
         steps.record_update(rows, k, coeffs, ranks)
 

@@ -58,9 +58,7 @@ def estimate_r_factor(trace: IterationTrace) -> RFactorEstimate:
     return RFactorEstimate(*(column[0].item() for column in vars(est).values()))
 
 
-# 1/0 is Inf where a tail has no entry, and inf - inf between two infinite
-# sigmas is NaN, not Cauchy
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(invalid="ignore")  # inf - inf between two infinite sigmas is NaN, not Cauchy
 def _estimates(e: np.ndarray, k: np.ndarray, converged: np.ndarray,
                failed: np.ndarray) -> RFactorEstimate:
     """The estimate of every row of the tails e and k, the estimator's one core.
@@ -69,19 +67,10 @@ def _estimates(e: np.ndarray, k: np.ndarray, converged: np.ndarray,
     k >= 1, oldest first with the newest in the last column, and NaN and 0
     where it has none (accelerators.last_usable); converged and failed (N,) are
     the stop test's flag and whether the run failed.  A failed run has no
-    estimate.  sigma is evaluated with root_error, the one sigma formula,
-    only where the estimate can read it: at the newest two usable
-    iterations, and where np.power, which may differ from it in the last
-    bit, comes within a relative 1e-12 of its row's tail maximum.  The exact
-    maximum is so always among them.
+    estimate.  sigma is root_error, the one sigma formula, of every entry.
     """
-    e, k = np.where(failed[:, None], np.nan, e), np.where(failed[:, None], 0, k)
-    approx = np.power(e, 1.0 / k)
-    top = np.fmax.reduce(approx, axis=1, keepdims=True)
-    exact = (k > 0) & (approx >= top * (1.0 - 1e-12))
-    exact[:, -2:] = k[:, -2:] > 0
-    sigma = np.full(e.shape, np.nan)
-    sigma[exact] = list(map(root_error, e[exact].tolist(), k[exact].tolist()))
+    k = np.where(failed[:, None], 0, k)
+    sigma = root_error(e, k)
     cauchy = np.abs(sigma[:, -1] - sigma[:, -2]) <= 1e-3
     return RFactorEstimate(sigma_final=sigma[:, -1], sigma_tail_max=np.fmax.reduce(sigma, axis=1),
                            k_used=k[:, -1], converged=(k[:, -1] > 0) & (cauchy | converged))

@@ -12,7 +12,8 @@ make_affine builds by, linalg.check_nonsingular.
 A state z = (z_{m+1}, ..., z_1), a direction d and a derivative value are each
 an (m+1, n) float array of blocks, newest first: row 0 is z_{m+1}.  Every
 function that takes one also takes an (S, m+1, n) stack of them, and returns
-its results with the same leading shape.
+its results with the same leading shape.  psi_apply and beta_of_z take the
+run loop's update, state chunk by state chunk (accelerators._update_at).
 """
 
 from __future__ import annotations
@@ -68,36 +69,17 @@ def _stack(z) -> tuple[np.ndarray, tuple[int, ...]]:
     return blocks.reshape((-1,) + blocks.shape[-2:]), blocks.shape[:-2]
 
 
-def _lifted_update(problem: FixedPointProblem,
-                   blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The AA update of every state of a block stack: new newest blocks (S, n), beta (S, m).
-
-    Block 0 of a state is its newest iterate, so the history the update reads
-    (oldest first) is the blocks reversed.  q runs once on the whole stack,
-    which holds about three copies of it (the blocks oldest first, q and r),
-    and the update steps the states in chunks, as the run loop's update
-    does, checking each chunk's R and r (accelerators._update_at).
-    """
-    if blocks.shape[2] != problem.dim:
-        raise ValueError("state block size does not match problem dimension")
-    # (m+1, S, n), oldest block first; contiguous so that every product in
-    # the update runs as in the batched run loop
-    X = np.ascontiguousarray(blocks[:, ::-1].transpose(1, 0, 2))
-    x_next, coeffs, _ = _update_at(problem, X)
-    return x_next, coeffs
-
-
 def beta_of_z(problem: FixedPointProblem, z) -> np.ndarray:
     """Coefficient map beta(z) = -pinv(R(z)) r(z_{m+1}), minimum-norm: (m,) per state."""
     blocks, lead = _stack(z)
-    coeffs = _lifted_update(problem, blocks)[1]
+    coeffs = _update_at(problem, blocks)[1]
     return coeffs.reshape(lead + coeffs.shape[1:])
 
 
 def psi_apply(problem: FixedPointProblem, z) -> np.ndarray:
     """One application of the lifted AA(m) map: the image of each state, z's shape."""
     blocks, lead = _stack(z)
-    x_next = _lifted_update(problem, blocks)[0]
+    x_next = _update_at(problem, blocks)[0]
     out = np.concatenate([x_next[:, None], blocks[:, :-1]], axis=1)
     return out.reshape(lead + out.shape[1:])
 

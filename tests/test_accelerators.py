@@ -267,6 +267,27 @@ class TestIterationTrace:
         assert _bits(tr.error_ratios) == _bits(ratios)
         assert tr.sigma_k is tr.sigma_k and tr.error_ratios is tr.error_ratios  # cached
 
+    def test_root_error_is_python_pow_bitwise(self):
+        # float_power's float64 loop calls the C library's pow, as float **
+        # does; a numpy whose float_power takes a SIMD pow fails here first
+        rng = np.random.default_rng(31)
+        N = 1_000_000
+        e = 10.0 ** rng.uniform(-323.0, 300.0, N)
+        e[: N // 4] = rng.random(N // 4)
+        k = rng.integers(0, 1 << 12, N)
+        k[: N // 8] = rng.integers(0, 201, N // 8)
+        edges = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-308, 1.0, 1e300,
+                 1.7976931348623157e308, np.inf, np.nan]
+        e = np.concatenate([e, np.repeat(edges, 6)])
+        k = np.concatenate([k, np.tile([0, 1, 2, 3, 100, 10**6], len(edges))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = accelerators.root_error(e, k)
+        nan = float("nan")
+        expected = [x ** (1.0 / j) if j else nan for x, j in zip(e.tolist(), k.tolist())]
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert np.isnan(got[k == 0]).all()
+
     def test_unknown_error_norms_give_nan(self):
         # an unknown x* makes every error norm NaN, and so every sigma and ratio
         tr = IterationTrace(residual_norms=[1.0, 0.5], error_norms=np.full(2, np.nan))
@@ -743,9 +764,9 @@ def _logged_steps(monkeypatch, problem):
     log = []
     update = accelerators._aa_update
 
-    def logged_update(q_hist, r_hist, solve):
+    def logged_update(q_hist, r_hist):
         log.append(("update", len(q_hist[-1]), len(q_hist) - 1))
-        return update(q_hist, r_hist, solve)
+        return update(q_hist, r_hist)
 
     def logged_q(X):
         log.append(("q", len(X)))
@@ -787,6 +808,21 @@ start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 traces = run_batch(problem, X0, AccelConfig(window_m=6, max_iters=8, stop_tol=0.0))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert [len(tr) for tr in traces] == [9] * 2000
+print((peak - start) * 1024)  # ru_maxrss is in KiB
+"""
+
+
+# psi_apply on 10000 linear200 states at m = 3, a 61 MiB stack
+LIFTED_MAP_RSS = """
+import resource
+import numpy as np
+from anderson_lab.augmented import psi_apply
+from anderson_lab.problems import problem_from_id
+problem = problem_from_id("linear200:-0.9,0.7,-0.7")
+Z = np.random.default_rng(0).uniform(-1.0, 1.0, (10000, 4, 200))
+start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert psi_apply(problem, Z).shape == Z.shape
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((peak - start) * 1024)  # ru_maxrss is in KiB
 """
 
@@ -879,6 +915,16 @@ class TestRunBatch:
         B, n = 2000, 200
         histories = 2 * n * 7 * B
         assert _rss_growth(WIDE_BATCH_RSS) <= 8 * (histories + 6 * B * n + 4 * linalg.CHUNK_FLOATS)
+
+    def test_lifted_map_memory_is_its_output(self):
+        # the lifted map steps its states in chunks as the run loop steps its
+        # rows, each chunk evaluating q and its residuals on its own.  The
+        # bound holds the output stack, the new newest blocks twice (the
+        # chunks' and their join) and 4 CHUNK_FLOATS; q and the residuals
+        # of the whole stack at once exceed it
+        S, m, n = 10000, 3, 200
+        assert _rss_growth(LIFTED_MAP_RSS) <= 8 * (S * (m + 1) * n + 2 * S * n
+                                                  + 4 * linalg.CHUNK_FLOATS)
 
     def test_keep_must_not_be_negative(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,43 @@ class TestEstimateRFactors:
                 single.sigma_final, single.sigma_tail_max, single.k_used, single.converged)
 
 
+_TAIL_ROW = st.integers(0, accelerators.TAIL_WINDOW).flatmap(lambda c: st.tuples(
+    st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=c, max_size=c),
+    st.lists(st.integers(1, 1000), min_size=c, max_size=c),
+    st.booleans(), st.booleans()))
+
+
+def _reference_estimate(e, k, converged, failed):
+    """One row's estimate, element by element with Python floats, as a tuple."""
+    nan = float("nan")
+    if failed or not k[-1]:
+        return nan, nan, 0, False
+    sigma = [x ** (1.0 / j) if j else nan for x, j in zip(e, k)]
+    cauchy = abs(sigma[-1] - sigma[-2]) <= 1e-3
+    return sigma[-1], max(x for x in sigma if x == x), k[-1], converged or cauchy
+
+
+class TestEstimates:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_TAIL_ROW, min_size=1, max_size=8))
+    def test_equals_an_element_by_element_reference(self, rows):
+        # a row holds its usable errors newest last, NaN and 0 before them;
+        # a failed row keeps its errors and has no estimate
+        W = accelerators.TAIL_WINDOW
+        e, k = np.full((len(rows), W), np.nan), np.zeros((len(rows), W), dtype=int)
+        for i, (errs, gaps, _, _) in enumerate(rows):
+            if errs:
+                e[i, W - len(errs):], k[i, W - len(errs):] = errs, np.cumsum(gaps)
+        converged = np.array([c for _, _, c, _ in rows])
+        failed = np.array([f for _, _, _, f in rows])
+        est = analysis._estimates(e, k, converged, failed)
+        for i in range(len(rows)):
+            expected = _reference_estimate(e[i].tolist(), k[i].tolist(), converged[i], failed[i])
+            got = _row(est, i)
+            assert np.array(got[:2]).tobytes() == np.array(expected[:2]).tobytes()
+            assert got[2:] == expected[2:]
+
+
 class TestSampleInits:
     def test_inside_box_and_deterministic(self):
         box = np.array([[-0.25, 0.25], [0.0, 1.0]])

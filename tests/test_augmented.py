@@ -148,22 +148,31 @@ class TestPsiApply:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("block", [0, 1])
     def test_non_finite_block_raises_non_finite(self, bad, block):
-        # the lifted map and aa_step solve with the checked stacked solve;
-        # an Inf block's residual is Inf - Inf, which warns
+        # an Inf block's residual is Inf - Inf: NaN, with no warning
         Z = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3, 2))
         Z[3, block, 1] = bad
         for f in (psi_apply, beta_of_z):
             for p, z in ((problem_linear_2x2(), Z), (problem_nonlinear_2x2(), Z[3])):
-                with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+                with pytest.raises(NonFinite):
                     f(p, z)
-        with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        with pytest.raises(NonFinite):
             aa_step(problem_linear_2x2(), Z[3, ::-1])  # the same history, oldest first
 
     def test_finite_residuals_whose_difference_overflows_raise_non_finite(self):
         p = make_affine(AffineSpec(M=np.zeros((2, 2)), b=np.zeros(2)))  # r(x) = x
         z = np.array([[1.5e308, 1.0], [-1.5e308, 1.0]])
         for f in (psi_apply, beta_of_z, lambda p, z: aa_step(p, z[::-1])):
-            with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            with pytest.raises(NonFinite):
+                f(p, z)
+
+    def test_residual_norm_overflow_raises_non_finite(self):
+        # finite residuals whose norm overflows fail the run loop's stop
+        # rule; the same state scaled down has beta = 1
+        p = problem_linear_2x2()
+        z = np.array([[1e200, 1.0], [2e200, 1.0]])
+        assert beta_of_z(p, z * 2.0 ** -665).tolist() == [1.0]
+        for f in (psi_apply, beta_of_z, lambda p, z: aa_step(p, z[::-1])):
+            with pytest.raises(NonFinite):
                 f(p, z)
 
 
@@ -204,8 +213,8 @@ class TestLiftedMapProperties:
         update = accelerators._aa_update
         with monkeypatch.context() as patch:
             patch.setattr(accelerators, "_aa_update",
-                          lambda q_hist, r_hist, solve: chunks.append(len(q_hist[-1]))
-                          or update(q_hist, r_hist, solve))
+                          lambda q_hist, r_hist: chunks.append(len(q_hist[-1]))
+                          or update(q_hist, r_hist))
             psi = psi_apply(p, Z)
         beta = beta_of_z(p, Z)
         assert chunks == [3, 3, 3, 1]
