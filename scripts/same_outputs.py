@@ -24,8 +24,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
 # CLI arguments without --seed and --out: the four benchmark workloads, the
 # full-scale m-sweep and AA-vs-GMRES recipes, the full-scale restarted
-# sweep, sweeps on the nonlinear and scalar problems, and three single runs
-# (the last fails with exit code 3)
+# sweep, sweeps on the nonlinear and scalar problems, three single runs
+# (the last fails with exit code 3), an AA-vs-GMRES comparison at n = 2,
+# where nearly every GMRES row ends in a happy breakdown, and a
+# derivative-norm histogram at m = n
 COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 1 --box=-0.25,0.25 --inits 200",
     "deriv-hist --problem linear2x2 --m 1 --samples 5000",
@@ -39,6 +41,8 @@ COMMANDS = (
     "run --problem linear2x2 --scheme aa --m 2 --x0=0.2,0.1",
     "run --problem linear200 --scheme gmres --box=0.1,0.1",
     "run --problem scalar --scheme fp --x0=-1",
+    "gmres-compare --problem linear2x2 --m 1 --k-max 10 --iters 60 --inits 200",
+    "deriv-hist --problem nonlinear2x2 --m 2 --samples 20000",
 )
 
 

@@ -5,7 +5,8 @@ index k.  Error-based quantities (error norms, sigma_k, error ratios) are NaN
 where the problem does not know its fixed point; the stopping test always
 uses the residual norm, which is available for any problem.  FP and AA(m)
 share one loop over a batch of initial conditions in lockstep (run_batch),
-GMRES has its own (gmres_batch), and a single run is a batch of one.
+GMRES has its own (gmres_batch), and a single run is a batch of one.  Every
+row of both loops ends in the step log's one stop test (_Steps.record).
 """
 
 from __future__ import annotations
@@ -153,13 +154,6 @@ def _in_chunks(update, rows: int, n: int, window: int) -> tuple:
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _chunked_update(q_hist: list, r_hist: list) -> tuple:
-    """_aa_update of every row of the histories, one chunk of rows at a time (_in_chunks)."""
-    B, n = q_hist[-1].shape
-    return _in_chunks(lambda s: _aa_update([a[s] for a in q_hist], [a[s] for a in r_hist]),
-                      B, n, len(q_hist) - 1)
-
-
 def aa_step(problem: FixedPointProblem,
             history: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
     """One AA update from the last min(k, m) + 1 iterates (newest last): x_next, beta, rank."""
@@ -246,13 +240,13 @@ class _Steps:
     STEPS0 = 16
     WINDOW = 32  # a sweep's window: each fold rereads the tails, which 16 steps do too often
 
-    def __init__(self, problem: FixedPointProblem, B: int, keep: int, stop_tol: float, m: int,
-                 max_k: int, log: bool = True):
+    def __init__(self, problem: FixedPointProblem, B: int, keep: int, m: int, max_k: int,
+                 log: bool = True):
         # x* as a (1, n) row, which subtracts from X faster than (n,); numpy
         # casts None (x* unknown) to NaN, so the row is NaN then
         self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
         self.x_star_norm = float(np.linalg.norm(self.x_star))
-        self.keep, self.stop_tol, self.log, self.k0 = keep, stop_tol, log, 0
+        self.keep, self.log, self.k0 = keep, log, 0
         self.converged = np.zeros(B, dtype=bool)
         self.failures = [None] * B
         self.length, self.solved = np.full(B, max_k + 1), np.zeros(B, dtype=int)
@@ -266,16 +260,17 @@ class _Steps:
         self.beta = np.empty((B, max(kept - 1, 0), min(m, max(keep - 1, 0))))
         self.rank = np.empty(self.beta.shape[:2], dtype=int)
 
-    def record(self, X: np.ndarray, rn: np.ndarray, rows: np.ndarray, k: int,
-               q_errors: dict) -> Optional[np.ndarray]:
+    def record(self, X: np.ndarray, rn: np.ndarray, rows: np.ndarray, k: int, errors: dict,
+               tol: float | np.ndarray) -> Optional[np.ndarray]:
         """Records iterate k of the running rows (batch indices rows) and tests it once.
 
         The norms go to the tables, without log the error norm to the window.
 
         A row stops, in this order of priority, when it is outside the
-        divergence guard ball (Diverged), when q raised on it (q_errors, by
-        running-row index) or its residual norm rn is NaN/Inf (NonFinite), or
-        when rn is at most stop_tol (converged).  Returns the mask of the
+        divergence guard ball (Diverged), when errors (by running-row index)
+        holds the error that ends it (q's error, or GMRES's Breakdown), when
+        its residual norm rn is NaN/Inf (NonFinite), or when rn is at most
+        tol, a scalar or one per row (converged).  Returns the mask of the
         rows that stop, or None when none does.
         """
         e = _norms(self.x_star - X)
@@ -293,19 +288,20 @@ class _Steps:
                 self.iterates = _grown(self.iterates, min(2 * k, self.keep))
             self.iterates[:, k][rows] = X
         xn = _norms(X)
-        # a row of q's error has a NaN residual, so it fails the residual
-        # tests as NaN/Inf does.  The ufunc reductions are the cheapest
-        # whole-batch tests, which matters at B = 1.
-        if (np.minimum.reduce(rn) > self.stop_tol and np.maximum.reduce(rn) < np.inf
+        # the ufunc reductions are the cheapest whole-batch tests, which
+        # matters at B = 1
+        if (not errors and np.logical_and.reduce(rn > tol) and np.maximum.reduce(rn) < np.inf
                 and np.maximum.reduce(xn) <= DIVERGENCE_GUARD):
             return None
         out = xn > DIVERGENCE_GUARD
         failed = out | ~(rn < np.inf)  # NaN included
+        if errors:
+            failed[list(errors)] = True
         for j in np.flatnonzero(failed):
             self.failures[rows[j]] = (
                 Diverged(f"||x_k|| exceeded {DIVERGENCE_GUARD:g}") if out[j]
-                else q_errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
-        done = ~failed & (rn <= self.stop_tol)
+                else errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
+        done = ~failed & (rn <= tol)
         self.converged[rows[done]] = True
         stop = failed | done
         self.length[rows[stop]] = k + 1
@@ -359,14 +355,14 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
     Every running row takes step k together: q is evaluated once on them
     (once more on the others when q raised for some of them), the step log
     records every iterate at its row and step and tests it once
-    (_Steps.record), and one update (_chunked_update) solves all their
-    least-squares problems.  The history length depends on the step count
-    alone, so the running rows share it.  The rows the stop test stops
-    leave the batch, and the other rows go on.
+    (_Steps.record), and one update (_aa_update, chunk by chunk of rows:
+    _in_chunks) solves all their least-squares problems.  The history
+    length depends on the step count alone, so the running rows share it.
+    The rows the stop test stops leave the batch, and the other rows go on.
     """
     X = _batch_starts(problem, X0, keep)
     m = cfg.window_m
-    steps = _Steps(problem, len(X), keep, cfg.stop_tol, m, cfg.max_iters, log)
+    steps = _Steps(problem, len(X), keep, m, cfg.max_iters, log)
     rows = np.arange(len(X))  # batch index of each running row
     q_hist, r_hist = [], []  # q and r of the running rows, oldest first
     k = 0
@@ -383,7 +379,7 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
             if not bad.all():
                 Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
-        stop = steps.record(X, _norms(Rx), rows, k, q_errors)
+        stop = steps.record(X, _norms(Rx), rows, k, q_errors, cfg.stop_tol)
         # the step just taken had a full window: restart the entire AA(m)
         # iteration, which happens every m (accelerated) steps
         if cfg.restart and len(q_hist) == m + 1:
@@ -401,7 +397,9 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
             return steps
 
         # every residual in the history has a finite norm (_aa_update)
-        X, coeffs, ranks = _chunked_update(q_hist, r_hist)
+        X, coeffs, ranks = _in_chunks(
+            lambda s: _aa_update([a[s] for a in q_hist], [a[s] for a in r_hist]),
+            len(rows), problem.dim, len(q_hist) - 1)
         k += 1
         steps.record_update(rows, k, coeffs, ranks)
 
@@ -485,34 +483,39 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     stacked triangular solve for all running rows.  Every row keeps the
     arithmetic of a run of its own: a gemv per row, strided dot products,
     and products and differences as separate operations.  As in the run
-    loop, the step log records and tests every iterate, and stopped rows
-    leave the batch by boolean indexing of every per-row array.
+    loop, the step log records and tests every iterate, x0 included, at the
+    top of the loop, and stopped rows leave the batch there, by boolean
+    indexing of every per-row array.
     """
     A = problem.affine.A
     b = problem.affine.b
     B, n = X0.shape
     max_k = min(cfg.max_iters, n)
-    steps = _Steps(problem, B, keep, cfg.stop_tol, 0, max_k)
+    steps = _Steps(problem, B, keep, 0, max_k)
     rows = np.arange(B)  # batch index of each running row
     R0 = b - (A @ X0[..., None])[..., 0]
-    beta0 = _norms(R0)
-    stop = steps.record(X0, beta0, rows, 0, {})
-    if stop is not None:
-        going = ~stop
-        rows, X0, R0, beta0 = rows[going], X0[going], R0[going], beta0[going]
+    X = X0
+    rn = beta0 = _norms(R0)
     # V keeps the basis vectors as columns, as a single run's (n, max_k + 1)
     # array does, so that its dot products see the same strides.  The
     # Hessenberg columns H[k] (max_k + 1, B), the rotations and g, whose
     # layout changes no value, put the batch axis last for cheap indexing.
-    V = np.zeros((len(rows), n, max_k + 1))
-    V[:, :, 0] = R0 / beta0[:, None]
-    H = np.zeros((max_k, max_k + 1, len(rows)))
-    cs, sn = np.zeros((2, max_k, len(rows)))
-    g = np.zeros((max_k + 1, len(rows)))
+    V = np.zeros((B, n, max_k + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero, NaN or Inf beta0 stops at k = 0
+        V[:, :, 0] = R0 / beta0[:, None]
+    H = np.zeros((max_k, max_k + 1, B))
+    cs, sn = np.zeros((2, max_k, B))
+    g = np.zeros((max_k + 1, B))
     g[0] = beta0
+    errors, tol = {}, cfg.stop_tol
 
-    for k in range(max_k):
-        if not rows.size:
+    for k in range(max_k + 1):
+        stop = steps.record(X, rn, rows, k, errors, tol)
+        if stop is not None:
+            going = ~stop
+            rows, X0, beta0, V = rows[going], X0[going], beta0[going], V[going]
+            H, cs, sn, g = H[..., going], cs[:, going], sn[:, going], g[:, going]
+        if k == max_k or not rows.size:
             break
         h = H[k]
         w = (A @ V[:, :, k, None])[..., 0]
@@ -545,24 +548,15 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
         y = np.linalg.solve(H[:k + 1, :k + 1].T, g[:k + 1].T[..., None])
         X = X0 + (V[:, :, :k + 1] @ y)[..., 0]
         rn = _norms(b - (A @ X[..., None])[..., 0])
-        stop = steps.record(X, rn, rows, k + 1, {})
 
-        # happy breakdown means the Krylov space became invariant; if the
-        # residual is not already at rounding level something is wrong.
-        # beta0 is finite, so maximum is Python's max
-        going = ~happy
-        if stop is not None:
-            happy &= ~stop
-            going &= ~stop
-        at_rounding = happy & (rn <= 1e-10 * np.maximum(1.0, beta0))
-        steps.converged[rows[at_rounding]] = True
-        for j in np.flatnonzero(happy & ~at_rounding):
-            steps.failures[rows[j]] = Breakdown(
-                "Arnoldi produced a zero vector before convergence")
-        if not going.all():
-            steps.length[rows[~going]] = k + 2  # as record set it for the rows it stopped
-            rows, X0, beta0, V = rows[going], X0[going], beta0[going], V[going]
-            H, cs, sn, g = H[..., going], cs[:, going], sn[:, going], g[:, going]
+        # happy breakdown means the Krylov space became invariant, so the row
+        # stops: converged at rounding level (or stop_tol), else Breakdown
+        # if its residual is finite.  beta0 is finite, so maximum is Python's max
+        errors, tol = {}, cfg.stop_tol
+        if happy.any():
+            tol = np.where(happy, np.maximum(tol, 1e-10 * np.maximum(1.0, beta0)), tol)
+            errors = {j: Breakdown("Arnoldi produced a zero vector before convergence")
+                      for j in np.flatnonzero(happy & (rn > tol) & (rn < np.inf)).tolist()}
 
     return steps.traces()
 
@@ -574,9 +568,9 @@ def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     Modified Gram-Schmidt Arnoldi with Givens rotations on the Hessenberg
     least-squares problem; the iterate is reconstructed every step so the
     traces line up with the other schemes, and goes through the run loop's
-    stop test.  A happy breakdown (a zero Arnoldi vector) then ends a row as
-    converged when its residual is at rounding level, and with Breakdown
-    otherwise.
+    stop test.  A happy breakdown (a zero Arnoldi vector) ends a row there:
+    converged when its residual is at most max(stop_tol, 1e-10 max(1,
+    ||r_0||)), the rounding level, and with Breakdown when it is above.
     A trace's failure is the error that stopped its row (not raised).  A
     problem without an affine form raises ValueError.
 

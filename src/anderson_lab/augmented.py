@@ -7,7 +7,8 @@ its limiting coefficients along rays at the fixed point, closed-form
 directional derivatives there, one-sided finite-difference estimates, and the
 Lipschitz bounds that can be checked against sampled perturbations.  beta_hat
 (so the derivative) and the affine Lipschitz bound check A = I - M by the rule
-make_affine builds by, linalg.check_nonsingular.
+make_affine builds by, linalg.check_nonsingular; beta_hat checks its
+directions and calls linalg's one stacked solve (_stacked_solve) itself.
 
 A state z = (z_{m+1}, ..., z_1), a direction d and a derivative value are each
 an (m+1, n) float array of blocks, newest first: row 0 is z_{m+1}.  Every
@@ -25,8 +26,8 @@ import numpy as np
 
 from .accelerators import _update_at
 from .errors import MissingJacobian
-from .linalg import (_check_finite, check_nonsingular, operator_norm_2, rank_tolerance,
-                     stacked_anderson_coefficients)
+from .linalg import (_check_finite, _stacked_solve, check_nonsingular, operator_norm_2,
+                     rank_tolerance)
 # anderson_coefficients is unused here but stays bound: perfbench/tracer.py
 # patches augmented.anderson_coefficients by name
 from .linalg import anderson_coefficients  # noqa: F401
@@ -87,12 +88,21 @@ def psi_apply(problem: FixedPointProblem, z) -> np.ndarray:
 def beta_hat(A: np.ndarray, d) -> np.ndarray:
     """Limiting coefficients along the ray z* + h d: -pinv(A D(d)) A d_{m+1}, (m,) per direction.
 
-    A is checked once for the whole stack, by linalg.check_nonsingular.
+    A is checked once for the whole stack, by linalg.check_nonsingular, and
+    a NaN or Inf direction raises NonFinite.  beta_hat depends on the ray
+    and on A up to scale, so each is scaled, exactly, by the power of two
+    that puts its largest entry in [0.5, 1): the degenerate-step rule's sums
+    of squares then neither overflow nor underflow at any scale of A or d.
     """
     A = np.asarray(A, dtype=float)
     check_nonsingular(A)
     blocks, lead = _stack(d)
-    coeffs, _ = stacked_anderson_coefficients(A @ build_D(blocks), blocks[:, 0] @ A.T)
+    _check_finite("d", blocks)
+    # the column-major copy lets the max run over whole columns, not row by row
+    top = np.abs(blocks.reshape(len(blocks), -1), order="F").max(axis=1)
+    blocks = np.ldexp(blocks, -np.frexp(top)[1][:, None, None])
+    A = np.ldexp(A, -np.frexp(np.abs(A).max())[1])
+    coeffs, _ = _stacked_solve(A @ build_D(blocks), blocks[:, 0] @ A.T)
     return coeffs.reshape(lead + coeffs.shape[1:])
 
 

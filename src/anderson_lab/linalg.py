@@ -3,7 +3,8 @@
 Everything here is a pure function on small dense arrays.  The least-squares
 solve goes through an explicit SVD so that the minimum-norm solution of
 rank-deficient problems is returned, with the numerical rank reported back to
-the caller.
+the caller.  One stacked solve, _stacked_solve, serves every AA update and
+beta_hat; it checks nothing, so each caller checks its inputs at its own edge.
 """
 
 from __future__ import annotations
@@ -131,31 +132,13 @@ def anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, Ran
     return min_norm_lstsq(R, r)
 
 
-def stacked_anderson_coefficients(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """anderson_coefficients for each slice of a stack, with one stacked SVD.
-
-    R has shape (S, n, m) and r shape (S, n), both finite (NonFinite
-    otherwise).  Returns the (S, m) coefficients and the (S,) numerical
-    ranks.  Every slice follows the rules of the 2-D function exactly: the
-    relative degenerate-step rule (beta = 0, rank 0), the rank cut-off of
-    rank_tolerance, and the minimum-norm solution beyond it.
-    """
-    R = np.asarray(R, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if R.ndim != 3 or r.shape != R.shape[:2]:
-        raise ValueError(f"need R of shape (S, n, m) and r of shape (S, n), "
-                         f"got {R.shape} and {r.shape}")
-    _check_finite("R", R)
-    _check_finite("r", r)
-    if R.shape[2] == 0:
-        return np.zeros(R.shape[::2]), np.zeros(len(R), dtype=int)
-    return _stacked_solve(R, r)
-
-
 def _stacked_solve(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """stacked_anderson_coefficients of a finite float stack with m >= 1, unchecked.
+    """anderson_coefficients of each slice of a stack, with one stacked SVD, unchecked.
 
-    Each slice comes out bit for bit equal to the 2-D function: the products
+    Its contract, which its callers check: R is a finite float (S, n, m)
+    stack with m >= 1 and r a finite (S, n) stack.  Returns the (S, m)
+    coefficients and the (S,) numerical ranks, each slice bit for bit equal
+    to the 2-D function's.  The products
     are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
     function runs on one slice; the column norms, computed only where the
     largest singular value leaves the degenerate-step rule open, are those of

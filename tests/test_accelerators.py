@@ -574,7 +574,9 @@ class TestGmresBatch:
         # (Diverged) and a NaN start (NonFinite); linear200's row 5 starts at
         # x* = 0 and converges at k = 0.  The 2 x 2 rows end in happy
         # breakdowns, converged at stop_tol = 0 or, for BREAKDOWN_X0 of its
-        # own problem, with Breakdown.  With the diagonal M, x* plus an error
+        # own problem, with Breakdown; at stop_tol = 1e-6 its happy step's
+        # residual, 1.3e-8, converges instead, as stop_tol comes before the
+        # rounding test and Breakdown.  With the diagonal M, x* plus an error
         # on d coordinates has a residual in an invariant subspace of
         # dimension d, so that row stops at step d, between generic rows that
         # run on to step 6
@@ -589,14 +591,17 @@ class TestGmresBatch:
             X0_diagonal[i] = diagonal.known_fixed_point + error
         X0_linear200 = rng.uniform(-0.25, 0.25, (7, 200))
         X0_linear200[5] = 0.0
+        X0_2x2 = rng.uniform(-0.25, 0.25, (7, 2))
+        X0_breakdown = np.vstack([rng.uniform(-1.0, 1.0, (6, 2)), BREAKDOWN_X0])
+        breakdown = make_affine(BREAKDOWN_SPEC)
         cases = [(problem_linear_200(-0.9, 0.7, -0.7), AccelConfig(max_iters=60),
                   X0_linear200, None),
-                 (problem_linear_2x2(), AccelConfig(max_iters=10, stop_tol=0.0),
-                  rng.uniform(-0.25, 0.25, (7, 2)), None),
+                 (problem_linear_2x2(), AccelConfig(max_iters=10, stop_tol=0.0), X0_2x2, None),
                  (diagonal, AccelConfig(max_iters=10, stop_tol=0.0), X0_diagonal,
                   [2, 7, 1, 4, 1, 3, 7, 5, 2, 7, 3]),
-                 (make_affine(BREAKDOWN_SPEC), AccelConfig(max_iters=10),
-                  np.vstack([rng.uniform(-1.0, 1.0, (6, 2)), BREAKDOWN_X0]), None)]
+                 (breakdown, AccelConfig(max_iters=10), X0_breakdown, None),
+                 (breakdown, AccelConfig(max_iters=10, stop_tol=1e-6), X0_breakdown.copy(), None)]
+        last_rows = []
         for problem, cfg, X0, lengths in cases:
             X0[2] *= 1e13
             X0[4, 0] = np.nan
@@ -615,7 +620,10 @@ class TestGmresBatch:
             assert isinstance(batch[4].failure, NonFinite)
             for row, x0 in zip(batch, X0):
                 _assert_gmres_row_matches_single_run(row, problem, x0, cfg, keep)
-        assert isinstance(batch[-1].failure, Breakdown)
+            last_rows.append(batch[-1])
+        assert isinstance(last_rows[-2].failure, Breakdown) and len(last_rows[-2]) == 3
+        assert last_rows[-1].converged and last_rows[-1].failure is None
+        assert len(last_rows[-1]) == 3
 
     def test_traces_do_not_share_memory_with_the_starts(self):
         X0 = np.array([[0.2, 0.1], [-0.1, 0.05]])

@@ -236,6 +236,25 @@ class TestLiftedMapProperties:
         assert np.array_equal(beta_of_z(p, z_star), np.zeros(m))
 
 
+def _ray_case(seed, n, m):
+    """A nonsingular n x n A and one (m+1, n) direction, its entries 0 or of magnitude in [2^-20, 2].
+
+    Some directions repeat the newest block (a zero column of D(d)) or have
+    a zero newest block.
+    """
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = np.eye(n) - rng.uniform(0.1, 0.95) * M / np.max(np.abs(np.linalg.eigvals(M)))
+    d = rng.choice([-1.0, 1.0], (m + 1, n)) * np.exp2(rng.uniform(-20.0, 1.0, (m + 1, n)))
+    d[rng.random((m + 1, n)) < 0.1] = 0.0
+    kind = rng.integers(4)
+    if kind == 1:
+        d[-1] = d[0]
+    elif kind == 2:
+        d[0] = 0.0
+    return A, d
+
+
 class TestBetaHat:
     def test_equal_blocks_give_zero(self):
         A = np.array([[1.5, 0.2], [0.0, 0.8]])
@@ -266,6 +285,49 @@ class TestBetaHat:
     def test_singular_A_rejected(self):
         with pytest.raises(SingularA):
             beta_hat(np.array([[0.0]]), [[1.0], [0.0]])
+
+    @pytest.mark.parametrize("c", [1.0, 1e-150, 1e150, 1e153, 2.0 ** -600, 1e-170, 1e160, 1e200])
+    def test_every_scale_of_d_gives_the_value_of_its_ray(self, c):
+        # unscaled, the degenerate-step rule's sums of squares underflow
+        # (2^-600, 1e-170) or overflow (1e160, 1e200), and beta_hat read 0
+        A = np.eye(2) - problem_linear_2x2().affine.M
+        d = np.array([[1.0, 1.0], [-1.0, 3.0]])
+        assert abs(beta_hat(A, d)[0] - 0.2522) < 1e-4
+        np.testing.assert_allclose(beta_hat(A, c * d), beta_hat(A, d), rtol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+           i=st.integers(0, 1000), j=st.integers(-1000, 1000))
+    def test_power_of_two_scales_keep_the_bits(self, seed, n, m, i, j):
+        # 2^i A and 2^j d are exact, and beta_hat depends on the ray and on A
+        # up to scale
+        A, d = _ray_case(seed, n, m)
+        assert np.ldexp(np.ldexp(d, j), -j).tobytes() == d.tobytes()
+        assert beta_hat(np.ldexp(A, i), np.ldexp(d, j)).tobytes() == beta_hat(A, d).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_non_finite_direction_raises_non_finite(self, bad, block):
+        # A's zero entry times an Inf in entry 0 is NaN, with numpy's
+        # "invalid value" warning unless beta_hat checks d first
+        M = problem_linear_2x2().affine.M
+        d = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3, 2))
+        d[3, block, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for direction in (d, d[3]):
+                with pytest.raises(NonFinite):
+                    beta_hat(np.eye(2) - M, direction)
+                with pytest.raises(NonFinite):
+                    directional_derivative(M, direction)
+
+    def test_direction_whose_differences_overflow_keeps_its_ray(self):
+        # at face value d_{m+1} - d_m is 2.75 * 2^1023, beyond the largest float
+        A = np.eye(2) - problem_linear_2x2().affine.M
+        d = np.array([[1.5, -0.75], [-1.25, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beta_hat(A, np.ldexp(d, 1023)).tobytes() == beta_hat(A, d).tobytes()
 
 
 class TestDirectionalDerivative:
@@ -299,6 +361,16 @@ class TestDirectionalDerivative:
             r1 = directional_derivative(M, d)
             r2 = directional_derivative(M, 3.5 * d)
             np.testing.assert_allclose(r2.value, 3.5 * r1.value, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+           j=st.integers(-900, 900))
+    def test_homogeneity_is_exact_at_powers_of_two(self, seed, n, m, j):
+        A, d = _ray_case(seed, n, m)
+        M = np.eye(n) - A
+        value = directional_derivative(M, d).value
+        assert (directional_derivative(M, np.ldexp(d, j)).value.tobytes()
+                == np.ldexp(value, j).tobytes())
 
     def test_stack_matches_single_directions(self):
         M = problem_nonlinear_2x2().jacobian(np.zeros(2))

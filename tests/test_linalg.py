@@ -13,7 +13,6 @@ from anderson_lab.linalg import (
     operator_norm_2,
     rank_tolerance,
     spectral_radius,
-    stacked_anderson_coefficients,
 )
 
 EPS = np.finfo(float).eps
@@ -240,7 +239,7 @@ def _screening_band(seed, n, m):
     return np.array([R for R, _ in slices]), np.array([r for _, r in slices])
 
 
-def _assert_slices_match_2d_solve(R, r, solve=stacked_anderson_coefficients):
+def _assert_slices_match_2d_solve(R, r, solve=_stacked_solve):
     """Stacked-solve (R, r) with solve; assert each slice equals the 2-D solve bit for bit.
 
     The rank and the signs of zeros must match too.
@@ -255,6 +254,8 @@ def _assert_slices_match_2d_solve(R, r, solve=stacked_anderson_coefficients):
 
 
 class TestStackedAndersonCoefficients:
+    """The stacked solve gives each slice the 2-D anderson_coefficients, bit for bit."""
+
     @pytest.mark.parametrize("n", [2, 200])
     @pytest.mark.parametrize("m", range(1, 7))
     def test_screening_band_matches_2d_solve(self, n, m):
@@ -264,7 +265,7 @@ class TestStackedAndersonCoefficients:
         for idx in stacks:
             _assert_slices_match_2d_solve(R[idx], r[idx])
         # the rule drops slices 0-2 (at most the cut-off) and keeps the rest
-        _, ranks = stacked_anderson_coefficients(R, r)
+        _, ranks = _stacked_solve(R, r)
         assert np.all(ranks[:3] == 0) and np.all(ranks[3:] == min(n, m))
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (200, 1), (200, 6)])
@@ -281,7 +282,7 @@ class TestStackedAndersonCoefficients:
         # the column norm computes to 0 <= cut, although ||R||_2 is 1.4e-163 > 0
         R = np.full((1, 2, 1), 1e-163)
         r = np.full((1, 2), 1e-163)
-        coeffs, ranks = stacked_anderson_coefficients(R, r)
+        coeffs, ranks = _stacked_solve(R, r)
         assert ranks[0] == 0 and coeffs[0, 0] == 0.0
         _assert_slices_match_2d_solve(R, r)
 
@@ -295,33 +296,16 @@ class TestStackedAndersonCoefficients:
 
     def test_kinds_give_expected_ranks(self):
         R, r = _mixed_stack(0, 6, 5, 3)
-        _, ranks = stacked_anderson_coefficients(R, r)
+        _, ranks = _stacked_solve(R, r)
         np.testing.assert_array_equal(ranks, [3, 1, 0, 3, 1, 0])
 
     def test_degeneracy_is_relative_to_residual(self):
         # tiny columns are used when r is as tiny, and dropped when r is not
         R = np.array([[[1e-18], [0.0]], [[1e-18], [0.0]]])
         r = np.array([[1e-18, 1e-18], [1.0, 1.0]])
-        coeffs, ranks = stacked_anderson_coefficients(R, r)
+        coeffs, ranks = _stacked_solve(R, r)
         assert abs(coeffs[0, 0] + 1.0) < 1e-12 and ranks[0] == 1
         assert coeffs[1, 0] == 0.0 and ranks[1] == 0
-
-    def test_empty_window(self):
-        coeffs, ranks = stacked_anderson_coefficients(np.zeros((4, 3, 0)), np.ones((4, 3)))
-        assert coeffs.shape == (4, 0)
-        np.testing.assert_array_equal(ranks, 0)
-
-    def test_rejects_non_finite_and_bad_shapes(self):
-        R, r = _mixed_stack(1, 3, 2, 1)
-        R[2, 0, 0] = np.nan
-        with pytest.raises(NonFinite):
-            stacked_anderson_coefficients(R, r)
-        with pytest.raises(NonFinite):
-            stacked_anderson_coefficients(np.zeros((1, 2, 1)), np.array([[np.inf, 0.0]]))
-        with pytest.raises(ValueError):
-            stacked_anderson_coefficients(np.zeros((2, 1)), np.zeros(2))
-        with pytest.raises(ValueError):
-            stacked_anderson_coefficients(np.zeros((2, 3, 1)), np.zeros((2, 2)))
 
 
 class TestStackedSolveFastPath:
