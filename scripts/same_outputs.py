@@ -26,8 +26,9 @@ SEEDS = (7, 11)
 # full-scale m-sweep and AA-vs-GMRES recipes, the full-scale restarted
 # sweep, sweeps on the nonlinear and scalar problems, three single runs
 # (the last fails with exit code 3), an AA-vs-GMRES comparison at n = 2,
-# where nearly every GMRES row ends in a happy breakdown, and a
-# derivative-norm histogram at m = n
+# where nearly every GMRES row ends in a happy breakdown, a
+# derivative-norm histogram at m = n, and one whose 100000 samples cross a
+# chunk boundary of derivative_norm_samples (65536 samples at n = 2, m = 1)
 COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 1 --box=-0.25,0.25 --inits 200",
     "deriv-hist --problem linear2x2 --m 1 --samples 5000",
@@ -43,6 +44,7 @@ COMMANDS = (
     "run --problem scalar --scheme fp --x0=-1",
     "gmres-compare --problem linear2x2 --m 1 --k-max 10 --iters 60 --inits 200",
     "deriv-hist --problem nonlinear2x2 --m 2 --samples 20000",
+    "deriv-hist --problem linear2x2 --m 1 --samples 100000",
 )
 
 

@@ -21,7 +21,7 @@ from .errors import AndersonLabError, Breakdown, Diverged, NonFinite, Stagnation
 # anderson_coefficients and make_affine are unused here but stay bound:
 # perfbench/tracer.py patches accelerators.anderson_coefficients and
 # accelerators.make_affine by name
-from .linalg import _stacked_solve, anderson_coefficients, chunk_rows  # noqa: F401
+from .linalg import _stacked_solve, anderson_coefficients, chunks  # noqa: F401
 from .problems import FixedPointProblem, make_affine  # noqa: F401
 
 DIVERGENCE_GUARD = 1e12
@@ -130,28 +130,14 @@ def _aa_update(q_hist: list, r_hist: list) -> tuple:
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks
 
 
-def rows_per_chunk(n: int, window: int) -> int:
-    """Rows that _aa_update may step at once at dimension n with windows up to window.
+def _joined(parts: list) -> tuple:
+    """_aa_update's triples of the chunks of a batch's rows, joined in row order.
 
-    A row counts its window + 1 q and r history entries, R, Q and the SVD's U:
-    5 n (window + 1) floats of the shared budget linalg.CHUNK_FLOATS.
+    The AA update steps its rows in linalg.chunks of 5 n (window + 1) floats
+    a row: the window + 1 q and r history entries, R, Q and the SVD's U.  The
+    chunks change no value: each row's stacked solve is independent of the others.
     """
-    return chunk_rows(5 * n * (window + 1))
-
-
-def _in_chunks(update, rows: int, n: int, window: int) -> tuple:
-    """update(s) for the slices s of rows_per_chunk(n, window) rows that cover rows, joined.
-
-    update steps the rows of s (slice(None) when one chunk holds them all)
-    and returns _aa_update's triple for them.  The chunks keep the update's
-    temporaries within linalg.CHUNK_FLOATS whatever the number of rows, and
-    change no value: each row's stacked solve is independent of the others.
-    """
-    chunk = rows_per_chunk(n, window)
-    if rows <= chunk:
-        return update(slice(None))
-    parts = [update(slice(s, s + chunk)) for s in range(0, rows, chunk)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def aa_step(problem: FixedPointProblem,
@@ -167,8 +153,8 @@ def _update_at(problem: FixedPointProblem, blocks: np.ndarray) -> tuple:
     """_aa_update of each history of the stack blocks (S, k + 1, n), newest block first.
 
     The update of aa_step and of the lifted map.  Each chunk of states
-    (_in_chunks) is laid out oldest first, as the run loop's histories are,
-    and evaluates q, its residuals and the update on its own.  The run
+    (linalg.chunks) is laid out oldest first, as the run loop's histories
+    are, and evaluates q, its residuals and the update on its own.  The run
     loop's stop rule holds for every residual: NonFinite unless its norm is
     below Inf (not NaN), which also keeps R and r finite.  ValueError when
     the blocks are not of the problem's dimension.
@@ -185,7 +171,7 @@ def _update_at(problem: FixedPointProblem, blocks: np.ndarray) -> tuple:
     if n != problem.dim:
         raise ValueError("state block size does not match problem dimension")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _in_chunks(update, S, n, k1 - 1)
+        return _joined([update(s) for s in chunks(S, 5 * n * k1)])
 
 
 def _grown(table: np.ndarray, size: int) -> np.ndarray:
@@ -227,7 +213,8 @@ class _Steps:
     iterates[i, k], and the update that gave it beta[i, k - 1] (NaN beyond
     its window) and rank[i, k - 1], solved[i] of them.  No table is sized by
     max_iters or pre-filled: each step axis starts at STEPS0 and doubles
-    when a step does not fit.  With log, k0 is 0.
+    when a step does not fit.  With log, k0 is 0.  rows holds the batch
+    index of each running row, in order; record drops the rows that stop.
 
     Without log, the step log keeps no residual norms and no traces: err is
     a window of WINDOW steps from k0, NaN where a row has not recorded a
@@ -247,6 +234,7 @@ class _Steps:
         self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
         self.x_star_norm = float(np.linalg.norm(self.x_star))
         self.keep, self.log, self.k0 = keep, log, 0
+        self.rows = np.arange(B)
         self.converged = np.zeros(B, dtype=bool)
         self.failures = [None] * B
         self.length, self.solved = np.full(B, max_k + 1), np.zeros(B, dtype=int)
@@ -260,19 +248,23 @@ class _Steps:
         self.beta = np.empty((B, max(kept - 1, 0), min(m, max(keep - 1, 0))))
         self.rank = np.empty(self.beta.shape[:2], dtype=int)
 
-    def record(self, X: np.ndarray, rn: np.ndarray, rows: np.ndarray, k: int, errors: dict,
-               tol: float | np.ndarray) -> Optional[np.ndarray]:
-        """Records iterate k of the running rows (batch indices rows) and tests it once.
+    def record(self, X: np.ndarray, rn: np.ndarray, k: int, errors: dict,
+               tol: float | np.ndarray, update: Sequence = ()) -> Optional[np.ndarray]:
+        """Records iterate k of the running rows and the update that gave it, and tests it once.
 
-        The norms go to the tables, without log the error norm to the window.
+        The norms go to the tables, without log the error norm to the window;
+        update is that update's (coefficients, ranks), none at k = 0 or for
+        GMRES, and goes to beta and rank with the iterate where it is kept.
 
         A row stops, in this order of priority, when it is outside the
         divergence guard ball (Diverged), when errors (by running-row index)
         holds the error that ends it (q's error, or GMRES's Breakdown), when
         its residual norm rn is NaN/Inf (NonFinite), or when rn is at most
-        tol, a scalar or one per row (converged).  Returns the mask of the
-        rows that stop, or None when none does.
+        tol, a scalar or one per row (converged).  The rows that stop leave
+        rows.  Returns the mask of the running rows that go on, or None when
+        every one does.
         """
+        rows = self.rows
         e = _norms(self.x_star - X)
         if self.log:
             if k >= self.res.shape[1]:  # one table at a time, which lowers the peak
@@ -285,8 +277,17 @@ class _Steps:
         self.err[:, k - self.k0][rows] = e
         if k < self.keep:
             if k >= self.iterates.shape[1]:
-                self.iterates = _grown(self.iterates, min(2 * k, self.keep))
+                size = min(2 * k, self.keep)
+                self.iterates = _grown(self.iterates, size)
+                self.beta, self.rank = _grown(self.beta, size - 1), _grown(self.rank, size - 1)
             self.iterates[:, k][rows] = X
+            if update:
+                coeffs, ranks = update
+                self.beta[:, k - 1, :coeffs.shape[1]][rows] = coeffs
+                if coeffs.shape[1] < self.beta.shape[2]:  # NaN beyond the window
+                    self.beta[:, k - 1, coeffs.shape[1]:][rows] = np.nan
+                self.rank[:, k - 1][rows] = ranks
+                self.solved[rows] = k
         xn = _norms(X)
         # the ufunc reductions are the cheapest whole-batch tests, which
         # matters at B = 1
@@ -303,22 +304,10 @@ class _Steps:
                 else errors.get(j) or NonFinite(f"residual norm is {rn[j]} at k = {k}"))
         done = ~failed & (rn <= tol)
         self.converged[rows[done]] = True
-        stop = failed | done
-        self.length[rows[stop]] = k + 1
-        return stop
-
-    def record_update(self, rows: np.ndarray, k: int, coeffs: np.ndarray,
-                      ranks: np.ndarray) -> None:
-        """Keeps the coefficients and ranks of the update that gave iterate k of rows, if kept."""
-        if k < self.keep:
-            if k > self.rank.shape[1]:
-                self.beta, self.rank = (_grown(t, min(2 * k, self.keep) - 1)
-                                        for t in (self.beta, self.rank))
-            self.beta[:, k - 1, :coeffs.shape[1]][rows] = coeffs
-            if coeffs.shape[1] < self.beta.shape[2]:  # NaN beyond the window
-                self.beta[:, k - 1, coeffs.shape[1]:][rows] = np.nan
-            self.rank[:, k - 1][rows] = ranks
-            self.solved[rows] = k
+        going = ~(failed | done)
+        self.length[rows[~going]] = k + 1
+        self.rows = rows[going]
+        return going
 
     def _fold(self) -> None:
         """Folds the window of error norms into the tails and empties it."""
@@ -354,18 +343,18 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
 
     Every running row takes step k together: q is evaluated once on them
     (once more on the others when q raised for some of them), the step log
-    records every iterate at its row and step and tests it once
-    (_Steps.record), and one update (_aa_update, chunk by chunk of rows:
-    _in_chunks) solves all their least-squares problems.  The history
-    length depends on the step count alone, so the running rows share it.
-    The rows the stop test stops leave the batch, and the other rows go on.
+    records every iterate and the update that gave it at its row and step
+    and tests it once (_Steps.record), and one update (_aa_update, chunk by
+    chunk of rows: _joined) solves all their least-squares problems.  The
+    history length depends on the step count alone, so the running rows
+    share it.  The rows the stop test stops leave the batch, and the other
+    rows go on.
     """
     X = _batch_starts(problem, X0, keep)
     m = cfg.window_m
     steps = _Steps(problem, len(X), keep, m, cfg.max_iters, log)
-    rows = np.arange(len(X))  # batch index of each running row
     q_hist, r_hist = [], []  # q and r of the running rows, oldest first
-    k = 0
+    k, update = 0, ()
     while True:
         q_errors = {}  # running-row index -> the error q raised there
         try:
@@ -379,7 +368,7 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
             if not bad.all():
                 Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
-        stop = steps.record(X, _norms(Rx), rows, k, q_errors, cfg.stop_tol)
+        going = steps.record(X, _norms(Rx), k, q_errors, cfg.stop_tol, update)
         # the step just taken had a full window: restart the entire AA(m)
         # iteration, which happens every m (accelerated) steps
         if cfg.restart and len(q_hist) == m + 1:
@@ -388,20 +377,16 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
         r_hist.append(Rx)
         if len(q_hist) > m + 1:
             del q_hist[0], r_hist[0]
-        if stop is not None:
-            going = ~stop
-            rows = rows[going]
+        if going is not None:
             q_hist = [a[going] for a in q_hist]
             r_hist = [a[going] for a in r_hist]
-        if k == cfg.max_iters or not rows.size:
+        if k == cfg.max_iters or not steps.rows.size:
             return steps
 
         # every residual in the history has a finite norm (_aa_update)
-        X, coeffs, ranks = _in_chunks(
-            lambda s: _aa_update([a[s] for a in q_hist], [a[s] for a in r_hist]),
-            len(rows), problem.dim, len(q_hist) - 1)
+        X, *update = _joined([_aa_update([a[s] for a in q_hist], [a[s] for a in r_hist])
+                              for s in chunks(len(steps.rows), 5 * problem.dim * len(q_hist))])
         k += 1
-        steps.record_update(rows, k, coeffs, ranks)
 
 
 def _batch_starts(problem: FixedPointProblem, X0: np.ndarray, keep: int) -> np.ndarray:
@@ -420,7 +405,7 @@ def run_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
 
     The rows run in lockstep, every running row taking each step together;
     each running row holds its q and r histories, 2 n (window + 1) floats,
-    and the update steps them in chunks of rows_per_chunk rows, whose
+    and the update steps them in chunks (linalg.chunks), whose
     temporaries stay within linalg.CHUNK_FLOATS.  An error in q (EvalError)
     fails only the rows it was raised on, and a trace's failure is the error
     that stopped its row (not raised).  Every row equals its single-init run
@@ -465,15 +450,6 @@ def aa_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> Iter
     return run_scheme(problem, x0, replace(cfg, restart=False))
 
 
-def gmres_rows_per_chunk(n: int, max_k: int) -> int:
-    """Rows per chunk of a GMRES batch at dimension n with up to max_k Arnoldi steps.
-
-    A row holds its basis V, n (max_k + 1) floats, and its Hessenberg matrix
-    H, (max_k + 1) max_k floats, of the shared budget linalg.CHUNK_FLOATS.
-    """
-    return chunk_rows((n + max_k) * (max_k + 1))
-
-
 @np.errstate(over="ignore")  # a norm beyond ~1e154 is Inf, which the guard or stop test fails
 def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
            keep: int) -> list[IterationTrace]:
@@ -492,14 +468,14 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     B, n = X0.shape
     max_k = min(cfg.max_iters, n)
     steps = _Steps(problem, B, keep, 0, max_k)
-    rows = np.arange(B)  # batch index of each running row
     R0 = b - (A @ X0[..., None])[..., 0]
     X = X0
     rn = beta0 = _norms(R0)
-    # V keeps the basis vectors as columns, as a single run's (n, max_k + 1)
-    # array does, so that its dot products see the same strides.  The
-    # Hessenberg columns H[k] (max_k + 1, B), the rotations and g, whose
-    # layout changes no value, put the batch axis last for cheap indexing.
+    # V keeps the basis vectors as columns, as the tests' scalar reference
+    # loop (_gmres_loop_reference) keeps them in its (n, max_k + 1) array,
+    # so that its dot products see the same strides.  The Hessenberg
+    # columns H[k] (max_k + 1, B), the rotations and g, whose layout changes
+    # no value, put the batch axis last for cheap indexing.
     V = np.zeros((B, n, max_k + 1))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero, NaN or Inf beta0 stops at k = 0
         V[:, :, 0] = R0 / beta0[:, None]
@@ -510,12 +486,11 @@ def _gmres(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     errors, tol = {}, cfg.stop_tol
 
     for k in range(max_k + 1):
-        stop = steps.record(X, rn, rows, k, errors, tol)
-        if stop is not None:
-            going = ~stop
-            rows, X0, beta0, V = rows[going], X0[going], beta0[going], V[going]
+        going = steps.record(X, rn, k, errors, tol)
+        if going is not None:
+            X0, beta0, V = X0[going], beta0[going], V[going]
             H, cs, sn, g = H[..., going], cs[:, going], sn[:, going], g[:, going]
-        if k == max_k or not rows.size:
+        if k == max_k or not steps.rows.size:
             break
         h = H[k]
         w = (A @ V[:, :, k, None])[..., 0]
@@ -574,17 +549,18 @@ def gmres_batch(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig,
     A trace's failure is the error that stopped its row (not raised).  A
     problem without an affine form raises ValueError.
 
-    The rows run in lockstep, one chunk of gmres_rows_per_chunk(n, max_k)
-    rows with max_k = min(max_iters, n) after another, each with its own
-    Arnoldi bases, and every row equals its single-init run bit for bit.
+    The rows run in lockstep, chunk by chunk (linalg.chunks): a row holds
+    its Arnoldi basis V, n (max_k + 1) floats, and Hessenberg matrix H,
+    (max_k + 1) max_k floats, with max_k = min(max_iters, n).  Every row
+    equals its single-init run bit for bit.
     Each trace keeps the row's first keep iterates; its beta and rank are empty.
     """
     if problem.affine is None:
         raise ValueError("gmres requires an affine problem")
     X = _batch_starts(problem, X0, keep)
-    chunk = gmres_rows_per_chunk(problem.dim, min(cfg.max_iters, problem.dim))
-    return [tr for start in range(0, len(X), chunk)
-            for tr in _gmres(problem, X[start:start + chunk], cfg, keep)]
+    max_k = min(cfg.max_iters, problem.dim)
+    return [tr for s in chunks(len(X), (problem.dim + max_k) * (max_k + 1))
+            for tr in _gmres(problem, X[s], cfg, keep)]
 
 
 def gmres_run(problem: FixedPointProblem, x0: np.ndarray, cfg: AccelConfig) -> IterationTrace:
@@ -612,11 +588,10 @@ def aa_full_window_vs_gmres_check(problem: FixedPointProblem, aa_trace: Iteratio
         raise ValueError("the AA-vs-GMRES check needs traces with their iterates")
     res = gmres_trace.residual_norms
     K = max(0, min(k_max, len(aa_trace.iterates) - 1, len(gmres_trace.iterates) - 1))
-    for k in range(K):
-        if res[k + 1] >= res[k]:
-            raise StagnationDetected(
-                f"GMRES residual did not strictly decrease at step {k} "
-                f"({res[k]:.3e} -> {res[k + 1]:.3e})"
-            )
+    stalls = np.flatnonzero(res[1:K + 1] >= res[:K])  # the steps k with res[k + 1] >= res[k]
+    if stalls.size:
+        k = stalls[0]
+        raise StagnationDetected(f"GMRES residual did not strictly decrease at step {k} "
+                                 f"({res[k]:.3e} -> {res[k + 1]:.3e})")
     dev = _norms(aa_trace.iterates[1:K + 1] - problem.q(gmres_trace.iterates[:K]))
     return float(dev.max(initial=0.0))

@@ -13,7 +13,7 @@ from .accelerators import (  # noqa: F401
     TAIL_WINDOW, AccelConfig, IterationTrace, _iterate, last_usable, root_error, run_scheme)
 from .augmented import directional_derivative
 from .errors import InsufficientData
-from .linalg import chunk_rows, spectral_radius
+from .linalg import chunks, spectral_radius
 from .problems import FixedPointProblem
 
 SWEEP_BINS = 40  # bins of a sweep's sigma_final histograms
@@ -167,21 +167,19 @@ def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) ->
     the observed norms at 1 for the 2x2 benchmark and misses the spike of
     values above it.
 
-    Directions are drawn and differentiated in chunks of at most
+    Directions are drawn and differentiated in linalg.chunks of at most
     linalg.CHUNK_FLOATS direction entries.  The draws come from one generator
     in sample order, so sample i is the same for every n_samples.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
     rng = np.random.default_rng(seed)
-    chunk = chunk_rows((m + 1) * n)
     norms = np.empty(n_samples)
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        blocks = rng.standard_normal((stop - start, m + 1, n))
+    for s in chunks(n_samples, (m + 1) * n):
+        blocks = rng.standard_normal((s.stop - s.start, m + 1, n))
         blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
         value = directional_derivative(M, blocks).value
-        norms[start:stop] = np.linalg.norm(value.reshape(stop - start, -1), axis=1)
+        norms[s] = np.linalg.norm(value.reshape(len(blocks), -1), axis=1)
     return norms
 
 

@@ -40,7 +40,7 @@ class DirectionalDerivativeResult:
 
     value: np.ndarray  # d's shape
     beta_hat: np.ndarray
-    D: np.ndarray  # the difference matrices D(d) it was built from
+    D: np.ndarray  # the difference matrices D(d) of the scaled directions it was built from
 
     @cached_property
     def formula_rank_ok(self) -> bool | np.ndarray:
@@ -68,6 +68,13 @@ def _stack(z) -> tuple[np.ndarray, tuple[int, ...]]:
         raise ValueError(f"a state is (m+1, n) and a stack (S, m+1, n), with m >= 1, "
                          f"got {blocks.shape}")
     return blocks.reshape((-1,) + blocks.shape[-2:]), blocks.shape[:-2]
+
+
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each x[i] times 2^-e[i], the power of two that puts its largest entry in [0.5, 1), and e."""
+    # the column-major copy lets the max run over whole columns, not row by row
+    e = np.frexp(np.abs(x.reshape(len(x), -1), order="F").max(axis=1))[1]
+    return np.ldexp(x, -e.reshape((-1,) + (1,) * (x.ndim - 1))), e
 
 
 def beta_of_z(problem: FixedPointProblem, z) -> np.ndarray:
@@ -98,10 +105,7 @@ def beta_hat(A: np.ndarray, d) -> np.ndarray:
     check_nonsingular(A)
     blocks, lead = _stack(d)
     _check_finite("d", blocks)
-    # the column-major copy lets the max run over whole columns, not row by row
-    top = np.abs(blocks.reshape(len(blocks), -1), order="F").max(axis=1)
-    blocks = np.ldexp(blocks, -np.frexp(top)[1][:, None, None])
-    A = np.ldexp(A, -np.frexp(np.abs(A).max())[1])
+    blocks, A = _unit_scaled(blocks)[0], _unit_scaled(A[None])[0][0]
     coeffs, _ = _stacked_solve(A @ build_D(blocks), blocks[:, 0] @ A.T)
     return coeffs.reshape(lead + coeffs.shape[1:])
 
@@ -117,17 +121,20 @@ def directional_derivative(M: np.ndarray, d) -> DirectionalDerivativeResult:
     survives the O(h) nonlinear terms.
 
     value has d's shape; beta_hat is (m,) and formula_rank_ok a bool per
-    direction, with d's leading shape.
+    direction, with d's leading shape.  The value and D are computed on the
+    directions as beta_hat scales them, and the value, homogeneous in d, is
+    scaled back exactly, so no step overflows where the value does not.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
     blocks, lead = _stack(d)
     if blocks.shape[2] != n:
         raise ValueError("direction block size does not match M")
+    blocks, e = _unit_scaled(blocks)
     bh = beta_hat(np.eye(n) - M, blocks)
     D = build_D(blocks)
     first = (blocks[:, 0] + (D @ bh[:, :, None])[:, :, 0]) @ M.T
-    value = np.concatenate([first[:, None], blocks[:, :-1]], axis=1)
+    value = np.ldexp(np.concatenate([first[:, None], blocks[:, :-1]], axis=1), e[:, None, None])
     return DirectionalDerivativeResult(value=value.reshape(lead + value.shape[1:]),
                                        beta_hat=bh.reshape(lead + bh.shape[1:]),
                                        D=D.reshape(lead + D.shape[1:]))

@@ -21,9 +21,10 @@ _EPS = np.finfo(float).eps
 CHUNK_FLOATS = 1 << 18
 
 
-def chunk_rows(floats_per_row: int) -> int:
-    """Rows per chunk of a stack whose rows each hold floats_per_row floats; at least 1."""
-    return max(1, CHUNK_FLOATS // floats_per_row)
+def chunks(rows: int, floats_per_row: int) -> list[slice]:
+    """Slices of up to max(1, CHUNK_FLOATS // floats_per_row) rows covering range(rows) in order."""
+    size = max(1, CHUNK_FLOATS // floats_per_row)
+    return [slice(start, min(start + size, rows)) for start in range(rows)[::size]]
 
 
 @dataclass(frozen=True)

@@ -567,9 +567,9 @@ class TestGmresBatch:
             row = accelerators.gmres_batch(p, x0[None], cfg, keep=cfg.max_iters + 1)[0]
             _assert_gmres_row_matches_single_run(row, p, x0, cfg, cfg.max_iters + 1)
 
-    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
     @pytest.mark.parametrize("keep", [0, 4, 61])
-    def test_rows_equal_single_runs_bitwise(self, monkeypatch, rows_per_chunk, keep):
+    def test_rows_equal_single_runs_bitwise(self, monkeypatch, chunk_size, keep):
         # each batch mixes rows that converge with a start beyond the guard
         # (Diverged) and a NaN start (NonFinite); linear200's row 5 starts at
         # x* = 0 and converges at k = 0.  The 2 x 2 rows end in happy
@@ -606,10 +606,11 @@ class TestGmresBatch:
             X0[2] *= 1e13
             X0[4, 0] = np.nan
             max_k = min(cfg.max_iters, problem.dim)
-            if rows_per_chunk is not None:
+            if chunk_size is not None:
                 monkeypatch.setattr(linalg, "CHUNK_FLOATS",
-                                    (problem.dim + max_k) * (max_k + 1) * rows_per_chunk)
-                assert accelerators.gmres_rows_per_chunk(problem.dim, max_k) == rows_per_chunk
+                                    (problem.dim + max_k) * (max_k + 1) * chunk_size)
+                assert linalg.chunks(len(X0), (problem.dim + max_k) * (max_k + 1))[0] == \
+                    slice(0, chunk_size)
             batch = accelerators.gmres_batch(problem, X0, cfg, keep=keep)
             assert len(batch) == len(X0)
             if lengths is not None:
@@ -721,6 +722,20 @@ class TestGmresCorrespondence:
         p, x0 = make_affine(spec), np.array([1.0, 0.0])
         with pytest.raises(StagnationDetected):
             aa_full_window_vs_gmres_check(p, *_check_traces(p, x0, 2), k_max=2)
+
+    @pytest.mark.parametrize("res, message", [
+        ([1.0, 0.5, 0.5, 0.1], "at step 1 (5.000e-01 -> 5.000e-01)"),
+        # a NaN compares as no stall; the first stall is reported
+        ([1.0, np.nan, 0.5, 0.6, 0.7], "at step 2 (5.000e-01 -> 6.000e-01)"),
+    ])
+    def test_stagnation_names_the_first_stalled_step(self, res, message):
+        p = problem_linear_2x2()
+        iterates = np.zeros((len(res), 2))
+        with pytest.raises(StagnationDetected) as exc:
+            aa_full_window_vs_gmres_check(p, IterationTrace(iterates=iterates),
+                                          IterationTrace(iterates=iterates,
+                                                         residual_norms=np.array(res)), k_max=10)
+        assert str(exc.value) == "GMRES residual did not strictly decrease " + message
 
 
 def _assert_row_matches_single_run(batch, i, problem, x0, cfg):

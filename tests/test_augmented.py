@@ -372,6 +372,18 @@ class TestDirectionalDerivative:
         assert (directional_derivative(M, np.ldexp(d, j)).value.tobytes()
                 == np.ldexp(value, j).tobytes())
 
+    def test_direction_whose_differences_overflow_gives_a_finite_value(self):
+        # at face value d_{m+1} - d_m is 2.75 * 2^1023, beyond the largest
+        # float; the value is 2^1023 times the value at d
+        M = problem_linear_2x2().affine.M
+        d = np.array([[1.5, -0.75], [-1.25, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = directional_derivative(M, np.ldexp(d, 1023)).value
+        assert value.tobytes() == np.ldexp(directional_derivative(M, d).value, 1023).tobytes()
+        np.testing.assert_allclose(value, [[1.356e307, 2.381e306], [1.348e308, -6.741e307]],
+                                   rtol=1e-3)
+
     def test_stack_matches_single_directions(self):
         M = problem_nonlinear_2x2().jacobian(np.zeros(2))
         rng = np.random.default_rng(17)

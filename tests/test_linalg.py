@@ -34,6 +34,19 @@ class TestRankTolerance:
         np.testing.assert_array_equal(coeffs, [-1.0, 0.0, 0.0])
 
 
+class TestChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 3000), floats_per_row=st.integers(1, 2 * linalg.CHUNK_FLOATS))
+    def test_slices_cover_the_rows_once_in_order(self, rows, floats_per_row):
+        slices = linalg.chunks(rows, floats_per_row)
+        assert [i for s in slices for i in range(rows)[s]] == list(range(rows))
+        size = max(1, linalg.CHUNK_FLOATS // floats_per_row)
+        assert all(0 < s.stop - s.start <= size for s in slices)
+
+    def test_no_rows_give_no_slice(self):
+        assert linalg.chunks(0, 1) == [] and linalg.chunks(0, 10 * linalg.CHUNK_FLOATS) == []
+
+
 class TestCheckNonsingular:
     @pytest.mark.parametrize("s_max", [0.5, 1e4])
     def test_raises_at_the_threshold_and_passes_one_ulp_above(self, s_max):
