@@ -7,8 +7,9 @@ Extracts REF's src/ into a temporary directory (git archive), runs every
 command of COMMANDS at every seed of SEEDS against that tree and against this
 checkout's src/, each in a fresh process with BLAS on one thread, and
 compares the exit code, stdout, stderr and the bytes of every output file.
-Prints one line per command and seed, and exits 1 if any of them differ.
-Uses the standard library only.
+Prints one line per command and seed and the line count of src/ in REF and
+in this checkout, and exits 1 if any command and seed differ.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ SEEDS = (7, 11)
 # sweep, sweeps on the nonlinear and scalar problems, three single runs
 # (the last fails with exit code 3), an AA-vs-GMRES comparison at n = 2,
 # where nearly every GMRES row ends in a happy breakdown, a
-# derivative-norm histogram at m = n, and one whose 100000 samples cross a
-# chunk boundary of derivative_norm_samples (65536 samples at n = 2, m = 1)
+# derivative-norm histogram at m = n, one whose 100000 samples cross a
+# chunk boundary of derivative_norm_samples (65536 samples at n = 2, m = 1),
+# and a sweep whose rows run to the rounding floor, where rank-deficient
+# least-squares problems take the stacked solve's min_norm_lstsq path
 COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 1 --box=-0.25,0.25 --inits 200",
     "deriv-hist --problem linear2x2 --m 1 --samples 5000",
@@ -45,6 +48,7 @@ COMMANDS = (
     "gmres-compare --problem linear2x2 --m 1 --k-max 10 --iters 60 --inits 200",
     "deriv-hist --problem nonlinear2x2 --m 2 --samples 20000",
     "deriv-hist --problem linear2x2 --m 1 --samples 100000",
+    "sweep --problem linear2x2 --scheme aa --m 2 --tol 1e-300 --inits 200",
 )
 
 
@@ -60,6 +64,11 @@ def run(src: Path, args: list[str], workdir: Path) -> dict:
              for p in sorted(out.rglob("*")) if p.is_file()}
     return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
             **{f"file {name}": data for name, data in files.items()}}
+
+
+def src_lines(src: Path) -> int:
+    """The newlines in the package's modules src/anderson_lab/*.py, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "anderson_lab").glob("*.py"))
 
 
 def main(argv: list[str]) -> int:
@@ -81,6 +90,8 @@ def main(argv: list[str]) -> int:
                 differ += bool(diff)
                 verdict = "DIFFER: " + ", ".join(diff) if diff else f"same (exit {new['exit code']})"
                 print(f"{command} --seed {seed}: {verdict}", flush=True)
+        ref_lines, new_lines = src_lines(tmp / "src"), src_lines(ROOT / "src")
+        print(f"src/ lines: {ref_lines} at {argv[0]}, {new_lines} in this checkout")
     print(f"{differ} of {len(COMMANDS) * len(SEEDS)} command/seed pairs differ")
     return 1 if differ else 0
 

@@ -153,11 +153,11 @@ def _update_at(problem: FixedPointProblem, blocks: np.ndarray) -> tuple:
     """_aa_update of each history of the stack blocks (S, k + 1, n), newest block first.
 
     The update of aa_step and of the lifted map.  Each chunk of states
-    (linalg.chunks) is laid out oldest first, as the run loop's histories
-    are, and evaluates q, its residuals and the update on its own.  The run
-    loop's stop rule holds for every residual: NonFinite unless its norm is
-    below Inf (not NaN), which also keeps R and r finite.  ValueError when
-    the blocks are not of the problem's dimension.
+    (linalg.chunks; one empty chunk when S = 0) is laid out oldest first, as
+    the run loop's histories are, and evaluates q, its residuals and the
+    update on its own.  The run loop's stop rule holds for every residual:
+    NonFinite unless its norm is below Inf (not NaN), which also keeps R and
+    r finite.  ValueError when the blocks are not of the problem's dimension.
     """
     def update(s):
         X = np.ascontiguousarray(blocks[s, ::-1].transpose(1, 0, 2))  # (k + 1, rows, n)
@@ -171,7 +171,7 @@ def _update_at(problem: FixedPointProblem, blocks: np.ndarray) -> tuple:
     if n != problem.dim:
         raise ValueError("state block size does not match problem dimension")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _joined([update(s) for s in chunks(S, 5 * n * k1)])
+        return _joined([update(s) for s in chunks(S, 5 * n * k1) or [slice(0)]])
 
 
 def _grown(table: np.ndarray, size: int) -> np.ndarray:

@@ -80,20 +80,18 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
     """estimate_r_factor of every trace at once, as columns with a row per trace.
 
     A trace that failed or has no usable iteration gets no estimate; NaN
-    error norms (x* unknown) are never usable.  The error norms of the
-    traces whose lengths have the same bit length are the rows of one table,
-    padded with NaN, whose tails last_usable finds, as a sweep's run loop
-    finds them; no trace is padded to more than twice its length.
+    error norms (x* unknown) are never usable.  Each linalg.chunks chunk of
+    traces pads its error norms with NaN into one table, whose tails
+    last_usable finds, as a sweep's run loop finds them.
     """
     lengths = [len(tr.error_norms) for tr in traces]
-    bits = np.frexp(np.array(lengths, dtype=int))[1]  # each length's bit length
     e, k = np.full((len(traces), TAIL_WINDOW), np.nan), np.zeros((len(traces), TAIL_WINDOW), int)
-    for group in (np.flatnonzero(bits == b).tolist() for b in np.unique(bits)):
-        errs = np.full((len(group), max(lengths[i] for i in group)), np.nan)
-        for row, i in enumerate(group):
-            errs[row, :lengths[i]] = traces[i].error_norms
-        e[group], k[group] = last_usable(errs, np.arange(errs.shape[1]),
-                                         [traces[i].x_star_norm for i in group])
+    for s in chunks(len(traces), max([1, *lengths])):
+        chunk = traces[s]
+        errs = np.full((len(chunk), max(lengths[s])), np.nan)
+        for row, tr in enumerate(chunk):
+            errs[row, :len(tr.error_norms)] = tr.error_norms
+        e[s], k[s] = last_usable(errs, np.arange(errs.shape[1]), [tr.x_star_norm for tr in chunk])
     return _estimates(e, k, np.array([tr.converged for tr in traces], dtype=bool),
                       np.array([tr.failure is not None for tr in traces], dtype=bool))
 

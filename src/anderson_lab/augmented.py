@@ -12,9 +12,9 @@ directions and calls linalg's one stacked solve (_stacked_solve) itself.
 
 A state z = (z_{m+1}, ..., z_1), a direction d and a derivative value are each
 an (m+1, n) float array of blocks, newest first: row 0 is z_{m+1}.  Every
-function that takes one also takes an (S, m+1, n) stack of them, and returns
-its results with the same leading shape.  psi_apply and beta_of_z take the
-run loop's update, state chunk by state chunk (accelerators._update_at).
+function that takes one also takes a stack (S, m+1, n) of them, S >= 0, and
+gives results of the same leading shape.  psi_apply and beta_of_z take the
+run loop's update per chunk of states (accelerators._update_at).
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ def _stack(z) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each x[i] times 2^-e[i], the power of two that puts its largest entry in [0.5, 1), and e."""
-    # the column-major copy lets the max run over whole columns, not row by row
-    e = np.frexp(np.abs(x.reshape(len(x), -1), order="F").max(axis=1))[1]
-    return np.ldexp(x, -e.reshape((-1,) + (1,) * (x.ndim - 1))), e
+    # x is (S, rows, cols); the column-major copy lets the max run along S, not row by row
+    e = np.frexp(np.abs(x, order="F").max(axis=(1, 2)))[1]
+    return np.ldexp(x, -e[:, None, None]), e
 
 
 def beta_of_z(problem: FixedPointProblem, z) -> np.ndarray:
@@ -198,4 +198,4 @@ def discontinuity_probe_beta(problem: FixedPointProblem, z0, directions,
     d = np.asarray(directions, dtype=float)[:, None]
     z = np.asarray(z0, dtype=float) + eps * d
     betas = beta_of_z(problem, z.reshape((-1,) + z.shape[2:]))
-    return betas.reshape(z.shape[:2] + (-1,))
+    return betas.reshape(z.shape[:2] + betas.shape[1:])

@@ -161,6 +161,15 @@ def _row(est, i):
                  (est.sigma_final, est.sigma_tail_max, est.k_used, est.converged))
 
 
+def _traces(specs, failed):
+    """A trace per spec (error norms, x_star_norm, converged), failed at the indices in failed."""
+    return [IterationTrace(residual_norms=np.ones(len(errs)),
+                           error_norms=np.array(errs, dtype=float),
+                           x_star_norm=x_star_norm, converged=converged,
+                           failure=Diverged("diverged") if i in failed else None)
+            for i, (errs, x_star_norm, converged) in enumerate(specs)]
+
+
 def _assert_batch_matches_full_sequence(specs, failed=()):
     """estimate_r_factors over traces (error norms, x_star_norm, converged), bit for bit.
 
@@ -170,11 +179,7 @@ def _assert_batch_matches_full_sequence(specs, failed=()):
     are never usable) must give the row NaN, NaN, 0, False, and no numpy
     warning may be raised.
     """
-    traces = [IterationTrace(residual_norms=np.ones(len(errs)),
-                             error_norms=np.array(errs, dtype=float),
-                             x_star_norm=x_star_norm, converged=converged,
-                             failure=Diverged("diverged") if i in failed else None)
-              for i, (errs, x_star_norm, converged) in enumerate(specs)]
+    traces = _traces(specs, failed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = estimate_r_factors(traces)
@@ -245,6 +250,25 @@ class TestEstimateRFactors:
                     ([0.5 ** k for k in range(30)], 0.0, True),
                     ([0.5 ** k for k in range(30)], 0.0, True)])
         _assert_batch_matches_full_sequence(specs, failed={2, len(specs) - 1})
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs=st.lists(_TRACE_SPEC, max_size=12), failed=st.sets(st.integers(0, 11)),
+           budget=st.integers(1, 200))
+    def test_chunks_change_no_estimate(self, specs, failed, budget):
+        # a budget of at most 200 floats puts one trace or a few in each
+        # chunk's padded table; the columns keep their bits
+        traces = _traces(specs, failed)
+        want = estimate_r_factors(traces)
+        rows = []
+        usable = analysis.last_usable
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "CHUNK_FLOATS", budget)
+            patch.setattr(analysis, "last_usable",
+                          lambda e, k, norms: rows.append(len(e)) or usable(e, k, norms))
+            got = estimate_r_factors(traces)
+        _assert_same_columns(got, want)
+        longest = max([1] + [len(errs) for errs, _, _ in specs])
+        assert sum(rows) == len(traces) and max(rows, default=1) <= max(1, budget // longest)
 
     def test_memory_follows_each_trace_length(self):
         # padding the short traces to the long one would hold 201 x 50000
@@ -582,7 +606,7 @@ class TestDerivativeNorms:
         M = 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
         chunk = linalg.CHUNK_FLOATS // ((m + 1) * n)
         full = derivative_norm_samples(M, m, chunk + 3, seed=4)
-        for k in (1, 2, chunk - 1, chunk, chunk + 1):
+        for k in (0, 1, 2, chunk - 1, chunk, chunk + 1):
             assert np.array_equal(full[:k], derivative_norm_samples(M, m, k, seed=4))
 
 

@@ -236,6 +236,32 @@ class TestLiftedMapProperties:
         assert np.array_equal(beta_of_z(p, z_star), np.zeros(m))
 
 
+@pytest.mark.parametrize("factory",
+                         [problem_linear_2x2, problem_nonlinear_2x2, problem_scalar])
+@pytest.mark.parametrize("m", [1, 3])
+def test_empty_stack_gives_empty_results(factory, m):
+    # no states, directions, h or eps: empty arrays of the documented shapes,
+    # and no warning (the suite turns warnings into errors)
+    p = factory()
+    n = p.dim
+    M = p.jacobian(p.known_fixed_point)
+    Z = np.empty((0, m + 1, n))
+    d = np.ones((m + 1, n))
+    z_star = np.tile(p.known_fixed_point, (m + 1, 1))
+    deriv = directional_derivative(M, Z)
+    results = {"psi_apply": (psi_apply(p, Z), Z.shape),
+               "beta_of_z": (beta_of_z(p, Z), (0, m)),
+               "beta_hat": (beta_hat(np.eye(n) - M, Z), (0, m)),
+               "value": (deriv.value, Z.shape),
+               "derivative beta_hat": (deriv.beta_hat, (0, m)),
+               "D": (deriv.D, (0, n, m)),
+               "fd": (directional_derivative_fd(p, d, []), Z.shape),
+               "probe": (discontinuity_probe_beta(p, z_star, [d, -d, 2 * d], []), (3, 0, m))}
+    for name, (got, shape) in results.items():
+        assert got.shape == shape and got.dtype == np.float64, name
+    assert deriv.formula_rank_ok.shape == (0,) and deriv.formula_rank_ok.dtype == bool
+
+
 def _ray_case(seed, n, m):
     """A nonsingular n x n A and one (m+1, n) direction, its entries 0 or of magnitude in [2^-20, 2].
 
