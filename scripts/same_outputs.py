@@ -30,8 +30,10 @@ SEEDS = (7, 11)
 # where nearly every GMRES row ends in a happy breakdown, a
 # derivative-norm histogram at m = n, one whose 100000 samples cross a
 # chunk boundary of derivative_norm_samples (65536 samples at n = 2, m = 1),
-# and a sweep whose rows run to the rounding floor, where rank-deficient
-# least-squares problems take the stacked solve's min_norm_lstsq path
+# a sweep whose rows run to the rounding floor, where rank-deficient
+# least-squares problems take the stacked solve's min_norm_lstsq path, and
+# a restarted single run at n = 200, the only command whose output bytes
+# hold restarted betas (its beta columns go blank after each restart)
 COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 1 --box=-0.25,0.25 --inits 200",
     "deriv-hist --problem linear2x2 --m 1 --samples 5000",
@@ -49,6 +51,7 @@ COMMANDS = (
     "deriv-hist --problem nonlinear2x2 --m 2 --samples 20000",
     "deriv-hist --problem linear2x2 --m 1 --samples 100000",
     "sweep --problem linear2x2 --scheme aa --m 2 --tol 1e-300 --inits 200",
+    "run --problem linear200:-0.9,0.7,-0.7 --scheme aa_restarted --m 3 --box=0.1,0.1",
 )
 
 

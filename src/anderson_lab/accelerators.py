@@ -106,26 +106,27 @@ def _norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _aa_update(q_hist: list, r_hist: list) -> tuple:
-    """One AA update for a batch, from cached q and r histories, oldest first.
+def _aa_update(q_hist, r_hist) -> tuple:
+    """One AA update for a batch, from cached q and r histories, newest first.
 
-    Each history entry is a (B, n) array; with mk + 1 entries the update
-    solves B least-squares problems of mk columns with one stacked SVD, whose
-    column j pairs the newest residual with the one j + 1 steps older.
-    Returns the next iterates (B, n), the coefficients (B, mk) and the
-    numerical ranks (B,).  mk = 0 is the plain fixed-point step, which solves
-    nothing: no coefficients, rank 0.  Every residual must have a finite
-    norm, so that R and r are finite: the solve is linalg's unchecked kernel.
+    Each history is a list of (B, n) arrays or a (mk + 1, B, n) array, the
+    newest entry at [0].  The update solves B least-squares problems of mk
+    columns with one stacked SVD, whose column j pairs the newest residual
+    with the one j + 1 steps older, at [1 + j].  Returns the next iterates
+    (B, n), the coefficients (B, mk) and the numerical ranks (B,).  mk = 0 is
+    the plain fixed-point step, which solves nothing: no coefficients, rank
+    0.  Every residual must have a finite norm, so that R and r are finite:
+    the solve is linalg's unchecked kernel.
     """
-    qk, rk = q_hist[-1], r_hist[-1]
+    qk, rk = q_hist[0], r_hist[0]
     mk = len(q_hist) - 1
     if not mk:
         return qk.copy(), np.zeros((len(qk), 0)), np.zeros(len(qk), dtype=int)
     R = np.empty(rk.shape + (mk,))
     Q = np.empty(R.shape)
     for j in range(mk):
-        np.subtract(rk, r_hist[-2 - j], out=R[..., j])
-        np.subtract(qk, q_hist[-2 - j], out=Q[..., j])
+        np.subtract(rk, r_hist[1 + j], out=R[..., j])
+        np.subtract(qk, q_hist[1 + j], out=Q[..., j])
     coeffs, ranks = _stacked_solve(R, rk)
     return qk + (Q @ coeffs[..., None])[..., 0], coeffs, ranks
 
@@ -153,19 +154,20 @@ def _update_at(problem: FixedPointProblem, blocks: np.ndarray) -> tuple:
     """_aa_update of each history of the stack blocks (S, k + 1, n), newest block first.
 
     The update of aa_step and of the lifted map.  Each chunk of states
-    (linalg.chunks; one empty chunk when S = 0) is laid out oldest first, as
-    the run loop's histories are, and evaluates q, its residuals and the
-    update on its own.  The run loop's stop rule holds for every residual:
-    NonFinite unless its norm is below Inf (not NaN), which also keeps R and
-    r finite.  ValueError when the blocks are not of the problem's dimension.
+    (linalg.chunks; one empty chunk when S = 0) is laid out as a history of
+    the run loop, (k + 1, rows, n) newest first, and evaluates q, its
+    residuals and the update on its own.  The run loop's stop rule holds
+    for every residual: NonFinite unless its norm is below Inf (not NaN),
+    which also keeps R and r finite.  ValueError when the blocks are not of
+    the problem's dimension.
     """
     def update(s):
-        X = np.ascontiguousarray(blocks[s, ::-1].transpose(1, 0, 2))  # (k + 1, rows, n)
+        X = np.ascontiguousarray(blocks[s].transpose(1, 0, 2))  # (k + 1, rows, n)
         Qx = problem.q(X)
         Rx = X - Qx
         if not (_norms(Rx) < np.inf).all():
             raise NonFinite("a residual norm of the history is not finite")
-        return _aa_update(list(Qx), list(Rx))
+        return _aa_update(Qx, Rx)
 
     S, k1, n = blocks.shape
     if n != problem.dim:
@@ -353,7 +355,7 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
     X = _batch_starts(problem, X0, keep)
     m = cfg.window_m
     steps = _Steps(problem, len(X), keep, m, cfg.max_iters, log)
-    q_hist, r_hist = [], []  # q and r of the running rows, oldest first
+    q_hist, r_hist = [], []  # q and r of the running rows, newest first
     k, update = 0, ()
     while True:
         q_errors = {}  # running-row index -> the error q raised there
@@ -369,14 +371,10 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
                 Qx[~bad] = problem.q(X[~bad])
         Rx = X - Qx
         going = steps.record(X, _norms(Rx), k, q_errors, cfg.stop_tol, update)
-        # the step just taken had a full window: restart the entire AA(m)
-        # iteration, which happens every m (accelerated) steps
-        if cfg.restart and len(q_hist) == m + 1:
-            q_hist, r_hist = [], []
-        q_hist.append(Qx)
-        r_hist.append(Rx)
-        if len(q_hist) > m + 1:
-            del q_hist[0], r_hist[0]
+        # push q and r with the m newest older entries; after a full window
+        # restarted AA(m) keeps none, so it restarts every m (accelerated) steps
+        keep_old = 0 if cfg.restart and len(q_hist) == m + 1 else m
+        q_hist, r_hist = [Qx, *q_hist[:keep_old]], [Rx, *r_hist[:keep_old]]
         if going is not None:
             q_hist = [a[going] for a in q_hist]
             r_hist = [a[going] for a in r_hist]

@@ -195,7 +195,7 @@ def discontinuity_probe_beta(problem: FixedPointProblem, z0, directions,
     against explicit eps sequences.
     """
     eps = np.asarray(eps_sequence, dtype=float)[:, None, None]
-    d = np.asarray(directions, dtype=float)[:, None]
+    d = np.reshape(np.asarray(directions, dtype=float), (-1, 1) + np.shape(z0))
     z = np.asarray(z0, dtype=float) + eps * d
     betas = beta_of_z(problem, z.reshape((-1,) + z.shape[2:]))
     return betas.reshape(z.shape[:2] + betas.shape[1:])

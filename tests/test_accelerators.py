@@ -349,6 +349,27 @@ class TestRestartedRun:
             assert _widths(tr) == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
 
+@pytest.mark.parametrize("problem_id", ["linear2x2", "nonlinear2x2", "linear200:-0.9,0.7,-0.7"])
+@pytest.mark.parametrize("restart", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_coefficients_solve_the_newest_first_difference_columns(problem_id, restart, m):
+    # an independent reference for the history order: column j of R is
+    # r_k - r_{k-1-j}, the newest residual minus the one j + 1 steps older,
+    # built from the kept iterates alone; on linear2x2, m >= n makes slices
+    # rank deficient, which the min_norm_lstsq path solves
+    p = problem_from_id(problem_id)
+    x0 = np.random.default_rng(m).uniform(-0.1, 0.1, p.dim)
+    tr = run_scheme(p, x0, AccelConfig(window_m=m, restart=restart, max_iters=30, stop_tol=0.0))
+    r = tr.iterates - p.q(tr.iterates)
+    widths = _widths(tr)
+    assert max(widths) == m
+    for k, w in enumerate(widths):
+        R = np.column_stack([r[k] - r[k - 1 - j] for j in range(w)]) if w else np.empty((p.dim, 0))
+        beta, info = linalg.anderson_coefficients(R, r[k])
+        assert beta.tobytes() == tr.beta[k, :w].tobytes(), (k, w)
+        assert info.numerical_rank == tr.rank[k], (k, w)
+
+
 class TestRunScheme:
     def test_dispatch(self):
         p = problem_linear_2x2()

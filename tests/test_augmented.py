@@ -256,7 +256,9 @@ def test_empty_stack_gives_empty_results(factory, m):
                "derivative beta_hat": (deriv.beta_hat, (0, m)),
                "D": (deriv.D, (0, n, m)),
                "fd": (directional_derivative_fd(p, d, []), Z.shape),
-               "probe": (discontinuity_probe_beta(p, z_star, [d, -d, 2 * d], []), (3, 0, m))}
+               "probe": (discontinuity_probe_beta(p, z_star, [d, -d, 2 * d], []), (3, 0, m)),
+               "probe without directions": (discontinuity_probe_beta(p, z_star, [], [1e-3, 1e-6]),
+                                            (0, 2, m))}
     for name, (got, shape) in results.items():
         assert got.shape == shape and got.dtype == np.float64, name
     assert deriv.formula_rank_ok.shape == (0,) and deriv.formula_rank_ok.dtype == bool
