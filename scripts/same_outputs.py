@@ -31,9 +31,13 @@ SEEDS = (7, 11)
 # derivative-norm histogram at m = n, one whose 100000 samples cross a
 # chunk boundary of derivative_norm_samples (65536 samples at n = 2, m = 1),
 # a sweep whose rows run to the rounding floor, where rank-deficient
-# least-squares problems take the stacked solve's min_norm_lstsq path, and
-# a restarted single run at n = 200, the only command whose output bytes
-# hold restarted betas (its beta columns go blank after each restart)
+# least-squares problems take the stacked solve's slow path, a restarted
+# single run at n = 200, the only command whose output bytes hold restarted
+# betas (its beta columns go blank after each restart), and an AA-vs-GMRES
+# comparison at n = 200 run to the rounding floor, whose AA(inf) rows lose
+# rank after GMRES-like termination: the only command whose rank-deficient
+# slices have n > m, where the order of the slow path's products decides
+# the bits
 COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 1 --box=-0.25,0.25 --inits 200",
     "deriv-hist --problem linear2x2 --m 1 --samples 5000",
@@ -52,6 +56,7 @@ COMMANDS = (
     "deriv-hist --problem linear2x2 --m 1 --samples 100000",
     "sweep --problem linear2x2 --scheme aa --m 2 --tol 1e-300 --inits 200",
     "run --problem linear200:-0.9,0.7,-0.7 --scheme aa_restarted --m 3 --box=0.1,0.1",
+    "gmres-compare --problem linear200:0,0,0 --m 3 --k-max 10 --iters 60 --inits 20 --tol 1e-300",
 )
 
 

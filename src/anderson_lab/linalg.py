@@ -139,14 +139,14 @@ def _stacked_solve(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Its contract, which its callers check: R is a finite float (S, n, m)
     stack with m >= 1 and r a finite (S, n) stack.  Returns the (S, m)
     coefficients and the (S,) numerical ranks, each slice bit for bit equal
-    to the 2-D function's.  The products
-    are stacked matmuls and ||r|| is sqrt(r . r), the operations the 2-D
-    function runs on one slice; the column norms, computed only where the
-    largest singular value leaves the degenerate-step rule open, are those of
-    np.linalg.norm; and a rank-deficient slice is solved again by
-    min_norm_lstsq, which sums over the kept singular directions only.  A
-    stack whose slices are all informative and of full rank skips these
-    steps: it is solved with no more than the SVD and the two products.
+    to the 2-D function's.  The products are stacked matmuls and ||r|| is
+    sqrt(r . r), the operations the 2-D function runs on one slice; the
+    column norms, computed only where the largest singular value leaves the
+    degenerate-step rule open, are those of np.linalg.norm; and a
+    rank-deficient slice's products run over its kept singular directions
+    only, on the stack's own factors, as the 2-D function's do.  A stack
+    whose slices are all informative and of full rank skips these steps: it
+    is solved with no more than the SVD and the two products.
     """
     S, n, m = R.shape
     U, s, Vt = np.linalg.svd(R, full_matrices=False)
@@ -176,5 +176,5 @@ def _stacked_solve(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     coeffs = np.matmul(-Vt.transpose(0, 2, 1), w[..., None])[..., 0]
     ranks = kept.sum(axis=1)
     for i in np.flatnonzero((ranks > 0) & (ranks < s.shape[1])):
-        coeffs[i] = min_norm_lstsq(R[i], r[i])[0]
+        coeffs[i] = -Vt[i, :ranks[i]].T @ ((U[i, :, :ranks[i]].T @ r[i]) / s[i, :ranks[i]])
     return coeffs, ranks

@@ -48,8 +48,6 @@ def line_chart(series: dict[str, Sequence[float]], title: str = "",
 
 def bar_chart(edges: Sequence[float], counts: Sequence[int], title: str = "") -> str:
     """Histogram bars from numpy-style bin edges and counts."""
-    if not len(counts):
-        return _svg("")
     cmax = max(max(counts), 1)
     lo, hi = edges[0], edges[-1]
     parts = [f'<text x="{_W/2}" y="20" text-anchor="middle" font-size="14">{title}</text>']

@@ -356,7 +356,7 @@ def test_coefficients_solve_the_newest_first_difference_columns(problem_id, rest
     # an independent reference for the history order: column j of R is
     # r_k - r_{k-1-j}, the newest residual minus the one j + 1 steps older,
     # built from the kept iterates alone; on linear2x2, m >= n makes slices
-    # rank deficient, which the min_norm_lstsq path solves
+    # rank deficient, which the stacked solve's slow path solves
     p = problem_from_id(problem_id)
     x0 = np.random.default_rng(m).uniform(-0.1, 0.1, p.dim)
     tr = run_scheme(p, x0, AccelConfig(window_m=m, restart=restart, max_iters=30, stop_tol=0.0))

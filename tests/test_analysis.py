@@ -461,6 +461,10 @@ class TestMonteCarloSweep:
         box = np.tile([-0.25, 0.25], (2, 1))
         return monte_carlo_sweep(p, schemes, box, n_inits, seed)
 
+    def test_no_inits_raises(self):
+        with pytest.raises(ValueError, match="n_inits must be >= 1"):
+            self._sweep(n_inits=0)
+
     def test_determinism_bitwise(self):
         r1, r2 = self._sweep(), self._sweep()
         assert np.array_equal(r1.inits, r2.inits)

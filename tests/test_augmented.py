@@ -536,6 +536,11 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             directional_derivative_fd(p, d[None], [1e-3])  # one direction, not a stack
 
+    def test_requires_known_fixed_point(self):
+        p = replace(problem_linear_2x2(), known_fixed_point=None)
+        with pytest.raises(ValueError, match="needs a known x"):
+            directional_derivative_fd(p, np.array([[1.0, 0.0], [0.0, 0.0]]), [1e-3])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_requires_finite_h_before_evaluating(self, bad):
         calls = []

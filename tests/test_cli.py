@@ -283,6 +283,7 @@ class TestConfigHandling:
                 assert action.dest in fields, (name, action.option_strings)
 
     @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--iters", "0"], "iters must be >= 1"),
         (["gmres-compare", "--k-max", "0"], "k-max must be >= 1"),
         (["gmres-compare", "--k-max=-3"], "k-max must be >= 1"),
         (["deriv-hist", "--samples", "0"], "samples must be >= 1"),
@@ -296,6 +297,31 @@ class TestConfigHandling:
         assert main([*argv, "--problem", "linear2x2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not list(out.iterdir())  # rejected before any run
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--problem", "linear2x2", "--x0=1,2,3"], "x0 must have 2 components"),
+        (["sweep", "--problem", "linear2x2", "--box=0,1;0,1;0,1"],
+         "box must give one [lo, hi] pair or 2 pairs"),
+        (["sweep", "--problem", "linear2x2", "--box=0,1,2"],
+         "bad box component '0,1,2'; expected lo,hi"),
+        (["sweep", "--problem", "linear2x2", "--scheme", "gmres"],
+         "sweep supports fp/aa/aa_restarted schemes"),
+        (["gmres-compare", "--problem", "nonlinear2x2"], "gmres-compare requires an affine problem"),
+    ])
+    def test_flag_the_command_cannot_take_is_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists() or not list(out.iterdir())  # rejected before any run
+
+    @pytest.mark.parametrize("text", [None, "{"])  # a missing file, invalid JSON
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read config {str(cfg)!r}: ")
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -316,6 +342,8 @@ class TestConfigHandling:
         ("sweep", {"output_dir": None}, "config key 'output_dir' must be a string, got None"),
         ("sweep", {"seed": True}, "config key 'seed' must be an integer, got True"),
         ("sweep", {"stop_tol": "1e-9"}, "config key 'stop_tol' must be a number, got '1e-9'"),
+        ("sweep", {"scheme": "bogus"},
+         "unknown scheme 'bogus'; pick one of ('fp', 'aa', 'aa_restarted', 'gmres')"),
         *(("msweep", {"m_values": m_values},
            f"m-values must be a non-empty list of integers, got {m_values!r}")
           for m_values in ([], [1.5], [1, True], [2, "3"])),

@@ -133,6 +133,10 @@ class TestSpectralRadius:
     def test_diagonal(self):
         assert abs(spectral_radius(np.diag([0.9, -0.9, 0.3])) - 0.9) < 1e-12
 
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            spectral_radius(np.zeros((2, 3)))
+
     def test_bounded_by_operator_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -348,7 +352,10 @@ class TestStackedSolveFastPath:
         odd = R[2].copy()
         odd[:] = odd[:, :1] if kind == "rank_deficient" else 0.0  # rank 1, or beta = 0
         stack_R, stack_r = np.insert(R, 2, odd, axis=0), np.insert(r, 2, r[2], axis=0)
-        coeffs, ranks = _assert_slices_match_2d_solve(stack_R, stack_r, _stacked_solve)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "min_norm_lstsq", None)  # the slow path reuses the stack's SVD
+            result = _stacked_solve(stack_R, stack_r)
+        coeffs, ranks = _assert_slices_match_2d_solve(stack_R, stack_r, lambda R, r: result)
         assert ranks[2] == (1 if kind == "rank_deficient" else 0)
         others = np.delete(coeffs, 2, axis=0)
         assert others.tobytes() == fast.tobytes()

@@ -192,6 +192,10 @@ class TestScalar:
         with pytest.raises(EvalError):
             p.q(np.array([0.0]))
 
+    def test_jacobian_eval_error_at_zero(self):
+        with pytest.raises(EvalError, match="undefined at x = 0"):
+            problem_scalar().jacobian(np.array([0.0]))
+
 
 class TestProblemIds:
     def test_known_ids(self):
@@ -214,6 +218,10 @@ class TestProblemIds:
         np.testing.assert_allclose(p.known_fixed_point, [2.0, 4.0], atol=1e-14)
         p2 = problem_from_id(f"affine:{path}")
         np.testing.assert_allclose(p2.known_fixed_point, [2.0, 4.0], atol=1e-14)
+
+    def test_linear200_needs_three_lambdas(self):
+        with pytest.raises(ValueError, match="exactly three lambdas"):
+            problem_from_id("linear200:1,2")
 
     def test_linear200_rejects_nan_lambda(self):
         with pytest.raises(ValueError, match=r"^\|l2\| must be < 1, got nan$"):
