@@ -37,7 +37,8 @@ SEEDS = (7, 11)
 # comparison at n = 200 run to the rounding floor, whose AA(inf) rows lose
 # rank after GMRES-like termination: the only command whose rank-deficient
 # slices have n > m, where the order of the slow path's products decides
-# the bits
+# the bits, and an m-sweep with an explicit --box, whose inits come from
+# that box and not from msweep's [-1, 1]^n default
 COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 1 --box=-0.25,0.25 --inits 200",
     "deriv-hist --problem linear2x2 --m 1 --samples 5000",
@@ -57,6 +58,7 @@ COMMANDS = (
     "sweep --problem linear2x2 --scheme aa --m 2 --tol 1e-300 --inits 200",
     "run --problem linear200:-0.9,0.7,-0.7 --scheme aa_restarted --m 3 --box=0.1,0.1",
     "gmres-compare --problem linear200:0,0,0 --m 3 --k-max 10 --iters 60 --inits 20 --tol 1e-300",
+    "msweep --problem linear2x2 --m-values 1,2 --inits 20 --box=-0.5,0.5",
 )
 
 

@@ -19,7 +19,6 @@ from .accelerators import (
 from .analysis import (
     MSweepRow,
     RFactorEstimate,
-    SweepReport,
     derivative_norm_samples,
     estimate_r_factor,
     estimate_r_factors,

@@ -96,14 +96,6 @@ def estimate_r_factors(traces: Sequence[IterationTrace]) -> RFactorEstimate:
                       np.array([tr.failure is not None for tr in traces], dtype=bool))
 
 
-@dataclass
-class SweepReport:
-    """Aggregate of one Monte-Carlo sweep over random initial conditions."""
-
-    inits: np.ndarray  # (n_inits, n)
-    estimates: dict    # scheme label -> RFactorEstimate, a row per init
-
-
 def worst_case_rho(problem: FixedPointProblem) -> float:
     """rho(q'(x*)), the worst-case FP factor; NaN where x* or the Jacobian is missing."""
     if problem.known_fixed_point is None or problem.jacobian is None:
@@ -135,11 +127,9 @@ def bin_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
 def monte_carlo_sweep(
     problem: FixedPointProblem,
     schemes: Sequence[AccelConfig],
-    box: np.ndarray,
-    n_inits: int,
-    seed: int,
-) -> SweepReport:
-    """Run every scheme from every random init; deterministic given the seed.
+    inits: np.ndarray,
+) -> dict[AccelConfig, RFactorEstimate]:
+    """Run every distinct scheme from every row of inits (B, n), keyed by scheme.
 
     Each scheme runs all inits as one batch of the run loop, which keeps a
     window of error norms and each run's tail, no full step log, and
@@ -148,12 +138,8 @@ def monte_carlo_sweep(
     (divergence, evaluation errors, too few usable iterations) are rows
     without an estimate rather than aborting the sweep.
     """
-    if n_inits < 1:
-        raise ValueError("n_inits must be >= 1")
-    inits = sample_inits(box, n_inits, seed)
-    return SweepReport(inits=inits, estimates={
-        scheme_label(cfg): _estimates(*_iterate(problem, inits, cfg, log=False).tails())
-        for cfg in schemes})
+    return {cfg: _estimates(*_iterate(problem, inits, cfg, log=False).tails())
+            for cfg in dict.fromkeys(schemes)}
 
 
 def derivative_norm_samples(M: np.ndarray, m: int, n_samples: int, seed: int) -> np.ndarray:
@@ -191,23 +177,19 @@ class MSweepRow:
 def m_sweep(
     problem: FixedPointProblem,
     m_values: Sequence[int],
-    n_inits: int,
-    seed: int,
-    box: np.ndarray | None = None,
+    inits: np.ndarray,
     max_iters: int = 100,
     stop_tol: float = 1e-12,
 ) -> list[MSweepRow]:
-    """Worst-case sigma_final per (m, windowed/restarted) over random inits.
+    """Worst-case sigma_final per (m, windowed/restarted) over the rows of inits.
 
     One sweep runs every distinct scheme; there is a row per requested pair, in order.
     """
-    if box is None:
-        box = np.tile([-1.0, 1.0], (problem.dim, 1))
     cfgs = [AccelConfig(window_m=m, restart=restart, max_iters=max_iters, stop_tol=stop_tol)
             for m in m_values for restart in (False, True)]
-    report = monte_carlo_sweep(problem, list(dict.fromkeys(cfgs)), box, n_inits, seed)
+    estimates = monte_carlo_sweep(problem, cfgs, inits)
     # the largest sigma_final of the runs with an estimate, NaN when there is none
     return [MSweepRow(m=cfg.window_m, scheme="restarted" if cfg.restart else "windowed",
-                      worst_sigma=float(np.fmax.reduce(
-                          report.estimates[scheme_label(cfg)].sigma_final, initial=np.nan)))
+                      worst_sigma=float(np.fmax.reduce(estimates[cfg].sigma_final,
+                                                       initial=np.nan)))
             for cfg in cfgs]

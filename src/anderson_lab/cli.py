@@ -88,9 +88,9 @@ class ExperimentConfig:
         if not np.all(span < np.inf):
             raise ConfigError("box spans hi - lo must be finite")
 
-    def box_array(self, dim: int) -> np.ndarray:
+    def box_array(self, dim: int, default: tuple = (-0.25, 0.25)) -> np.ndarray:
         if self.init_box is None:
-            return np.tile([-0.25, 0.25], (dim, 1))
+            return np.tile(default, (dim, 1))
         box = np.atleast_2d(np.asarray(self.init_box, dtype=float))
         if box.shape == (1, 2):
             box = np.tile(box, (dim, 1))
@@ -212,17 +212,16 @@ def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> N
     base = cfg.accel()
     # sweeps pair the accelerated scheme with the FP baseline
     schemes = [base] if base.window_m == 0 else [replace(base, window_m=0, restart=False), base]
-    report = analysis.monte_carlo_sweep(
-        problem, schemes, cfg.box_array(problem.dim), cfg.n_inits, cfg.seed)
+    inits = analysis.sample_inits(cfg.box_array(problem.dim), cfg.n_inits, cfg.seed)
+    estimates = analysis.monte_carlo_sweep(problem, schemes, inits)
 
     n = problem.dim
     coord_cols = [f"x0_{i}" for i in range(n)] if n <= 4 else ["init_hash"]
-    coords = (report.inits.tolist() if n <= 4
-              else [[zlib.crc32(x0.tobytes())] for x0 in report.inits])
+    coords = inits.tolist() if n <= 4 else [[zlib.crc32(x0.tobytes())] for x0 in inits]
     rows, hist_rows = [], []
     for accel in schemes:
         label = analysis.scheme_label(accel)
-        est = report.estimates[label]
+        est = estimates[accel]
         rows += ([i, *x0, label, accel.window_m, final, tail_max, converged]
                  for i, (x0, final, tail_max, converged) in enumerate(zip(
                      coords, est.sigma_final.tolist(), est.sigma_tail_max.tolist(),
@@ -243,8 +242,6 @@ def cmd_sweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> N
 
 
 def cmd_deriv_hist(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> None:
-    if problem.known_fixed_point is None or problem.jacobian is None:
-        raise ConfigError("deriv-hist needs a problem with known x* and jacobian")
     if cfg.window_m < 1:
         raise ConfigError("deriv-hist needs m >= 1")
     M = problem.jacobian(problem.known_fixed_point)
@@ -260,9 +257,10 @@ def cmd_msweep(cfg: ExperimentConfig, problem: FixedPointProblem, out: Path) -> 
     if problem.affine is None:
         raise ConfigError("msweep requires an affine problem")
     m_values = cfg.m_values or [1, 2, 3, 4, 5, 6]
-    box = cfg.box_array(problem.dim) if cfg.init_box is not None else None
-    rows = analysis.m_sweep(problem, m_values, cfg.n_inits, cfg.seed, box=box,
-                            max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
+    # msweep alone draws its inits from [-1, 1]^n by default
+    inits = analysis.sample_inits(cfg.box_array(problem.dim, default=(-1.0, 1.0)),
+                                  cfg.n_inits, cfg.seed)
+    rows = analysis.m_sweep(problem, m_values, inits, cfg.max_iters, cfg.stop_tol)
     _write_csv(out / "msweep.csv", "msweep", ["m", "scheme", "worst_sigma"],
                ([r.m, r.scheme, r.worst_sigma] for r in rows))
 

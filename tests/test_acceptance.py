@@ -297,8 +297,8 @@ def test_criterion_10_gmres_correspondence():
 def test_criterion_11_m_sweep_trend():
     p = problem_linear_200(-0.9, 0.7, -0.7)
     t0 = time.perf_counter()
-    rows = m_sweep(p, [1, 2, 3, 4], n_inits=50, seed=SEED,
-                   max_iters=100, stop_tol=1e-12)
+    inits = sample_inits(np.tile([-1.0, 1.0], (200, 1)), 50, seed=SEED)
+    rows = m_sweep(p, [1, 2, 3, 4], inits, max_iters=100, stop_tol=1e-12)
     elapsed = time.perf_counter() - t0
     worst = {(r.m, r.scheme): r.worst_sigma for r in rows}
 
@@ -362,10 +362,11 @@ def test_criterion_12_property_suites():
     # seed determinism of the Monte-Carlo driver
     p2 = problem_linear_2x2()
     schemes = [AccelConfig(window_m=1, max_iters=60, stop_tol=1e-12)]
-    r1 = monte_carlo_sweep(p2, schemes, BOX_2D, 25, seed=SEED)
-    r2 = monte_carlo_sweep(p2, schemes, BOX_2D, 25, seed=SEED)
-    det_ok = np.array_equal(r1.inits, r2.inits) and (
-        r1.estimates["aa(1)"].sigma_final.tobytes() == r2.estimates["aa(1)"].sigma_final.tobytes())
+    inits1, inits2 = sample_inits(BOX_2D, 25, seed=SEED), sample_inits(BOX_2D, 25, seed=SEED)
+    r1 = monte_carlo_sweep(p2, schemes, inits1)
+    r2 = monte_carlo_sweep(p2, schemes, inits2)
+    det_ok = np.array_equal(inits1, inits2) and (
+        r1[schemes[0]].sigma_final.tobytes() == r2[schemes[0]].sigma_final.tobytes())
 
     ok = ls_ok and min_norm_ok and psi_ok and consistency_ok and det_ok
     _report(12, "property suites: least squares, lifted-map invariants, "

@@ -278,10 +278,11 @@ class TestEstimateRFactors:
     def test_sweep_estimates_equal_single_estimates(self):
         p = problem_linear_2x2()
         cfg = AccelConfig(window_m=1, max_iters=100, stop_tol=1e-12)
-        r = monte_carlo_sweep(p, [cfg], np.tile([-0.25, 0.25], (2, 1)), 40, seed=3)
-        for i, x0 in enumerate(r.inits):
+        inits = sample_inits(np.tile([-0.25, 0.25], (2, 1)), 40, seed=3)
+        est = monte_carlo_sweep(p, [cfg], inits)[cfg]
+        for i, x0 in enumerate(inits):
             single = estimate_r_factor(run_scheme(p, x0, cfg))
-            assert _row(r.estimates["aa(1)"], i) == (
+            assert _row(est, i) == (
                 single.sigma_final, single.sigma_tail_max, single.k_used, single.converged)
 
 
@@ -353,13 +354,13 @@ SWEEP_RSS = """
 import resource
 import numpy as np
 from anderson_lab.accelerators import AccelConfig
-from anderson_lab.analysis import monte_carlo_sweep
+from anderson_lab.analysis import monte_carlo_sweep, sample_inits
 from anderson_lab.problems import AffineSpec, make_affine
 problem = make_affine(AffineSpec(M=np.diag([0.999, 0.5]), b=np.zeros(2)))
 box = np.tile([-1.0, 1.0], (2, 1))
 def sweep(steps):
     cfg = AccelConfig(window_m=0, max_iters=steps, stop_tol=0.0)
-    est = monte_carlo_sweep(problem, [cfg], box, 1000, 0).estimates["fp"]
+    est = monte_carlo_sweep(problem, [cfg], sample_inits(box, 1000, 0))[cfg]
     assert (est.k_used == steps).all()
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = sweep(100)
@@ -422,12 +423,11 @@ class TestMonteCarloSweep:
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(linalg, "CHUNK_FLOATS", budget)
-            patch.setattr(analysis, "sample_inits", lambda box, n_inits, seed: X0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = monte_carlo_sweep(problem, [cfg], None, len(X0), 0)
+                got = monte_carlo_sweep(problem, [cfg], X0)
             want = estimate_r_factors(run_batch(problem, X0, cfg))
-        _assert_same_columns(got.estimates[scheme_label(cfg)], want)
+        _assert_same_columns(got[cfg], want)
 
     def test_rows_that_leave_and_reenter_the_floor(self):
         # the declared x* sits 1e-14 off the true one: from k ~ 45 to ~ 90
@@ -442,51 +442,75 @@ class TestMonteCarloSweep:
         for tr in traces:
             usable = tr.error_norms[1:] > floor
             assert usable[:40].all() and not usable.all() and usable[-2:].any()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "sample_inits", lambda box, n_inits, seed: X0)
-            got = monte_carlo_sweep(problem, [cfg], None, len(X0), 0).estimates["fp"]
+        got = monte_carlo_sweep(problem, [cfg], X0)[cfg]
         want = estimate_r_factors(traces)
         _assert_same_columns(got, want)
         assert (want.k_used > 70).all()
+
+    def test_each_scheme_is_its_own_key(self, monkeypatch):
+        # two schemes with one label: a 5-step AA(1) with no stopping
+        # tolerance and the default AA(1); each keeps its own estimates
+        problem = problem_linear_2x2()
+        inits = sample_inits(np.tile([-0.25, 0.25], (2, 1)), 4, 7)
+        schemes = [AccelConfig(window_m=1, max_iters=5, stop_tol=0.0),
+                   AccelConfig(window_m=1, max_iters=100)]
+        assert scheme_label(schemes[0]) == scheme_label(schemes[1])
+        got = monte_carlo_sweep(problem, schemes, inits)
+        assert list(got) == schemes
+        for cfg in schemes:
+            _assert_same_columns(got[cfg], estimate_r_factors(run_batch(problem, inits, cfg)))
+        # a scheme given twice runs once
+        runs, iterate = [], analysis._iterate
+
+        def counted(problem, X0, cfg, **kwargs):
+            runs.append(cfg)
+            return iterate(problem, X0, cfg, **kwargs)
+
+        monkeypatch.setattr(analysis, "_iterate", counted)
+        assert list(monte_carlo_sweep(problem, schemes[:1] * 2, inits)) == schemes[:1]
+        assert runs == schemes[:1]
 
     def test_memory_does_not_grow_with_the_steps(self):
         # FP on M = diag(0.999, 0.5) with stop_tol = 0: 1000 rows run all
         # 4000 steps, and the sweep's peak stays that of 100 steps
         assert _rss_growth(SWEEP_RSS) <= 4 * 2**20
 
+    SCHEMES = [AccelConfig(window_m=0, max_iters=100, stop_tol=0.0),
+               AccelConfig(window_m=1, max_iters=100, stop_tol=1e-12)]
+
     def _sweep(self, seed=5, n_inits=30):
-        p = problem_linear_2x2()
-        schemes = [AccelConfig(window_m=0, max_iters=100, stop_tol=0.0),
-                   AccelConfig(window_m=1, max_iters=100, stop_tol=1e-12)]
-        box = np.tile([-0.25, 0.25], (2, 1))
-        return monte_carlo_sweep(p, schemes, box, n_inits, seed)
+        """(inits, estimates) of the FP and AA(1) sweep on linear2x2 from n_inits random starts."""
+        inits = sample_inits(np.tile([-0.25, 0.25], (2, 1)), n_inits, seed)
+        return inits, monte_carlo_sweep(problem_linear_2x2(), self.SCHEMES, inits)
 
     def test_no_inits_raises(self):
-        with pytest.raises(ValueError, match="n_inits must be >= 1"):
+        with pytest.raises(ValueError, match=r"X0 must have shape \(B, 2\) with B >= 1"):
             self._sweep(n_inits=0)
 
     def test_determinism_bitwise(self):
-        r1, r2 = self._sweep(), self._sweep()
-        assert np.array_equal(r1.inits, r2.inits)
-        for label in r1.estimates:
-            e1, e2 = r1.estimates[label], r2.estimates[label]
+        (inits1, r1), (inits2, r2) = self._sweep(), self._sweep()
+        assert np.array_equal(inits1, inits2)
+        for cfg in r1:
+            e1, e2 = r1[cfg], r2[cfg]
             assert e1.sigma_final.tobytes() == e2.sigma_final.tobytes()
             assert e1.sigma_tail_max.tobytes() == e2.sigma_tail_max.tobytes()
             assert np.array_equal(_histogram(e1)[1], _histogram(e2)[1])
 
     def test_scheme_labels_and_counts(self):
-        r = self._sweep()
-        assert set(r.estimates) == {"fp", "aa(1)"}
-        assert all(len(est.sigma_final) == 30 for est in r.estimates.values())
-        for est in r.estimates.values():
+        _, r = self._sweep()
+        assert list(r) == self.SCHEMES
+        assert [scheme_label(cfg) for cfg in r] == ["fp", "aa(1)"]
+        assert all(len(est.sigma_final) == 30 for est in r.values())
+        for est in r.values():
             assert _histogram(est)[1].sum() == 30
 
     def test_s_fraction_range_and_separation(self):
         # the fraction of inits whose sigma_final beats rho_{q,x*} by the 0.05 margin
-        r = self._sweep(n_inits=50)
+        _, r = self._sweep(n_inits=50)
         rho = worst_case_rho(problem_linear_2x2())
-        s_fraction = {label: np.mean(est.sigma_final[~np.isnan(est.sigma_final)] < rho - 0.05)
-                      for label, est in r.estimates.items()}
+        s_fraction = {scheme_label(cfg): np.mean(est.sigma_final[~np.isnan(est.sigma_final)]
+                                                 < rho - 0.05)
+                      for cfg, est in r.items()}
         for v in s_fraction.values():
             assert 0.0 <= v <= 1.0
         # AA(1) beats the FP worst-case factor; plain FP essentially never does
@@ -498,11 +522,11 @@ class TestMonteCarloSweep:
         p = problem_linear_2x2()
         cfg = AccelConfig(window_m=1, max_iters=100, stop_tol=1e-12)
         box = np.array([[0.2, 0.2], [0.1, 0.1]])
-        r = monte_carlo_sweep(p, [cfg], box, 1, seed=0)
+        r = monte_carlo_sweep(p, [cfg], sample_inits(box, 1, seed=0))
         from anderson_lab.accelerators import aa_run
         from anderson_lab.analysis import estimate_r_factor as erf
         direct = erf(aa_run(p, np.array([0.2, 0.1]), cfg))
-        assert r.estimates["aa(1)"].sigma_final[0] == direct.sigma_final
+        assert r[cfg].sigma_final[0] == direct.sigma_final
 
     def test_unknown_fixed_point_gives_rows_without_an_estimate(self):
         # q(x) = x / 2 without its fixed point: NaN error norms, so no estimate
@@ -510,12 +534,13 @@ class TestMonteCarloSweep:
         schemes = [AccelConfig(window_m=0), AccelConfig(window_m=1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = monte_carlo_sweep(p, schemes, np.tile([-1.0, 1.0], (2, 1)), 6, seed=2)
-            direct = estimate_r_factors(run_batch(p, r.inits, schemes[1]))
+            inits = sample_inits(np.tile([-1.0, 1.0], (2, 1)), 6, seed=2)
+            r = monte_carlo_sweep(p, schemes, inits)
+            direct = estimate_r_factors(run_batch(p, inits, schemes[1]))
             with pytest.raises(InsufficientData):
-                estimate_r_factor(run_scheme(p, r.inits[0], schemes[0]))
-        assert set(r.estimates) == {"fp", "aa(1)"}
-        for est in (*r.estimates.values(), direct):
+                estimate_r_factor(run_scheme(p, inits[0], schemes[0]))
+        assert list(r) == schemes
+        for est in (*r.values(), direct):
             assert [_row(est, i)[2:] for i in range(6)] == [(0, False)] * 6
             assert np.isnan(est.sigma_final).all() and np.isnan(est.sigma_tail_max).all()
             assert est.sigma_final.shape == est.sigma_tail_max.shape == (6,)
@@ -618,7 +643,8 @@ class TestMSweep:
     def test_row_structure(self):
         p = problem_linear_2x2()
         for m_values in ([1], [1, 1]):
-            rows = m_sweep(p, m_values, n_inits=5, seed=2, max_iters=60)
+            rows = m_sweep(p, m_values, sample_inits(np.tile([-1.0, 1.0], (2, 1)), 5, seed=2),
+                           max_iters=60)
             # one row per requested (m, scheme), in request order
             assert [(r.m, r.scheme) for r in rows] == [
                 (m, s) for m in m_values for s in ("windowed", "restarted")]
@@ -630,7 +656,7 @@ class TestMSweep:
         # q(-1) = 0, and q raises at 0: no run of either scheme has an estimate
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = m_sweep(problem_scalar(), [1], 3, 0, box=np.array([[-1.0, -1.0]]))
+            rows = m_sweep(problem_scalar(), [1], sample_inits(np.array([[-1.0, -1.0]]), 3, 0))
         assert [r.scheme for r in rows] == ["windowed", "restarted"]
         assert all(np.isnan(r.worst_sigma) for r in rows)
 

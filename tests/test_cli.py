@@ -473,12 +473,9 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
 
-def _sweep_through_traces(problem, schemes, box, n_inits, seed):
+def _sweep_through_traces(problem, schemes, inits):
     """monte_carlo_sweep as estimate_r_factors over the traces of run_batch."""
-    inits = analysis.sample_inits(box, n_inits, seed)
-    return analysis.SweepReport(inits=inits, estimates={
-        analysis.scheme_label(cfg): analysis.estimate_r_factors(run_batch(problem, inits, cfg))
-        for cfg in schemes})
+    return {cfg: analysis.estimate_r_factors(run_batch(problem, inits, cfg)) for cfg in schemes}
 
 
 @pytest.mark.parametrize("argv", [
@@ -552,6 +549,16 @@ class TestMsweep:
         assert header == ["m", "scheme", "worst_sigma"]
         assert len(rows) == 2
         assert {r[1] for r in rows} == {"windowed", "restarted"}
+
+    def test_default_box_is_minus_one_to_one(self, tmp_path):
+        # without --box msweep draws from [-1, 1]^n, not the [-0.25, 0.25]^n of the other sweeps
+        written = []
+        for i, box in enumerate(([], ["--box=-1,1"], ["--box=-0.5,0.5"])):
+            out = tmp_path / str(i)
+            assert main(["msweep", "--problem", "linear2x2", "--m-values", "1,2", "--inits", "20",
+                         "--seed", "7", *box, "--out", str(out)]) == 0
+            written.append((out / "msweep.csv").read_bytes())
+        assert written[0] == written[1] != written[2]
 
     def test_requires_affine(self, tmp_path):
         assert main(["msweep", "--problem", "nonlinear2x2",

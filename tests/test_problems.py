@@ -227,6 +227,14 @@ class TestProblemIds:
         with pytest.raises(ValueError, match=r"^\|l2\| must be < 1, got nan$"):
             problem_from_id("linear200:nan,0.1,0.1")
 
+    @pytest.mark.parametrize("pid", ["linear2x2", "nonlinear2x2", "scalar", "linear200",
+                                     "linear200:-0.9,0.7,-0.7", "affine"])
+    def test_every_id_has_its_fixed_point_and_jacobian(self, pid, affine_id):
+        # deriv-hist differentiates at q'(x*) with no check of its own
+        p = problem_from_id(affine_id if pid == "affine" else pid)
+        assert p.known_fixed_point is not None and p.jacobian is not None
+        assert p.jacobian(p.known_fixed_point).shape == (p.dim, p.dim)
+
     def test_affine_json_bad_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"M": [[0.5]]}))
