@@ -235,6 +235,7 @@ class _Steps:
         # casts None (x* unknown) to NaN, so the row is NaN then
         self.x_star = np.full((1, problem.dim), problem.known_fixed_point, dtype=float)
         self.x_star_norm = float(np.linalg.norm(self.x_star))
+        self.zero_star = not self.x_star.any()  # every entry +-0 (NaN is not)
         self.keep, self.log, self.k0 = keep, log, 0
         self.rows = np.arange(B)
         self.converged = np.zeros(B, dtype=bool)
@@ -267,7 +268,10 @@ class _Steps:
         every one does.
         """
         rows = self.rows
-        e = _norms(self.x_star - X)
+        # where x* is exactly zero, (+-0 - x)^2 = x^2 makes the error norm ||x||
+        # bit for bit, which the divergence guard reads too
+        xn = _norms(X)
+        e = xn if self.zero_star else _norms(self.x_star - X)
         if self.log:
             if k >= self.res.shape[1]:  # one table at a time, which lowers the peak
                 self.res = _grown(self.res, 2 * k)
@@ -290,7 +294,6 @@ class _Steps:
                     self.beta[:, k - 1, coeffs.shape[1]:][rows] = np.nan
                 self.rank[:, k - 1][rows] = ranks
                 self.solved[rows] = k
-        xn = _norms(X)
         # the ufunc reductions are the cheapest whole-batch tests, which
         # matters at B = 1
         if (not errors and np.logical_and.reduce(rn > tol) and np.maximum.reduce(rn) < np.inf
@@ -346,7 +349,8 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
     Every running row takes step k together: q is evaluated once on them
     (once more on the others when q raised for some of them), the step log
     records every iterate and the update that gave it at its row and step
-    and tests it once (_Steps.record), and one update (_aa_update, chunk by
+    and tests it once (_Steps.record), and one update (_aa_update, on the
+    histories themselves when linalg.chunks gives one chunk, else chunk by
     chunk of rows: _joined) solves all their least-squares problems.  The
     history length depends on the step count alone, so the running rows
     share it.  The rows the stop test stops leave the batch, and the other
@@ -382,8 +386,10 @@ def _iterate(problem: FixedPointProblem, X0: np.ndarray, cfg: AccelConfig, keep:
             return steps
 
         # every residual in the history has a finite norm (_aa_update)
-        X, *update = _joined([_aa_update([a[s] for a in q_hist], [a[s] for a in r_hist])
-                              for s in chunks(len(steps.rows), 5 * problem.dim * len(q_hist))])
+        parts = chunks(len(steps.rows), 5 * problem.dim * len(q_hist))
+        X, *update = (_aa_update(q_hist, r_hist) if len(parts) == 1 else
+                      _joined([_aa_update([a[s] for a in q_hist], [a[s] for a in r_hist])
+                               for s in parts]))
         k += 1
 
 

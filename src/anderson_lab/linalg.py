@@ -9,6 +9,7 @@ beta_hat; it checks nothing, so each caller checks its inputs at its own edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,20 +158,23 @@ def _stacked_solve(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # of the largest column above s[0] / sqrt(n m), whose square does not
     # underflow (the SVD rescales, R * R does not).  Only the other slices
     # compute their column norms, as np.linalg.norm(R, axis=1) computes them
+    s0 = s[:, 0]
     cut = max(n, m) * _EPS * np.sqrt(np.vecdot(r, r))
-    informative = (s[:, 0] > 2.0 * np.sqrt(m) * cut) & (s[:, 0] >= 1e-140)
+    informative = (s0 > 2.0 * math.sqrt(m) * cut) & (s0 >= 1e-140)
     Ur = np.matmul(U.transpose(0, 2, 1), r[..., None])[..., 0]
     # every slice informative and of full rank: s is sorted, so a last value
     # above rank_tolerance's cut-off keeps every one
-    if (informative & (s[:, -1] > max(n, m) * _EPS * s[:, 0])).all():
+    if np.logical_and.reduce(informative & (s[:, -1] > max(n, m) * _EPS * s0)):
         coeffs = np.matmul(-Vt.transpose(0, 2, 1), (Ur / s)[..., None])[..., 0]
-        return coeffs, np.full(S, s.shape[1])
+        ranks = np.empty(S, dtype=int)
+        ranks.fill(s.shape[1])
+        return coeffs, ranks
     unsure = np.flatnonzero(~informative)
     if unsure.size:
         Ru = R[unsure]
         informative[unsure] = np.sqrt(np.add.reduce(Ru * Ru, axis=1)).max(axis=1) > cut[unsure]
 
-    tol = rank_tolerance(n, m, s[:, 0])
+    tol = rank_tolerance(n, m, s0)
     kept = (s > tol[:, None]) & informative[:, None]
     w = np.divide(Ur, s, out=np.zeros_like(Ur), where=kept)
     coeffs = np.matmul(-Vt.transpose(0, 2, 1), w[..., None])[..., 0]

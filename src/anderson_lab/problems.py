@@ -137,7 +137,8 @@ def problem_linear_200(l2: float, l3: float, l4: float) -> FixedPointProblem:
         x = np.asarray(x, dtype=float)
         y = x * diag
         y[..., 0] += x[..., 1]
-        return y + spec.b
+        y += spec.b
+        return y
 
     return replace(make_affine(spec), q=q)
 

@@ -1180,3 +1180,134 @@ class TestRunBatch:
             run_batch(problem_linear_2x2(), np.zeros(2), AccelConfig())
         with pytest.raises(ValueError):
             run_batch(problem_linear_2x2(), np.zeros((3, 1)), AccelConfig())
+
+
+def _zero_star_starts(n, rng):
+    """Starts for a problem with x* = 0: random rows, rows holding -0.0 and rows whose norm is Inf.
+
+    The last row's entries are finite with finite squares, but their sum
+    overflows, so its norm is Inf and it stops at k = 0 (Diverged).
+    """
+    X0 = rng.uniform(-1.0, 1.0, (6, n))
+    X0[1, ::2] = -0.0
+    X0[2] = -0.0
+    X0[2, -1] = 0.5
+    X0[3] = -0.0  # a fixed point: its residual is exactly 0
+    X0[4] = 1e200
+    X0[5] = np.sqrt(0.75 * np.finfo(float).max)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(X0[5] ** 2).all() and np.linalg.norm(X0[5]) == np.inf
+    return X0
+
+
+class TestErrorNorms:
+    """The error norms of the run loop are ||x* - x_k|| bit for bit, whatever x* is."""
+
+    @staticmethod
+    @np.errstate(over="ignore")
+    def _expected(problem, iterates):
+        return np.array([np.linalg.norm(problem.known_fixed_point - x) for x in iterates])
+
+    @pytest.mark.parametrize("problem_id", ["linear2x2", "linear200:-0.9,0.7,-0.7", None])
+    def test_zero_fixed_point_gives_the_subtraction_bitwise(self, problem_id):
+        # x* solved from b = 0 holds only zeros, some of them possibly -0.0;
+        # None is q(x) = x / 2 with x* = (-0.0, 0.0)
+        problem = (problem_from_id(problem_id) if problem_id else FixedPointProblem(
+            dim=2, q=lambda x: 0.5 * x, known_fixed_point=np.array([-0.0, 0.0])))
+        assert not problem.known_fixed_point.any()
+        X0 = _zero_star_starts(problem.dim, np.random.default_rng(17))
+        for cfg in (AccelConfig(window_m=0), AccelConfig(window_m=2),
+                    AccelConfig(window_m=3, restart=True)):
+            batch = run_batch(problem, X0, cfg, keep=cfg.max_iters + 1)
+            assert batch[3].converged and len(batch[3]) == 1
+            assert isinstance(batch[4].failure, Diverged) and isinstance(batch[5].failure, Diverged)
+            for tr in batch:
+                assert _bits(tr.error_norms) == _bits(self._expected(problem, tr.iterates))
+            assert batch[4].error_norms[0] == batch[5].error_norms[0] == np.inf
+            # a sweep's tails hold the same norms at the same steps
+            e, k, converged, failed = accelerators._iterate(problem, X0, cfg, log=False).tails()
+            assert converged.tolist() == [tr.converged for tr in batch]
+            assert failed.tolist() == [tr.failure is not None for tr in batch]
+            for tr, row_e, row_k in zip(batch, e, k):
+                usable = row_k > 0
+                assert _bits(row_e[usable]) == _bits(tr.error_norms[row_k[usable]])
+                assert np.isnan(row_e[~usable]).all()
+            assert k[:3].any(axis=1).all() and not k[3:].any()
+
+    def test_nonzero_fixed_point_keeps_the_subtraction(self):
+        problem = problem_scalar()
+        X0 = np.array([[0.5], [1.0], [3.0], [1e10]])
+        for cfg in (AccelConfig(window_m=0), AccelConfig(window_m=1)):
+            for tr in run_batch(problem, X0, cfg, keep=cfg.max_iters + 1):
+                assert _bits(tr.error_norms) == _bits(self._expected(problem, tr.iterates))
+                assert _bits(tr.error_norms) != _bits(np.abs(tr.iterates[:, 0]))
+
+    def test_unknown_fixed_point_gives_nan(self):
+        # q(x) = x / 2 has x* = 0, but a problem that does not know it has
+        # NaN error norms, not ||x||
+        problem = FixedPointProblem(dim=2, q=lambda x: 0.5 * x)
+        X0 = _zero_star_starts(2, np.random.default_rng(18))
+        batch = run_batch(problem, X0, AccelConfig(window_m=1), keep=101)
+        assert all(np.isnan(tr.error_norms).all() and len(tr) for tr in batch)
+        e, k, _, _ = accelerators._iterate(problem, X0, AccelConfig(window_m=1), log=False).tails()
+        assert np.isnan(e).all() and not k.any()
+
+
+def _recorded_updates(monkeypatch, problem):
+    """problem with the run loop's q outputs and AA update arguments recorded in order."""
+    outputs, calls = [], []
+    update = accelerators._aa_update
+
+    def recorded_update(q_hist, r_hist):
+        calls.append((list(q_hist), list(r_hist)))
+        return update(q_hist, r_hist)
+
+    def recorded_q(X):
+        outputs.append(problem.q(X))
+        return outputs[-1]
+
+    monkeypatch.setattr(accelerators, "_aa_update", recorded_update)
+    return replace(problem, q=recorded_q), outputs, calls
+
+
+class TestOneChunk:
+    """A step whose rows fit one chunk hands the loop's own histories to _aa_update."""
+
+    B, MAX_ITERS = 12, 20
+
+    def _run(self, monkeypatch, cfg, budget):
+        problem = make_affine(_random_contraction(23, 6)[0])
+        X0 = np.random.default_rng(24).uniform(-1.0, 1.0, (self.B, problem.dim))
+        with monkeypatch.context() as patch:
+            if budget is not None:
+                patch.setattr(linalg, "CHUNK_FLOATS", budget)
+            recorded, outputs, calls = _recorded_updates(patch, problem)
+            batch = run_batch(recorded, X0, cfg, keep=self.MAX_ITERS + 1)
+        # no row stops: every step runs every row
+        assert all(len(tr) == self.MAX_ITERS + 1 and tr.failure is None for tr in batch)
+        return batch, outputs, calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_one_chunk_takes_the_histories_and_equals_many(self, monkeypatch, m, restart):
+        cfg = AccelConfig(window_m=m, restart=restart, max_iters=self.MAX_ITERS, stop_tol=0.0)
+        whole, outputs, calls = self._run(monkeypatch, cfg, None)
+        assert len(calls) == self.MAX_ITERS  # one call a step
+        prev = ([], [])
+        for (q_hist, r_hist), Qx in zip(calls, outputs):
+            assert q_hist[0] is Qx
+            for hist, old in zip((q_hist, r_hist), prev):
+                assert all(a.base is None and a.shape == (self.B, 6) for a in hist)
+                # every older entry is an array the previous step held
+                assert all(any(a is b for b in old) for a in hist[1:])
+            prev = (q_hist, r_hist)
+
+        # a budget that fits 3 rows at history length 1 and 1 at length 5
+        split, _, split_calls = self._run(monkeypatch, cfg, 5 * 6 * 1 * 3)
+        assert len(split_calls) > 2 * self.MAX_ITERS
+        for q_hist, r_hist in split_calls:
+            assert all(a.base is not None and len(a) < self.B for a in q_hist + r_hist)
+        for a, b in zip(whole, split):
+            for name in ("iterates", "beta", "rank", "residual_norms", "error_norms"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
