@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Time the four benchmark commands at another git revision and here, in one process.
 
-    python3 scripts/inprocess_ab.py REF [--rounds 6] [--seeds 15]
+    python3 scripts/inprocess_ab.py REF
 
 Extracts REF's src/ into a temporary directory (git archive), imports that
 tree as the package ref_anderson_lab and this checkout's src/ as
 new_anderson_lab, both in this one process with BLAS on one thread, and runs
 the four benchmark commands (perfbench's workloads, written out here) through
-each tree's cli.main.  A round runs each command at seeds 0 .. seeds - 1 on
-one tree and then on the other; the tree that goes first alternates from
-round to round, and one untimed command per tree and command comes first.
-A round's time for a command and a tree is the median over its seeds.
-Prints, for each command, the median and quartiles of the round times at REF
-and here, the change of the medians and the rounds in which this checkout
-was faster.  Uses the standard library and numpy only.
+each tree's cli.main.  The runs are paired: in each of ROUNDS rounds, every
+command runs at seeds 0 .. SEEDS - 1, and each (round, seed) slot runs the
+command on both trees back to back, the tree that goes first alternating from
+slot to slot.  One untimed run per tree and command comes first.  A pair's
+ratio (here / REF) cancels the slow periods of a shared machine that both of
+its runs see, which medians taken over whole rounds do not.  Prints, for each
+command, the median run time at REF and here, the median and quartiles of the
+per-slot changes and the slots in which this checkout was faster.  Uses the
+standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ COMMANDS = {
     "msweep-200": "msweep --problem linear200:-0.9,0.7,-0.7 --m-values 1,2,3,4,5,6 --inits 10",
     "krylov-200": "gmres-compare --problem linear200 --m 1 --k-max 10 --iters 60 --inits 50",
 }
+ROUNDS, SEEDS = 6, 15
 
 
 def load_cli(name: str, src: Path):
@@ -69,19 +72,10 @@ def timed(cli, args: list[str], out: Path) -> float:
     return elapsed
 
 
-def quartiles(xs: list[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the git revision to compare against")
-    parser.add_argument("--rounds", type=int, default=6, help="rounds (at least 2)")
-    parser.add_argument("--seeds", type=int, default=15, help="seeds per command and round")
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.seeds < 1:
-        parser.error("--rounds must be at least 2 and --seeds at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.ref, "src"],
@@ -91,29 +85,28 @@ def main(argv: list[str]) -> int:
         trees = {"ref": load_cli("ref_anderson_lab", tmp / "ref" / "src"),
                  "new": load_cli("new_anderson_lab", ROOT / "src")}
         print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS on one thread; "
-              f"{args.rounds} rounds of {args.seeds} seeds; ref = {args.ref}", flush=True)
-        rounds = {(side, name): [] for side in trees for name in COMMANDS}
+              f"{ROUNDS} rounds of {SEEDS} seeds, paired by slot; ref = {args.ref}", flush=True)
+        times = {(side, name): [] for side in trees for name in COMMANDS}
         for name, command in COMMANDS.items():
             for side, cli in trees.items():
                 timed(cli, [*command.split(), "--seed", "0"], tmp / "out")
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for name, command in COMMANDS.items():
-                for side in ("ref", "new") if r % 2 == 0 else ("new", "ref"):
-                    gc.collect()
-                    times = [timed(trees[side], [*command.split(), "--seed", str(seed)],
-                                   tmp / "out")
-                             for seed in range(args.seeds)]
-                    rounds[side, name].append(statistics.median(times))
-            print(f"round {r + 1} of {args.rounds} done", file=sys.stderr, flush=True)
-    print(f"{'command':<12} {'ref median [q1, q3] ms':>28} {'new median [q1, q3] ms':>28}"
-          f" {'change':>7} {'wins':>6}")
+                gc.collect()
+                for seed in range(SEEDS):
+                    first = (r * SEEDS + seed) % 2
+                    for side in ("ref", "new")[first:] + ("ref", "new")[:first]:
+                        times[side, name].append(timed(
+                            trees[side], [*command.split(), "--seed", str(seed)], tmp / "out"))
+            print(f"round {r + 1} of {ROUNDS} done", file=sys.stderr, flush=True)
+    print(f"{'command':<12} {'ref ms':>8} {'new ms':>8} {'change [q1, q3]':>26} {'wins':>7}")
     for name in COMMANDS:
-        ref, new = rounds["ref", name], rounds["new", name]
-        (r1, rm, r3), (n1, nm, n3) = quartiles(ref), quartiles(new)
-        wins = sum(b < a for a, b in zip(ref, new))
-        print(f"{name:<12} {f'{rm * 1e3:.2f} [{r1 * 1e3:.2f}, {r3 * 1e3:.2f}]':>28}"
-              f" {f'{nm * 1e3:.2f} [{n1 * 1e3:.2f}, {n3 * 1e3:.2f}]':>28}"
-              f" {f'{(nm / rm - 1) * 100:+.1f} %':>7} {f'{wins}/{len(ref)}':>6}")
+        ref, new = times["ref", name], times["new", name]
+        changes = [(b / a - 1) * 100 for a, b in zip(ref, new)]
+        q1, q2, q3 = statistics.quantiles(changes, n=4, method="inclusive")
+        wins = sum(c < 0 for c in changes)
+        print(f"{name:<12} {statistics.median(ref) * 1e3:8.2f} {statistics.median(new) * 1e3:8.2f}"
+              f" {f'{q2:+.1f} % [{q1:+.1f}, {q3:+.1f}]':>26} {f'{wins}/{len(changes)}':>7}")
     return 0
 
 

@@ -270,8 +270,7 @@ class _Steps:
         rows = self.rows
         # where x* is exactly zero, (+-0 - x)^2 = x^2 makes the error norm ||x||
         # bit for bit, which the divergence guard reads too
-        xn = _norms(X)
-        e = xn if self.zero_star else _norms(self.x_star - X)
+        e = _norms(X) if self.zero_star else _norms(self.x_star - X)
         if self.log:
             if k >= self.res.shape[1]:  # one table at a time, which lowers the peak
                 self.res = _grown(self.res, 2 * k)
@@ -294,6 +293,7 @@ class _Steps:
                     self.beta[:, k - 1, coeffs.shape[1]:][rows] = np.nan
                 self.rank[:, k - 1][rows] = ranks
                 self.solved[rows] = k
+        xn = e if self.zero_star else _norms(X)
         # the ufunc reductions are the cheapest whole-batch tests, which
         # matters at B = 1
         if (not errors and np.logical_and.reduce(rn > tol) and np.maximum.reduce(rn) < np.inf
